@@ -1,8 +1,9 @@
 """Seeded random and exhaustive generators of embedded test instances.
 
 Every generator is correct by construction (no planarity testing): polygons
-with non-crossing chords, feature gluing along the outer face, and
-face-interior vertex insertion all maintain an explicit rotation system.
+with non-crossing chords, feature gluing along the outer face,
+face-interior vertex insertion and concentric rings joined by spokes all
+maintain an explicit rotation system.
 Outputs are validated against their class predicate before being returned;
 a predicate failure is a generator bug, not a caller error.
 """
@@ -22,6 +23,7 @@ KINDS = (
     "outerplane_biconnected",
     "outerplane_bridgeless",
     "plane",
+    "nested",
 )
 
 
@@ -316,6 +318,49 @@ def _gen_plane(spec, rng=None):
     return G
 
 
+def _gen_nested(spec, rng=None):
+    """Concentric rings, ring i + 1 drawn inside ring i, consecutive rings
+    joined by a nonempty seeded set of spokes: one peeling layer per ring,
+    so the layer count grows linearly with n.  The ring size s is seeded in
+    3..6; the n // s rings take n // k or n // k + 1 vertices, outermost
+    first.  Vertex ids run ring by ring from the outside in, and position j
+    of ring i + 1 sits just inside position j of ring i, so a spoke joins
+    equal positions and spokes never cross."""
+    if spec.n < 3:
+        raise ValueError("nested rings need at least 3 vertices")
+    rng = rng or _rng(spec)
+    k = spec.n // rng.randint(3, min(6, spec.n))
+    sizes = [spec.n // k + (1 if i < spec.n % k else 0) for i in range(k)]
+    first = [0]
+    for size in sizes:
+        first.append(first[-1] + size)
+
+    # per vertex, the dart towards each direction: 0 outer spoke, 1 next on
+    # the ring, 2 inner spoke, 3 previous on the ring (counterclockwise
+    # order seen from the outward direction)
+    slots = [[None] * 4 for _ in range(spec.n)]
+    edges = []
+
+    def add(u, v, du, dv):
+        e = len(edges)
+        edges.append((u, v))
+        slots[u][du] = 2 * e
+        slots[v][dv] = 2 * e + 1
+
+    for i, size in enumerate(sizes):
+        for j in range(size):
+            add(first[i] + j, first[i] + (j + 1) % size, 1, 3)
+    for i in range(k - 1):
+        inner = sizes[i + 1]
+        spokes = [j for j in range(inner) if rng.random() < 0.5] or [rng.randrange(inner)]
+        for j in spokes:
+            add(first[i] + j, first[i + 1] + j, 2, 0)
+    rotations = [[d for d in slot if d is not None] for slot in slots]
+    # dart 0 runs from ring-0 position 0 to position 1; with nothing outside
+    # ring 0 its face is the ring-0 walk, the unbounded face
+    return embed.EmbeddedGraph(spec.n, edges, rotations, (0,))
+
+
 # -- public entry points -------------------------------------------------------
 
 
@@ -329,6 +374,10 @@ def _check_class(spec, G):
     if not simple_ok:
         raise GenerationError("generator emitted loops or parallel edges")
     if kind == "plane":
+        return
+    if kind == "nested":
+        if len(G.components) != 1:
+            raise GenerationError("nested rings are not connected")
         return
     if not embed.is_outerplane(G):
         raise GenerationError("instance is not outerplane")
@@ -369,6 +418,8 @@ def generate(spec):
         G = _gen_outerplane_bridgeless(spec, rng)
     elif spec.kind == "plane":
         G = _gen_plane(spec, rng)
+    elif spec.kind == "nested":
+        G = _gen_nested(spec, rng)
     else:  # pragma: no cover
         raise ValueError(spec.kind)
     _check_class(spec, G)

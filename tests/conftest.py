@@ -116,6 +116,31 @@ def decorate_multigraph(G, seed=0, parallels=2, loops=1):
     return embed.EmbeddedGraph(G.n, edges, rot, embed._dedup_outer(edges, rot, outer))
 
 
+def nested_triangles():
+    """Outer triangle 0,1,2; inner triangle 3,4,5 drawn inside it; spoke
+    0-3.  Hand-traced faces: the outer walk, an 8-corner middle region and
+    the inner triangle's core."""
+    edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)]
+    rot = [[0, 12, 5], [2, 1], [4, 3], [6, 11, 13], [8, 7], [10, 9]]
+    return embed.build(6, edges, rot, 0)
+
+
+def disjoint_union(*graphs):
+    """Side-by-side copies of embedded graphs, ids shifted in argument
+    order; every copy keeps its embedding and its outer face."""
+    edges, rot, outer = [], [], []
+    for G in graphs:
+        v0, d0 = len(rot), 2 * len(edges)
+        edges.extend((u + v0, v + v0) for u, v in G.edges)
+        rot.extend([d + d0 for d in r] for r in G.rotations)
+        outer.extend(d + d0 for d in G.canonical_outer_darts())
+    return embed.EmbeddedGraph(len(rot), edges, rot, tuple(outer))
+
+
+def single_vertex():
+    return embed.EmbeddedGraph(1, [], [[]])
+
+
 @pytest.fixture
 def triangle():
     return polygon(3)

@@ -15,7 +15,7 @@ from thueplane.colour import (
 from thueplane.embed import ClassMismatchError
 from thueplane.gen import _Builder
 
-from conftest import decorate_multigraph, fan5, path_graph, polygon, wheel
+from conftest import decorate_multigraph, fan5, nested_triangles, path_graph, polygon, wheel
 
 
 def flower_cactus(petals=5):
@@ -324,15 +324,6 @@ def test_interleave_decomposition_shape():
     assert interleave_check_decomposition([7], set()) == [(7,)]
     blocks = interleave_check_decomposition([9, 1], {9, 1})
     assert blocks == [(), (9, 1), ()]
-
-
-def nested_triangles():
-    """Outer triangle 0,1,2; inner triangle 3,4,5 drawn inside it; spoke
-    0-3.  Hand-traced faces: the outer walk, an 8-corner middle region and
-    the inner triangle's core."""
-    edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)]
-    rot = [[0, 12, 5], [2, 1], [4, 3], [6, 11, 13], [8, 7], [10, 9]]
-    return embed.build(6, edges, rot, 0)
 
 
 def test_peeling_nested_triangles_two_layers():

@@ -96,3 +96,15 @@ def test_enumerate_guard():
         list(enumerate_small("tree", 10))
     with pytest.raises(ValueError):
         list(enumerate_small("plane", 5))
+
+
+def test_nested_rings_are_peeling_layers():
+    from thueplane.colour import peeling_layering
+
+    for n, seed in [(3, 0), (11, 5), (40, 1), (97, 2), (300, 3)]:
+        G = generate(GenSpec("nested", n, seed))
+        layers = peeling_layering(G).layer_sets()
+        # ring i holds the next ids after rings 0..i-1 and is layer i
+        assert [v for layer in layers for v in layer] == list(range(n))
+        assert min(len(layer) for layer in layers) >= 3
+        assert len(layers) == 1 or len(G.edges) > n

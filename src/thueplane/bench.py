@@ -21,9 +21,15 @@ def _fit_exponent(points):
     return cov / var if var > 0 else 0.0
 
 
+#: generator kinds coloured by ``colour_plane``; every other kind is
+#: outerplane and goes through ``colour_outerplane``
+_PLANE_KINDS = ("plane", "nested")
+
+
 def run_bench(sizes, kind="outerplane", seed=0, repeat=1, compare_kernels=False):
     """Time colour+verify per size (best of ``repeat``); returns a report
     dict with per-size rows and the fitted exponent."""
+    pipeline = colour.colour_plane if kind in _PLANE_KINDS else colour.colour_outerplane
     rows = []
     largest = None
     for n in sorted(sizes):
@@ -35,10 +41,7 @@ def run_bench(sizes, kind="outerplane", seed=0, repeat=1, compare_kernels=False)
         colours_used = None
         for _ in range(max(1, repeat)):
             t0 = time.perf_counter()
-            if kind == "plane":
-                col = colour.colour_plane(G)
-            else:
-                col = colour.colour_outerplane(G)
+            col = pipeline(G)
             dt = time.perf_counter() - t0
             best = dt if best is None else min(best, dt)
             colours_used = col.distinct_colours()
@@ -67,7 +70,7 @@ def run_bench(sizes, kind="outerplane", seed=0, repeat=1, compare_kernels=False)
     }
 
     if compare_kernels and largest is not None:
-        col = colour.colour_outerplane(largest) if kind != "plane" else colour.colour_plane(largest)
+        col = pipeline(largest)
         comparison = {}
         for name in sorted(kernels.available_backends()):
             kernels.use_backend(name)

@@ -52,7 +52,7 @@ def _read_colouring(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return colour.colouring_from_json(json.load(fh))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         _diag(error="parse", path=str(path), detail=str(exc))
         sys.exit(EXIT_PARSE)
 

@@ -50,10 +50,26 @@ class Colouring:
 
 
 def colouring_from_json(doc):
+    """Colouring from its JSON document: ``colours`` a list of plain
+    non-negative integers (the verifier's alphabet), ``palette_max`` a plain
+    integer and the optional ``verified`` a bool.  Anything else raises
+    ValueError, never a coerced value."""
+    if not isinstance(doc, dict):
+        raise ValueError("malformed colouring document: not a JSON object")
     try:
-        return Colouring(tuple(doc["colours"]), int(doc["palette_max"]), bool(doc.get("verified", False)))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed colouring document: {exc}") from exc
+        colours, palette_max = doc["colours"], doc["palette_max"]
+    except KeyError as exc:
+        raise ValueError(f"malformed colouring document: missing {exc}") from exc
+    verified = doc.get("verified", False)
+    if not isinstance(colours, (list, tuple)) or not all(
+        type(c) is int and c >= 0 for c in colours
+    ):
+        raise ValueError("malformed colouring document: colours are not non-negative integers")
+    if type(palette_max) is not int:
+        raise ValueError(f"malformed colouring document: palette_max {palette_max!r} is not an integer")
+    if type(verified) is not bool:
+        raise ValueError(f"malformed colouring document: verified {verified!r} is not a boolean")
+    return Colouring(tuple(colours), palette_max, verified)
 
 
 @dataclass(frozen=True)
@@ -370,59 +386,83 @@ def colour_outerplane_single_block(G):
 # -- plane graphs -------------------------------------------------------------
 
 
-def _peel(G):
-    """Iterated outer-vertex removal.  Yields per round the original-id
-    vertex set, the embedded layer graph and its local->original map; the
-    outer face of each intermediate graph is the face that absorbed the
-    removed material."""
-    cur = G
-    cur_ids = list(range(G.n))
-    rounds = []
-    while cur.n > 0:
-        vi = set()
-        for cid in range(len(cur.components)):
-            f = cur.outer_face_of_component(cid)
-            if f is None:
-                vi.update(cur.components[cid])
-            else:
-                vi.update(cur.face_vertices(f))
-        layer_graph, lmap = embed.induced_embedded_subgraph(cur, sorted(vi))
-        layer_ids = [cur_ids[x] for x in range(cur.n) if lmap[x] != -1]
-        rounds.append((sorted(cur_ids[x] for x in vi), layer_graph, layer_ids))
-
-        rest = [x for x in range(cur.n) if x not in vi]
-        if not rest:
-            break
-        keep, new_edges, new_rot, _vmap, dart_map = embed._induced(cur, rest)
-        outer_cands = []
-        for f in range(len(cur.faces)):
-            verts = cur.face_vertices(f)
-            if any(x in vi for x in verts):
-                outer_cands.extend(dart_map[d] for d in cur.faces[f] if dart_map[d] != -1)
-        nxt = embed.EmbeddedGraph(
-            len(keep), new_edges, new_rot, embed._dedup_outer(new_edges, new_rot, outer_cands)
-        )
-        cur_ids = [cur_ids[x] for x in keep]
-        cur = nxt
-    return rounds
-
-
 def peeling_layering(G):
     """Layer index per vertex: layer 0 holds the outer-face vertices, layer
-    i the outer-face vertices once layers below are removed."""
-    layer = [0] * G.n
-    for i, (orig_ids, _g, _m) in enumerate(_peel(G)):
-        for x in orig_ids:
-            layer[x] = i
-    return PeelingLayering(tuple(layer))
+    i the outer-face vertices once layers below are removed.
+
+    One breadth-first search over the vertex-face incidence graph (Baker,
+    J. ACM 1994), from the outer face of every component: a vertex first
+    met on a level-k face is in layer k, and a face first met at a layer-k
+    vertex has level k + 1.  Vertices without darts are in layer 0."""
+    origin, face_of, faces, rotations = G.origin, G.face_of, G.faces, G.rotations
+    layer = [-1] * G.n
+    level = [-1] * len(faces)
+    queue = sorted(G.outer_faces)
+    for f in queue:
+        level[f] = 0
+    for f in queue:
+        k = level[f]
+        for d in faces[f]:
+            v = origin[d]
+            if layer[v] != -1:
+                continue
+            layer[v] = k
+            for d2 in rotations[v]:
+                g = face_of[d2]
+                if level[g] == -1:
+                    level[g] = k + 1
+                    queue.append(g)
+    return PeelingLayering(tuple(0 if i == -1 else i for i in layer))
 
 
-def augment_plus(G):
-    """Add, inside every inner face, an edge between each pair of cyclically
-    consecutive same-layer occurrences of the face walk (the lower of the
-    two layers the walk touches).  The layer sets are unchanged and each
-    layer's induced subgraph becomes outerplane."""
-    layer = peeling_layering(G).layer
+def layer_graphs(G, layer):
+    """Per layer i of ``layer`` (a peeling layering of G), the sorted vertex
+    ids of layer i and the embedded graph they induce, built in one sweep
+    over G's edges.
+
+    Each rotation is G's restricted to same-layer edges.  A dart of a
+    layer-i edge is a candidate outer dart when its face in G is an outer
+    face (i = 0) or holds a vertex of a lower layer; each component keeps its
+    smallest candidate.  These are the darts that peeling layers 0..i-1 off
+    G leaves on the outer faces of what remains."""
+    k = max(layer) + 1 if layer else 0
+    ids = [[] for _ in range(k)]
+    local = [0] * G.n
+    for v, i in enumerate(layer):
+        local[v] = len(ids[i])
+        ids[i].append(v)
+
+    edges = [[] for _ in range(k)]
+    dart_map = [-1] * G.num_darts
+    for e, (u, w) in enumerate(G.edges):
+        i = layer[u]
+        if layer[w] == i:
+            j = len(edges[i])
+            edges[i].append((local[u], local[w]))
+            dart_map[2 * e] = 2 * j
+            dart_map[2 * e + 1] = 2 * j + 1
+
+    origin, face_of = G.origin, G.face_of
+    face_min = [min(layer[origin[d]] for d in walk) for walk in G.faces]
+    outer = [[] for _ in range(k)]
+    for d, nd in enumerate(dart_map):
+        if nd == -1:
+            continue
+        i = layer[origin[d]]
+        f = face_of[d]
+        if face_min[f] < i or (i == 0 and f in G.outer_faces):
+            outer[i].append(nd)
+
+    out = []
+    for i in range(k):
+        rot = [[dart_map[d] for d in G.rotations[v] if dart_map[d] != -1] for v in ids[i]]
+        outer_i = embed._dedup_outer(edges[i], rot, outer[i])
+        out.append((tuple(ids[i]), embed.EmbeddedGraph(len(ids[i]), edges[i], rot, outer_i)))
+    return out
+
+
+def _augment(G, layer):
+    """``augment_plus`` for a graph whose peeling layering is ``layer``."""
     new_edges = list(G.edges)
     # darts are inserted at a face corner just before the corner's walk
     # dart; each corner takes its occurrence's incoming dart then outgoing
@@ -465,16 +505,24 @@ def augment_plus(G):
     return embed.EmbeddedGraph(G.n, new_edges, new_rot, embed._dedup_outer(new_edges, new_rot, outer))
 
 
+def augment_plus(G):
+    """Add, inside every inner face, an edge between each pair of cyclically
+    consecutive same-layer occurrences of the face walk (the lower of the
+    two layers the walk touches).  The layer sets are unchanged and each
+    layer's induced subgraph becomes outerplane."""
+    return _augment(G, peeling_layering(G).layer)
+
+
 def colour_plane(G):
     """Facially nonrepetitive colouring of any plane graph with at most 22
-    colours: augment, peel into layers, colour each layer's outerplane graph
-    with {1..11} on even layers and {12..22} on odd ones."""
-    Gp = augment_plus(G)
-    base_layers = peeling_layering(G).layer
+    colours: augment, split into peeling layers, colour each layer's
+    outerplane graph with {1..11} on even layers and {12..22} on odd ones."""
+    layer = peeling_layering(G).layer
+    Gp = _augment(G, layer)
+    if peeling_layering(Gp).layer != layer:
+        raise VerificationBugError("augmentation changed the peeling layering")
     colours = [None] * G.n
-    for i, (orig_ids, layer_graph, layer_ids) in enumerate(_peel(Gp)):
-        if any(base_layers[x] != i for x in orig_ids):
-            raise VerificationBugError("augmentation changed the peeling layering")
+    for i, (layer_ids, layer_graph) in enumerate(layer_graphs(Gp, layer)):
         if not embed.is_outerplane(layer_graph):
             raise VerificationBugError("peeled layer graph is not outerplane")
         vals = _colour_outerplane_core(layer_graph)

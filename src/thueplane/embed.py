@@ -255,18 +255,45 @@ def graph_to_json(G):
     return doc
 
 
+def _is_int(x):
+    """A plain JSON integer: bools, floats and strings are not."""
+    return type(x) is int
+
+
+def _int_list(x):
+    return isinstance(x, (list, tuple)) and all(type(d) is int for d in x)
+
+
 def graph_from_json(doc):
+    """Graph from its JSON document.  One pass over the edges and darts
+    checks the shapes: ``n``, every endpoint, every dart and the outer darts
+    must be plain integers, every edge a pair.  ``EmbeddedGraph`` then checks
+    ranges and the rotation system.  Any failure raises EmbeddingError,
+    never a silently coerced graph."""
+    if not isinstance(doc, dict):
+        raise EmbeddingError("malformed graph document: not a JSON object")
     try:
-        n = doc["n"]
-        edges = [tuple(e) for e in doc["edges"]]
-        rotations = [list(r) for r in doc["rotations"]]
-        outer = doc.get("outer_darts")
-        if outer is None:
-            od = doc.get("outer_dart", -1)
-            outer = [od] if od is not None and od >= 0 else []
-    except (KeyError, TypeError) as exc:
-        raise EmbeddingError(f"malformed graph document: {exc}") from exc
-    return EmbeddedGraph(n, edges, rotations, tuple(outer), validate=True)
+        n, edges, rotations = doc["n"], doc["edges"], doc["rotations"]
+    except KeyError as exc:
+        raise EmbeddingError(f"malformed graph document: missing {exc}") from exc
+    if not _is_int(n):
+        raise EmbeddingError(f"malformed graph document: n {n!r} is not an integer")
+    if not isinstance(edges, (list, tuple)):
+        raise EmbeddingError("malformed graph document: edges is not a list")
+    for e in edges:
+        if not (_int_list(e) and len(e) == 2):
+            raise EmbeddingError(f"malformed graph document: edge {e!r} is not a pair of integers")
+    if not isinstance(rotations, (list, tuple)) or not all(_int_list(r) for r in rotations):
+        raise EmbeddingError("malformed graph document: rotations are not lists of integer darts")
+    outer = doc.get("outer_darts")
+    if outer is None:
+        od = doc.get("outer_dart", -1)
+        if not _is_int(od) or od < -1:
+            raise EmbeddingError(f"malformed graph document: outer_dart {od!r} is not a dart or -1")
+        outer = [od] if od >= 0 else []
+    elif not _int_list(outer):
+        raise EmbeddingError("malformed graph document: outer_darts is not a list of integer darts")
+    return EmbeddedGraph(n, [tuple(e) for e in edges], rotations, tuple(outer), validate=True)
 
 
 def dumps_graph(G):
@@ -276,7 +303,7 @@ def dumps_graph(G):
 def loads_graph(text):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise EmbeddingError(f"invalid JSON: {exc}") from exc
     return graph_from_json(doc)
 

@@ -1,0 +1,43 @@
+"""Reference oracle for the peeling layering: the round-by-round peel that
+removes the outer-face vertices of every component and rebuilds the
+remaining graph, once per layer.  It costs Θ(n · layers); the tests diff
+``colour.peeling_layering`` and ``colour.layer_graphs`` against it."""
+
+from thueplane import embed
+
+
+def peel(G):
+    """Iterated outer-vertex removal.  Yields per round the original-id
+    vertex set, the embedded layer graph and its local->original map; the
+    outer face of each intermediate graph is the face that absorbed the
+    removed material."""
+    cur = G
+    cur_ids = list(range(G.n))
+    rounds = []
+    while cur.n > 0:
+        vi = set()
+        for cid in range(len(cur.components)):
+            f = cur.outer_face_of_component(cid)
+            if f is None:
+                vi.update(cur.components[cid])
+            else:
+                vi.update(cur.face_vertices(f))
+        layer_graph, lmap = embed.induced_embedded_subgraph(cur, sorted(vi))
+        layer_ids = [cur_ids[x] for x in range(cur.n) if lmap[x] != -1]
+        rounds.append((sorted(cur_ids[x] for x in vi), layer_graph, layer_ids))
+
+        rest = [x for x in range(cur.n) if x not in vi]
+        if not rest:
+            break
+        keep, new_edges, new_rot, _vmap, dart_map = embed._induced(cur, rest)
+        outer_cands = []
+        for f in range(len(cur.faces)):
+            verts = cur.face_vertices(f)
+            if any(x in vi for x in verts):
+                outer_cands.extend(dart_map[d] for d in cur.faces[f] if dart_map[d] != -1)
+        nxt = embed.EmbeddedGraph(
+            len(keep), new_edges, new_rot, embed._dedup_outer(new_edges, new_rot, outer_cands)
+        )
+        cur_ids = [cur_ids[x] for x in keep]
+        cur = nxt
+    return rounds

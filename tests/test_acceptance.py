@@ -190,3 +190,18 @@ def test_criterion_9_scaling():
         f"fitted exponent {exp} (<= 1.3) over n = 1e3..1e5, bench took {dt:.1f}s (< 300s); "
         f"kernel comparison {report.get('kernel_verify_seconds')}",
     )
+
+
+def test_criterion_10_plane_nested_scaling():
+    # rings of 3 to 6 vertices give n/6 to n/3 peeling layers: the family on
+    # which rebuilding the remaining graph once per layer is quadratic
+    t0 = time.time()
+    report = bench.run_bench([500, 1000, 2000, 4000], kind="nested", seed=0, repeat=2)
+    dt = time.time() - t0
+    exp = bench._fit_exponent([(r["n"], r["colour_verify_seconds"]) for r in report["rows"]])
+    _report(
+        10,
+        exp <= 1.3 and dt < 30,
+        f"colour_plane on nested rings: fitted exponent {exp:.3f} (<= 1.3) over n = 500..4000, "
+        f"{dt:.1f}s (< 30s)",
+    )

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from thueplane import embed, gen
@@ -52,6 +53,72 @@ def test_plane_mode(tmp_path):
     assert r.exit_code == 0
     doc = json.loads(out.read_text())
     assert doc["palette_max"] == 22 and len(set(doc["colours"])) <= 22
+
+
+# a path 0-1; each probe breaks one field of it
+PATH_DOC = {"n": 2, "edges": [[0, 1]], "rotations": [[0], [1]], "outer_dart": 0}
+
+
+def _assert_parse_exit(r):
+    assert r.exit_code == 2
+    assert json.loads(r.stderr.strip().splitlines()[-1])["error"] == "parse"
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        {"edges": [[0]]},  # was an uncaught ValueError
+        {"n": "2"},  # was an uncaught TypeError
+        {"edges": [[0, 1.5]]},  # was truncated to (0, 1), exit 0
+        {"edges": [[0, True]]},
+        {"edges": [[0, 1, 1]]},
+        {"rotations": [[0.0], [1]]},
+        {"outer_dart": "0"},
+        {"outer_dart": -2},
+        {"outer_darts": [0.5]},
+    ],
+)
+def test_colour_rejects_malformed_graph_documents(tmp_path, probe):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({**PATH_DOC, **probe}))
+    _assert_parse_exit(run(["colour", "--input", str(g)]))
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "[" * 100000 + "]" * 100000])
+def test_colour_rejects_non_object_graph_document(tmp_path, text):
+    # the deeply nested array was an uncaught RecursionError
+    g = tmp_path / "g.json"
+    g.write_text(text)
+    _assert_parse_exit(run(["colour", "--input", str(g)]))
+
+
+def test_verify_rejects_deeply_nested_colouring_document(tmp_path):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(PATH_DOC))
+    c = tmp_path / "c.json"
+    c.write_text("[" * 100000 + "]" * 100000)
+    _assert_parse_exit(run(["verify", "--input", str(g), "--colouring", str(c)]))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"colours": [1, 2.5], "palette_max": 2},
+        {"colours": [1, "2"], "palette_max": 2},
+        {"colours": [1, 2], "palette_max": "2"},
+        {"colours": [1, 2], "palette_max": 2.0},
+        {"colours": [1, 2], "palette_max": 2, "verified": "yes"},
+        {"colours": [1, -2], "palette_max": 2},  # was a ValueError traceback in verify
+        {"colours": 12, "palette_max": 2},
+        [1, 2],
+    ],
+)
+def test_verify_rejects_malformed_colouring_documents(tmp_path, doc):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(PATH_DOC))
+    c = tmp_path / "c.json"
+    c.write_text(json.dumps(doc))
+    _assert_parse_exit(run(["verify", "--input", str(g), "--colouring", str(c)]))
 
 
 def test_verify_counterexample_exit(tmp_path):
@@ -117,3 +184,13 @@ def test_bench_plot(tmp_path):
     r = run(["bench", "--corpus", "50,150", "--seed", "2", "--plot", str(plot)])
     assert r.exit_code == 0
     assert plot.read_text().startswith("<svg")
+
+
+def test_bench_nested_kind(tmp_path):
+    out = tmp_path / "bench.json"
+    r = run(["bench", "--corpus", "30,60", "--kind", "nested", "--seed", "1", "--out", str(out)])
+    assert r.exit_code == 0
+    doc = json.loads(out.read_text())
+    assert doc["kind"] == "nested" and [row["n"] for row in doc["rows"]] == [30, 60]
+    assert doc["fitted_exponent"] is not None
+    assert all(row["colours_used"] <= 22 for row in doc["rows"])

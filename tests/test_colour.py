@@ -257,7 +257,7 @@ def test_augment_layer_subgraphs_outerplane():
         n = 4 + (seed * 13) % 80
         G = gen.generate(gen.GenSpec("plane", n, seed))
         Gp = augment_plus(G)
-        for _ids, layer_graph, _m in colour._peel(Gp):
+        for _ids, layer_graph in colour.layer_graphs(Gp, peeling_layering(Gp).layer):
             assert embed.is_outerplane(layer_graph)
 
 
@@ -292,9 +292,9 @@ def test_plane_layer_discipline():
         G = gen.generate(gen.GenSpec("plane", n, seed))
         Gp = augment_plus(G)
         layer = peeling_layering(G).layer
-        rounds = colour._peel(Gp)
+        rounds = colour.layer_graphs(Gp, layer)
         layer_paths = []
-        for _ids, lg, lmap in rounds:
+        for lmap, lg in rounds:
             paths = {p.vertices for p in verify.facial_paths(lg)}
             paths |= {tuple(reversed(p)) for p in paths}
             layer_paths.append({tuple(lmap[x] for x in p) for p in paths})

@@ -3,7 +3,9 @@
 import hashlib
 import json
 
-from thueplane import colour, gen
+from thueplane import colour, embed, gen
+
+from peel_oracle import peel
 
 from conftest import (
     decorate_multigraph,
@@ -40,3 +42,31 @@ def test_plane_corpus_golden_digest():
         doc = {"layer": list(colour.peeling_layering(G).layer), "colours": list(colour.colour_plane(G).colours)}
         h.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n")
     assert h.hexdigest() == GOLDEN_DIGEST
+
+
+def _graph_key(G):
+    return (G.n, G.edges, G.rotations, G.canonical_outer_darts())
+
+
+def rerooted(G):
+    """G with its last inner face designated as the outer face instead."""
+    f = G.inner_faces()[-1]
+    return embed.EmbeddedGraph(G.n, G.edges, G.rotations, (G.faces[f][0],))
+
+
+def test_layering_and_layer_graphs_match_the_peel_oracle():
+    corpus = plane_corpus()
+    for G in corpus + [rerooted(G) for G in corpus if G.inner_faces()]:
+        for H in (G, colour.augment_plus(G)):
+            rounds = peel(H)
+            layer = colour.peeling_layering(H).layer
+            want = [0] * H.n
+            for i, (ids, _lg, _m) in enumerate(rounds):
+                for v in ids:
+                    want[v] = i
+            assert layer == tuple(want)
+            got = colour.layer_graphs(H, layer)
+            assert len(got) == len(rounds)
+            for (ids, lg), (want_ids, want_lg, want_map) in zip(got, rounds):
+                assert list(ids) == want_ids == want_map
+                assert _graph_key(lg) == _graph_key(want_lg)

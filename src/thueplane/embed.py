@@ -255,12 +255,8 @@ def graph_to_json(G):
     return doc
 
 
-def _is_int(x):
-    """A plain JSON integer: bools, floats and strings are not."""
-    return type(x) is int
-
-
 def _int_list(x):
+    # type(d) is int: a JSON integer, not a bool, float or string
     return isinstance(x, (list, tuple)) and all(type(d) is int for d in x)
 
 
@@ -276,7 +272,7 @@ def graph_from_json(doc):
         n, edges, rotations = doc["n"], doc["edges"], doc["rotations"]
     except KeyError as exc:
         raise EmbeddingError(f"malformed graph document: missing {exc}") from exc
-    if not _is_int(n):
+    if type(n) is not int:
         raise EmbeddingError(f"malformed graph document: n {n!r} is not an integer")
     if not isinstance(edges, (list, tuple)):
         raise EmbeddingError("malformed graph document: edges is not a list")
@@ -288,7 +284,7 @@ def graph_from_json(doc):
     outer = doc.get("outer_darts")
     if outer is None:
         od = doc.get("outer_dart", -1)
-        if not _is_int(od) or od < -1:
+        if type(od) is not int or od < -1:
             raise EmbeddingError(f"malformed graph document: outer_dart {od!r} is not a dart or -1")
         outer = [od] if od >= 0 else []
     elif not _int_list(outer):

@@ -322,8 +322,8 @@ def _gen_nested(spec, rng=None):
     """Concentric rings, ring i + 1 drawn inside ring i, consecutive rings
     joined by a nonempty seeded set of spokes: one peeling layer per ring,
     so the layer count grows linearly with n.  The ring size s is seeded in
-    3..6; the n // s rings take n // k or n // k + 1 vertices, outermost
-    first.  Vertex ids run ring by ring from the outside in, and position j
+    3..6; the k = n // s rings take n // k or n // k + 1 vertices, the
+    larger ones outermost.  Vertex ids run ring by ring from the outside in, and position j
     of ring i + 1 sits just inside position j of ring i, so a spoke joins
     equal positions and spokes never cross."""
     if spec.n < 3:

@@ -99,12 +99,13 @@ def test_enumerate_guard():
 
 
 def test_nested_rings_are_peeling_layers():
-    from thueplane.colour import peeling_layering
+    from thueplane.colour import layer_graphs, peeling_layering
 
     for n, seed in [(3, 0), (11, 5), (40, 1), (97, 2), (300, 3)]:
         G = generate(GenSpec("nested", n, seed))
-        layers = peeling_layering(G).layer_sets()
-        # ring i holds the next ids after rings 0..i-1 and is layer i
-        assert [v for layer in layers for v in layer] == list(range(n))
-        assert min(len(layer) for layer in layers) >= 3
-        assert len(layers) == 1 or len(G.edges) > n
+        layer = peeling_layering(G).layer
+        # ids run ring by ring from the outside in, and ring i is layer i
+        assert list(layer) == sorted(layer)
+        for _ids, ring in layer_graphs(G, layer):
+            assert ring.n >= 3 and len(ring.components) == 1
+            assert all(ring.degree(v) == 2 for v in range(ring.n))

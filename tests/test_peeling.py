@@ -5,8 +5,6 @@ import json
 
 from thueplane import colour, embed, gen
 
-from peel_oracle import peel
-
 from conftest import (
     decorate_multigraph,
     disjoint_union,
@@ -15,6 +13,7 @@ from conftest import (
     single_vertex,
     wheel,
 )
+from peel_oracle import peel
 
 
 def plane_corpus():

@@ -2,16 +2,38 @@
 
 A *square* (repetition) in a sequence is a block of even length 2*l whose
 second half equals its first half position-wise.  ``find_square`` locates one
-in O(n log n) by divide and conquer: squares inside either half are found
-recursively, squares crossing the midpoint are found with Z-arrays.
+in O(n log n) by divide and conquer (Main & Lorentz, J. Algorithms 1984):
+squares inside either half are found recursively, squares crossing the
+midpoint are found with Z-arrays.
+
+Short segments are screened first.  The sequence is written once as a
+string, one character per symbol, and every segment of at most ``_SHORT``
+symbols is searched with the regular expression ``(.+)\1`` (or
+``(.{1,k})\1`` when ``max_half`` = k bounds the half length) by the C
+engine of ``re``.  A segment the screen finds square-free returns None
+without recursing; any other segment runs the divide and conquer unchanged.
+The screen only prunes segments for which the recursion would return None,
+so the witness is the same as without it.  Below ``_SHORT`` symbols the
+recursion and its Z-arrays cost tens of microseconds per segment in Python;
+the screen costs a few.  ``_SHORT`` was chosen by measuring the benchmark's
+``outerplane-large`` workload.  A symbol outside the range of ``chr`` turns
+the screen off for that call.
 
 The compiled extension ``thueplane._kernels`` implements the same interface;
 ``thueplane.kernels`` picks whichever is available.
 """
 
+import re
+
 BACKEND = "python"
 
 _SEP = -1  # sentinel; symbols are assumed non-negative
+
+#: longest segment the regex screen decides on its own
+_SHORT = 128
+_SQUARE = re.compile(r"(.+)\1", re.S)
+#: _SQUARE_UPTO[k] matches squares of half length at most k (any, for k = 0)
+_SQUARE_UPTO = (_SQUARE,) + tuple(re.compile(r"(.{1,%d})\1" % k, re.S) for k in range(1, _SHORT // 2))
 
 
 def z_array(s):
@@ -59,14 +81,16 @@ def _crossing_square(s, lo, mid, hi, max_half):
     return None
 
 
-def _find_square_segment(s, lo, hi, max_half):
+def _find_square_segment(s, lo, hi, max_half, text=None, screen=None):
     if hi - lo < 2:
         return None
+    if text is not None and hi - lo <= _SHORT and screen.search(text, lo, hi) is None:
+        return None
     mid = (lo + hi) // 2
-    res = _find_square_segment(s, lo, mid, max_half)
+    res = _find_square_segment(s, lo, mid, max_half, text, screen)
     if res is not None:
         return res
-    res = _find_square_segment(s, mid, hi, max_half)
+    res = _find_square_segment(s, mid, hi, max_half, text, screen)
     if res is not None:
         return res
     res = _crossing_square(s, lo, mid, hi, max_half)
@@ -94,4 +118,10 @@ def find_square(seq, max_half=0):
     s = list(seq)
     if len(s) < 2:
         return None
-    return _find_square_segment(s, 0, len(s), max_half)
+    try:
+        text = "".join(map(chr, s))
+    except (ValueError, TypeError, OverflowError):
+        return _find_square_segment(s, 0, len(s), max_half)
+    # a segment of at most _SHORT symbols holds no square of half > _SHORT // 2
+    screen = _SQUARE_UPTO[max_half] if 0 < max_half < len(_SQUARE_UPTO) else _SQUARE
+    return _find_square_segment(s, 0, len(s), max_half, text, screen)

@@ -11,6 +11,8 @@ that are simple cycles are checked through their doubled colour sequence.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 
 from thueplane import embed
@@ -92,43 +94,57 @@ def naive_facial_paths(G):
     return out
 
 
-def _maximal_distinct_windows(verts):
-    """Maximal distinct-vertex cyclic windows of ``verts`` as (start, length),
-    via a two-pointer sweep of the doubled sequence."""
+def _window_ends(verts):
+    """end[i] = the end, exclusive, in the doubled walk ``verts + verts``, of
+    the longest distinct-vertex cyclic window starting at i (at most
+    len(verts) long), via a two-pointer sweep."""
     L = len(verts)
     dbl = verts + verts
     end = [0] * L
-    counts = {}
+    inside = set()
     j = 0
     for i in range(L):
-        while j < i + L and dbl[j] not in counts:
-            counts[dbl[j]] = True
+        while j < i + L and dbl[j] not in inside:
+            inside.add(dbl[j])
             j += 1
         end[i] = j
-        del counts[dbl[i]]
-    windows = []
-    for i in range(L):
-        prev_end = end[L - 1] - L if i == 0 else end[i - 1]
-        if end[i] > prev_end:
-            windows.append((i, end[i] - i))
-    return windows
+        inside.remove(dbl[i])
+    return end
 
 
-def _first_square_in_face(verts, colours, L):
+def _maximal_distinct_windows(verts):
+    """Maximal distinct-vertex cyclic windows of ``verts`` as (start, length)."""
+    L = len(verts)
+    end = _window_ends(verts)
+    return [(i, end[i] - i) for i in range(L) if end[i] > (end[i - 1] if i else end[L - 1] - L)]
+
+
+#: at a fixed start the lazy group tries half lengths 1, 2, ... in order;
+#: the second pattern reads text written two characters per colour
+_FIRST_SQUARE = (re.compile(r"(.+?)\1", re.S), re.compile(r"((?:..)+?)\1", re.S))
+_CHARS = sys.maxunicode + 1
+
+
+def _first_square_in_face(verts, colours):
     """Smallest (start, half) repetition over the facial paths of a cyclic
-    walk; used only to report counterexamples."""
-    for s in range(L):
-        used = set()
-        win = []
-        for k in range(L):
-            v = verts[(s + k) % L]
-            if v in used:
-                break
-            used.add(v)
-            win.append(colours[v])
-        for r in range(1, len(win) // 2 + 1):
-            if win[:r] == win[r : 2 * r]:
-                return s, r
+    walk; used only to report counterexamples.  The walk's colours are
+    relabelled 0, 1, ... by first occurrence and written once as a string;
+    a walk with more colours than ``chr`` has characters writes each colour
+    as two.  Each start's longest facial path is then matched in place."""
+    labels = {}
+    codes = [labels.setdefault(colours[v], len(labels)) for v in verts]
+    if len(labels) <= _CHARS:
+        width = 1
+        text = "".join(map(chr, codes))
+    else:
+        width = 2
+        text = "".join(chr(c // _CHARS) + chr(c % _CHARS) for c in codes)
+    text += text
+    pattern = _FIRST_SQUARE[width - 1]
+    for s, end in enumerate(_window_ends(verts)):
+        m = pattern.match(text, width * s, width * end)
+        if m is not None:
+            return s, len(m.group(1)) // width
     return None
 
 
@@ -159,7 +175,7 @@ def verify_facial_nonrepetitive(G, colours):
                     bad = True
                     break
         if bad:
-            hit = _first_square_in_face(verts, colours, L)
+            hit = _first_square_in_face(verts, colours)
             assert hit is not None, "kernel reported a repetition the scan cannot see"
             s, r = hit
             path = tuple(verts[(s + k) % L] for k in range(2 * r))

@@ -1,10 +1,13 @@
+import os
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thueplane import kernels
+from thueplane import bench, kernels, verify
+from thueplane.colour import VerificationBugError
 from thueplane._kernels_py import z_array
 
 
@@ -52,27 +55,71 @@ def test_find_square_agrees_with_oracle(seq, max_half):
             assert r <= max_half
 
 
+def _compiled_kernel():
+    """The compiled extension, or None when it is not built."""
+    try:
+        from thueplane import _kernels
+    except ImportError:
+        return None
+    return _kernels
+
+
 def test_backends_agree():
+    # every importable backend must return the reference divide and
+    # conquer's witness, not merely agree that a square exists; without
+    # the compiled extension this still checks the Python backend
+    from square_oracle import find_square as reference
+    from thueplane.words import ternary_nonrepetitive
+
     backends = kernels.available_backends()
+    assert ("compiled" in backends) == (_compiled_kernel() is not None)
     rnd = random.Random(11)
-    for _ in range(300):
-        seq = [rnd.randrange(4) for _ in range(rnd.randrange(0, 40))]
-        answers = {name: fn(seq, 0) is not None for name, fn in backends.items()}
-        assert len(set(answers.values())) == 1, (seq, answers)
+    seqs = [[rnd.randrange(4) for _ in range(rnd.randrange(0, 40))] for _ in range(300)]
+    word = list(ternary_nonrepetitive(3000))
+    for n in (63, 64, 65, 127, 128, 129, 500, 3000):
+        seqs.append(word[:n])
+        for _ in range(3):
+            near = word[:n]
+            near[rnd.randrange(n)] = rnd.randrange(3)
+            seqs.append(near)
+    for seq in seqs:
+        for max_half in (0, 1, 3, 64):
+            want = reference(seq, max_half)
+            for name, fn in backends.items():
+                assert fn(seq, max_half) == want, (name, seq, max_half)
 
 
 def test_compiled_backend_is_available():
-    # the build ships a compiled kernel; the pure fallback stays importable
-    assert "python" in kernels.available_backends()
-    assert kernels.BACKEND in ("compiled", "python")
+    # the compiled kernel is the one in use exactly when the extension
+    # imports and THUEPLANE_KERNEL does not force the fallback
+    compiled = _compiled_kernel() is not None
+    forced = os.environ.get("THUEPLANE_KERNEL", "").lower() == "python"
+    assert ("compiled" in kernels.available_backends()) == compiled
+    assert kernels.BACKEND == ("compiled" if compiled and not forced else "python")
 
 
 def test_use_backend_switch():
+    assert "python" in kernels.available_backends()
     kernels.use_backend("python")
     assert kernels.BACKEND == "python"
     kernels.use_backend(None)
     with pytest.raises(ValueError):
         kernels.use_backend("bogus")
+
+
+def test_compare_kernels_restores_the_backend_after_a_failure(monkeypatch):
+    # a stand-in import-time choice, so that restoring it is observable
+    # even when the Python kernel is the only backend
+    fake = types.SimpleNamespace(BACKEND="stand-in", find_square=kernels.find_square)
+    for attr in ("_impl", "BACKEND"):
+        monkeypatch.setattr(kernels, attr, getattr(kernels, attr))
+    monkeypatch.setattr(kernels, "_default_impl", fake)
+    rejecting = types.SimpleNamespace(verify_facial_nonrepetitive=lambda G, colours: verify.FacialPath(0, (0, 1), True))
+    monkeypatch.setattr(bench, "verify", rejecting)
+    with pytest.raises(VerificationBugError, match="rejects a certified colouring"):
+        bench.run_bench([40], compare_kernels=True)
+    assert kernels.BACKEND == "stand-in"
+    assert kernels._impl is fake
 
 
 def test_long_squarefree_word_is_clean():

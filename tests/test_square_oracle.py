@@ -14,7 +14,7 @@ from thueplane.words import palindrome_free_nonrepetitive, ternary_nonrepetitive
 
 import square_oracle
 
-SHORT = 128  # the kernel's screen cutoff
+SHORT = _kernels_py._SHORT  # the screen cutoff
 
 
 def _lengths():
@@ -60,6 +60,22 @@ def test_squarefree_words_with_point_mutations(make, alphabet):
             word = _mutated(base[offset : offset + n], rnd, mutations, alphabet)
             for max_half in MAX_HALVES:
                 _same_witness(word, max_half)
+
+
+def test_lone_long_square_near_the_cutoff():
+    # [3] + x + [3] + x over a square-free ternary x: any square holds both
+    # 3s, so the whole block, of half r, is the only square
+    rnd = random.Random(3)
+    base = ternary_nonrepetitive(600)
+    for r in (SHORT // 2 - 1, SHORT // 2, SHORT // 2 + 1, SHORT):
+        for _ in range(4):
+            a = rnd.randrange(400)
+            x = list(base[a : a + r - 1])
+            lone = [3] + x + [3] + x
+            pad = rnd.randrange(2 * SHORT)
+            for seq in (lone, list(base[:pad]) + [4] + lone, lone + [4] + list(base[:pad])):
+                for max_half in MAX_HALVES:
+                    _same_witness(seq, max_half)
 
 
 def test_relabelled_squarefree_words_over_large_alphabets():
@@ -118,12 +134,15 @@ def test_counterexample_search_matches_oracle(kind, sizes):
             repeated += 1
         for palette in (2, 3, 5, 9):
             colours = [rnd.randrange(palette) for _ in range(G.n)]
-            got = verify._first_square_in_face(verts, colours, L)
+            got = verify._first_square_in_face(verts, colours)
             assert got == square_oracle.first_square_in_face(verts, colours, L), (kind, verts, colours)
     assert simple and (repeated or kind == "plane")
 
 
-def test_counterexample_search_on_hand_walks():
+@pytest.mark.parametrize("chars", [0x110000, 3])
+def test_counterexample_search_on_hand_walks(chars, monkeypatch):
+    # with fewer characters than colours the search writes two per colour
+    monkeypatch.setattr(verify, "_CHARS", chars)
     rnd = random.Random(13)
     walks = [
         [0, 1],
@@ -139,7 +158,7 @@ def test_counterexample_search_on_hand_walks():
         L = len(verts)
         for _ in range(60):
             colours = [rnd.randrange(rnd.choice((2, 3, 4, 10**9, 2 * 10**6))) for _ in range(n)]
-            got = verify._first_square_in_face(verts, colours, L)
+            got = verify._first_square_in_face(verts, colours)
             assert got == square_oracle.first_square_in_face(verts, colours, L), (verts, colours)
 
 
@@ -154,8 +173,8 @@ def test_counterexample_search_on_certified_colourings_with_a_plant():
         for f in range(len(G.faces)):
             verts = G.face_vertices(f)
             L = len(verts)
-            assert verify._first_square_in_face(verts, good, L) is None
+            assert verify._first_square_in_face(verts, good) is None
             bad = list(good)
             bad[rnd.choice(verts)] = rnd.randrange(1, 12)
-            got = verify._first_square_in_face(verts, bad, L)
+            got = verify._first_square_in_face(verts, bad)
             assert got == square_oracle.first_square_in_face(verts, bad, L)

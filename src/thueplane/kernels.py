@@ -1,8 +1,10 @@
 """Kernel selection: compiled extension if available, pure Python otherwise.
 
-Set THUEPLANE_KERNEL=python to force the fallback (used by the benchmark to
-compare both backends).  Symbols passed to the kernel must be non-negative
-integers; -1 is reserved as an internal sentinel.
+Set THUEPLANE_KERNEL=python to force the fallback where the extension is
+built.  Neither benchmark sets it: ``thueplane bench --kernels`` swaps the
+backends with ``use_backend``, and ``perfbench`` runs whichever backend is
+picked here.  Symbols passed to the kernel must be non-negative integers; -1
+is reserved as an internal sentinel.
 """
 
 import os

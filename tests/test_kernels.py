@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thueplane import bench, kernels, verify
+from thueplane import _kernels_py, bench, kernels, verify
 from thueplane.colour import VerificationBugError
 from thueplane._kernels_py import z_array
 
@@ -110,12 +110,15 @@ def test_use_backend_switch():
 def test_compare_kernels_restores_the_backend_after_a_failure(monkeypatch):
     # a stand-in import-time choice, so that restoring it is observable
     # even when the Python kernel is the only backend
-    fake = types.SimpleNamespace(BACKEND="stand-in", find_square=kernels.find_square)
+    fake = types.SimpleNamespace(BACKEND="stand-in", find_square=_kernels_py.find_square)
     for attr in ("_impl", "BACKEND"):
         monkeypatch.setattr(kernels, attr, getattr(kernels, attr))
     monkeypatch.setattr(kernels, "_default_impl", fake)
-    rejecting = types.SimpleNamespace(verify_facial_nonrepetitive=lambda G, colours: verify.FacialPath(0, (0, 1), True))
-    monkeypatch.setattr(bench, "verify", rejecting)
+
+    def rejecting(G, colours):
+        return verify.FacialPath(0, (0, 1), True)
+
+    monkeypatch.setattr(bench, "verify", types.SimpleNamespace(verify_facial_nonrepetitive=rejecting))
     with pytest.raises(VerificationBugError, match="rejects a certified colouring"):
         bench.run_bench([40], compare_kernels=True)
     assert kernels.BACKEND == "stand-in"

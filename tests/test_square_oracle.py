@@ -121,7 +121,12 @@ def _faces(kind, sizes, seeds):
 
 @pytest.mark.parametrize(
     "kind, sizes",
-    [("outerplane", (6, 20, 60)), ("plane", (8, 25)), ("cactus_even", (10, 40)), ("outerplane_bridgeless", (30,))],
+    [
+        ("outerplane", (6, 20, 60)),
+        ("plane", (8, 25)),
+        ("cactus_even", (10, 40)),
+        ("outerplane_bridgeless", (30,)),
+    ],
 )
 def test_counterexample_search_matches_oracle(kind, sizes):
     rnd = random.Random(kind)

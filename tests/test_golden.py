@@ -1,0 +1,69 @@
+"""Golden digests of the public pipelines and the embedded-subgraph builders
+on a seeded corpus.  The digests pin the bytes: a refactor of the pipelines
+or of the subgraph surgery must leave every one of them unchanged."""
+
+import hashlib
+import json
+import random
+
+from thueplane import colour, embed, gen
+from thueplane.embed import ClassMismatchError
+
+from conftest import decorate_multigraph
+
+PIPELINES = (
+    colour.colour_outerplane,
+    colour.colour_plane,
+    colour.colour_cactus_even,
+    colour.colour_outerplane_single_block,
+)
+
+
+def golden_corpus():
+    """Seeded graphs of every outerplane kind, trees, plane graphs and nested
+    rings, plus multigraph copies (parallel lenses and empty loops) of a
+    few of them."""
+    out = []
+    for kind in ("outerplane", "outerplane_bridgeless", "outerplane_biconnected", "cactus_even", "tree"):
+        out += [gen.generate(gen.GenSpec(kind, 3 + (seed * 11) % 58, seed)) for seed in range(12)]
+    out += [gen.generate(gen.GenSpec("plane", 3 + (seed * 7) % 40, seed)) for seed in range(8)]
+    out += [gen.generate(gen.GenSpec("nested", n, seed)) for n in (9, 30, 80) for seed in range(2)]
+    out += [
+        decorate_multigraph(out[i], seed=i, parallels=1 + i % 4, loops=i % 3)
+        for i in range(0, len(out), 5)
+    ]
+    return out
+
+
+def _line(h, doc):
+    h.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+
+
+# SHA-256 digests recorded before the pipelines were reshaped to certify
+# once at the public boundary and before the subgraph builders were merged.
+PIPELINE_DIGEST = "c8a69fab74efcef5ca49795eb62d75c1b38a8a030cc02f1a65e42a2ac7538cfc"
+SUBGRAPH_DIGEST = "b78dd4fc33d3bb3711b92519029f5a16ea112797aedaed9fbf765bf59e3217ac"
+
+
+def test_pipeline_colourings_golden_digest():
+    h = hashlib.sha256()
+    for G in golden_corpus():
+        for pipeline in PIPELINES:
+            try:
+                _line(h, pipeline(G).dumps())
+            except ClassMismatchError:
+                _line(h, "class-mismatch")
+    assert h.hexdigest() == PIPELINE_DIGEST
+
+
+def test_simplify_and_induced_subgraph_golden_digest():
+    h = hashlib.sha256()
+    for i, G in enumerate(golden_corpus()):
+        if embed.is_outerplane(G):
+            Gs, emap = embed.simplify(G)
+            _line(h, {"simple": embed.graph_to_json(Gs), "emap": list(emap)})
+        rnd = random.Random(i)
+        for S in (range(0, G.n, 2), [v for v in range(G.n) if rnd.random() < 0.6]):
+            sub, vmap = embed.induced_embedded_subgraph(G, S)
+            _line(h, {"induced": embed.graph_to_json(sub), "vmap": list(vmap)})
+    assert h.hexdigest() == SUBGRAPH_DIGEST

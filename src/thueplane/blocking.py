@@ -38,11 +38,6 @@ class BlockingGraph:
         return doc
 
 
-def blocking_graph_from_json(doc):
-    host = tuple(doc["host_vertex"])
-    return BlockingGraph(embed.graph_from_json(doc), host)
-
-
 # -- validation ---------------------------------------------------------------
 
 
@@ -105,19 +100,6 @@ def validate_blocking_set(G, B):
         violations.append("graph is not outerplane")
 
     return (not violations), violations
-
-
-def is_bridgeless_cactus(G):
-    """Outerplane, chordless, and no edge with both darts on one face."""
-    if not embed.is_outerplane(G):
-        return False
-    for e in range(len(G.edges)):
-        d0, d1 = 2 * e, 2 * e + 1
-        if not G.is_outer_face(G.face_of[d0]) and not G.is_outer_face(G.face_of[d1]):
-            return False  # chord
-        if G.face_of[d0] == G.face_of[d1]:
-            return False  # bridge
-    return True
 
 
 # -- lemma scaffolding --------------------------------------------------------
@@ -425,7 +407,7 @@ def _even_blocking_over_blocks(G):
             bid, attach_class = queue[qi]
             qi += 1
             verts, bedges = big[bid]
-            sub, local = embed._subgraph_from_block(G, verts, bedges)
+            sub, local = embed._restrict(G, verts, bedges)
             back = {i: x for x, i in local.items()}
             if attach_class is None:
                 a_local = local[min(verts)]

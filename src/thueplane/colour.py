@@ -3,9 +3,13 @@
 Bounds produced here: even cacti get at most 7 colours, outerplane graphs
 at most 11 (4 tree colours + 7 cactus colours for the blocking graph),
 outerplane graphs with a single 2-connected component at most 7, and plane
-graphs at most 22 via the peeling layering (11 per layer parity).  Every
-pipeline verifies its own output before returning it; a verification
-failure signals a bug, never a valid outcome.
+graphs at most 22 via the peeling layering (11 per layer parity).
+
+Every public pipeline has one shape: check the input class, run an
+unchecked core, and certify the result once with the independent verifier
+(``_checked``).  Cores call cores, never a public pipeline, so no
+intermediate colouring is verified again.  A verification failure signals a
+bug, never a valid outcome.
 """
 
 from __future__ import annotations
@@ -269,6 +273,15 @@ def _trace_h_component(h_adj, x0):
     return {"vertices": comp, "cycle": False, "order": order}
 
 
+def _colour_cactus_core(Gs):
+    """Colour values over {1..7} for a simple even cactus; verification is
+    the caller's job."""
+    colours = [None] * Gs.n
+    for cid, comp in enumerate(Gs.components):
+        _colour_cactus_component(Gs, comp, cid, colours)
+    return colours
+
+
 def colour_cactus_even(G):
     """Facially nonrepetitive colouring of a cactus whose cycles are all
     even, over at most 7 colours: deepest degree-2 vertices of the cycles
@@ -282,11 +295,7 @@ def colour_cactus_even(G):
     for f in Gs.inner_faces():
         if len(Gs.faces[f]) % 2 == 1:
             raise ClassMismatchError("cactus has an odd cycle")
-
-    colours = [None] * Gs.n
-    for cid, comp in enumerate(Gs.components):
-        _colour_cactus_component(Gs, comp, cid, colours)
-    return _checked(G, colours, 7)
+    return _checked(G, _colour_cactus_core(Gs), 7)
 
 
 # -- outerplane ---------------------------------------------------------------
@@ -330,9 +339,9 @@ def _colour_outerplane_core(G):
     B = blocking.blocking_set_even(Gs)
     if B:
         bg = blocking.blocking_graph(Gs, B)
-        sub = colour_cactus_even(bg.graph)
+        sub = _colour_cactus_core(embed.simplify(bg.graph)[0])
         for i, host in enumerate(bg.host_vertex):
-            colours[host] = 4 + sub.colours[i]
+            colours[host] = 4 + sub[i]
     _colour_forest(Gs, [x for x in range(Gs.n) if x not in B], colours)
     return colours
 
@@ -518,39 +527,14 @@ def colour_plane(G):
     colours: augment, split into peeling layers, colour each layer's
     outerplane graph with {1..11} on even layers and {12..22} on odd ones."""
     layer = peeling_layering(G).layer
-    Gp = _augment(G, layer)
-    if peeling_layering(Gp).layer != layer:
-        raise VerificationBugError("augmentation changed the peeling layering")
     colours = [None] * G.n
-    for i, (layer_ids, layer_graph) in enumerate(layer_graphs(Gp, layer)):
+    for i, (layer_ids, layer_graph) in enumerate(layer_graphs(_augment(G, layer), layer)):
+        # O(layer), and without it a construction bug would surface as the
+        # core's ClassMismatchError, an input error, instead of a bug
         if not embed.is_outerplane(layer_graph):
             raise VerificationBugError("peeled layer graph is not outerplane")
         vals = _colour_outerplane_core(layer_graph)
-        bad = verify.verify_facial_nonrepetitive(layer_graph, vals)
-        if bad is not None:
-            raise VerificationBugError("layer colouring failed verification")
         base = 0 if i % 2 == 0 else 11
         for local, orig in enumerate(layer_ids):
             colours[orig] = base + vals[local]
     return _checked(G, colours, 22)
-
-
-# -- proof-shaped helpers ------------------------------------------------------
-
-
-def interleave_check_decomposition(P, B):
-    """Split a vertex sequence into the alternating form
-    A_0, B_1, A_1, ..., B_k, A_k with the B_i the maximal runs inside B and
-    the A_i (possibly empty) runs outside it."""
-    B = set(B)
-    blocks = [()]
-    in_b = False
-    for v in P:
-        if (v in B) == in_b:
-            blocks[-1] = blocks[-1] + (v,)
-        else:
-            in_b = not in_b
-            blocks.append((v,))
-    if in_b:
-        blocks.append(())
-    return blocks

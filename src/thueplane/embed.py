@@ -38,21 +38,6 @@ class FaceWalk:
         return len(self.darts)
 
 
-@dataclass(frozen=True)
-class WeakDual:
-    """Forest on the inner faces of an outerplane graph; one edge per chord."""
-
-    nodes: tuple
-    edges: tuple  # (face_f, face_g, chord_edge_id)
-
-    def adjacency(self):
-        adj = {f: [] for f in self.nodes}
-        for f, g, c in self.edges:
-            adj[f].append((g, c))
-            adj[g].append((f, c))
-        return adj
-
-
 class EmbeddedGraph:
     """Immutable embedded multigraph.  Use :func:`build` to construct one
     with full validation."""
@@ -374,38 +359,6 @@ def ears(G):
     return sorted(out)
 
 
-def weak_dual(G):
-    """Forest on inner faces: edge f-g for every chord shared by f and g."""
-    _require_simple_outerplane(G)
-    nodes = tuple(G.inner_faces())
-    dual_edges = []
-    for e in chords(G):
-        f, g = G.face_of[2 * e], G.face_of[2 * e + 1]
-        dual_edges.append((min(f, g), max(f, g), e))
-    dual = WeakDual(nodes, tuple(sorted(dual_edges)))
-    # acyclicity: every dual component must satisfy edges = nodes - 1 at most
-    seen = set()
-    adj = dual.adjacency()
-    for start in nodes:
-        if start in seen:
-            continue
-        comp_nodes = 0
-        comp_edge_ends = 0
-        stack = [start]
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            comp_nodes += 1
-            for y, _ in adj[x]:
-                comp_edge_ends += 1
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if comp_edge_ends // 2 >= comp_nodes:
-            raise EmbeddingError("weak dual contains a cycle; embedding is not outerplane")
-    return dual
-
-
 # -- connectivity ------------------------------------------------------------
 
 
@@ -489,16 +442,6 @@ def bridges(G):
     return br
 
 
-def block_subgraphs(G):
-    """(vertices, embedded subgraph, vertex map) for every block on >= 3
-    vertices; the subgraph inherits the embedding and outer face."""
-    out = []
-    for vs in biconnected_components(G):
-        sub, vmap = induced_embedded_subgraph(G, vs)
-        out.append((vs, sub, vmap))
-    return out
-
-
 # -- surgery -----------------------------------------------------------------
 
 
@@ -519,187 +462,52 @@ def _dedup_outer(edges, rotations, outer_darts):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-    origin_of = {}
-    for i, (u, v) in enumerate(edges):
-        origin_of[2 * i] = u
-        origin_of[2 * i + 1] = v
     best = {}
     for d in sorted(set(outer_darts)):
-        c = find(origin_of[d])
-        best.setdefault(c, d)
+        best.setdefault(find(edges[d >> 1][d & 1]), d)
     return tuple(sorted(best.values()))
 
 
-def contract_edge(G, e):
-    """Contract a non-loop edge, merging rotations in embedding order.
-    Returns (new graph, vertex map old->new)."""
-    u, v = G.edges[e]
-    if u == v:
-        raise EmbeddingError("cannot contract a loop")
-    keep, gone = (u, v) if u < v else (v, u)
-
-    vmap = [0] * G.n
-    for x in range(G.n):
-        if x == gone:
-            vmap[x] = keep
-        else:
-            vmap[x] = x - 1 if x > gone else x
-
-    new_edges = []
-    emap = {}
-    for i, (a, b) in enumerate(G.edges):
-        if i == e:
-            continue
-        emap[i] = len(new_edges)
-        new_edges.append((vmap[a], vmap[b]))
-
-    def dmap(d):
-        i, side = divmod(d, 2)
-        return None if i == e else 2 * emap[i] + side
-
-    d_keep = G.dart_of(e, keep)
-    d_gone = d_keep ^ 1
-
-    rot_gone = list(G.rotations[gone])
-    j = rot_gone.index(d_gone)
-    spliced = rot_gone[j + 1 :] + rot_gone[:j]
-
-    merged = []
-    for d in G.rotations[keep]:
-        if d == d_keep:
-            merged.extend(spliced)
-        else:
-            merged.append(d)
-
-    new_rot = []
-    for x in range(G.n):
-        if x == gone:
-            continue
-        src = merged if x == keep else G.rotations[x]
-        new_rot.append([dmap(d) for d in src if dmap(d) is not None])
-
-    outer = []
-    for f in G.outer_faces:
-        outer.extend(dmap(d) for d in G.faces[f] if dmap(d) is not None)
-    G2 = EmbeddedGraph(G.n - 1, new_edges, new_rot, _dedup_outer(new_edges, new_rot, outer))
-    return G2, tuple(vmap)
-
-
-def _induced(G, S):
-    keep = sorted(set(S))
-    vmap = [-1] * G.n
-    for i, x in enumerate(keep):
-        vmap[x] = i
-
-    new_edges = []
-    emap = {}
-    for i, (a, b) in enumerate(G.edges):
-        if vmap[a] != -1 and vmap[b] != -1:
-            emap[i] = len(new_edges)
-            new_edges.append((vmap[a], vmap[b]))
-
-    dart_map = [-1] * G.num_darts
-    for i, j in emap.items():
-        dart_map[2 * i] = 2 * j
-        dart_map[2 * i + 1] = 2 * j + 1
-
-    new_rot = []
-    for x in keep:
-        new_rot.append([dart_map[d] for d in G.rotations[x] if dart_map[d] != -1])
-    return keep, new_edges, new_rot, tuple(vmap), dart_map
-
-
-def _subgraph_from_block(G, verts, edge_ids):
-    """Embedded subgraph spanned by a known vertex/edge set, in time
-    proportional to the block, not the host graph.  Returns the subgraph
-    and a host->local vertex dict; the outer face is the one holding the
-    formerly-outer darts."""
+def _restrict(G, verts, edge_ids):
+    """Embedded subgraph of G on the vertices ``verts`` and the edges
+    ``edge_ids`` (each with both ends in ``verts``), in time proportional to
+    what it keeps.  Local ids follow host order.  Each rotation is G's
+    restricted to the kept darts; a kept dart whose face in G is outer is a
+    candidate outer dart, and each component keeps its smallest candidate
+    (one with none keeps the default designation).  Returns the subgraph and
+    a host -> local vertex dict."""
     keep = sorted(verts)
     local = {x: i for i, x in enumerate(keep)}
-    emap = {}
+    edges = G.edges
+    dart = {}  # host dart -> local dart
     new_edges = []
     for e in sorted(edge_ids):
-        u, v = G.edges[e]
-        emap[e] = len(new_edges)
+        u, v = edges[e]
+        j = 2 * len(new_edges)
+        dart[2 * e] = j
+        dart[2 * e + 1] = j + 1
         new_edges.append((local[u], local[v]))
-    new_rot = []
-    for x in keep:
-        r = []
-        for d in G.rotations[x]:
-            j = emap.get(d >> 1)
-            if j is not None:
-                r.append(2 * j + (d & 1))
-        new_rot.append(r)
-    outer = []
-    for e in emap:
-        for d in (2 * e, 2 * e + 1):
-            if G.face_of[d] in G.outer_faces:
-                outer.append(2 * emap[e] + (d & 1))
-    sub = EmbeddedGraph(len(keep), new_edges, new_rot, (min(outer),) if outer else ())
+    new_rot = [[nd for nd in map(dart.get, G.rotations[x]) if nd is not None] for x in keep]
+    face_of, outer_faces = G.face_of, G.outer_faces
+    outer = [nd for d, nd in dart.items() if face_of[d] in outer_faces]
+    del dart  # the build below is the peak; for simplify the map spans the host
+    sub = EmbeddedGraph(len(keep), new_edges, new_rot, _dedup_outer(new_edges, new_rot, outer))
     return sub, local
 
 
 def induced_embedded_subgraph(G, S):
-    """Embedded subgraph induced by vertex set S, with rotations restricted
-    to surviving darts.  The outer face of each surviving component is the
-    face holding its formerly-outer darts; components with none keep the
-    default designation (for a forest component that face is unique)."""
-    keep, new_edges, new_rot, vmap, dart_map = _induced(G, S)
-    outer = []
-    for f in G.outer_faces:
-        outer.extend(dart_map[d] for d in G.faces[f] if dart_map[d] != -1)
-    sub = EmbeddedGraph(len(keep), new_edges, new_rot, _dedup_outer(new_edges, new_rot, outer))
-    return sub, vmap
-
-
-def add_edge_in_face(G, u, w, f, u_pos=None, w_pos=None):
-    """Insert edge u-w embedded inside face f, splitting it in two.
-
-    ``u_pos``/``w_pos`` pick which occurrences on f's walk to use when a
-    vertex appears several times (walk positions; defaults: first
-    occurrence).  Parallel edges are allowed, as is a loop inserted at a
-    single corner (u == w with equal positions), which encloses an empty
-    face.
-    """
-    walk = G.faces[f]
-    verts = G.face_vertices(f)
-
-    def occurrence(x, pos):
-        occ = [i for i, vv in enumerate(verts) if vv == x]
-        if not occ:
-            raise EmbeddingError(f"vertex {x} is not on face {f}")
-        if pos is None:
-            return occ[0]
-        if pos not in occ:
-            raise EmbeddingError(f"position {pos} is not an occurrence of vertex {x} on face {f}")
-        return pos
-
-    iu = occurrence(u, u_pos)
-    iw = occurrence(w, w_pos)
-    if iu == iw and u != w:
-        raise EmbeddingError("u_pos and w_pos name the same corner")
-
-    m = len(G.edges)
-    du, dw = 2 * m, 2 * m + 1
-    new_edges = list(G.edges) + [(u, w)]
-
-    # corner i of the walk sits just before walk[i] in origin(walk[i])'s rotation
-    inserts = {}
-    if iu == iw:
-        inserts[iu] = [dw, du]
-    else:
-        inserts[iu] = [du]
-        inserts[iw] = [dw]
-
-    new_rot = [list(r) for r in G.rotations]
-    for i, ds in inserts.items():
-        anchor = walk[i]
-        rot = new_rot[G.origin[anchor]]
-        j = rot.index(anchor)
-        rot[j:j] = ds
-
-    outer = [G.faces[g][0] for g in G.outer_faces]
-    return EmbeddedGraph(G.n, new_edges, new_rot, _dedup_outer(new_edges, new_rot, outer))
+    """Embedded subgraph induced by vertex set S (see ``_restrict``): the
+    outer face of each surviving component is the face holding its
+    formerly-outer darts; components with none keep the default designation
+    (for a forest component that face is unique).  Returns the subgraph and
+    a host -> local vertex map, -1 off S."""
+    keep = set(S)
+    edge_ids = [e for e, (a, b) in enumerate(G.edges) if a in keep and b in keep]
+    sub, local = _restrict(G, keep, edge_ids)
+    vmap = [-1] * G.n
+    for x, i in local.items():
+        vmap[x] = i
+    return sub, tuple(vmap)
 
 
 def simplify(G):
@@ -713,41 +521,18 @@ def simplify(G):
     if not is_outerplane(G):
         raise ClassMismatchError("simplify expects an outerplane graph")
 
-    rep = {}
-    keep_edge = [False] * len(G.edges)
-    for i, (a, b) in enumerate(G.edges):
-        if a == b:
-            continue
-        key = (a, b) if a < b else (b, a)
-        if key not in rep:
-            rep[key] = i
-            keep_edge[i] = True
-
-    renum = {}
-    new_edges = []
-    for i, (a, b) in enumerate(G.edges):
-        if keep_edge[i]:
-            renum[i] = len(new_edges)
-            new_edges.append((a, b))
-
+    rep = {}  # endpoint pair -> surviving edge id
+    kept = []  # host id of each surviving edge
     emap = []
     for i, (a, b) in enumerate(G.edges):
         if a == b:
             emap.append(-1)
-        else:
-            key = (a, b) if a < b else (b, a)
-            emap.append(renum[rep[key]])
-
-    dart_map = [-1] * G.num_darts
-    for i in range(len(G.edges)):
-        if keep_edge[i]:
-            dart_map[2 * i] = 2 * renum[i]
-            dart_map[2 * i + 1] = 2 * renum[i] + 1
-
-    new_rot = [[dart_map[d] for d in r if dart_map[d] != -1] for r in G.rotations]
-
-    outer = []
-    for f in G.outer_faces:
-        outer.extend(dart_map[d] for d in G.faces[f] if dart_map[d] != -1)
-    G2 = EmbeddedGraph(G.n, new_edges, new_rot, _dedup_outer(new_edges, new_rot, outer))
+            continue
+        key = (a, b) if a < b else (b, a)
+        j = rep.get(key)
+        if j is None:
+            j = rep[key] = len(kept)
+            kept.append(i)
+        emap.append(j)
+    G2, _ = _restrict(G, range(G.n), kept)
     return G2, tuple(emap)

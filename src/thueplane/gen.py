@@ -31,6 +31,10 @@ class GenerationError(RuntimeError):
     """A generated instance failed its own class predicate (a bug)."""
 
 
+#: smallest n of the kinds that need more than one vertex
+_MIN_N = {"cycle": 3, "outerplane_biconnected": 3, "nested": 3}
+
+
 @dataclass(frozen=True)
 class GenSpec:
     kind: str
@@ -42,8 +46,11 @@ class GenSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        min_n = _MIN_N.get(self.kind, 1)
+        if self.n < min_n:
+            raise ValueError(f"n must be at least {min_n} for kind {self.kind!r}")
+        if self.kind == "outerplane_bridgeless" and self.n == 2:
+            raise ValueError("no simple bridgeless outerplane graph on 2 vertices")
         for p in (self.chord_probability, self.attachment_probability):
             if not (0.0 <= p <= 1.0):
                 raise ValueError("probabilities must lie in [0, 1]")
@@ -171,8 +178,6 @@ def _thinned_block_chords(size, rng, chord_p):
 
 
 def _gen_cycle(spec):
-    if spec.n < 3:
-        raise ValueError("cycles need at least 3 vertices")
     b = _Builder()
     v0 = b.new_vertex()
     b.add_polygon_block(v0, spec.n, [])
@@ -190,8 +195,6 @@ def _gen_tree(spec, rng=None):
 
 
 def _gen_outerplane_biconnected(spec, rng=None):
-    if spec.n < 3:
-        raise ValueError("biconnected graphs need at least 3 vertices")
     rng = rng or _rng(spec)
     b = _Builder()
     v0 = b.new_vertex()
@@ -209,8 +212,6 @@ def _block_size(rng, budget, lo=3, hi=12, avoid_remainder_one=False):
 
 
 def _gen_outerplane_bridgeless(spec, rng=None):
-    if spec.n == 2:
-        raise ValueError("no simple bridgeless outerplane graph on 2 vertices")
     rng = rng or _rng(spec)
     b = _Builder()
     v0 = b.new_vertex()
@@ -326,8 +327,6 @@ def _gen_nested(spec, rng=None):
     larger ones outermost.  Vertex ids run ring by ring from the outside in, and position j
     of ring i + 1 sits just inside position j of ring i, so a spoke joins
     equal positions and spokes never cross."""
-    if spec.n < 3:
-        raise ValueError("nested rings need at least 3 vertices")
     rng = rng or _rng(spec)
     k = spec.n // rng.randint(3, min(6, spec.n))
     sizes = [spec.n // k + (1 if i < spec.n % k else 0) for i in range(k)]

@@ -15,7 +15,6 @@ import re
 import sys
 from dataclasses import dataclass
 
-from thueplane import embed
 from thueplane.kernels import find_square
 
 
@@ -58,40 +57,6 @@ def facial_paths(G):
                 if c not in seen:
                     seen.add(c)
                     yield FacialPath(f, c, is_outer)
-
-
-def naive_facial_paths(G):
-    """Independent oracle: enumerate the distinct-vertex walks of the graph
-    by DFS and keep those occurring contiguously in some facial walk."""
-    window_sets = []
-    for f in range(len(G.faces)):
-        verts = G.face_vertices(f)
-        L = len(verts)
-        wins = set()
-        for start in range(L):
-            for length in range(1, L + 1):
-                wins.add(tuple(verts[(start + k) % L] for k in range(length)))
-        window_sets.append(wins)
-
-    adj = [sorted(set(G.neighbours(v))) for v in range(G.n)]
-    out = set()
-
-    def grow(path, used):
-        t = tuple(path)
-        for f, wins in enumerate(window_sets):
-            if t in wins:
-                out.add((f, _canonical(t)))
-        for w in adj[path[-1]]:
-            if w not in used:
-                used.add(w)
-                path.append(w)
-                grow(path, used)
-                path.pop()
-                used.remove(w)
-
-    for v in range(G.n):
-        grow([v], {v})
-    return out
 
 
 def _window_ends(verts):

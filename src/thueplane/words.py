@@ -182,25 +182,6 @@ def _adjacency(T):
     return [sorted(nb) for nb in T]
 
 
-def levelling_ok(G, levels):
-    """Adjacent vertices may differ by at most one level."""
-    adj = _adjacency(G)
-    if len(levels) != len(adj):
-        return False
-    if any(l < 0 for l in levels):
-        return False
-    for v, nbs in enumerate(adj):
-        for w in nbs:
-            if abs(levels[v] - levels[w]) > 1:
-                return False
-    return True
-
-
-def level_pattern(path, levels):
-    """Level sequence of a vertex path."""
-    return tuple(levels[v] for v in path)
-
-
 def bfs_levels(adj, root):
     n = len(adj)
     levels = [-1] * n
@@ -243,49 +224,17 @@ def _all_tree_paths(adj):
             yield path
 
 
-def _tree_paths_ok(adj, colours):
-    for path in _all_tree_paths(adj):
-        if find_square([colours[v] for v in path]) is not None:
-            return False
-    return True
-
-
-def _backtrack_tree_colouring(adj, palette):
-    # last-resort exhaustive search; only reachable if the levelling
-    # construction ever produced a repetitive path
-    n = len(adj)
-    order = list(range(n))
-    colours = [0] * n
-    paths_by_max = [[] for _ in range(n)]
-    for path in _all_tree_paths(adj):
-        paths_by_max[max(path)].append(path)
-
-    def place(i):
-        for c in palette:
-            colours[order[i]] = c
-            ok = all(
-                find_square([colours[v] for v in p]) is None for p in paths_by_max[order[i]]
-            )
-            if ok:
-                if i + 1 == n or place(i + 1):
-                    return True
-        return False
-
-    if not place(0):
-        raise RuntimeError("no nonrepetitive tree colouring over the palette")
-    return tuple(colours)
-
-
-_EXHAUSTIVE_TREE_CHECK = 16
-
-
 def tree_colouring(T, root=0, palette=(1, 2, 3, 4)):
     """Colour a tree so that every path is nonrepetitive, using at most the
     four palette colours: breadth-first levels from the root indexed into a
     palindrome-free nonrepetitive word.
 
-    The output is re-checked (exhaustively for small trees, structurally
-    otherwise) and falls back to exhaustive search if the check ever fails.
+    The output is not re-checked: along a tree path the levels fall one
+    step at a time to the vertex nearest the root and then rise, and a
+    square-free palindrome-free word read through such a level sequence has
+    no repetition (Kündgen and Pelsmajer, Discrete Math. 2008).  The tests
+    check this on every path of small and random trees.  The input is
+    checked: palette, edge count and connectivity.
     """
     adj = _adjacency(T)
     n = len(adj)
@@ -301,16 +250,4 @@ def tree_colouring(T, root=0, palette=(1, 2, 3, 4)):
         raise ValueError("input is not connected")
 
     word = palindrome_free_nonrepetitive(max(levels) + 1)
-    colours = tuple(palette[word[levels[v]]] for v in range(n))
-
-    if n <= _EXHAUSTIVE_TREE_CHECK:
-        ok = _tree_paths_ok(adj, colours)
-    else:
-        ok = (
-            levelling_ok(adj, levels)
-            and not has_repetition(word)[0]
-            and is_palindrome_free(word)
-        )
-    if not ok:
-        return _backtrack_tree_colouring(adj, palette)
-    return colours
+    return tuple(palette[word[levels[v]]] for v in range(n))

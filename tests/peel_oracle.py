@@ -6,6 +6,30 @@ remaining graph, once per layer.  It costs Θ(n · layers); the tests diff
 from thueplane import embed
 
 
+def _induced(G, S):
+    keep = sorted(set(S))
+    vmap = [-1] * G.n
+    for i, x in enumerate(keep):
+        vmap[x] = i
+
+    new_edges = []
+    emap = {}
+    for i, (a, b) in enumerate(G.edges):
+        if vmap[a] != -1 and vmap[b] != -1:
+            emap[i] = len(new_edges)
+            new_edges.append((vmap[a], vmap[b]))
+
+    dart_map = [-1] * G.num_darts
+    for i, j in emap.items():
+        dart_map[2 * i] = 2 * j
+        dart_map[2 * i + 1] = 2 * j + 1
+
+    new_rot = []
+    for x in keep:
+        new_rot.append([dart_map[d] for d in G.rotations[x] if dart_map[d] != -1])
+    return keep, new_edges, new_rot, tuple(vmap), dart_map
+
+
 def peel(G):
     """Iterated outer-vertex removal.  Yields per round the original-id
     vertex set, the embedded layer graph and its local->original map; the
@@ -29,7 +53,7 @@ def peel(G):
         rest = [x for x in range(cur.n) if x not in vi]
         if not rest:
             break
-        keep, new_edges, new_rot, _vmap, dart_map = embed._induced(cur, rest)
+        keep, new_edges, new_rot, _vmap, dart_map = _induced(cur, rest)
         outer_cands = []
         for f in range(len(cur.faces)):
             verts = cur.face_vertices(f)

@@ -1,0 +1,286 @@
+"""Helpers only the tests use: embedding surgery and the weak dual, the
+alternating-block decomposition of the outerplane proof, levelling
+predicates, the brute-force facial-path oracle, and blocking-graph
+predicates and parsing."""
+
+from dataclasses import dataclass
+
+from thueplane import embed
+from thueplane.blocking import BlockingGraph
+from thueplane.embed import (
+    EmbeddedGraph,
+    EmbeddingError,
+    _dedup_outer,
+    _require_simple_outerplane,
+    biconnected_components,
+    chords,
+    induced_embedded_subgraph,
+)
+from thueplane.verify import _canonical
+from thueplane.words import _adjacency
+
+
+# -- embed ---------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WeakDual:
+    """Forest on the inner faces of an outerplane graph; one edge per chord."""
+
+    nodes: tuple
+    edges: tuple  # (face_f, face_g, chord_edge_id)
+
+    def adjacency(self):
+        adj = {f: [] for f in self.nodes}
+        for f, g, c in self.edges:
+            adj[f].append((g, c))
+            adj[g].append((f, c))
+        return adj
+
+
+def weak_dual(G):
+    """Forest on inner faces: edge f-g for every chord shared by f and g."""
+    _require_simple_outerplane(G)
+    nodes = tuple(G.inner_faces())
+    dual_edges = []
+    for e in chords(G):
+        f, g = G.face_of[2 * e], G.face_of[2 * e + 1]
+        dual_edges.append((min(f, g), max(f, g), e))
+    dual = WeakDual(nodes, tuple(sorted(dual_edges)))
+    # acyclicity: every dual component must satisfy edges = nodes - 1 at most
+    seen = set()
+    adj = dual.adjacency()
+    for start in nodes:
+        if start in seen:
+            continue
+        comp_nodes = 0
+        comp_edge_ends = 0
+        stack = [start]
+        seen.add(start)
+        while stack:
+            x = stack.pop()
+            comp_nodes += 1
+            for y, _ in adj[x]:
+                comp_edge_ends += 1
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if comp_edge_ends // 2 >= comp_nodes:
+            raise EmbeddingError("weak dual contains a cycle; embedding is not outerplane")
+    return dual
+
+
+def block_subgraphs(G):
+    """(vertices, embedded subgraph, vertex map) for every block on >= 3
+    vertices; the subgraph inherits the embedding and outer face."""
+    out = []
+    for vs in biconnected_components(G):
+        sub, vmap = induced_embedded_subgraph(G, vs)
+        out.append((vs, sub, vmap))
+    return out
+
+
+def contract_edge(G, e):
+    """Contract a non-loop edge, merging rotations in embedding order.
+    Returns (new graph, vertex map old->new)."""
+    u, v = G.edges[e]
+    if u == v:
+        raise EmbeddingError("cannot contract a loop")
+    keep, gone = (u, v) if u < v else (v, u)
+
+    vmap = [0] * G.n
+    for x in range(G.n):
+        if x == gone:
+            vmap[x] = keep
+        else:
+            vmap[x] = x - 1 if x > gone else x
+
+    new_edges = []
+    emap = {}
+    for i, (a, b) in enumerate(G.edges):
+        if i == e:
+            continue
+        emap[i] = len(new_edges)
+        new_edges.append((vmap[a], vmap[b]))
+
+    def dmap(d):
+        i, side = divmod(d, 2)
+        return None if i == e else 2 * emap[i] + side
+
+    d_keep = G.dart_of(e, keep)
+    d_gone = d_keep ^ 1
+
+    rot_gone = list(G.rotations[gone])
+    j = rot_gone.index(d_gone)
+    spliced = rot_gone[j + 1 :] + rot_gone[:j]
+
+    merged = []
+    for d in G.rotations[keep]:
+        if d == d_keep:
+            merged.extend(spliced)
+        else:
+            merged.append(d)
+
+    new_rot = []
+    for x in range(G.n):
+        if x == gone:
+            continue
+        src = merged if x == keep else G.rotations[x]
+        new_rot.append([dmap(d) for d in src if dmap(d) is not None])
+
+    outer = []
+    for f in G.outer_faces:
+        outer.extend(dmap(d) for d in G.faces[f] if dmap(d) is not None)
+    G2 = EmbeddedGraph(G.n - 1, new_edges, new_rot, _dedup_outer(new_edges, new_rot, outer))
+    return G2, tuple(vmap)
+
+
+def add_edge_in_face(G, u, w, f, u_pos=None, w_pos=None):
+    """Insert edge u-w embedded inside face f, splitting it in two.
+
+    ``u_pos``/``w_pos`` pick which occurrences on f's walk to use when a
+    vertex appears several times (walk positions; defaults: first
+    occurrence).  Parallel edges are allowed, as is a loop inserted at a
+    single corner (u == w with equal positions), which encloses an empty
+    face.
+    """
+    walk = G.faces[f]
+    verts = G.face_vertices(f)
+
+    def occurrence(x, pos):
+        occ = [i for i, vv in enumerate(verts) if vv == x]
+        if not occ:
+            raise EmbeddingError(f"vertex {x} is not on face {f}")
+        if pos is None:
+            return occ[0]
+        if pos not in occ:
+            raise EmbeddingError(f"position {pos} is not an occurrence of vertex {x} on face {f}")
+        return pos
+
+    iu = occurrence(u, u_pos)
+    iw = occurrence(w, w_pos)
+    if iu == iw and u != w:
+        raise EmbeddingError("u_pos and w_pos name the same corner")
+
+    m = len(G.edges)
+    du, dw = 2 * m, 2 * m + 1
+    new_edges = list(G.edges) + [(u, w)]
+
+    # corner i of the walk sits just before walk[i] in origin(walk[i])'s rotation
+    inserts = {}
+    if iu == iw:
+        inserts[iu] = [dw, du]
+    else:
+        inserts[iu] = [du]
+        inserts[iw] = [dw]
+
+    new_rot = [list(r) for r in G.rotations]
+    for i, ds in inserts.items():
+        anchor = walk[i]
+        rot = new_rot[G.origin[anchor]]
+        j = rot.index(anchor)
+        rot[j:j] = ds
+
+    outer = [G.faces[g][0] for g in G.outer_faces]
+    return EmbeddedGraph(G.n, new_edges, new_rot, _dedup_outer(new_edges, new_rot, outer))
+
+
+# -- colour --------------------------------------------------------------------
+
+
+def interleave_check_decomposition(P, B):
+    """Split a vertex sequence into the alternating form
+    A_0, B_1, A_1, ..., B_k, A_k with the B_i the maximal runs inside B and
+    the A_i (possibly empty) runs outside it."""
+    B = set(B)
+    blocks = [()]
+    in_b = False
+    for v in P:
+        if (v in B) == in_b:
+            blocks[-1] = blocks[-1] + (v,)
+        else:
+            in_b = not in_b
+            blocks.append((v,))
+    if in_b:
+        blocks.append(())
+    return blocks
+
+
+# -- words ---------------------------------------------------------------------
+
+
+def levelling_ok(G, levels):
+    """Adjacent vertices may differ by at most one level."""
+    adj = _adjacency(G)
+    if len(levels) != len(adj):
+        return False
+    if any(l < 0 for l in levels):
+        return False
+    for v, nbs in enumerate(adj):
+        for w in nbs:
+            if abs(levels[v] - levels[w]) > 1:
+                return False
+    return True
+
+
+def level_pattern(path, levels):
+    """Level sequence of a vertex path."""
+    return tuple(levels[v] for v in path)
+
+
+# -- verify --------------------------------------------------------------------
+
+
+def naive_facial_paths(G):
+    """Independent oracle: enumerate the distinct-vertex walks of the graph
+    by DFS and keep those occurring contiguously in some facial walk."""
+    window_sets = []
+    for f in range(len(G.faces)):
+        verts = G.face_vertices(f)
+        L = len(verts)
+        wins = set()
+        for start in range(L):
+            for length in range(1, L + 1):
+                wins.add(tuple(verts[(start + k) % L] for k in range(length)))
+        window_sets.append(wins)
+
+    adj = [sorted(set(G.neighbours(v))) for v in range(G.n)]
+    out = set()
+
+    def grow(path, used):
+        t = tuple(path)
+        for f, wins in enumerate(window_sets):
+            if t in wins:
+                out.add((f, _canonical(t)))
+        for w in adj[path[-1]]:
+            if w not in used:
+                used.add(w)
+                path.append(w)
+                grow(path, used)
+                path.pop()
+                used.remove(w)
+
+    for v in range(G.n):
+        grow([v], {v})
+    return out
+
+
+# -- blocking ------------------------------------------------------------------
+
+
+def is_bridgeless_cactus(G):
+    """Outerplane, chordless, and no edge with both darts on one face."""
+    if not embed.is_outerplane(G):
+        return False
+    for e in range(len(G.edges)):
+        d0, d1 = 2 * e, 2 * e + 1
+        if not G.is_outer_face(G.face_of[d0]) and not G.is_outer_face(G.face_of[d1]):
+            return False  # chord
+        if G.face_of[d0] == G.face_of[d1]:
+            return False  # bridge
+    return True
+
+
+def blocking_graph_from_json(doc):
+    host = tuple(doc["host_vertex"])
+    return BlockingGraph(embed.graph_from_json(doc), host)

@@ -6,6 +6,8 @@ import time
 
 from thueplane import bench, blocking, colour, embed, gen, verify, words
 
+import support
+
 
 def _corpus(kind, count, max_n, min_n=1, seed0=0):
     for i in range(count):
@@ -109,7 +111,7 @@ def test_criterion_6_blocking_invariants():
             return
         if B:
             bg = blocking.blocking_graph(G, B)
-            if not blocking.is_bridgeless_cactus(bg.graph):
+            if not support.is_bridgeless_cactus(bg.graph):
                 failures.append((tag, "not a bridgeless cactus"))
             if even:
                 for f in bg.graph.inner_faces():
@@ -166,7 +168,7 @@ def test_criterion_8_oracle_cross_checks():
         for n in range(lo, 9):
             for G in gen.enumerate_small(kind, n):
                 got = {(p.face, p.vertices) for p in verify.facial_paths(G)}
-                ok = ok and got == verify.naive_facial_paths(G)
+                ok = ok and got == support.naive_facial_paths(G)
                 count += 1
     rep, witness = words.has_repetition([1, 3, 1, 2, 1, 2, 4])
     ok = ok and rep and witness == (2, 2)

@@ -1,6 +1,6 @@
 import pytest
 
-from thueplane import blocking, embed, gen, verify
+from thueplane import embed, gen, verify
 from thueplane.blocking import (
     blocking_graph,
     blocking_set_biconnected,
@@ -9,7 +9,6 @@ from thueplane.blocking import (
     blocking_set_even_biconnected_edge,
     blocking_set_even_bridgeless,
     blocking_set_good_size,
-    is_bridgeless_cactus,
     validate_blocking_set,
 )
 from thueplane.embed import ClassMismatchError
@@ -24,6 +23,7 @@ from conftest import (
     two_triangles_shared_vertex,
     wheel,
 )
+from support import blocking_graph_from_json, is_bridgeless_cactus
 
 
 def biconnected_corpus(count, max_n=30, min_n=3):
@@ -374,6 +374,6 @@ def test_blocking_graph_json_round_trip():
     bg = blocking_graph(G, SHOWCASE_BLOCKING_SET)
     doc = bg.to_json()
     assert doc["host_vertex"] == sorted(SHOWCASE_BLOCKING_SET)
-    bg2 = blocking.blocking_graph_from_json(doc)
+    bg2 = blocking_graph_from_json(doc)
     assert bg2.graph.edges == bg.graph.edges
     assert bg2.host_vertex == bg.host_vertex

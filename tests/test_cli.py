@@ -176,7 +176,7 @@ def test_colour_report_has_phases(tmp_path):
     r = run(["colour", "--input", g])
     assert r.exit_code == 0
     report = json.loads(r.stdout.strip().splitlines()[-1])
-    assert set(report["phases"]) == {"parse", "colour", "verify"}
+    assert set(report["phases"]) == {"parse", "colour"}
 
 
 def test_bench_plot(tmp_path):
@@ -194,3 +194,22 @@ def test_bench_nested_kind(tmp_path):
     assert doc["kind"] == "nested" and [row["n"] for row in doc["rows"]] == [30, 60]
     assert doc["fitted_exponent"] is not None
     assert all(row["colours_used"] <= 22 for row in doc["rows"])
+
+
+def test_colour_exit_4_when_the_certificate_fails(tmp_path, monkeypatch):
+    from thueplane import verify
+
+    g = write_graph(tmp_path, gen.generate(gen.GenSpec("outerplane", 20, 4)))
+    monkeypatch.setattr(
+        verify, "verify_facial_nonrepetitive", lambda G, colours: verify.FacialPath(0, (0,), False)
+    )
+    r = run(["colour", "--input", g])
+    assert r.exit_code == 4
+    assert json.loads(r.stderr.strip().splitlines()[-1])["error"] == "internal-verification-failure"
+
+
+@pytest.mark.parametrize("args", [["--corpus", "0"], ["--kind", "cycle", "--corpus", "2"]])
+def test_bench_rejects_sizes_the_generator_rejects(args):
+    # both exited 1 with a ValueError traceback
+    r = CliRunner().invoke(main, ["bench", *args])
+    _assert_parse_exit(r)

@@ -9,13 +9,13 @@ from thueplane.colour import (
     colour_outerplane,
     colour_outerplane_single_block,
     colour_plane,
-    interleave_check_decomposition,
     peeling_layering,
 )
 from thueplane.embed import ClassMismatchError
 from thueplane.gen import _Builder
 
 from conftest import decorate_multigraph, fan5, nested_triangles, path_graph, polygon, wheel
+from support import interleave_check_decomposition
 
 
 def flower_cactus(petals=5):
@@ -342,3 +342,58 @@ def test_outerplane_disconnected_components():
     assert len(G.components) == 2
     c = colour_outerplane(G)
     assert c.distinct_colours() <= 11
+
+
+# -- one certificate per public call ---------------------------------------------------
+
+
+CERTIFIED_CASES = [
+    (colour_outerplane, lambda: gen.generate(gen.GenSpec("outerplane", 40, 3))),
+    (colour_outerplane, lambda: decorate_multigraph(gen.generate(gen.GenSpec("outerplane", 30, 5)), seed=1)),
+    (colour_plane, lambda: gen.generate(gen.GenSpec("nested", 40, 1))),
+    (colour_plane, lambda: wheel(6)),
+    (colour_cactus_even, lambda: gen.generate(gen.GenSpec("cactus_even", 30, 2))),
+    (colour_outerplane_single_block, lambda: gen.generate(gen.GenSpec("outerplane_biconnected", 14, 4))),
+]
+CERTIFIED_IDS = ["outerplane", "outerplane-multigraph", "plane-nested", "plane-wheel", "cactus", "single-block"]
+
+
+@pytest.mark.parametrize("pipeline, make", CERTIFIED_CASES, ids=CERTIFIED_IDS)
+def test_each_pipeline_certifies_exactly_once(monkeypatch, pipeline, make):
+    G = make()
+    real = verify.verify_facial_nonrepetitive
+    calls = []
+
+    def counting(H, colours):
+        calls.append(H)
+        return real(H, colours)
+
+    monkeypatch.setattr(verify, "verify_facial_nonrepetitive", counting)
+    c = pipeline(G)
+    assert calls == [G]
+    assert real(G, c.colours) is None
+
+
+@pytest.mark.parametrize("pipeline, make", CERTIFIED_CASES, ids=CERTIFIED_IDS)
+def test_rejecting_verifier_is_a_bug(monkeypatch, pipeline, make):
+    G = make()
+    monkeypatch.setattr(
+        verify, "verify_facial_nonrepetitive", lambda H, colours: verify.FacialPath(0, (0,), False)
+    )
+    with pytest.raises(colour.VerificationBugError):
+        pipeline(G)
+
+
+def test_blocking_graph_cactus_colouring_verifies():
+    # the lemma the outerplane core relies on instead of verifying the
+    # blocking graph's colouring: it is a facially nonrepetitive 7-colouring
+    for seed in range(200):
+        n = 1 + (seed * 11) % 60
+        Gs, _ = embed.simplify(gen.generate(gen.GenSpec("outerplane", n, seed)))
+        B = blocking.blocking_set_even(Gs)
+        if not B:
+            continue
+        bg = blocking.blocking_graph(Gs, B)
+        cols = colour._colour_cactus_core(embed.simplify(bg.graph)[0])
+        assert set(cols) <= set(range(1, 8))
+        assert verify.verify_facial_nonrepetitive(bg.graph, cols) is None

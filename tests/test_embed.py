@@ -13,6 +13,7 @@ from conftest import (
     two_triangles_shared_vertex,
     wheel,
 )
+import support
 
 
 # -- construction and validation ----------------------------------------------
@@ -107,7 +108,7 @@ def test_fan_chords_and_ears():
     assert len(ch) == 2
     er = embed.ears(fan)
     assert len(er) == 2
-    wd = embed.weak_dual(fan)
+    wd = support.weak_dual(fan)
     leaves = [f for f in wd.nodes if sum(1 for a, b, _ in wd.edges if f in (a, b)) == 1]
     assert sorted(f for f, _ in er) == sorted(leaves)
 
@@ -132,7 +133,7 @@ def test_chords_reject_non_outerplane():
 def test_weak_dual_is_forest_on_corpus():
     for seed in range(8):
         G = gen.generate(gen.GenSpec("outerplane_biconnected", 14, seed))
-        embed.weak_dual(G)  # raises if cyclic
+        support.weak_dual(G)  # raises if cyclic
 
 
 # -- connectivity ----------------------------------------------------------------
@@ -166,13 +167,13 @@ def test_parallel_edges_are_not_bridges(triangle):
 
 def test_contract_middle_of_path():
     p = path_graph(4)
-    g, vmap = embed.contract_edge(p, 1)
+    g, vmap = support.contract_edge(p, 1)
     assert g.n == 3 and len(g.edges) == 2
     assert vmap[1] == vmap[2]
 
 
 def test_contract_triangle_edge_gives_parallel_pair(triangle):
-    g, _ = embed.contract_edge(triangle, 0)
+    g, _ = support.contract_edge(triangle, 0)
     assert g.n == 2 and len(g.edges) == 2
     assert sorted(len(f) for f in g.faces) == [2, 2]
 
@@ -180,7 +181,7 @@ def test_contract_triangle_edge_gives_parallel_pair(triangle):
 def test_contract_bridge_joins_blocks():
     g = two_triangles_bridge()
     (b,) = embed.bridges(g)
-    g2, _ = embed.contract_edge(g, b)
+    g2, _ = support.contract_edge(g, b)
     assert len(embed.biconnected_components(g2)) == 2
     assert embed.bridges(g2) == []
 
@@ -189,7 +190,7 @@ def test_contract_rejects_loop(triangle):
     g = decorate_multigraph(triangle, seed=0, parallels=0, loops=1)
     loop = next(e for e, (u, v) in enumerate(g.edges) if u == v)
     with pytest.raises(EmbeddingError):
-        embed.contract_edge(g, loop)
+        support.contract_edge(g, loop)
 
 
 def test_induced_subgraph_of_fan():
@@ -207,7 +208,7 @@ def test_induced_empty():
 def test_add_edge_splits_face():
     sq = polygon(4)
     f = sq.inner_faces()[0]
-    g = embed.add_edge_in_face(sq, 0, 2, f)
+    g = support.add_edge_in_face(sq, 0, 2, f)
     assert len(g.faces) == len(sq.faces) + 1
     assert sorted(len(w) for w in g.faces) == [3, 3, 4]
     assert embed.is_outerplane(g)
@@ -218,13 +219,13 @@ def test_add_edge_rejects_vertex_off_face():
     inner = g.inner_faces()
     off = [v for v in range(g.n) if v not in g.face_vertices(inner[0])][0]
     with pytest.raises(EmbeddingError):
-        embed.add_edge_in_face(g, off, g.face_vertices(inner[0])[0], inner[0])
+        support.add_edge_in_face(g, off, g.face_vertices(inner[0])[0], inner[0])
 
 
 def test_add_parallel_edge_in_face():
     sq = polygon(4)
     f = sq.inner_faces()[0]
-    g = embed.add_edge_in_face(sq, 0, 1, f)
+    g = support.add_edge_in_face(sq, 0, 1, f)
     assert len(g.edges) == 5
     assert embed.is_outerplane(g)
 
@@ -235,14 +236,14 @@ def test_surgery_outputs_revalidate():
         f = G.inner_faces()
         if f:
             verts = G.face_vertices(f[0])
-            g2 = embed.add_edge_in_face(G, verts[0], verts[1], f[0])
+            g2 = support.add_edge_in_face(G, verts[0], verts[1], f[0])
             embed.EmbeddedGraph(g2.n, g2.edges, g2.rotations, g2.canonical_outer_darts())
         sub, _ = embed.induced_embedded_subgraph(G, range(0, G.n, 2))
         embed.EmbeddedGraph(sub.n, sub.edges, sub.rotations, sub.canonical_outer_darts())
         if G.edges:
             e = next((i for i, (u, v) in enumerate(G.edges) if u != v), None)
             if e is not None:
-                g3, _ = embed.contract_edge(G, e)
+                g3, _ = support.contract_edge(G, e)
                 embed.EmbeddedGraph(g3.n, g3.edges, g3.rotations, g3.canonical_outer_darts())
 
 
@@ -300,7 +301,7 @@ def test_json_rejects_garbage():
 
 def test_block_subgraphs_inherit_embedding():
     G = showcase_graph()
-    subs = embed.block_subgraphs(G)
+    subs = support.block_subgraphs(G)
     assert len(subs) == 2
     for verts, sub, vmap in subs:
         assert embed.is_outerplane(sub)

@@ -3,7 +3,7 @@
 import hashlib
 import json
 
-from thueplane import colour, embed, gen
+from thueplane import colour, embed, gen, verify
 
 from conftest import (
     decorate_multigraph,
@@ -69,3 +69,15 @@ def test_layering_and_layer_graphs_match_the_peel_oracle():
             for (ids, lg), (want_ids, want_lg, want_map) in zip(got, rounds):
                 assert list(ids) == want_ids == want_map
                 assert _graph_key(lg) == _graph_key(want_lg)
+
+
+def test_augmentation_keeps_the_layering_and_layer_colourings_verify():
+    # the lemmas colour_plane relies on instead of re-checking at run time
+    for G in plane_corpus():
+        layer = colour.peeling_layering(G).layer
+        Gp = colour._augment(G, layer)
+        assert colour.peeling_layering(Gp).layer == layer
+        for _ids, lg in colour.layer_graphs(Gp, layer):
+            assert embed.is_outerplane(lg)
+            vals = colour._colour_outerplane_core(lg)
+            assert verify.verify_facial_nonrepetitive(lg, vals) is None

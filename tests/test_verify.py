@@ -5,11 +5,11 @@ from thueplane.verify import (
     exact_pi_f,
     exact_pi_tree_paths,
     facial_paths,
-    naive_facial_paths,
     verify_facial_nonrepetitive,
 )
 
 from conftest import path_graph, polygon
+from support import naive_facial_paths
 
 
 # -- facial path enumeration -----------------------------------------------------

@@ -13,12 +13,12 @@ from thueplane.words import (
     has_cyclic_repetition,
     has_repetition,
     is_palindrome_free,
-    level_pattern,
-    levelling_ok,
     palindrome_free_nonrepetitive,
     ternary_nonrepetitive,
     tree_colouring,
 )
+
+from support import level_pattern, levelling_ok
 
 
 def naive_repetitive(seq):
@@ -274,8 +274,9 @@ def test_trees_exhaustive_paths_small():
 
 
 def test_random_trees_to_16_exhaustive_paths():
-    for seed in range(150):
-        n = 10 + seed % 7  # 10..16
+    sizes = [10 + seed % 7 for seed in range(150)]  # 10..16
+    sizes += [17 + seed % 24 for seed in range(48)]  # 17..40, twice each
+    for seed, n in enumerate(sizes):
         G = gen.generate(gen.GenSpec("tree", n, seed))
         adj = [sorted(G.neighbours(v)) for v in range(n)]
         cols = tree_colouring(adj)

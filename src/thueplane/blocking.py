@@ -109,8 +109,11 @@ def _require_biconnected_outerplane(G):
     embed._require_simple_outerplane(G)
     if G.n < 3:
         raise ClassMismatchError("biconnected graphs have at least 3 vertices")
-    blocks = embed.biconnected_components(G)
-    if len(blocks) != 1 or len(blocks[0]) != G.n:
+    # every vertex is on the outer walk, and a cut vertex or a bridge end
+    # repeats on it: G is biconnected iff vertex 0's outer walk is a cycle
+    # through all n vertices
+    W = embed.outer_walk(G, 0)
+    if len(W) != G.n or len(set(W)) != G.n:
         raise ClassMismatchError("graph is not biconnected")
 
 
@@ -363,30 +366,13 @@ def blocking_set_even_biconnected_edge(G, a, b):
     return B
 
 
-def _bridge_classes(G, bridge_ids):
-    """Union-find classes over bridge-connected vertices."""
-    parent = list(range(G.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in bridge_ids:
-        u, v = G.edges[e]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return find
-
-
 def _even_blocking_over_blocks(G):
     """Process the block-cut forest once: every 2-connected component gets
     an even-cycle blocking set whose shared cut class is included exactly
     when an earlier block (or bridge-tree inflation) selected it."""
     blocks, bridge_ids = embed._blocks_and_bridges(G)
-    find = _bridge_classes(G, bridge_ids)
+    # bridge-connected vertices form one class
+    find = embed._union_find(G.n, (G.edges[e] for e in bridge_ids))
     big = [(verts, es) for verts, es in blocks if len(verts) >= 3]
     big.sort()
 
@@ -482,10 +468,17 @@ def blocking_set_good_size(G):
 def blocking_graph(G, B):
     """Embedded blocking graph of a valid blocking set: vertex set B, one
     edge per consecutive pair of B-vertices along each outer facial walk,
-    embedding inherited from the walk order."""
+    embedding inherited from the walk order.  B is checked with
+    ``validate_blocking_set``; ValueError if it fails."""
     ok, violations = validate_blocking_set(G, B)
     if not ok:
         raise ValueError("invalid blocking set: " + "; ".join(violations))
+    return _blocking_graph(G, B)
+
+
+def _blocking_graph(G, B):
+    """``blocking_graph`` without the check, for sets the constructors here
+    just built."""
     B = set(B)
     hosts = sorted(B)
     local = {x: i for i, x in enumerate(hosts)}

@@ -101,22 +101,6 @@ def _checked(G, colours, palette_max):
 # -- even cacti ---------------------------------------------------------------
 
 
-def _component_adjacency(G, comp):
-    local = {x: i for i, x in enumerate(comp)}
-    adj = [[] for _ in comp]
-    for x in comp:
-        for w in sorted(G.neighbours(x)):
-            adj[local[x]].append(local[w])
-    return local, adj
-
-
-def _colour_tree_component(G, comp, colours):
-    local, adj = _component_adjacency(G, comp)
-    cols = tree_colouring(adj, root=0, palette=(1, 2, 3, 4))
-    for x in comp:
-        colours[x] = cols[local[x]]
-
-
 def _colour_cycle_component(G, comp, cid, colours):
     W = embed.outer_walk(G, cid)
     word = cycle_colouring(len(W))
@@ -155,7 +139,7 @@ def _colour_cactus_component(G, comp, cid, colours):
     n_edges = sum(degs.values()) // 2
 
     if n_edges == len(comp) - 1:
-        _colour_tree_component(G, comp, colours)
+        _colour_forest(G, comp, colours)
         return set(), {}
     if all(d == 2 for d in degs.values()) and n_edges == len(comp):
         _colour_cycle_component(G, comp, cid, colours)
@@ -165,7 +149,7 @@ def _colour_cactus_component(G, comp, cid, colours):
     deg1 = [x for x in comp if degs[x] == 1]
     root = min(deg1) if deg1 else min(x for x in comp if degs[x] >= 3)
 
-    _, adj = _component_adjacency(G, comp)
+    adj = [[local[w] for w in sorted(G.neighbours(x))] for x in comp]
     lev_local = bfs_levels(adj, local[root])
     lam = {x: lev_local[local[x]] for x in comp}
 
@@ -301,7 +285,7 @@ def colour_cactus_even(G):
 # -- outerplane ---------------------------------------------------------------
 
 
-def _colour_forest(G, rest, colours, palette=(1, 2, 3, 4)):
+def _colour_forest(G, rest, colours):
     """Tree-colour every component of G[rest] (each must be a tree)."""
     rest = sorted(rest)
     rest_set = set(rest)
@@ -326,7 +310,7 @@ def _colour_forest(G, rest, colours, palette=(1, 2, 3, 4)):
             for w in sorted(G.neighbours(x)):
                 if w in rest_set:
                     adj[local[x]].append(local[w])
-        cols = tree_colouring(adj, root=0, palette=palette)
+        cols = tree_colouring(adj, root=0, palette=(1, 2, 3, 4))
         for x in comp:
             colours[x] = cols[local[x]]
 
@@ -338,7 +322,7 @@ def _colour_outerplane_core(G):
     colours = [None] * Gs.n
     B = blocking.blocking_set_even(Gs)
     if B:
-        bg = blocking.blocking_graph(Gs, B)
+        bg = blocking._blocking_graph(Gs, B)
         sub = _colour_cactus_core(embed.simplify(bg.graph)[0])
         for i, host in enumerate(bg.host_vertex):
             colours[host] = 4 + sub[i]
@@ -372,7 +356,7 @@ def colour_outerplane_single_block(G):
         sub, vmap = embed.induced_embedded_subgraph(Gs, vs)
         back = {vmap[x]: x for x in vs}
         B = frozenset(back[x] for x in blocking.blocking_set_good_size(sub))
-        bg = blocking.blocking_graph(Gs, B)
+        bg = blocking._blocking_graph(Gs, B)
         core, _ = embed.simplify(bg.graph)
         if len(core.edges) == 1:
             u, w = core.edges[0]

@@ -11,6 +11,10 @@ a geometric computation: one face per dart-bearing connected component is
 flagged as outer.  Vertices, edges, darts and faces are dense integer ids
 and every derived structure is computed in index order, so identical input
 always yields identical output.
+
+Outside input is checked in one place, :func:`graph_from_json` (behind
+``build`` and ``loads_graph``); ``EmbeddedGraph`` trusts its arguments, so
+graphs built by the package are not checked again.
 """
 
 from __future__ import annotations
@@ -39,17 +43,17 @@ class FaceWalk:
 
 
 class EmbeddedGraph:
-    """Immutable embedded multigraph.  Use :func:`build` to construct one
-    with full validation."""
+    """Immutable embedded multigraph.  The constructor does no validation:
+    ``edges`` must be integer pairs and ``rotations`` a valid rotation system
+    on them.  It raises only what stops it building (an outer dart out of
+    range, conflicting outer darts, a face walk that does not close).
+    Outside input goes through :func:`graph_from_json` or :func:`build`."""
 
-    def __init__(self, n, edges, rotations, outer_darts=(), validate=True):
+    def __init__(self, n, edges, rotations, outer_darts=()):
         self.n = n
-        self.edges = tuple((int(u), int(v)) for u, v in edges)
+        self.edges = tuple(edges)
         self.rotations = tuple(tuple(r) for r in rotations)
         self.num_darts = 2 * len(self.edges)
-
-        if validate:
-            self._validate_structure()
 
         m = self.num_darts
         origin = [0] * m
@@ -126,38 +130,9 @@ class EmbeddedGraph:
         self._outer_by_comp = outer
         self.outer_faces = frozenset(outer.values())
 
-        if validate:
-            self._validate_euler()
-
-    # -- validation ----------------------------------------------------
-
-    def _validate_structure(self):
-        n, edges, rotations = self.n, self.edges, self.rotations
-        if n < 0:
-            raise EmbeddingError("negative vertex count")
-        if len(rotations) != n:
-            raise EmbeddingError("rotations must list every vertex")
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise EmbeddingError(f"edge endpoint out of range: ({u}, {v})")
-        m = 2 * len(edges)
-        seen = [False] * m
-        for v, rot in enumerate(rotations):
-            for d in rot:
-                if not (0 <= d < m):
-                    raise EmbeddingError(f"dart {d} out of range")
-                if seen[d]:
-                    raise EmbeddingError(f"dart {d} listed twice")
-                seen[d] = True
-                e, side = divmod(d, 2)
-                if edges[e][side] != v:
-                    raise EmbeddingError(
-                        f"dart {d} listed at vertex {v}, but its origin is {edges[e][side]}"
-                    )
-        if not all(seen):
-            raise EmbeddingError("some dart missing from the rotations")
-
     def _validate_euler(self):
+        """Euler's formula on every component with an edge: the rotation
+        system is planar.  Run by :func:`graph_from_json`."""
         ncomp = len(self.components)
         e_count = [0] * ncomp
         f_count = [0] * ncomp
@@ -214,14 +189,17 @@ class EmbeddedGraph:
 
 
 def build(vertex_count, edge_list, rotations, outer_dart=None):
-    """Validated construction.  ``rotations`` gives, per vertex, the ccw
-    cyclic order of incident darts; ``outer_dart`` designates the outer face
-    of its component (components not containing it fall back to the face of
-    their smallest dart)."""
-    outer = () if outer_dart is None or outer_dart < 0 else (outer_dart,)
-    if edge_list and not outer:
+    """Checked construction from Python values.  ``rotations`` gives, per
+    vertex, the ccw cyclic order of incident darts; ``outer_dart`` designates
+    the outer face of its component (components not containing it fall back
+    to the face of their smallest dart) and is required when there are
+    edges.  The arguments are checked exactly as :func:`graph_from_json`
+    checks a document."""
+    if edge_list and (outer_dart is None or outer_dart == -1):
         raise EmbeddingError("a graph with edges needs an outer_dart designation")
-    return EmbeddedGraph(vertex_count, edge_list, rotations, outer, validate=True)
+    od = -1 if outer_dart is None else outer_dart
+    doc = {"n": vertex_count, "edges": edge_list, "rotations": rotations, "outer_dart": od}
+    return graph_from_json(doc)
 
 
 # -- JSON interchange ------------------------------------------------------
@@ -240,17 +218,42 @@ def graph_to_json(G):
     return doc
 
 
-def _int_list(x):
-    # type(d) is int: a JSON integer, not a bool, float or string
-    return isinstance(x, (list, tuple)) and all(type(d) is int for d in x)
+def _validate_structure(n, edges, rotations):
+    """Ranges and the rotation system: every endpoint is a vertex, and every
+    dart is listed exactly once, at its origin."""
+    if n < 0:
+        raise EmbeddingError("negative vertex count")
+    if len(rotations) != n:
+        raise EmbeddingError("rotations must list every vertex")
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise EmbeddingError(f"edge endpoint out of range: ({u}, {v})")
+    m = 2 * len(edges)
+    seen = [False] * m
+    for v, rot in enumerate(rotations):
+        for d in rot:
+            if not (0 <= d < m):
+                raise EmbeddingError(f"dart {d} out of range")
+            if seen[d]:
+                raise EmbeddingError(f"dart {d} listed twice")
+            seen[d] = True
+            e, side = divmod(d, 2)
+            if edges[e][side] != v:
+                raise EmbeddingError(
+                    f"dart {d} listed at vertex {v}, but its origin is {edges[e][side]}"
+                )
+    if not all(seen):
+        raise EmbeddingError("some dart missing from the rotations")
 
 
 def graph_from_json(doc):
-    """Graph from its JSON document.  One pass over the edges and darts
-    checks the shapes: ``n``, every endpoint, every dart and the outer darts
-    must be plain integers, every edge a pair.  ``EmbeddedGraph`` then checks
-    ranges and the rotation system.  Any failure raises EmbeddingError,
-    never a silently coerced graph."""
+    """Graph from its JSON document; the one place outside input is
+    checked.  First the shapes: ``n``, every endpoint, every dart and the
+    outer darts must be plain integers, every edge a pair.  Then the ranges
+    and the rotation system, before construction (face tracing needs a valid
+    rotation system); the outer darts while constructing; Euler's formula
+    after.  Any failure raises EmbeddingError, never a silently coerced
+    graph."""
     if not isinstance(doc, dict):
         raise EmbeddingError("malformed graph document: not a JSON object")
     try:
@@ -261,10 +264,15 @@ def graph_from_json(doc):
         raise EmbeddingError(f"malformed graph document: n {n!r} is not an integer")
     if not isinstance(edges, (list, tuple)):
         raise EmbeddingError("malformed graph document: edges is not a list")
+    # type(x) is int: a JSON integer, not a bool, float or string
     for e in edges:
-        if not (_int_list(e) and len(e) == 2):
+        if not (isinstance(e, (list, tuple)) and len(e) == 2 and type(e[0]) is type(e[1]) is int):
             raise EmbeddingError(f"malformed graph document: edge {e!r} is not a pair of integers")
-    if not isinstance(rotations, (list, tuple)) or not all(_int_list(r) for r in rotations):
+    if not (
+        isinstance(rotations, (list, tuple))
+        and all(isinstance(r, (list, tuple)) for r in rotations)
+        and all(type(d) is int for r in rotations for d in r)
+    ):
         raise EmbeddingError("malformed graph document: rotations are not lists of integer darts")
     outer = doc.get("outer_darts")
     if outer is None:
@@ -272,9 +280,13 @@ def graph_from_json(doc):
         if type(od) is not int or od < -1:
             raise EmbeddingError(f"malformed graph document: outer_dart {od!r} is not a dart or -1")
         outer = [od] if od >= 0 else []
-    elif not _int_list(outer):
+    elif not (isinstance(outer, (list, tuple)) and all(type(d) is int for d in outer)):
         raise EmbeddingError("malformed graph document: outer_darts is not a list of integer darts")
-    return EmbeddedGraph(n, [tuple(e) for e in edges], rotations, tuple(outer), validate=True)
+    edges = [tuple(e) for e in edges]
+    _validate_structure(n, edges, rotations)
+    G = EmbeddedGraph(n, edges, rotations, tuple(outer))
+    G._validate_euler()
+    return G
 
 
 def dumps_graph(G):
@@ -445,11 +457,8 @@ def bridges(G):
 # -- surgery -----------------------------------------------------------------
 
 
-def _dedup_outer(edges, rotations, outer_darts):
-    """Keep at most one designated dart per component (the smallest)."""
-    if not outer_darts:
-        return ()
-    n = len(rotations)
+def _union_find(n, pairs):
+    """``find`` of the union-find over 0..n-1 that joins every pair."""
     parent = list(range(n))
 
     def find(x):
@@ -458,10 +467,18 @@ def _dedup_outer(edges, rotations, outer_darts):
             x = parent[x]
         return x
 
-    for u, v in edges:
+    for u, v in pairs:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
+    return find
+
+
+def _dedup_outer(edges, rotations, outer_darts):
+    """Keep at most one designated dart per component (the smallest)."""
+    if not outer_darts:
+        return ()
+    find = _union_find(len(rotations), edges)
     best = {}
     for d in sorted(set(outer_darts)):
         best.setdefault(find(edges[d >> 1][d & 1]), d)

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from thueplane import embed, gen, verify
+from thueplane import blocking, embed, gen, verify
 from thueplane.blocking import (
     blocking_graph,
     blocking_set_biconnected,
@@ -11,14 +13,18 @@ from thueplane.blocking import (
     blocking_set_good_size,
     validate_blocking_set,
 )
+from thueplane.colour import colour_outerplane
 from thueplane.embed import ClassMismatchError
 from thueplane.words import EXCEPTIONAL_CYCLE_LENGTHS
 
 from conftest import (
     SHOWCASE_BLOCKING_SET,
+    disjoint_union,
     fan5,
+    path_graph,
     polygon,
     showcase_graph,
+    single_vertex,
     two_triangles_bridge,
     two_triangles_shared_vertex,
     wheel,
@@ -95,10 +101,78 @@ def test_one_per_face_bounds_size():
 
 
 def test_rejects_non_biconnected():
-    with pytest.raises(ClassMismatchError):
-        blocking_set_biconnected(two_triangles_shared_vertex(), 0, True)
-    with pytest.raises(ClassMismatchError):
-        blocking_set_biconnected(wheel(5), 0, True)
+    constructors = (
+        lambda G: blocking_set_biconnected(G, 0, True),
+        lambda G: blocking_set_even_biconnected(G, 0, True),
+        lambda G: blocking_set_even_biconnected_edge(G, *G.edges[0]),
+        blocking_set_good_size,
+    )
+    graphs = (
+        path_graph(5),
+        two_triangles_shared_vertex(),  # a bowtie
+        disjoint_union(polygon(3), polygon(3)),
+        disjoint_union(polygon(3), single_vertex()),
+        disjoint_union(single_vertex(), polygon(3)),
+        path_graph(2),
+        wheel(5),
+    )
+    for construct in constructors:
+        for G in graphs:
+            with pytest.raises(ClassMismatchError):
+                construct(G)
+
+
+def _walk_says_biconnected(G):
+    try:
+        blocking._require_biconnected_outerplane(G)
+    except ClassMismatchError:
+        return False
+    return True
+
+
+def test_walk_criterion_agrees_with_block_decomposition():
+    graphs = []
+    for n in range(3, 9):
+        for kind in ("tree", "cycle", "outerplane_biconnected"):
+            graphs += gen.enumerate_small(kind, n)
+    for kind in ("outerplane", "outerplane_bridgeless", "cactus_even"):
+        graphs += [gen.generate(gen.GenSpec(kind, 3 + seed * 4, seed)) for seed in range(10)]
+    rnd = random.Random(5)
+    for G in list(graphs):
+        S = [v for v in range(G.n) if rnd.random() < 0.8]
+        graphs.append(embed.induced_embedded_subgraph(G, S)[0])
+        graphs += [embed._restrict(G, vs, es)[0] for vs, es in embed._blocks_and_bridges(G)[0]]
+    biconnected = 0
+    for G in graphs:
+        if G.n < 3:
+            continue
+        blocks = embed.biconnected_components(G)
+        expected = len(blocks) == 1 and len(blocks[0]) == G.n
+        assert _walk_says_biconnected(G) == expected
+        biconnected += expected
+    assert 0 < biconnected < len(graphs)
+
+
+def test_pipeline_skips_blocking_rechecks(monkeypatch):
+    G = gen.generate(gen.GenSpec("outerplane", 60, 3))
+    calls = {"validate": 0, "blocks": 0}
+    validate, blocks = blocking.validate_blocking_set, embed._blocks_and_bridges
+
+    def counting_validate(*args):
+        calls["validate"] += 1
+        return validate(*args)
+
+    def counting_blocks(*args):
+        calls["blocks"] += 1
+        return blocks(*args)
+
+    monkeypatch.setattr(blocking, "validate_blocking_set", counting_validate)
+    monkeypatch.setattr(embed, "_blocks_and_bridges", counting_blocks)
+    colour_outerplane(G)
+    assert calls == {"validate": 0, "blocks": 1}
+    with pytest.raises(ValueError):
+        blocking_graph(polygon(3), {0, 1, 2})
+    assert calls["validate"] == 1
 
 
 # -- even single cycle --------------------------------------------------------------

@@ -63,6 +63,20 @@ def test_build_rejects_bad_outer_dart():
         embed.build(2, [(0, 1)], [[0], [1]], 7)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (2, [(0, 1.5)], [[0], [1]], 0),  # was truncated to edge (0, 1)
+        (2, [(0, True)], [[0], [1]], 0),  # was read as edge (0, 1)
+        (2.0, [(0, 1)], [[0], [1]], 0),  # was a TypeError traceback
+        (2, [(0, 1)], [[0], [1]], 0.0),  # was a TypeError traceback
+    ],
+)
+def test_build_rejects_non_integers(args):
+    with pytest.raises(EmbeddingError):
+        embed.build(*args)
+
+
 def test_face_partition_and_euler_over_corpus():
     for kind in ("tree", "outerplane", "plane", "cactus_even"):
         for seed in range(10):
@@ -237,14 +251,14 @@ def test_surgery_outputs_revalidate():
         if f:
             verts = G.face_vertices(f[0])
             g2 = support.add_edge_in_face(G, verts[0], verts[1], f[0])
-            embed.EmbeddedGraph(g2.n, g2.edges, g2.rotations, g2.canonical_outer_darts())
+            embed.graph_from_json(embed.graph_to_json(g2))
         sub, _ = embed.induced_embedded_subgraph(G, range(0, G.n, 2))
-        embed.EmbeddedGraph(sub.n, sub.edges, sub.rotations, sub.canonical_outer_darts())
+        embed.graph_from_json(embed.graph_to_json(sub))
         if G.edges:
             e = next((i for i, (u, v) in enumerate(G.edges) if u != v), None)
             if e is not None:
                 g3, _ = support.contract_edge(G, e)
-                embed.EmbeddedGraph(g3.n, g3.edges, g3.rotations, g3.canonical_outer_darts())
+                embed.graph_from_json(embed.graph_to_json(g3))
 
 
 # -- simplify --------------------------------------------------------------------

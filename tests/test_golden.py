@@ -6,7 +6,7 @@ import hashlib
 import json
 import random
 
-from thueplane import colour, embed, gen
+from thueplane import blocking, colour, embed, gen
 from thueplane.embed import ClassMismatchError
 
 from conftest import decorate_multigraph
@@ -67,3 +67,33 @@ def test_simplify_and_induced_subgraph_golden_digest():
             sub, vmap = embed.induced_embedded_subgraph(G, S)
             _line(h, {"induced": embed.graph_to_json(sub), "vmap": list(vmap)})
     assert h.hexdigest() == SUBGRAPH_DIGEST
+
+
+def _passes_boundary(g):
+    """``g`` survives the parse-boundary check unchanged."""
+    h = embed.graph_from_json(embed.graph_to_json(g))
+    assert (h.edges, h.rotations, h.canonical_outer_darts()) == (
+        g.edges, g.rotations, g.canonical_outer_darts())
+
+
+def test_internal_builders_pass_the_boundary_check():
+    # EmbeddedGraph trusts its arguments; this is the check it no longer runs
+    corpus = golden_corpus() + [gen.generate(gen.GenSpec("cycle", n, 0)) for n in (3, 8, 21)]
+    for G in corpus:
+        _passes_boundary(G)
+        rnd = random.Random(G.n)
+        S = [v for v in range(G.n) if rnd.random() < 0.6]
+        _passes_boundary(embed.induced_embedded_subgraph(G, S)[0])
+        layer = colour.peeling_layering(G).layer
+        H = colour._augment(G, layer)
+        _passes_boundary(H)
+        for _ids, layer_graph in colour.layer_graphs(H, layer):
+            _passes_boundary(layer_graph)
+        if not embed.is_outerplane(G):
+            continue
+        Gs = embed.simplify(G)[0]
+        _passes_boundary(Gs)
+        blocks, _ = embed._blocks_and_bridges(Gs)
+        for verts, bedges in blocks:
+            _passes_boundary(embed._restrict(Gs, verts, bedges)[0])
+        _passes_boundary(blocking.blocking_graph(Gs, blocking.blocking_set_even(Gs)).graph)

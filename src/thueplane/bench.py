@@ -1,12 +1,12 @@
 """Scaling benchmark: time the colouring pipelines over seeded corpora and
-fit the runtime exponent, optionally comparing the repetition kernels."""
+fit the runtime exponent."""
 
 from __future__ import annotations
 
 import math
 import time
 
-from thueplane import colour, gen, kernels, verify
+from thueplane import colour, gen, kernels
 
 
 def _fit_exponent(points):
@@ -26,12 +26,11 @@ def _fit_exponent(points):
 _PLANE_KINDS = ("plane", "nested")
 
 
-def run_bench(sizes, kind="outerplane", seed=0, repeat=1, compare_kernels=False):
+def run_bench(sizes, kind="outerplane", seed=0, repeat=1):
     """Time colour+verify per size (best of ``repeat``); returns a report
     dict with per-size rows and the fitted exponent."""
     pipeline = colour.colour_plane if kind in _PLANE_KINDS else colour.colour_outerplane
     rows = []
-    largest = None
     for n in sorted(sizes):
         spec = gen.GenSpec(kind, n, seed)
         t_gen0 = time.perf_counter()
@@ -54,9 +53,8 @@ def run_bench(sizes, kind="outerplane", seed=0, repeat=1, compare_kernels=False)
                 "colours_used": colours_used,
             }
         )
-        largest = G
 
-    report = {
+    return {
         "kind": kind,
         "seed": seed,
         "repeat": repeat,
@@ -68,21 +66,3 @@ def run_bench(sizes, kind="outerplane", seed=0, repeat=1, compare_kernels=False)
         if len(rows) >= 2
         else None,
     }
-
-    if compare_kernels and largest is not None:
-        col = pipeline(largest)
-        comparison = {}
-        try:
-            for name in sorted(kernels.available_backends()):
-                kernels.use_backend(name)
-                t0 = time.perf_counter()
-                bad = verify.verify_facial_nonrepetitive(largest, col.colours)
-                comparison[name] = round(time.perf_counter() - t0, 6)
-                if bad is not None:
-                    raise colour.VerificationBugError(
-                        f"the {name} kernel rejects a certified colouring on face {bad.face}"
-                    )
-        finally:
-            kernels.use_backend(None)
-        report["kernel_verify_seconds"] = comparison
-    return report

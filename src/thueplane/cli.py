@@ -315,12 +315,10 @@ def _write_scaling_plot(report, path):
 @click.option("--kind", type=click.Choice(gen.KINDS), default="outerplane", show_default=True)
 @click.option("--repeat", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--kernels", "compare_kernels", is_flag=True, default=False,
-              help="also time the verification kernel backends against each other")
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--plot", "plot_path", type=click.Path(), default=None,
               help="write a log-log scaling plot (SVG)")
-def cmd_bench(corpus, kind, repeat, seed, compare_kernels, out_path, plot_path):
+def cmd_bench(corpus, kind, repeat, seed, out_path, plot_path):
     """Time colour+verify over a seeded corpus and fit the scaling exponent."""
     try:
         sizes = [int(s) for s in corpus.replace(";", ",").split(",") if s.strip()]
@@ -329,9 +327,7 @@ def cmd_bench(corpus, kind, repeat, seed, compare_kernels, out_path, plot_path):
     except ValueError as exc:
         _diag(error="parse", detail=f"bad corpus spec {corpus!r}: {exc}")
         sys.exit(EXIT_PARSE)
-    report = bench_mod.run_bench(
-        sizes, kind=kind, seed=seed, repeat=repeat, compare_kernels=compare_kernels
-    )
+    report = bench_mod.run_bench(sizes, kind=kind, seed=seed, repeat=repeat)
     doc = json.dumps(report, sort_keys=True, indent=2)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

@@ -1,5 +1,5 @@
 """Reference oracles for square detection: the unscreened Main–Lorentz
-divide and conquer of ``_kernels_py.find_square`` and the per-start
+divide and conquer of ``kernels.find_square`` and the per-start
 counterexample scan of ``verify._first_square_in_face``, as they stood
 before the regex screen and the one-sweep search replaced them.  The tests
 require the production code to return the *identical* witness."""

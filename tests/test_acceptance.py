@@ -180,17 +180,13 @@ def test_criterion_8_oracle_cross_checks():
 
 def test_criterion_9_scaling():
     t0 = time.time()
-    report = bench.run_bench(
-        [1000, 3162, 10000, 31623, 100000], kind="outerplane", seed=0, repeat=1,
-        compare_kernels=True,
-    )
+    report = bench.run_bench([1000, 3162, 10000, 31623, 100000], kind="outerplane", seed=0, repeat=1)
     dt = time.time() - t0
     exp = report["fitted_exponent"]
     _report(
         9,
         exp is not None and exp <= 1.3 and dt < 300,
-        f"fitted exponent {exp} (<= 1.3) over n = 1e3..1e5, bench took {dt:.1f}s (< 300s); "
-        f"kernel comparison {report.get('kernel_verify_seconds')}",
+        f"fitted exponent {exp} (<= 1.3) over n = 1e3..1e5, bench took {dt:.1f}s (< 300s)",
     )
 
 

@@ -1,6 +1,6 @@
 """Witness equality against the reference square searches.
 
-``_kernels_py.find_square`` and ``verify._first_square_in_face`` must
+``kernels.find_square`` and ``verify._first_square_in_face`` must
 return exactly what the oracles in ``square_oracle`` return, not merely
 agree on whether a square exists: the witnesses end up in counterexamples
 and in the colourings built from them."""
@@ -9,12 +9,12 @@ import random
 
 import pytest
 
-from thueplane import _kernels_py, gen, verify
+from thueplane import gen, kernels, verify
 from thueplane.words import palindrome_free_nonrepetitive, ternary_nonrepetitive
 
 import square_oracle
 
-SHORT = _kernels_py._SHORT  # the screen cutoff
+SHORT = kernels._SHORT  # the screen cutoff
 
 
 def _lengths():
@@ -28,7 +28,7 @@ MAX_HALVES = sorted({0, 1, 2, 3, SHORT // 2 - 1, SHORT // 2, SHORT // 2 + 1, 10*
 
 
 def _same_witness(seq, max_half):
-    got = _kernels_py.find_square(seq, max_half)
+    got = kernels.find_square(seq, max_half)
     want = square_oracle.find_square(seq, max_half)
     assert got == want, (len(seq), max_half, got, want)
 

@@ -11,12 +11,19 @@ need.
 
 All constructors require simple inputs; multigraphs are normalized with
 ``embed.simplify`` by the callers and colourings lift back.
+
+The constructions run on block views (``_block_view``): a 2-connected
+component read in place in its host, in host vertex, edge and face ids, so
+no block is copied out of its host.  Each public constructor checks its
+input class, then views its own graph and calls the same unchecked core
+that ``blocking_set_even`` runs on every block of its input.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from thueplane import embed
 from thueplane.embed import ClassMismatchError
@@ -117,19 +124,98 @@ def _require_biconnected_outerplane(G):
         raise ClassMismatchError("graph is not biconnected")
 
 
-def _face_cycles(G):
-    """Inner face id -> vertex cycle (tuple)."""
-    return {f: G.face_vertices(f) for f in G.inner_faces()}
+class _BlockView(NamedTuple):
+    """One 2-connected component of an outerplane host, read in place: every
+    id is the host's.  Its inner faces are exactly host inner faces (same
+    dart walks, same start dart), and the weak dual they span is the block's
+    chord tree, so the constructions below need no copy of the block."""
+
+    cycles: dict  # inner face id -> vertex cycle (tuple)
+    dual: dict  # inner face id -> list of (chord edge, neighbouring face)
+    outer_nb: dict  # vertex -> its two neighbours on the block's outer cycle
+    edges: tuple  # the host's edges, for chord endpoints
+    faces: tuple  # the host's dart walks, for face edge ids
 
 
-def _dual_adjacency(G):
-    """Inner face id -> list of (chord edge, neighbouring face)."""
-    adj = {f: [] for f in G.inner_faces()}
-    for e in embed.chords(G):
-        f, g = G.face_of[2 * e], G.face_of[2 * e + 1]
-        adj[f].append((e, g))
-        adj[g].append((e, f))
-    return adj
+def _block_view(G, edge_ids):
+    """View of the block of the simple outerplane graph G whose edges are
+    ``edge_ids`` (sorted, at least three vertices), in time proportional to
+    the block.  A block edge is a chord iff both its sides are inner faces;
+    every other block edge has the outer face on one side and lies on the
+    block's outer cycle."""
+    edges, face_of, outer_faces = G.edges, G.face_of, G.outer_faces
+    dual = {}
+    outer_nb = {}
+    for e in edge_ids:
+        f, g = face_of[2 * e], face_of[2 * e + 1]
+        if f in outer_faces or g in outer_faces:
+            u, w = edges[e]
+            outer_nb.setdefault(u, []).append(w)
+            outer_nb.setdefault(w, []).append(u)
+            dual.setdefault(g if f in outer_faces else f, [])  # its inner side
+        else:
+            dual.setdefault(f, []).append((e, g))
+            dual.setdefault(g, []).append((e, f))
+    faces, origin = G.faces, G.origin
+    cycles = {f: tuple(map(origin.__getitem__, faces[f])) for f in dual}
+    return _BlockView(cycles, dual, outer_nb, edges, faces)
+
+
+def _one_per_face(view, v, include):
+    """``blocking_set_biconnected`` on a block view."""
+    if not include:
+        forced = min(view.outer_nb[v])
+        B = _one_per_face(view, forced, True)
+        if v in B:
+            raise BlockingConstructionError("exclusion failed; one-per-face violated")
+        return B
+
+    cycles, dual, edges = view.cycles, view.dual, view.edges
+    if len(cycles) == 1:
+        return frozenset({v})
+
+    alive_deg = {f: len(nbs) for f, nbs in dual.items()}
+    dead_chords = set()
+    face_alive = {f: True for f in cycles}
+
+    def leaf_chord(f):
+        for e, g in dual[f]:
+            if e not in dead_chords:
+                return e, g
+        raise BlockingConstructionError("leaf face without a live chord")
+
+    def valid_leaf(f):
+        e, _g = leaf_chord(f)
+        u, w = edges[e]
+        return v not in cycles[f] or v in (u, w)
+
+    heap = [f for f in cycles if alive_deg[f] == 1 and valid_leaf(f)]
+    heapq.heapify(heap)
+    peels = []
+    remaining = len(cycles)
+    while remaining > 1:
+        if not heap:
+            raise BlockingConstructionError("no valid ear available")
+        f = heapq.heappop(heap)
+        if not face_alive[f] or alive_deg[f] != 1:
+            continue
+        e, g = leaf_chord(f)
+        u, w = edges[e]
+        interior = tuple(x for x in cycles[f] if x != u and x != w)
+        peels.append((e, interior))
+        face_alive[f] = False
+        dead_chords.add(e)
+        remaining -= 1
+        alive_deg[g] -= 1
+        if alive_deg[g] == 1 and remaining > 1 and valid_leaf(g):
+            heapq.heappush(heap, g)
+
+    B = {v}
+    for e, interior in reversed(peels):
+        u, w = edges[e]
+        if u not in B and w not in B:
+            B.add(min(interior))
+    return frozenset(B)
 
 
 def blocking_set_biconnected(G, v, include=True):
@@ -144,69 +230,13 @@ def blocking_set_biconnected(G, v, include=True):
     _require_biconnected_outerplane(G)
     if not (0 <= v < G.n):
         raise ValueError(f"vertex {v} out of range")
-
-    if not include:
-        W = embed.outer_walk(G, G.comp_of[v])
-        i = W.index(v)
-        forced = min(W[i - 1], W[(i + 1) % len(W)])
-        B = blocking_set_biconnected(G, forced, include=True)
-        if v in B:
-            raise BlockingConstructionError("exclusion failed; one-per-face violated")
-        return B
-
-    cycles = _face_cycles(G)
-    if len(cycles) == 1:
-        return frozenset({v})
-
-    dual = _dual_adjacency(G)
-    alive_deg = {f: len(nbs) for f, nbs in dual.items()}
-    dead_chords = set()
-    face_alive = {f: True for f in cycles}
-
-    def leaf_chord(f):
-        for e, g in dual[f]:
-            if e not in dead_chords:
-                return e, g
-        raise BlockingConstructionError("leaf face without a live chord")
-
-    def valid_leaf(f):
-        e, _g = leaf_chord(f)
-        u, w = G.edges[e]
-        return v not in cycles[f] or v in (u, w)
-
-    heap = [f for f in cycles if alive_deg[f] == 1 and valid_leaf(f)]
-    heapq.heapify(heap)
-    peels = []
-    remaining = len(cycles)
-    while remaining > 1:
-        if not heap:
-            raise BlockingConstructionError("no valid ear available")
-        f = heapq.heappop(heap)
-        if not face_alive[f] or alive_deg[f] != 1:
-            continue
-        e, g = leaf_chord(f)
-        u, w = G.edges[e]
-        interior = tuple(x for x in cycles[f] if x != u and x != w)
-        peels.append((e, interior))
-        face_alive[f] = False
-        dead_chords.add(e)
-        remaining -= 1
-        alive_deg[g] -= 1
-        if alive_deg[g] == 1 and remaining > 1 and valid_leaf(g):
-            heapq.heappush(heap, g)
-
-    B = {v}
-    for e, interior in reversed(peels):
-        u, w = G.edges[e]
-        if u not in B and w not in B:
-            B.add(min(interior))
-    return frozenset(B)
+    return _one_per_face(_block_view(G, range(len(G.edges))), v, include)
 
 
-def _b_vertex_per_face(G, B):
+def _b_vertex_per_face(view, B):
     """Face id -> its unique B vertex (asserts the one-per-face property)."""
     out = {}
-    for f, cyc in _face_cycles(G).items():
+    for f, cyc in view.cycles.items():
         hits = [x for x in cyc if x in B]
         if len(hits) != 1:
             raise BlockingConstructionError(
@@ -221,7 +251,7 @@ def _face_neighbours_of(cyc, x):
     return cyc[i - 1], cyc[(i + 1) % len(cyc)]
 
 
-def _evenize(G, B1, ref, root_face, ab_edge=None):
+def _evenize(view, B1, ref, root_face, ab_edge=None):
     """Add one vertex to an odd one-per-face blocking set so the blocking
     graph becomes an even cycle.
 
@@ -230,19 +260,17 @@ def _evenize(G, B1, ref, root_face, ab_edge=None):
     never ref.  ``root_face`` roots the weak dual for the final case.  In
     the edge variant ``ab_edge`` is the outer edge ab, and the ears used by
     the first two cases may not carry it."""
-    cycles = _face_cycles(G)
+    cycles, dual, edges = view.cycles, view.dual, view.edges
 
     if len(cycles) == 1:
         (u0,) = tuple(B1)
-        w = min(x for x in G.neighbours(u0) if x != ref)
+        w = min(x for x in view.outer_nb[u0] if x != ref)
         return frozenset(B1 | {w})
 
-    dual = _dual_adjacency(G)
-    bvert = _b_vertex_per_face(G, B1)
-    chord_set = set(embed.chords(G))
+    bvert = _b_vertex_per_face(view, B1)
 
     def face_edge_ids(f):
-        return {d // 2 for d in G.faces[f]}
+        return {d // 2 for d in view.faces[f]}
 
     ears_list = sorted(f for f in cycles if len(dual[f]) == 1)
 
@@ -252,7 +280,7 @@ def _evenize(G, B1, ref, root_face, ab_edge=None):
         if len(cyc) < 4:
             continue
         e, _g = dual[f][0]
-        u, w = G.edges[e]
+        u, w = edges[e]
         if ab_edge is None:
             ok = ref not in cyc or ref in (u, w)
         else:
@@ -271,7 +299,7 @@ def _evenize(G, B1, ref, root_face, ab_edge=None):
         if len(cyc) != 3:
             continue
         e, _g = dual[f][0]
-        u, w = G.edges[e]
+        u, w = edges[e]
         (t,) = tuple(x for x in cyc if x != u and x != w)
         if u not in B1 and w not in B1:
             continue
@@ -306,11 +334,12 @@ def _evenize(G, B1, ref, root_face, ab_edge=None):
         if ab_edge is not None:
             uw = ab_edge
         else:
+            chords_of_F = {c for c, _g in dual[F]}
             cand_edges = []
             for e in sorted(face_edge_ids(F)):
-                a, b = G.edges[e]
+                a, b = edges[e]
                 if ref in (a, b):
-                    star_faces = 1 + len(children[F]) - (1 if e in chord_set else 0)
+                    star_faces = 1 + len(children[F]) - (1 if e in chords_of_F else 0)
                     if star_faces >= 2:
                         cand_edges.append(e)
             if not cand_edges:
@@ -318,7 +347,7 @@ def _evenize(G, B1, ref, root_face, ab_edge=None):
             uw = min(cand_edges)
     else:
         uw = parent_chord[F]
-    u, w = G.edges[uw]
+    u, w = edges[uw]
     x = bvert[F]
     cands = [y for y in _face_neighbours_of(cycles[F], x) if y != u and y != w]
     if not cands:
@@ -329,14 +358,22 @@ def _evenize(G, B1, ref, root_face, ab_edge=None):
     return frozenset(B1 | {y})
 
 
+def _even_one_per_face(view, v, include):
+    """``blocking_set_even_biconnected`` on a block view."""
+    B1 = _one_per_face(view, v, include)
+    if len(B1) % 2 == 0:
+        return B1
+    root = min(f for f, cyc in view.cycles.items() if v in cyc)
+    return _evenize(view, B1, v, root)
+
+
 def blocking_set_even_biconnected(G, v, include=True):
     """Blocking set of a biconnected outerplane graph whose blocking graph
     is a single even cycle, with v included or excluded on request."""
-    B1 = blocking_set_biconnected(G, v, include)
-    if len(B1) % 2 == 0:
-        return B1
-    root = min(f for f in G.inner_faces() if v in G.face_vertices(f))
-    return _evenize(G, B1, v, root)
+    _require_biconnected_outerplane(G)
+    if not (0 <= v < G.n):
+        raise ValueError(f"vertex {v} out of range")
+    return _even_one_per_face(_block_view(G, range(len(G.edges))), v, include)
 
 
 def blocking_set_even_biconnected_edge(G, a, b):
@@ -352,15 +389,21 @@ def blocking_set_even_biconnected_edge(G, a, b):
                 break
     if eid is None:
         raise ClassMismatchError("ab must be an edge on the outer face")
-    B1 = blocking_set_biconnected(G, b, include=True)
+    root = G.face_of[2 * eid]
+    if G.is_outer_face(root):
+        root = G.face_of[2 * eid + 1]
+    return _even_one_per_face_edge(_block_view(G, range(len(G.edges))), a, b, eid, root)
+
+
+def _even_one_per_face_edge(view, a, b, ab_edge, root):
+    """``blocking_set_even_biconnected_edge`` on a block view; ``root`` is
+    the inner face on the outer edge ``ab_edge``."""
+    B1 = _one_per_face(view, b, True)
     if a in B1:
         raise BlockingConstructionError("exclusion of a failed")
     if len(B1) % 2 == 0:
         return B1
-    root = G.face_of[2 * eid]
-    if G.is_outer_face(root):
-        root = G.face_of[2 * eid + 1]
-    B = _evenize(G, B1, a, root, ab_edge=eid)
+    B = _evenize(view, B1, a, root, ab_edge=ab_edge)
     if a in B or b not in B:
         raise BlockingConstructionError("edge-variant postcondition violated")
     return B
@@ -373,13 +416,14 @@ def _even_blocking_over_blocks(G):
     blocks, bridge_ids = embed._blocks_and_bridges(G)
     # bridge-connected vertices form one class
     find = embed._union_find(G.n, (G.edges[e] for e in bridge_ids))
+    cls = [find(x) for x in range(G.n)]
     big = [(verts, es) for verts, es in blocks if len(verts) >= 3]
     big.sort()
 
     class_blocks = {}
     for bid, (verts, _es) in enumerate(big):
         for x in verts:
-            class_blocks.setdefault(find(x), []).append(bid)
+            class_blocks.setdefault(cls[x], []).append(bid)
 
     selected = set()
     seen_block = [False] * len(big)
@@ -393,26 +437,24 @@ def _even_blocking_over_blocks(G):
             bid, attach_class = queue[qi]
             qi += 1
             verts, bedges = big[bid]
-            sub, local = embed._restrict(G, verts, bedges)
-            back = {i: x for x, i in local.items()}
             if attach_class is None:
-                a_local = local[min(verts)]
+                a = verts[0]
                 include = True
             else:
-                (a_host,) = [x for x in verts if find(x) == attach_class]
-                a_local = local[a_host]
+                (a,) = [x for x in verts if cls[x] == attach_class]
                 include = attach_class in selected
-            B_local = blocking_set_even_biconnected(sub, a_local, include)
-            for xl in B_local:
-                selected.add(find(back[xl]))
+            for x in _even_one_per_face(_block_view(G, bedges), a, include):
+                selected.add(cls[x])
             for x in verts:
-                c = find(x)
-                for nb in class_blocks.get(c, ()):
+                c = cls[x]
+                # a class is expanded once: its first expansion marks every
+                # block of it seen, so a later scan would add nothing
+                for nb in class_blocks.pop(c, ()):
                     if not seen_block[nb]:
                         seen_block[nb] = True
                         queue.append((nb, c))
 
-    return frozenset(x for x in range(G.n) if find(x) in selected)
+    return frozenset(x for x in range(G.n) if cls[x] in selected)
 
 
 def blocking_set_even_bridgeless(G):
@@ -437,8 +479,7 @@ def blocking_set_good_size(G):
     """Blocking set of a biconnected outerplane graph whose size avoids the
     exceptional cycle lengths (so its blocking cycle is 3-colourable)."""
     _require_biconnected_outerplane(G)
-    cycles = _face_cycles(G)
-    if len(cycles) == 1:
+    if len(G.inner_faces()) == 1:
         W = embed.outer_walk(G, G.comp_of[0])
         return frozenset({W[0], W[1]})
 

@@ -320,9 +320,13 @@ def _colour_outerplane_core(G):
     verification is the caller's job."""
     Gs, _ = embed.simplify(G)
     colours = [None] * Gs.n
-    B = blocking.blocking_set_even(Gs)
+    # Gs is simple and outerplane, so the unchecked core of
+    # blocking_set_even applies
+    B = blocking._even_blocking_over_blocks(Gs)
     if B:
         bg = blocking._blocking_graph(Gs, B)
+        # the blocking graph of a simple graph need not be simple: a block
+        # whose blocking cycle has length 2 gives a parallel pair
         sub = _colour_cactus_core(embed.simplify(bg.graph)[0])
         for i, host in enumerate(bg.host_vertex):
             colours[host] = 4 + sub[i]

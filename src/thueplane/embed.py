@@ -401,23 +401,26 @@ def _blocks_and_bridges(G):
             continue
         disc[root] = low[root] = timer
         timer += 1
-        stack = [[root, -1, 0]]
+        # (vertex, parent edge, iterator over its incidences): the loop
+        # resumes a vertex's iterator after each child returns
+        stack = [(root, -1, iter(incident[root]))]
         while stack:
-            v, pe, idx = stack[-1]
-            if idx < len(incident[v]):
-                stack[-1][2] = idx + 1
-                e, w = incident[v][idx]
+            v, pe, it = stack[-1]
+            dv = disc[v]
+            for e, w in it:
                 if e == pe:
                     continue
-                if disc[w] == -1:
+                dw = disc[w]
+                if dw == -1:
                     edge_stack.append(e)
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append([w, e, 0])
-                elif disc[w] < disc[v]:
+                    stack.append((w, e, iter(incident[w])))
+                    break
+                if dw < dv:
                     edge_stack.append(e)
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
+                    if dw < low[v]:
+                        low[v] = dw
             else:
                 stack.pop()
                 if not stack:
@@ -533,7 +536,9 @@ def simplify(G):
     Facial paths, read as vertex sequences, are preserved: in an outerplane
     graph any two parallel edges bound a vertex-free lens and loops carry no
     facial path, so colourings of the result lift back to G.  Returns
-    (simple graph, edge map old -> surviving edge id, -1 for loops).
+    (simple graph, edge map old -> surviving edge id, -1 for loops).  A G
+    with no loop and no parallel edge is returned as is, with the identity
+    edge map: restricting it to all its edges would rebuild G itself.
     """
     if not is_outerplane(G):
         raise ClassMismatchError("simplify expects an outerplane graph")
@@ -551,5 +556,7 @@ def simplify(G):
             j = rep[key] = len(kept)
             kept.append(i)
         emap.append(j)
+    if len(kept) == len(G.edges):
+        return G, tuple(emap)
     G2, _ = _restrict(G, range(G.n), kept)
     return G2, tuple(emap)

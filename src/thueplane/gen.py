@@ -24,6 +24,7 @@ KINDS = (
     "outerplane_bridgeless",
     "plane",
     "nested",
+    "flower",
 )
 
 
@@ -276,6 +277,31 @@ def _gen_outerplane(spec, rng=None):
     return b.finish_outerplane()
 
 
+def _gen_flower(spec, rng=None):
+    """Many blocks sharing one bridge-connected class: petals of 3 or 4
+    vertices at vertex 0, and further petals at the vertices of a seeded
+    tree of bridges grown from 0, whose vertices all join 0's class.  Each
+    petal is a polygon with thinned chords attached at a single vertex, so
+    every block meets that class."""
+    rng = rng or _rng(spec)
+    b = _Builder()
+    b.new_vertex()
+    stem = [0]  # vertices joined to 0 by bridges
+    budget = spec.n - 1
+    while budget > 0:
+        m = _block_size(rng, budget, hi=4)
+        if m is None or rng.random() < 0.1:
+            v = b.new_vertex()
+            b.add_edge(rng.choice(stem), v)
+            stem.append(v)
+            budget -= 1
+        else:
+            anchor = 0 if rng.random() < 0.5 else rng.choice(stem)
+            b.add_polygon_block(anchor, m, _thinned_block_chords(m, rng, spec.chord_probability))
+            budget -= m - 1
+    return b.finish_outerplane()
+
+
 def _gen_plane(spec, rng=None):
     rng = rng or _rng(spec)
     b = _Builder()
@@ -398,6 +424,14 @@ def _check_class(spec, G):
     elif kind == "outerplane_bridgeless":
         if embed.bridges(G):
             raise GenerationError("instance has a bridge")
+    elif kind == "flower":
+        if len(G.components) != 1:
+            raise GenerationError("flower is not connected")
+        blocks, bridge_ids = embed._blocks_and_bridges(G)
+        find = embed._union_find(G.n, (G.edges[e] for e in bridge_ids))
+        centre = find(0)
+        if any(all(find(x) != centre for x in verts) for verts, _es in blocks if len(verts) >= 3):
+            raise GenerationError("a flower block misses the bridge class of vertex 0")
 
 
 def generate(spec):
@@ -419,6 +453,8 @@ def generate(spec):
         G = _gen_plane(spec, rng)
     elif spec.kind == "nested":
         G = _gen_nested(spec, rng)
+    elif spec.kind == "flower":
+        G = _gen_flower(spec, rng)
     else:  # pragma: no cover
         raise ValueError(spec.kind)
     _check_class(spec, G)

@@ -203,3 +203,35 @@ def test_criterion_10_plane_nested_scaling():
         f"colour_plane on nested rings: fitted exponent {exp:.3f} (<= 1.3) over n = 500..4000, "
         f"{dt:.1f}s (< 30s)",
     )
+
+
+def test_criterion_11_flower_scaling():
+    # blocks sharing one bridge-connected class: the family on which
+    # scanning the class's block list once per block, or copying every
+    # block out of its host, is quadratic in the number of blocks
+    t0 = time.time()
+    sizes = [2620, 5240, 10480, 18340, 26200]  # 989 to 10,035 blocks
+    report = bench.run_bench(sizes, kind="flower", seed=0, repeat=3)
+    exp = report["fitted_exponent"]
+    k = len(embed.biconnected_components(gen.generate(gen.GenSpec("flower", sizes[-1], 0))))
+    # ROADMAP item 3 sets its time target on its flower: k triangles
+    # sharing one vertex
+    b = gen._Builder()
+    b.new_vertex()
+    for _ in range(10**4):
+        b.add_polygon_block(0, 3, [])
+    triangles = b.finish_outerplane()
+    best = None
+    for _ in range(3):
+        t = time.perf_counter()
+        colour.colour_outerplane(triangles)
+        t = time.perf_counter() - t
+        best = t if best is None else min(best, t)
+    dt = time.time() - t0
+    _report(
+        11,
+        exp <= 1.3 and k >= 10**4 and best <= 1.0 and dt < 60,
+        f"colour_outerplane on gen flowers up to {k} blocks (>= 1e4): fitted exponent {exp:.3f} "
+        f"(<= 1.3), the largest in {report['rows'][-1]['colour_verify_seconds']:.2f}s; "
+        f"10^4 triangles sharing one vertex in {best:.2f}s (<= 1s); {dt:.1f}s (< 60s)",
+    )

@@ -315,6 +315,46 @@ def test_even_rejects_multigraph(triangle):
         blocking_set_even(decorate_multigraph(triangle, parallels=1, loops=0))
 
 
+# -- block views -------------------------------------------------------------------
+
+
+def test_block_view_cores_match_the_public_constructors_on_copies():
+    # the pipeline reads each block in place in its host; the oracle is the
+    # public constructor on the block copied out by embed._restrict
+    corpus = [
+        gen.generate(gen.GenSpec(kind, n, seed))
+        for kind, n in (("outerplane", 60), ("outerplane_bridgeless", 40),
+                        ("outerplane_biconnected", 25), ("flower", 60))
+        for seed in range(4)
+    ]
+    checked = 0
+    for G in corpus:
+        blocks, _ = embed._blocks_and_bridges(G)
+        for verts, bedges in blocks:
+            if len(verts) < 3:
+                continue
+            view = blocking._block_view(G, bedges)
+            sub, local = embed._restrict(G, verts, bedges)
+            back = {i: x for x, i in local.items()}
+            for x in verts:
+                for include in (True, False):
+                    want = {back[y] for y in blocking_set_even_biconnected(sub, local[x], include)}
+                    assert blocking._even_one_per_face(view, x, include) == want
+                    checked += 1
+            for e in bedges:
+                f, g = G.face_of[2 * e], G.face_of[2 * e + 1]
+                if not (G.is_outer_face(f) or G.is_outer_face(g)):
+                    continue
+                root = g if G.is_outer_face(f) else f
+                p, q = G.edges[e]
+                for a, b in ((p, q), (q, p)):
+                    got = blocking._even_one_per_face_edge(view, a, b, e, root)
+                    B = blocking_set_even_biconnected_edge(sub, local[a], local[b])
+                    assert got == {back[y] for y in B}
+                    checked += 1
+    assert checked > 1000
+
+
 # -- size control ----------------------------------------------------------------------
 
 

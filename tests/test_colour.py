@@ -394,20 +394,13 @@ def test_blocking_graph_cactus_colouring_verifies():
         if not B:
             continue
         bg = blocking.blocking_graph(Gs, B)
-        cols = colour._colour_cactus_core(embed.simplify(bg.graph)[0])
+        cols = colour._colour_cactus_core(blocking._blocking_graph(Gs, B, simple=True).graph)
         assert set(cols) <= set(range(1, 8))
         assert verify.verify_facial_nonrepetitive(bg.graph, cols) is None
 
 
-@pytest.mark.parametrize("spec", [
-    gen.GenSpec("outerplane", 1000, 3),
-    gen.GenSpec("outerplane", 10000, 3),
-    gen.GenSpec("flower", 2660, 0),  # 1,006 blocks
-], ids=["outerplane-1e3", "outerplane-1e4", "flower-1e3-blocks"])
-def test_outerplane_builds_at_most_two_graphs(monkeypatch, spec):
-    # blocks are read in place and a simple input is not copied: the only
-    # graphs built are the blocking graph and its simplification
-    G = gen.generate(spec)
+def _count_builds(monkeypatch):
+    """List that gets one entry per ``EmbeddedGraph`` built from now on."""
     real = embed.EmbeddedGraph.__init__
     built = []
 
@@ -416,5 +409,33 @@ def test_outerplane_builds_at_most_two_graphs(monkeypatch, spec):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(embed.EmbeddedGraph, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("spec", [
+    gen.GenSpec("outerplane", 1000, 3),
+    gen.GenSpec("outerplane", 10000, 3),
+    gen.GenSpec("flower", 2660, 0),  # 1,006 blocks
+], ids=["outerplane-1e3", "outerplane-1e4", "flower-1e3-blocks"])
+def test_outerplane_builds_at_most_two_graphs(monkeypatch, spec):
+    # blocks are read in place, a simple input is not copied and the
+    # blocking graph is built simple: it is the only graph built
+    G = gen.generate(spec)
+    built = _count_builds(monkeypatch)
     colour_outerplane(G)
-    assert len(built) <= 2
+    assert len(built) <= 1
+
+
+@pytest.mark.parametrize("spec", [
+    gen.GenSpec("nested", 2000, 0),
+    gen.GenSpec("nested", 300, 4),
+    gen.GenSpec("plane", 300, 1),
+], ids=["nested-2000", "nested-300", "plane-300"])
+def test_plane_builds_at_most_two_graphs_per_layer(monkeypatch, spec):
+    # G+ once, then per layer its graph (built simple) and its blocking
+    # graph (built simple): no simplify rebuilds anything
+    G = gen.generate(spec)
+    layers = max(peeling_layering(G).layer) + 1
+    built = _count_builds(monkeypatch)
+    colour_plane(G)
+    assert len(built) <= 1 + 2 * layers

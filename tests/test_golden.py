@@ -96,4 +96,6 @@ def test_internal_builders_pass_the_boundary_check():
         blocks, _ = embed._blocks_and_bridges(Gs)
         for verts, bedges in blocks:
             _passes_boundary(embed._restrict(Gs, verts, bedges)[0])
-        _passes_boundary(blocking.blocking_graph(Gs, blocking.blocking_set_even(Gs)).graph)
+        B = blocking.blocking_set_even(Gs)
+        _passes_boundary(blocking.blocking_graph(Gs, B).graph)
+        _passes_boundary(blocking._blocking_graph(Gs, B, simple=True).graph)

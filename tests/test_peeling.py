@@ -68,7 +68,8 @@ def test_layering_and_layer_graphs_match_the_peel_oracle():
             assert len(got) == len(rounds)
             for (ids, lg), (want_ids, want_lg, want_map) in zip(got, rounds):
                 assert list(ids) == want_ids == want_map
-                assert _graph_key(lg) == _graph_key(want_lg)
+                # layers are built simple: the oracle's layer after simplify
+                assert _graph_key(lg) == _graph_key(embed.simplify(want_lg)[0])
 
 
 def test_augmentation_keeps_the_layering_and_layer_colourings_verify():

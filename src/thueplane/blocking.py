@@ -533,7 +533,8 @@ def _blocking_graph(G, B, simple):
     edges = []
     rotations = [[] for _ in hosts]
     outer_darts = []
-    pairs = set()  # endpoint pairs that already have an edge
+    k = len(hosts)
+    pairs = set()  # endpoint pairs u < w with an edge, as u * k + w
 
     for cid in range(len(G.components)):
         f = G.outer_face_of_component(cid)
@@ -546,7 +547,7 @@ def _blocking_graph(G, B, simple):
         for j in range(m):
             u, w = W[j], W[(j + 1) % m]
             if simple:
-                key = (u, w) if u < w else (w, u)
+                key = u * k + w if u < w else w * k + u
                 if u == w or key in pairs:
                     ids.append(-1)
                     continue

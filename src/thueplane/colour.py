@@ -436,11 +436,12 @@ def layer_graphs(G, layer):
 
     edges = [[] for _ in range(k)]
     dart_map = [-1] * G.num_darts
-    pairs = set()  # endpoint pairs that already have an edge
+    n = G.n
+    pairs = set()  # endpoint pairs u < w with an edge, as u * n + w
     for e, (u, w) in enumerate(G.edges):
         i = layer[u]
         if layer[w] == i and u != w:
-            key = (u, w) if u < w else (w, u)
+            key = u * n + w if u < w else w * n + u
             if key in pairs:
                 continue
             pairs.add(key)

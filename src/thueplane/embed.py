@@ -389,12 +389,15 @@ def _blocks_and_bridges(G):
     bridge_list = []
     edge_stack = []
 
+    # incident edge ids only: a pair per incidence would be 2m more objects
+    # for the garbage collector to trace
+    edges = G.edges
     incident = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(G.edges):
+    for e, (u, v) in enumerate(edges):
         if u == v:
             continue
-        incident[u].append((e, v))
-        incident[v].append((e, u))
+        incident[u].append(e)
+        incident[v].append(e)
 
     for root in range(n):
         if disc[root] != -1:
@@ -407,9 +410,11 @@ def _blocks_and_bridges(G):
         while stack:
             v, pe, it = stack[-1]
             dv = disc[v]
-            for e, w in it:
+            for e in it:
                 if e == pe:
                     continue
+                a, b = edges[e]
+                w = a + b - v  # the other end; loops were skipped
                 dw = disc[w]
                 if dw == -1:
                     edge_stack.append(e)
@@ -543,14 +548,15 @@ def simplify(G):
     if not is_outerplane(G):
         raise ClassMismatchError("simplify expects an outerplane graph")
 
-    rep = {}  # endpoint pair -> surviving edge id
+    n = G.n
+    rep = {}  # endpoint pair a < b, as the int a * n + b -> surviving edge id
     kept = []  # host id of each surviving edge
     emap = []
     for i, (a, b) in enumerate(G.edges):
         if a == b:
             emap.append(-1)
             continue
-        key = (a, b) if a < b else (b, a)
+        key = a * n + b if a < b else b * n + a
         j = rep.get(key)
         if j is None:
             j = rep[key] = len(kept)

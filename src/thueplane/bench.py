@@ -3,6 +3,7 @@ fit the runtime exponent."""
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 
@@ -27,8 +28,8 @@ _PLANE_KINDS = ("plane", "nested")
 
 
 def run_bench(sizes, kind="outerplane", seed=0, repeat=1):
-    """Time colour+verify per size (best of ``repeat``); returns a report
-    dict with per-size rows and the fitted exponent."""
+    """Time colour+verify per size (best of ``repeat``, each after a full
+    garbage collection); returns per-size rows and the fitted exponent."""
     pipeline = colour.colour_plane if kind in _PLANE_KINDS else colour.colour_outerplane
     rows = []
     for n in sorted(sizes):
@@ -39,6 +40,7 @@ def run_bench(sizes, kind="outerplane", seed=0, repeat=1):
         best = None
         colours_used = None
         for _ in range(max(1, repeat)):
+            gc.collect()
             t0 = time.perf_counter()
             col = pipeline(G)
             dt = time.perf_counter() - t0

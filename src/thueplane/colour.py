@@ -14,6 +14,7 @@ bug, never a valid outcome.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -131,9 +132,9 @@ def _distinct_segment_edges(W, members):
     return edges
 
 
-def _colour_cactus_component(G, comp, cid, colours):
-    """Colour one cactus component; returns the internals (deepest-vertex
-    set and levelling) so tests can probe the construction."""
+def _colour_cactus_component(G, comp, cid, comp_faces, colours):
+    """Colour one cactus component, with inner faces ``comp_faces``; returns
+    the deepest-vertex set and levelling so tests can probe the construction."""
     local = {x: i for i, x in enumerate(comp)}
     degs = {x: G.degree(x) for x in comp}
     n_edges = sum(degs.values()) // 2
@@ -152,10 +153,6 @@ def _colour_cactus_component(G, comp, cid, colours):
     adj = [[local[w] for w in sorted(G.neighbours(x))] for x in comp]
     lev_local = bfs_levels(adj, local[root])
     lam = {x: lev_local[local[x]] for x in comp}
-
-    comp_faces = [
-        f for f in G.inner_faces() if G.comp_of[G.origin[G.faces[f][0]]] == cid
-    ]
 
     H = set()
     for f in comp_faces:
@@ -261,8 +258,11 @@ def _colour_cactus_core(Gs):
     """Colour values over {1..7} for a simple even cactus; verification is
     the caller's job."""
     colours = [None] * Gs.n
+    faces = [[] for _ in Gs.components]  # inner faces per component, one scan
+    for f in Gs.inner_faces():
+        faces[Gs.comp_of[Gs.origin[Gs.faces[f][0]]]].append(f)
     for cid, comp in enumerate(Gs.components):
-        _colour_cactus_component(Gs, comp, cid, colours)
+        _colour_cactus_component(Gs, comp, cid, faces[cid], colours)
     return colours
 
 
@@ -410,130 +410,126 @@ def peeling_layering(G):
     return PeelingLayering(tuple(0 if i == -1 else i for i in layer))
 
 
-def layer_graphs(G, layer):
-    """Per layer i of ``layer`` (a peeling layering of G), the sorted vertex
-    ids of layer i and the simple embedded graph they induce, built in one
-    sweep over G's edges.
-
-    The sweep drops same-layer loops and keeps the first (lowest-id) edge of
-    each endpoint pair, the edge ``embed.simplify`` keeps, so each layer is
-    exactly ``simplify`` of the multigraph the layer induces.  Collapsing is
-    safe because every vertex of a layer lies on the layer's outer face: two
-    parallel edges of a layer bound a lens with no layer vertex inside, so
-    they carry the same facial paths, and a loop carries none.
-
-    Each rotation is G's restricted to the kept edges.  A dart of a kept
-    layer-i edge is a candidate outer dart when its face in G is an outer
-    face (i = 0) or holds a vertex of a lower layer; each component keeps its
-    smallest candidate.  These are the darts that peeling layers 0..i-1 off
-    G leaves on the outer faces of what remains."""
-    k = max(layer) + 1 if layer else 0
-    ids = [[] for _ in range(k)]
-    local = [0] * G.n
-    for v, i in enumerate(layer):
-        local[v] = len(ids[i])
-        ids[i].append(v)
-
-    edges = [[] for _ in range(k)]
-    dart_map = [-1] * G.num_darts
-    n = G.n
-    pairs = set()  # endpoint pairs u < w with an edge, as u * n + w
-    for e, (u, w) in enumerate(G.edges):
-        i = layer[u]
-        if layer[w] == i and u != w:
-            key = u * n + w if u < w else w * n + u
-            if key in pairs:
-                continue
-            pairs.add(key)
-            j = len(edges[i])
-            edges[i].append((local[u], local[w]))
-            dart_map[2 * e] = 2 * j
-            dart_map[2 * e + 1] = 2 * j + 1
-
-    origin, face_of = G.origin, G.face_of
-    face_min = [min(layer[origin[d]] for d in walk) for walk in G.faces]
-    outer = [[] for _ in range(k)]
-    for d, nd in enumerate(dart_map):
-        if nd == -1:
+def _augmentation(G, layer):
+    """The edges ``augment_plus`` adds to G, their corners, and per face the
+    lowest layer on its walk (-1 if outer).  Each inner face, in id order,
+    joins its cyclically consecutive occurrences of that layer: an edge
+    (u, w) from the corner just before walk dart a to the one just before
+    walk dart b has corners (a, b)."""
+    origin, outer_faces = G.origin, G.outer_faces
+    edges = []
+    corners = []
+    floor = []
+    for f, walk in enumerate(G.faces):
+        if f in outer_faces:
+            floor.append(-1)
             continue
-        i = layer[origin[d]]
-        f = face_of[d]
-        if face_min[f] < i or (i == 0 and f in G.outer_faces):
-            outer[i].append(nd)
-
-    out = []
-    for i in range(k):
-        rot = [[dart_map[d] for d in G.rotations[v] if dart_map[d] != -1] for v in ids[i]]
-        outer_i = embed._dedup_outer(edges[i], rot, outer[i])
-        out.append((tuple(ids[i]), embed.EmbeddedGraph(len(ids[i]), edges[i], rot, outer_i)))
-    return out
-
-
-def _augment(G, layer):
-    """``augment_plus`` for a graph whose peeling layering is ``layer``."""
-    new_edges = list(G.edges)
-    # darts are inserted at a face corner just before the corner's walk
-    # dart; each corner takes its occurrence's incoming dart then outgoing
-    corner_in = {}
-    corner_out = {}
-
-    for f in sorted(G.inner_faces()):
-        walk = G.faces[f]
-        verts = G.face_vertices(f)
-        L = len(verts)
-        lmin = min(layer[x] for x in verts)
-        if any(layer[x] not in (lmin, lmin + 1) for x in verts):
+        ls = [layer[origin[d]] for d in walk]
+        lmin = min(ls)
+        floor.append(lmin)
+        if max(ls) > lmin + 1:
             raise VerificationBugError("inner face spans more than two peeling layers")
-        occ = [i for i in range(L) if layer[verts[i]] == lmin]
-        m = len(occ)
-        if m < 2:
-            continue
-        for j in range(m):
-            p, q = occ[j], occ[(j + 1) % m]
-            u, w = verts[p], verts[q]
-            if u == w:
-                continue
-            e = len(new_edges)
-            new_edges.append((u, w))
-            corner_out[walk[p]] = 2 * e
-            corner_in[walk[q]] = 2 * e + 1
+        occ = [i for i, x in enumerate(ls) if x == lmin]
+        for p, q in zip(occ, occ[1:] + occ[:1]):
+            a, b = walk[p], walk[q]
+            u, w = origin[a], origin[b]
+            if u != w:
+                edges.append((u, w))
+                corners.append((a, b))
+    return edges, corners, floor
 
-    new_rot = [list(r) for r in G.rotations]
-    for anchor in sorted(set(corner_in) | set(corner_out)):
-        ds = []
-        if anchor in corner_in:
-            ds.append(corner_in[anchor])
-        if anchor in corner_out:
-            ds.append(corner_out[anchor])
-        rot = new_rot[G.origin[anchor]]
-        j = rot.index(anchor)
-        rot[j:j] = ds
 
-    outer = [G.faces[f][0] for f in G.outer_faces]
-    return embed.EmbeddedGraph(G.n, new_edges, new_rot, embed._dedup_outer(new_edges, new_rot, outer))
+def _plus_rotations(G, corners, dart_map):
+    """The rotations of G plus in one sweep over G's, mapped through
+    ``dart_map`` (-1 drops a dart).  Added edge j has darts 2(m + j) and
+    2(m + j) + 1 at its corners ``corners[j]``, m = len(G.edges); a corner's
+    darts go just before its anchor dart, the incoming one first."""
+    m = len(G.edges)
+    before = [None] * (2 * m)  # anchor dart -> (incoming, outgoing), -1 for none
+    for j, (a, b) in enumerate(corners):
+        d = 2 * (m + j)
+        before[a] = (before[a] or (-1, -1))[0], d
+        before[b] = d + 1, (before[b] or (-1, -1))[1]
+    out = []
+    for rot in G.rotations:
+        r = []
+        for d in rot:
+            ins = before[d]
+            if ins is not None:
+                for x in ins:
+                    if x != -1 and dart_map[x] != -1:
+                        r.append(dart_map[x])
+            if dart_map[d] != -1:
+                r.append(dart_map[d])
+        out.append(r)
+    return out
 
 
 def augment_plus(G):
     """Add, inside every inner face, an edge between each pair of cyclically
     consecutive same-layer occurrences of the face walk (the lower of the
     two layers the walk touches).  The layer sets are unchanged and each
-    layer's induced subgraph becomes outerplane."""
-    return _augment(G, peeling_layering(G).layer)
+    layer's induced subgraph becomes outerplane.  The added edges lie in
+    inner faces, so G's outer faces, one per component, stay outer."""
+    added, corners, _floor = _augmentation(G, peeling_layering(G).layer)
+    edges = G.edges + tuple(added)
+    rot = _plus_rotations(G, corners, range(2 * len(edges)))
+    return embed.EmbeddedGraph(G.n, edges, rot, tuple(G.faces[f][0] for f in G.outer_faces))
+
+
+def _layers_graph(G, layer):
+    """The layers of ``augment_plus(G)`` side by side, built without G plus:
+    one simple graph on G's ids with G plus's same-layer edges, G's first.
+    ``layer`` is G's peeling layering.  Loops are dropped and each endpoint
+    pair keeps its first edge, as ``embed.simplify`` would: every vertex of
+    a layer is on its outer face, so parallel edges bound an empty lens.
+    Rotations are G plus's restricted to the kept darts.
+
+    The outer darts, those that peeling the lower layers off G plus leaves
+    on outer faces, are the kept darts of G whose face in G is outer or
+    holds a vertex below their layer.  G's faces suffice: each face G plus
+    cuts from an inner face keeps its lowest layer (an added edge joins two
+    vertices of it), so no added dart is one.  In a layer-i component they
+    lie on one face, as the faces below i hold none of its edges and meet
+    through lower-layer vertices, so they need no deduplication."""
+    added, corners, floor = _augmentation(G, layer)
+    n, m, face_of = G.n, len(G.edges), G.face_of
+    edges = []
+    outer = []
+    dart_map = [-1] * (2 * (m + len(added)))
+    pairs = set()  # endpoint pairs u < w with an edge, as u * n + w
+    for e, (u, w) in enumerate(itertools.chain(G.edges, added)):
+        i = layer[u]
+        if u != w and layer[w] == i:
+            key = u * n + w if u < w else w * n + u
+            if key not in pairs:
+                pairs.add(key)
+                d = 2 * len(edges)
+                dart_map[2 * e] = d
+                dart_map[2 * e + 1] = d + 1
+                edges.append((u, w))
+                if e < m:
+                    outer += [d + s for s in (0, 1) if floor[face_of[2 * e + s]] < i]
+    del pairs, added  # the build below is the peak
+    return embed.EmbeddedGraph(n, edges, _plus_rotations(G, corners, dart_map), tuple(outer))
 
 
 def colour_plane(G):
     """Facially nonrepetitive colouring of any plane graph with at most 22
     colours: augment, split into peeling layers, colour each layer's
-    outerplane graph with {1..11} on even layers and {12..22} on odd ones."""
+    outerplane graph with {1..11} on even layers and {12..22} on odd ones.
+    One core call colours all layers side by side, as calls per layer
+    would: the core works a component at a time, reading only the order of
+    ids within one, and a shallower tree's word prefixes a deeper one's."""
     layer = peeling_layering(G).layer
-    colours = [None] * G.n
-    for i, (layer_ids, layer_graph) in enumerate(layer_graphs(_augment(G, layer), layer)):
-        # O(layer), and without it a construction bug would surface as the
-        # core's ClassMismatchError, an input error, instead of a bug
-        if not embed.is_outerplane(layer_graph):
-            raise VerificationBugError("peeled layer graph is not outerplane")
-        vals = _colour_outerplane_core(layer_graph)
-        base = 0 if i % 2 == 0 else 11
-        for local, orig in enumerate(layer_ids):
-            colours[orig] = base + vals[local]
+    L = _layers_graph(G, layer)
+    # O(n), and without it a construction bug would surface as the core's
+    # ClassMismatchError, an input error, instead of a bug
+    if not embed.is_outerplane(L):
+        raise VerificationBugError("peeled layer graph is not outerplane")
+    colours = _colour_outerplane_core(L)
+    del L  # before the verifier's allocations
+    for v, i in enumerate(layer):
+        if i % 2:
+            colours[v] += 11
     return _checked(G, colours, 22)

@@ -1,5 +1,6 @@
 """Shared fixtures: hand-built embedded graphs with hand-derived facts."""
 
+import math
 import random
 
 import pytest
@@ -135,6 +136,59 @@ def disjoint_union(*graphs):
         rot.extend([d + d0 for d in r] for r in G.rotations)
         outer.extend(d + d0 for d in G.canonical_outer_darts())
     return embed.EmbeddedGraph(len(rot), edges, rot, tuple(outer))
+
+
+def k2k(k):
+    """K_{2,k}: outer vertices 0 and 1 both joined to the inner vertices
+    2..k+1, drawn left to right between them.  The outer face is
+    0, 2, 1, k+1; the other k - 1 faces are 4-cycles through 0 and 1, so
+    the augmentation joins 0 and 1 twice in each of them."""
+    edges = []
+    for j in range(k):
+        edges += [(0, 2 + j), (2 + j, 1)]
+    rot = [[4 * j for j in range(k)], [4 * j + 3 for j in reversed(range(k))]]
+    rot += [[4 * j + 1, 4 * j + 2] for j in range(k)]
+    return embed.build(k + 2, edges, rot, 0)
+
+
+def straight_line(points, edges):
+    """Plane graph drawn with straight edges between ``points``: each
+    rotation lists its darts counterclockwise, and the outer face is the
+    face of largest area (the drawing needs two inner faces or more)."""
+    rot = [[] for _ in points]
+    for e, (u, v) in enumerate(edges):
+        rot[u].append(2 * e)
+        rot[v].append(2 * e + 1)
+
+    def head(d):
+        return points[edges[d >> 1][1 - (d & 1)]]
+
+    for v, r in enumerate(rot):
+        x, y = points[v]
+        r.sort(key=lambda d: math.atan2(head(d)[1] - y, head(d)[0] - x))
+    G = embed.EmbeddedGraph(len(points), edges, rot)
+
+    def area(walk):
+        ps = [points[G.origin[d]] for d in walk]
+        return abs(sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(ps, ps[1:] + ps[:1])))
+
+    outer = max(G.faces, key=area)
+    return embed.build(len(points), edges, rot, outer[0])
+
+
+def hexagon_with_inner_star():
+    """Hexagon 0..5 with vertex 6 + k/2 drawn inside the chord (k, k + 2)
+    for k = 0, 2, 4 and joined to both its ends.  The middle face is
+    0, 6, 2, 7, 4, 8: its layer-0 corners at 0, 2 and 4 each get both an
+    incoming and an outgoing augmentation edge, and all three added edges
+    are chords of the hexagon, so the layer keeps them."""
+    points = [(10 * math.cos(k * math.pi / 3), 10 * math.sin(k * math.pi / 3)) for k in range(6)]
+    for k in (0, 2, 4):
+        (x0, y0), (x1, y1) = points[k], points[k + 2 if k < 4 else 0]
+        points.append(((x0 + x1) / 4, (y0 + y1) / 4))
+    edges = [(6, 0), (6, 2), (7, 2), (7, 4), (8, 4), (8, 0)]  # the middle face first
+    edges += [(k, (k + 1) % 6) for k in range(6)]
+    return straight_line(points, edges)
 
 
 def single_vertex():

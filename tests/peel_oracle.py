@@ -1,7 +1,7 @@
 """Reference oracle for the peeling layering: the round-by-round peel that
 removes the outer-face vertices of every component and rebuilds the
 remaining graph, once per layer.  It costs Θ(n · layers); the tests diff
-``colour.peeling_layering`` and ``colour.layer_graphs`` against it."""
+``colour.peeling_layering`` and ``support.layer_graphs`` against it."""
 
 from thueplane import embed
 

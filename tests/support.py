@@ -1,5 +1,6 @@
 """Helpers only the tests use: embedding surgery and the weak dual, the
-alternating-block decomposition of the outerplane proof, levelling
+per-layer graphs of an augmented plane graph, the alternating-block
+decomposition of the outerplane proof, levelling
 predicates, the brute-force facial-path oracle, and blocking-graph
 predicates and parsing."""
 
@@ -186,6 +187,66 @@ def add_edge_in_face(G, u, w, f, u_pos=None, w_pos=None):
 
 
 # -- colour --------------------------------------------------------------------
+
+
+def layer_graphs(G, layer):
+    """Per layer i of ``layer`` (a peeling layering of G), the sorted vertex
+    ids of layer i and the simple embedded graph they induce, built in one
+    sweep over G's edges.
+
+    The sweep drops same-layer loops and keeps the first (lowest-id) edge of
+    each endpoint pair, the edge ``embed.simplify`` keeps, so each layer is
+    exactly ``simplify`` of the multigraph the layer induces.  Collapsing is
+    safe because every vertex of a layer lies on the layer's outer face: two
+    parallel edges of a layer bound a lens with no layer vertex inside, so
+    they carry the same facial paths, and a loop carries none.
+
+    Each rotation is G's restricted to the kept edges.  A dart of a kept
+    layer-i edge is a candidate outer dart when its face in G is an outer
+    face (i = 0) or holds a vertex of a lower layer; each component keeps its
+    smallest candidate.  These are the darts that peeling layers 0..i-1 off
+    G leaves on the outer faces of what remains."""
+    k = max(layer) + 1 if layer else 0
+    ids = [[] for _ in range(k)]
+    local = [0] * G.n
+    for v, i in enumerate(layer):
+        local[v] = len(ids[i])
+        ids[i].append(v)
+
+    edges = [[] for _ in range(k)]
+    dart_map = [-1] * G.num_darts
+    n = G.n
+    pairs = set()  # endpoint pairs u < w with an edge, as u * n + w
+    for e, (u, w) in enumerate(G.edges):
+        i = layer[u]
+        if layer[w] == i and u != w:
+            key = u * n + w if u < w else w * n + u
+            if key in pairs:
+                continue
+            pairs.add(key)
+            j = len(edges[i])
+            edges[i].append((local[u], local[w]))
+            dart_map[2 * e] = 2 * j
+            dart_map[2 * e + 1] = 2 * j + 1
+
+    origin, face_of = G.origin, G.face_of
+    face_min = [min(layer[origin[d]] for d in walk) for walk in G.faces]
+    outer = [[] for _ in range(k)]
+    for d, nd in enumerate(dart_map):
+        if nd == -1:
+            continue
+        i = layer[origin[d]]
+        f = face_of[d]
+        if face_min[f] < i or (i == 0 and f in G.outer_faces):
+            outer[i].append(nd)
+
+    out = []
+    for i in range(k):
+        rot = [[dart_map[d] for d in G.rotations[v] if dart_map[d] != -1] for v in ids[i]]
+        outer_i = embed._dedup_outer(edges[i], rot, outer[i])
+        out.append((tuple(ids[i]), embed.EmbeddedGraph(len(ids[i]), edges[i], rot, outer_i)))
+    return out
+
 
 
 def interleave_check_decomposition(P, B):

@@ -2,11 +2,14 @@
 printed pass/fail line per criterion.  Run with ``pytest -s`` to see the
 lines as they complete."""
 
+import gc
+import statistics
 import time
 
 from thueplane import bench, blocking, colour, embed, gen, verify, words
 
 import support
+from conftest import k2k
 
 
 def _corpus(kind, count, max_n, min_n=1, seed0=0):
@@ -234,4 +237,44 @@ def test_criterion_11_flower_scaling():
         f"colour_outerplane on gen flowers up to {k} blocks (>= 1e4): fitted exponent {exp:.3f} "
         f"(<= 1.3), the largest in {report['rows'][-1]['colour_verify_seconds']:.2f}s; "
         f"10^4 triangles sharing one vertex in {best:.2f}s (<= 1s); {dt:.1f}s (< 60s)",
+    )
+
+
+def test_criterion_12_k2k_scaling():
+    # K_{2,k} puts about k augmentation corners on each of its two outer
+    # vertices: the family on which inserting each corner's darts by a
+    # search of the rotation is quadratic in k.  Each round times the three
+    # sizes back to back and fits its own exponent, and the criterion reads
+    # the median of five rounds: a slow stretch of a shared machine moves
+    # one round, where it would move a best-of time of one size.  The
+    # graphs are frozen out of the collector, so that the larger ones do not
+    # slow the collections inside the smaller calls.
+    t0 = time.time()
+    sizes = [12000, 24000, 48000]
+    graphs = [k2k(k) for k in sizes]
+    fits = {colour.colour_plane: [], colour.augment_plus: []}
+    smallest = float("inf")
+    gc.collect()
+    gc.freeze()
+    try:
+        for _ in range(5):
+            for fn, exps in fits.items():
+                points = []
+                for k, G in zip(sizes, graphs):
+                    gc.collect()
+                    t = time.perf_counter()
+                    fn(G)
+                    points.append((k, time.perf_counter() - t))
+                smallest = min(smallest, points[0][1])
+                exps.append(bench._fit_exponent(points))
+    finally:
+        gc.unfreeze()
+    medians = {fn.__name__: statistics.median(exps) for fn, exps in fits.items()}
+    dt = time.time() - t0
+    _report(
+        12,
+        all(exp <= 1.3 for exp in medians.values()) and dt < 60,
+        f"on K_{{2,k}}, k = {sizes[0]:,}..{sizes[-1]:,}: median fitted exponents of 5 rounds "
+        + ", ".join(f"{name} {exp:.3f}" for name, exp in medians.items())
+        + f" (<= 1.3), smallest point {smallest:.2f}s, {dt:.1f}s (< 60s)",
     )

@@ -29,7 +29,7 @@ from conftest import (
     two_triangles_shared_vertex,
     wheel,
 )
-from support import blocking_graph_from_json, is_bridgeless_cactus
+from support import blocking_graph_from_json, is_bridgeless_cactus, layer_graphs
 from test_peeling import plane_corpus
 
 
@@ -427,7 +427,7 @@ def test_pipeline_blocking_graph_is_the_simplified_blocking_graph():
     ]
     for G in plane_corpus():
         layer = colour.peeling_layering(G).layer
-        graphs += [lg for _ids, lg in colour.layer_graphs(colour._augment(G, layer), layer)]
+        graphs += [lg for _ids, lg in layer_graphs(colour.augment_plus(G), layer)]
     multi = 0
     for G in graphs:
         B = blocking._even_blocking_over_blocks(G)

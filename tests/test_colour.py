@@ -14,8 +14,16 @@ from thueplane.colour import (
 from thueplane.embed import ClassMismatchError
 from thueplane.gen import _Builder
 
-from conftest import decorate_multigraph, fan5, nested_triangles, path_graph, polygon, wheel
-from support import interleave_check_decomposition
+from conftest import (
+    decorate_multigraph,
+    disjoint_union,
+    fan5,
+    nested_triangles,
+    path_graph,
+    polygon,
+    wheel,
+)
+from support import interleave_check_decomposition, layer_graphs
 
 
 def flower_cactus(petals=5):
@@ -27,6 +35,10 @@ def flower_cactus(petals=5):
     for _ in range(petals):
         b.add_polygon_block(0, 4, [])
     return b.finish_outerplane()
+
+
+def _component_faces(G, cid):
+    return [f for f in G.inner_faces() if G.comp_of[G.origin[G.faces[f][0]]] == cid]
 
 
 # -- even cacti ---------------------------------------------------------------
@@ -55,7 +67,8 @@ def test_flower_patch_engages():
     G = flower_cactus(5)
     Gs, _ = embed.simplify(G)
     colours = [None] * Gs.n
-    H, lam = colour._colour_cactus_component(Gs, Gs.components[0], 0, colours)
+    faces = _component_faces(Gs, 0)
+    H, lam = colour._colour_cactus_component(Gs, Gs.components[0], 0, faces, colours)
     assert len(H) == 6  # five deepest vertices plus the patched neighbour
     c = colour_cactus_even(G)
     assert c.distinct_colours() <= 7
@@ -65,7 +78,8 @@ def test_flower_patch_nine():
     G = flower_cactus(9)
     Gs, _ = embed.simplify(G)
     colours = [None] * Gs.n
-    H, _ = colour._colour_cactus_component(Gs, Gs.components[0], 0, colours)
+    faces = _component_faces(Gs, 0)
+    H, _ = colour._colour_cactus_component(Gs, Gs.components[0], 0, faces, colours)
     assert len(H) == 11
     assert colour_cactus_even(G).distinct_colours() <= 7
 
@@ -95,7 +109,8 @@ def test_monotone_level_runs_outside_deepest_set():
         Gs, _ = embed.simplify(G)
         for cid, comp in enumerate(Gs.components):
             colours = [None] * Gs.n
-            H, lam = colour._colour_cactus_component(Gs, comp, cid, colours)
+            faces = _component_faces(Gs, cid)
+            H, lam = colour._colour_cactus_component(Gs, comp, cid, faces, colours)
             if not lam:
                 continue
             f = Gs.outer_face_of_component(cid)
@@ -257,7 +272,7 @@ def test_augment_layer_subgraphs_outerplane():
         n = 4 + (seed * 13) % 80
         G = gen.generate(gen.GenSpec("plane", n, seed))
         Gp = augment_plus(G)
-        for _ids, layer_graph in colour.layer_graphs(Gp, peeling_layering(Gp).layer):
+        for _ids, layer_graph in layer_graphs(Gp, peeling_layering(Gp).layer):
             assert embed.is_outerplane(layer_graph)
 
 
@@ -292,7 +307,7 @@ def test_plane_layer_discipline():
         G = gen.generate(gen.GenSpec("plane", n, seed))
         Gp = augment_plus(G)
         layer = peeling_layering(G).layer
-        rounds = colour.layer_graphs(Gp, layer)
+        rounds = layer_graphs(Gp, layer)
         layer_paths = []
         for lmap, lg in rounds:
             paths = {p.vertices for p in verify.facial_paths(lg)}
@@ -439,3 +454,33 @@ def test_plane_builds_at_most_two_graphs_per_layer(monkeypatch, spec):
     built = _count_builds(monkeypatch)
     colour_plane(G)
     assert len(built) <= 1 + 2 * layers
+
+
+@pytest.mark.parametrize("spec", [
+    gen.GenSpec("nested", 2000, 0),
+    gen.GenSpec("nested", 300, 4),
+    gen.GenSpec("plane", 300, 1),
+], ids=["nested-2000", "nested-300", "plane-300"])
+def test_plane_builds_at_most_two_graphs(monkeypatch, spec):
+    # every layer is coloured in one core call on the layers graph, built
+    # straight from G: it and its blocking graph are the only graphs built
+    G = gen.generate(spec)
+    built = _count_builds(monkeypatch)
+    colour_plane(G)
+    assert len(built) <= 2
+
+
+def test_cactus_core_scans_the_faces_once(monkeypatch):
+    # the faces are grouped by component in one scan, not filtered once
+    # per component
+    G = disjoint_union(*(gen.generate(gen.GenSpec("cactus_even", 20, seed)) for seed in range(30)))
+    real = embed.EmbeddedGraph.inner_faces
+    scans = []
+
+    def counting(self):
+        scans.append(self)
+        return real(self)
+
+    monkeypatch.setattr(embed.EmbeddedGraph, "inner_faces", counting)
+    colour._colour_cactus_core(G)
+    assert len(G.components) == 30 and scans == [G]

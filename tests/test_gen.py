@@ -99,7 +99,9 @@ def test_enumerate_guard():
 
 
 def test_nested_rings_are_peeling_layers():
-    from thueplane.colour import layer_graphs, peeling_layering
+    from thueplane.colour import peeling_layering
+
+    from support import layer_graphs
 
     for n, seed in [(3, 0), (11, 5), (40, 1), (97, 2), (300, 3)]:
         G = generate(GenSpec("nested", n, seed))

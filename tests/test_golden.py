@@ -9,7 +9,8 @@ import random
 from thueplane import blocking, colour, embed, gen
 from thueplane.embed import ClassMismatchError
 
-from conftest import decorate_multigraph
+from conftest import decorate_multigraph, hexagon_with_inner_star
+from support import layer_graphs
 
 PIPELINES = (
     colour.colour_outerplane,
@@ -79,16 +80,18 @@ def _passes_boundary(g):
 def test_internal_builders_pass_the_boundary_check():
     # EmbeddedGraph trusts its arguments; this is the check it no longer runs
     corpus = golden_corpus() + [gen.generate(gen.GenSpec("cycle", n, 0)) for n in (3, 8, 21)]
+    corpus.append(hexagon_with_inner_star())  # corners that keep two added edges
     for G in corpus:
         _passes_boundary(G)
         rnd = random.Random(G.n)
         S = [v for v in range(G.n) if rnd.random() < 0.6]
         _passes_boundary(embed.induced_embedded_subgraph(G, S)[0])
         layer = colour.peeling_layering(G).layer
-        H = colour._augment(G, layer)
+        H = colour.augment_plus(G)
         _passes_boundary(H)
-        for _ids, layer_graph in colour.layer_graphs(H, layer):
+        for _ids, layer_graph in layer_graphs(H, layer):
             _passes_boundary(layer_graph)
+        _passes_boundary(colour._layers_graph(G, layer))
         if not embed.is_outerplane(G):
             continue
         Gs = embed.simplify(G)[0]

@@ -8,12 +8,15 @@ from thueplane import colour, embed, gen, verify
 from conftest import (
     decorate_multigraph,
     disjoint_union,
+    hexagon_with_inner_star,
+    k2k,
     nested_triangles,
     polygon,
     single_vertex,
     wheel,
 )
 from peel_oracle import peel
+from support import layer_graphs
 
 
 def plane_corpus():
@@ -64,7 +67,7 @@ def test_layering_and_layer_graphs_match_the_peel_oracle():
                 for v in ids:
                     want[v] = i
             assert layer == tuple(want)
-            got = colour.layer_graphs(H, layer)
+            got = layer_graphs(H, layer)
             assert len(got) == len(rounds)
             for (ids, lg), (want_ids, want_lg, want_map) in zip(got, rounds):
                 assert list(ids) == want_ids == want_map
@@ -76,9 +79,30 @@ def test_augmentation_keeps_the_layering_and_layer_colourings_verify():
     # the lemmas colour_plane relies on instead of re-checking at run time
     for G in plane_corpus():
         layer = colour.peeling_layering(G).layer
-        Gp = colour._augment(G, layer)
+        Gp = colour.augment_plus(G)
         assert colour.peeling_layering(Gp).layer == layer
-        for _ids, lg in colour.layer_graphs(Gp, layer):
+        for _ids, lg in layer_graphs(Gp, layer):
             assert embed.is_outerplane(lg)
             vals = colour._colour_outerplane_core(lg)
             assert verify.verify_facial_nonrepetitive(lg, vals) is None
+
+
+def test_layers_graph_is_the_layer_graphs_of_g_plus():
+    # colour_plane colours one layers graph built straight from G; split per
+    # layer it must be the layer graphs of G+, key for key
+    corpus = plane_corpus()
+    graphs = corpus + [rerooted(G) for G in corpus if G.inner_faces()]
+    graphs += [
+        decorate_multigraph(G, seed=i, parallels=3, loops=2) for i, G in enumerate(corpus[::7])
+    ]
+    graphs += [k2k(k) for k in (1, 2, 3, 4, 9, 40)] + [hexagon_with_inner_star()]
+    for G in graphs:
+        layer = colour.peeling_layering(G).layer
+        L = colour._layers_graph(G, layer)
+        want = layer_graphs(colour.augment_plus(G), layer)
+        edge_ids = [[] for _ in want]
+        for e, (u, _w) in enumerate(L.edges):
+            edge_ids[layer[u]].append(e)
+        for (ids, lg), es in zip(want, edge_ids):
+            sub, _local = embed._restrict(L, ids, es)
+            assert _graph_key(sub) == _graph_key(lg)

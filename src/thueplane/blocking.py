@@ -14,9 +14,9 @@ All constructors require simple inputs; multigraphs are normalized with
 
 The constructions run on block views (``_block_view``): a 2-connected
 component read in place in its host, in host vertex, edge and face ids, so
-no block is copied out of its host.  Each public constructor checks its
-input class, then views its own graph and calls the same unchecked core
-that ``blocking_set_even`` runs on every block of its input.
+no block is copied out of its host; size control drops an ear from the
+view.  Each public constructor checks its input class, then views its own
+graph and calls the unchecked core a pipeline calls on its blocks.
 """
 
 from __future__ import annotations
@@ -479,25 +479,36 @@ def blocking_set_good_size(G):
     """Blocking set of a biconnected outerplane graph whose size avoids the
     exceptional cycle lengths (so its blocking cycle is 3-colourable)."""
     _require_biconnected_outerplane(G)
-    if len(G.inner_faces()) == 1:
-        W = embed.outer_walk(G, G.comp_of[0])
-        return frozenset({W[0], W[1]})
+    return _good_size(_block_view(G, range(len(G.edges))))
 
-    ear_list = embed.ears(G)
-    f, chord = ear_list[0]
-    p, q = G.edges[chord]
-    b_in, a_out = (p, q) if p < q else (q, p)
-    interior = [x for x in G.face_vertices(f) if x != p and x != q]
-    keep = sorted(set(range(G.n)) - set(interior))
-    sub, vmap = embed.induced_embedded_subgraph(G, keep)
-    back = {vmap[x]: x for x in keep}
-    B_local = blocking_set_even_biconnected_edge(sub, vmap[a_out], vmap[b_in])
-    B = {back[x] for x in B_local}
+
+def _good_size(view):
+    """``blocking_set_good_size`` on a block view.  A polygon takes the ends
+    of its lowest-id edge, the first two vertices of its outer walk (that
+    walk holds one dart of every edge and starts at its lowest).  Otherwise the smallest-id ear f is dropped from
+    the view, so that its chord becomes an outer edge, and the rest gets an
+    even set with the chord's smaller end b in and its larger end a out.
+    Sizes 10 and 14 then also take b's other neighbour on f."""
+    cycles, dual, edges = view.cycles, view.dual, view.edges
+    if len(cycles) == 1:
+        (f,) = cycles
+        return frozenset(edges[min(view.faces[f]) // 2])
+
+    f = min(g for g in cycles if len(dual[g]) == 1)
+    ((chord, g),) = dual[f]
+    a, b = sorted(edges[chord], reverse=True)
+    interior = set(cycles[f]) - {a, b}
+    outer_nb = {x: nb for x, nb in view.outer_nb.items() if x not in interior}
+    outer_nb[a] = [b if x in interior else x for x in outer_nb[a]]
+    outer_nb[b] = [a if x in interior else x for x in outer_nb[b]]
+    rest_dual = {h: nbs for h, nbs in dual.items() if h != f}
+    rest_dual[g] = [(e, h) for e, h in dual[g] if h != f]
+    rest_cycles = {h: cyc for h, cyc in cycles.items() if h != f}
+    rest = view._replace(cycles=rest_cycles, dual=rest_dual, outer_nb=outer_nb)
+    B = set(_even_one_per_face_edge(rest, a, b, chord, g))
     if len(B) in (10, 14):
-        cyc = G.face_vertices(f)
-        nb1, nb2 = _face_neighbours_of(cyc, b_in)
-        y = nb1 if nb1 != a_out else nb2
-        B.add(y)
+        nb1, nb2 = _face_neighbours_of(cycles[f], b)
+        B.add(nb1 if nb1 != a else nb2)
     if len(B) in EXCEPTIONAL_CYCLE_LENGTHS:
         raise BlockingConstructionError("good-size construction hit an exceptional size")
     return frozenset(B)

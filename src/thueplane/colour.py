@@ -7,9 +7,9 @@ graphs at most 22 via the peeling layering (11 per layer parity).
 
 Every public pipeline has one shape: check the input class, run an
 unchecked core, and certify the result once with the independent verifier
-(``_checked``).  Cores call cores, never a public pipeline, so no
-intermediate colouring is verified again.  A verification failure signals a
-bug, never a valid outcome.
+and the palette bound (``_checked``).  Cores call cores, never a public
+pipeline, so no intermediate colouring is verified again.  A verification
+failure signals a bug, never a valid outcome.
 """
 
 from __future__ import annotations
@@ -96,6 +96,10 @@ def _checked(G, colours, palette_max):
         raise VerificationBugError(
             f"pipeline colouring failed verification on face {bad.face}: {bad.vertices}"
         )
+    # a cycle word that needed a fourth symbol verifies, but breaks the bound
+    top = max(colours, default=0)
+    if top > palette_max:
+        raise VerificationBugError(f"pipeline colouring uses colour {top} above {palette_max}")
     return Colouring(tuple(colours), palette_max)
 
 
@@ -133,16 +137,13 @@ def _distinct_segment_edges(W, members):
 
 
 def _colour_cactus_component(G, comp, cid, comp_faces, colours):
-    """Colour one cactus component, with inner faces ``comp_faces``; returns
-    the deepest-vertex set and levelling so tests can probe the construction."""
+    """Colour one cactus component with at least one inner face, its inner
+    faces ``comp_faces``; returns the deepest-vertex set and levelling so
+    tests can probe the construction."""
     local = {x: i for i, x in enumerate(comp)}
     degs = {x: G.degree(x) for x in comp}
-    n_edges = sum(degs.values()) // 2
 
-    if n_edges == len(comp) - 1:
-        _colour_forest(G, comp, colours)
-        return set(), {}
-    if all(d == 2 for d in degs.values()) and n_edges == len(comp):
+    if all(d == 2 for d in degs.values()):
         _colour_cycle_component(G, comp, cid, colours)
         return set(), {}
 
@@ -261,8 +262,13 @@ def _colour_cactus_core(Gs):
     faces = [[] for _ in Gs.components]  # inner faces per component, one scan
     for f in Gs.inner_faces():
         faces[Gs.comp_of[Gs.origin[Gs.faces[f][0]]]].append(f)
+    trees = []  # the components without an inner face, coloured in one pass
     for cid, comp in enumerate(Gs.components):
-        _colour_cactus_component(Gs, comp, cid, faces[cid], colours)
+        if faces[cid]:
+            _colour_cactus_component(Gs, comp, cid, faces[cid], colours)
+        else:
+            trees += comp
+    _colour_forest(Gs, trees, colours)
     return colours
 
 
@@ -315,14 +321,12 @@ def _colour_forest(G, rest, colours):
             colours[x] = 1 + word[k]
 
 
-def _colour_outerplane_core(G):
-    """Colour values over {1..11} for a (multigraph) outerplane input;
-    verification is the caller's job."""
-    Gs, _ = embed.simplify(G)
+def _colour_outerplane_core(Gs, B):
+    """Colour values over {1..11} for a simple outerplane graph and a
+    blocking set B of it: B's blocking graph is cactus-coloured over
+    {5..11} and the forest Gs - B over {1..4}; verification is the caller's
+    job."""
     colours = [None] * Gs.n
-    # Gs is simple and outerplane, so the unchecked core of
-    # blocking_set_even applies
-    B = blocking._even_blocking_over_blocks(Gs)
     if B:
         bg = blocking._blocking_graph(Gs, B, simple=True)
         sub = _colour_cactus_core(bg.graph)
@@ -338,44 +342,23 @@ def colour_outerplane(G):
     over {5..11} and the remaining forest over {1..4}."""
     if not embed.is_outerplane(G):
         raise ClassMismatchError("input is not outerplane")
-    return _checked(G, _colour_outerplane_core(G), 11)
+    Gs, _ = embed.simplify(G)
+    return _checked(G, _colour_outerplane_core(Gs, blocking._even_blocking_over_blocks(Gs)), 11)
 
 
 def colour_outerplane_single_block(G):
     """At most 7 colours for an outerplane graph with at most one
     2-connected component: a blocking set of non-exceptional size makes the
-    blocking cycle 3-colourable over {5,6,7}; trees take {1,2,3,4}."""
+    blocking graph one cycle, 3-coloured over {5,6,7}, or one edge; trees
+    take {1,2,3,4}."""
     if not embed.is_outerplane(G):
         raise ClassMismatchError("input is not outerplane")
     Gs, _ = embed.simplify(G)
-    blocks = embed.biconnected_components(Gs)
+    blocks = [es for vs, es in embed._blocks_and_bridges(Gs)[0] if len(vs) >= 3]
     if len(blocks) > 1:
         raise ClassMismatchError("graph has more than one 2-connected component")
-
-    colours = [None] * Gs.n
-    if blocks:
-        vs = blocks[0]
-        sub, vmap = embed.induced_embedded_subgraph(Gs, vs)
-        back = {vmap[x]: x for x in vs}
-        B = frozenset(back[x] for x in blocking.blocking_set_good_size(sub))
-        bg = blocking._blocking_graph(Gs, B, simple=True)
-        core = bg.graph
-        if len(core.edges) == 1:
-            u, w = core.edges[0]
-            local_cols = {u: 5, w: 6}
-        else:
-            W = embed.outer_walk(core, 0)
-            word = cycle_colouring(len(W))
-            if len(set(word)) > 3:
-                raise VerificationBugError("blocking cycle required four symbols")
-            local_cols = {x: word[i] + 5 for i, x in enumerate(W)}
-        for i, host in enumerate(bg.host_vertex):
-            colours[host] = local_cols[i]
-        rest = [x for x in range(Gs.n) if x not in B]
-    else:
-        rest = list(range(Gs.n))
-    _colour_forest(Gs, rest, colours)
-    return _checked(G, colours, 7)
+    B = blocking._good_size(blocking._block_view(Gs, blocks[0])) if blocks else frozenset()
+    return _checked(G, _colour_outerplane_core(Gs, B), 7)
 
 
 # -- plane graphs -------------------------------------------------------------
@@ -523,11 +506,12 @@ def colour_plane(G):
     ids within one, and a shallower tree's word prefixes a deeper one's."""
     layer = peeling_layering(G).layer
     L = _layers_graph(G, layer)
-    # O(n), and without it a construction bug would surface as the core's
-    # ClassMismatchError, an input error, instead of a bug
+    # O(n): the blocking cores trust that their input is outerplane, so
+    # without it a construction bug would surface as a lookup error deep in
+    # a core, or as a colouring the verifier rejects far from its cause
     if not embed.is_outerplane(L):
         raise VerificationBugError("peeled layer graph is not outerplane")
-    colours = _colour_outerplane_core(L)
+    colours = _colour_outerplane_core(L, blocking._even_blocking_over_blocks(L))
     del L  # before the verifier's allocations
     for v, i in enumerate(layer):
         if i % 2:

@@ -356,21 +356,6 @@ def _require_simple_outerplane(G):
         seen.add(key)
 
 
-def ears(G):
-    """Inner faces incident to exactly one chord, with that chord."""
-    _require_simple_outerplane(G)
-    per_face = {}
-    for e in chords(G):
-        for d in (2 * e, 2 * e + 1):
-            per_face.setdefault(G.face_of[d], []).append(e)
-    out = []
-    for f in G.inner_faces():
-        cs = per_face.get(f, [])
-        if len(cs) == 1:
-            out.append((f, cs[0]))
-    return sorted(out)
-
-
 # -- connectivity ------------------------------------------------------------
 
 
@@ -518,21 +503,6 @@ def _restrict(G, verts, edge_ids):
     del dart  # the build below is the peak; for simplify the map spans the host
     sub = EmbeddedGraph(len(keep), new_edges, new_rot, _dedup_outer(new_edges, new_rot, outer))
     return sub, local
-
-
-def induced_embedded_subgraph(G, S):
-    """Embedded subgraph induced by vertex set S (see ``_restrict``): the
-    outer face of each surviving component is the face holding its
-    formerly-outer darts; components with none keep the default designation
-    (for a forest component that face is unique).  Returns the subgraph and
-    a host -> local vertex map, -1 off S."""
-    keep = set(S)
-    edge_ids = [e for e, (a, b) in enumerate(G.edges) if a in keep and b in keep]
-    sub, local = _restrict(G, keep, edge_ids)
-    vmap = [-1] * G.n
-    for x, i in local.items():
-        vmap[x] = i
-    return sub, tuple(vmap)
 
 
 def simplify(G):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from thueplane import embed
+from thueplane import embed, gen
 from thueplane.gen import _Builder
 
 
@@ -115,6 +115,16 @@ def decorate_multigraph(G, seed=0, parallels=2, loops=1):
 
     outer = [G.faces[f][0] for f in G.outer_faces]
     return embed.EmbeddedGraph(G.n, edges, rot, embed._dedup_outer(edges, rot, outer))
+
+
+def single_block_with_trees(count):
+    """Seeded outerplane graphs with one 2-connected component and trees
+    hanging off it, from the first ``count`` seeds."""
+    for seed in range(count):
+        G = gen.generate(gen.GenSpec("outerplane", 8 + seed % 50, seed, attachment_probability=0.8))
+        blocks = embed.biconnected_components(G)
+        if len(blocks) == 1 and len(blocks[0]) < G.n:
+            yield G
 
 
 def nested_triangles():

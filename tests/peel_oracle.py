@@ -5,6 +5,8 @@ remaining graph, once per layer.  It costs Θ(n · layers); the tests diff
 
 from thueplane import embed
 
+from support import induced_embedded_subgraph
+
 
 def _induced(G, S):
     keep = sorted(set(S))
@@ -46,7 +48,7 @@ def peel(G):
                 vi.update(cur.components[cid])
             else:
                 vi.update(cur.face_vertices(f))
-        layer_graph, lmap = embed.induced_embedded_subgraph(cur, sorted(vi))
+        layer_graph, lmap = induced_embedded_subgraph(cur, sorted(vi))
         layer_ids = [cur_ids[x] for x in range(cur.n) if lmap[x] != -1]
         rounds.append((sorted(cur_ids[x] for x in vi), layer_graph, layer_ids))
 

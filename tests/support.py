@@ -1,27 +1,64 @@
-"""Helpers only the tests use: embedding surgery and the weak dual, the
-per-layer graphs of an augmented plane graph, the alternating-block
-decomposition of the outerplane proof, levelling
-predicates, the brute-force facial-path oracle, and blocking-graph
+"""Helpers only the tests use: embedding surgery (induced subgraphs, ears,
+edge contraction, in-face edge insertion) and the weak dual, the per-layer
+graphs of an augmented plane graph, the alternating-block decomposition of
+the outerplane proof, levelling predicates, the brute-force facial-path
+oracle, the good-size blocking set built on copies, and blocking-graph
 predicates and parsing."""
 
 from dataclasses import dataclass
 
 from thueplane import embed
-from thueplane.blocking import BlockingGraph
+from thueplane.blocking import (
+    BlockingConstructionError,
+    BlockingGraph,
+    _face_neighbours_of,
+    _require_biconnected_outerplane,
+    blocking_set_even_biconnected_edge,
+)
 from thueplane.embed import (
     EmbeddedGraph,
     EmbeddingError,
     _dedup_outer,
     _require_simple_outerplane,
+    _restrict,
     biconnected_components,
     chords,
-    induced_embedded_subgraph,
 )
 from thueplane.verify import _canonical
-from thueplane.words import _adjacency
+from thueplane.words import EXCEPTIONAL_CYCLE_LENGTHS, _adjacency
 
 
 # -- embed ---------------------------------------------------------------------
+
+
+def induced_embedded_subgraph(G, S):
+    """Embedded subgraph induced by vertex set S (see ``embed._restrict``):
+    the outer face of each surviving component is the face holding its
+    formerly-outer darts; components with none keep the default designation
+    (for a forest component that face is unique).  Returns the subgraph and
+    a host -> local vertex map, -1 off S."""
+    keep = set(S)
+    edge_ids = [e for e, (a, b) in enumerate(G.edges) if a in keep and b in keep]
+    sub, local = _restrict(G, keep, edge_ids)
+    vmap = [-1] * G.n
+    for x, i in local.items():
+        vmap[x] = i
+    return sub, tuple(vmap)
+
+
+def ears(G):
+    """Inner faces incident to exactly one chord, with that chord."""
+    _require_simple_outerplane(G)
+    per_face = {}
+    for e in chords(G):
+        for d in (2 * e, 2 * e + 1):
+            per_face.setdefault(G.face_of[d], []).append(e)
+    out = []
+    for f in G.inner_faces():
+        cs = per_face.get(f, [])
+        if len(cs) == 1:
+            out.append((f, cs[0]))
+    return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -340,6 +377,33 @@ def is_bridgeless_cactus(G):
         if G.face_of[d0] == G.face_of[d1]:
             return False  # bridge
     return True
+
+
+def good_size_by_copies(G):
+    """Reference for ``blocking_set_good_size``: the construction on copies
+    of G.  A polygon takes the first two vertices of its outer walk.
+    Otherwise the smallest ear is cut off by copying G without the ear's
+    interior, the public edge variant runs on the copy with the chord's
+    smaller end in and its larger end out, and sizes 10 and 14 take the
+    smaller end's other neighbour on the ear."""
+    _require_biconnected_outerplane(G)
+    if len(G.inner_faces()) == 1:
+        W = embed.outer_walk(G, G.comp_of[0])
+        return frozenset({W[0], W[1]})
+    f, chord = ears(G)[0]
+    p, q = G.edges[chord]
+    b_in, a_out = (p, q) if p < q else (q, p)
+    interior = [x for x in G.face_vertices(f) if x != p and x != q]
+    keep = sorted(set(range(G.n)) - set(interior))
+    sub, vmap = induced_embedded_subgraph(G, keep)
+    back = {vmap[x]: x for x in keep}
+    B = {back[x] for x in blocking_set_even_biconnected_edge(sub, vmap[a_out], vmap[b_in])}
+    if len(B) in (10, 14):
+        nb1, nb2 = _face_neighbours_of(G.face_vertices(f), b_in)
+        B.add(nb1 if nb1 != a_out else nb2)
+    if len(B) in EXCEPTIONAL_CYCLE_LENGTHS:
+        raise BlockingConstructionError("good-size construction hit an exceptional size")
+    return frozenset(B)
 
 
 def blocking_graph_from_json(doc):

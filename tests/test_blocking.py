@@ -24,12 +24,19 @@ from conftest import (
     path_graph,
     polygon,
     showcase_graph,
+    single_block_with_trees,
     single_vertex,
     two_triangles_bridge,
     two_triangles_shared_vertex,
     wheel,
 )
-from support import blocking_graph_from_json, is_bridgeless_cactus, layer_graphs
+from support import (
+    blocking_graph_from_json,
+    good_size_by_copies,
+    induced_embedded_subgraph,
+    is_bridgeless_cactus,
+    layer_graphs,
+)
 from test_peeling import plane_corpus
 
 
@@ -141,7 +148,7 @@ def test_walk_criterion_agrees_with_block_decomposition():
     rnd = random.Random(5)
     for G in list(graphs):
         S = [v for v in range(G.n) if rnd.random() < 0.8]
-        graphs.append(embed.induced_embedded_subgraph(G, S)[0])
+        graphs.append(induced_embedded_subgraph(G, S)[0])
         graphs += [embed._restrict(G, vs, es)[0] for vs, es in embed._blocks_and_bridges(G)[0]]
     biconnected = 0
     for G in graphs:
@@ -385,6 +392,23 @@ def test_good_size_patch_fires_somewhere():
             assert validate_blocking_set(G, B)[0]
             break
     assert seen_odd
+
+
+def test_good_size_on_views_matches_the_construction_on_copies():
+    sizes = set()
+    for G in biconnected_corpus(400, max_n=45):
+        B = blocking_set_good_size(G)
+        assert B == good_size_by_copies(G)
+        sizes.add(len(B))
+    assert {2, 11} <= sizes  # two-vertex sets, and a size the 10/14 patch made
+    checked = 0
+    for G in single_block_with_trees(600):
+        ((verts, bedges),) = [b for b in embed._blocks_and_bridges(G)[0] if len(b[0]) >= 3]
+        sub, _vmap = induced_embedded_subgraph(G, verts)
+        want = frozenset(verts[x] for x in good_size_by_copies(sub))
+        assert blocking._good_size(blocking._block_view(G, bedges)) == want
+        checked += 1
+    assert checked >= 50
 
 
 # -- blocking graph ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from conftest import (
     nested_triangles,
     path_graph,
     polygon,
+    single_block_with_trees,
     wheel,
 )
 from support import interleave_check_decomposition, layer_graphs
@@ -389,6 +390,16 @@ def test_each_pipeline_certifies_exactly_once(monkeypatch, pipeline, make):
     assert real(G, c.colours) is None
 
 
+def test_colour_above_the_palette_is_a_bug():
+    # a cycle word that needed a fourth symbol verifies but leaves {5, 6, 7}
+    G = polygon(5)
+    colours = [1, 2, 3, 4, 8]
+    assert verify.verify_facial_nonrepetitive(G, colours) is None
+    assert colour._checked(G, colours, 8).palette_max == 8
+    with pytest.raises(colour.VerificationBugError):
+        colour._checked(G, colours, 7)
+
+
 @pytest.mark.parametrize("pipeline, make", CERTIFIED_CASES, ids=CERTIFIED_IDS)
 def test_rejecting_verifier_is_a_bug(monkeypatch, pipeline, make):
     G = make()
@@ -446,28 +457,36 @@ def test_outerplane_builds_at_most_two_graphs(monkeypatch, spec):
     gen.GenSpec("nested", 300, 4),
     gen.GenSpec("plane", 300, 1),
 ], ids=["nested-2000", "nested-300", "plane-300"])
-def test_plane_builds_at_most_two_graphs_per_layer(monkeypatch, spec):
-    # G+ once, then per layer its graph (built simple) and its blocking
-    # graph (built simple): no simplify rebuilds anything
-    G = gen.generate(spec)
-    layers = max(peeling_layering(G).layer) + 1
-    built = _count_builds(monkeypatch)
-    colour_plane(G)
-    assert len(built) <= 1 + 2 * layers
-
-
-@pytest.mark.parametrize("spec", [
-    gen.GenSpec("nested", 2000, 0),
-    gen.GenSpec("nested", 300, 4),
-    gen.GenSpec("plane", 300, 1),
-], ids=["nested-2000", "nested-300", "plane-300"])
 def test_plane_builds_at_most_two_graphs(monkeypatch, spec):
     # every layer is coloured in one core call on the layers graph, built
-    # straight from G: it and its blocking graph are the only graphs built
+    # straight from G and simple by construction: it and its blocking graph
+    # are the only graphs built, and nothing is simplified
     G = gen.generate(spec)
     built = _count_builds(monkeypatch)
+    real = embed.simplify
+    simplified = []
+
+    def counting(H):
+        simplified.append(H)
+        return real(H)
+
+    monkeypatch.setattr(embed, "simplify", counting)
     colour_plane(G)
-    assert len(built) <= 2
+    assert len(built) <= 2 and simplified == []
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen.generate(gen.GenSpec("outerplane_biconnected", 2000, 3)),
+    lambda: gen.generate(gen.GenSpec("cycle", 40, 0)),
+    lambda: next(single_block_with_trees(100)),
+], ids=["biconnected-2000", "cycle-40", "block-with-trees"])
+def test_single_block_builds_at_most_one_graph(monkeypatch, make):
+    # the block is read in place and its good-size set is built on the
+    # view, so the blocking graph is the only graph built
+    G = make()
+    built = _count_builds(monkeypatch)
+    colour_outerplane_single_block(G)
+    assert len(built) <= 1
 
 
 def test_cactus_core_scans_the_faces_once(monkeypatch):
@@ -484,3 +503,28 @@ def test_cactus_core_scans_the_faces_once(monkeypatch):
     monkeypatch.setattr(embed.EmbeddedGraph, "inner_faces", counting)
     colour._colour_cactus_core(G)
     assert len(G.components) == 30 and scans == [G]
+
+
+def test_cactus_core_colours_its_trees_in_one_forest_pass(monkeypatch):
+    # every tree component shares one forest pass and one word, where each
+    # had its own
+    parts = []
+    for seed in range(10):
+        parts += [gen.generate(gen.GenSpec("tree", 3 + seed, seed)),
+                  gen.generate(gen.GenSpec("cactus_even", 20, seed))]
+    G = disjoint_union(*parts)
+    real = colour._colour_forest
+    calls = []
+
+    def counting(H, rest, colours):
+        calls.append(sorted(rest))
+        return real(H, rest, colours)
+
+    monkeypatch.setattr(colour, "_colour_forest", counting)
+    colour._colour_cactus_core(G)
+    tree_vertices = [
+        x for comp in G.components
+        if sum(map(G.degree, comp)) == 2 * (len(comp) - 1) for x in comp
+    ]
+    assert len(tree_vertices) == sum(3 + seed for seed in range(10))
+    assert calls == [tree_vertices]

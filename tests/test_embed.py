@@ -120,7 +120,7 @@ def test_fan_chords_and_ears():
     fan = fan5()
     ch = embed.chords(fan)
     assert len(ch) == 2
-    er = embed.ears(fan)
+    er = support.ears(fan)
     assert len(er) == 2
     wd = support.weak_dual(fan)
     leaves = [f for f in wd.nodes if sum(1 for a, b, _ in wd.edges if f in (a, b)) == 1]
@@ -130,13 +130,13 @@ def test_fan_chords_and_ears():
 def test_single_cycle_no_chords_no_ears():
     c = polygon(8)
     assert embed.chords(c) == []
-    assert embed.ears(c) == []
+    assert support.ears(c) == []
 
 
 def test_two_triangles_sharing_edge_one_chord():
     g = polygon(4, [(0, 2)])
     assert len(embed.chords(g)) == 1
-    assert len(embed.ears(g)) == 2  # both faces lean on the single chord
+    assert len(support.ears(g)) == 2  # both faces lean on the single chord
 
 
 def test_chords_reject_non_outerplane():
@@ -208,14 +208,14 @@ def test_contract_rejects_loop(triangle):
 
 
 def test_induced_subgraph_of_fan():
-    sub, vmap = embed.induced_embedded_subgraph(fan5(), [0, 1, 2])
+    sub, vmap = support.induced_embedded_subgraph(fan5(), [0, 1, 2])
     assert sub.n == 3 and len(sub.edges) == 3
     assert embed.is_outerplane(sub)
     assert vmap[3] == -1 and vmap[4] == -1
 
 
 def test_induced_empty():
-    sub, _ = embed.induced_embedded_subgraph(fan5(), [])
+    sub, _ = support.induced_embedded_subgraph(fan5(), [])
     assert sub.n == 0 and len(sub.edges) == 0
 
 
@@ -252,7 +252,7 @@ def test_surgery_outputs_revalidate():
             verts = G.face_vertices(f[0])
             g2 = support.add_edge_in_face(G, verts[0], verts[1], f[0])
             embed.graph_from_json(embed.graph_to_json(g2))
-        sub, _ = embed.induced_embedded_subgraph(G, range(0, G.n, 2))
+        sub, _ = support.induced_embedded_subgraph(G, range(0, G.n, 2))
         embed.graph_from_json(embed.graph_to_json(sub))
         if G.edges:
             e = next((i for i, (u, v) in enumerate(G.edges) if u != v), None)

@@ -10,7 +10,7 @@ from thueplane import blocking, colour, embed, gen
 from thueplane.embed import ClassMismatchError
 
 from conftest import decorate_multigraph, hexagon_with_inner_star
-from support import layer_graphs
+from support import induced_embedded_subgraph, layer_graphs
 
 PIPELINES = (
     colour.colour_outerplane,
@@ -65,7 +65,7 @@ def test_simplify_and_induced_subgraph_golden_digest():
             _line(h, {"simple": embed.graph_to_json(Gs), "emap": list(emap)})
         rnd = random.Random(i)
         for S in (range(0, G.n, 2), [v for v in range(G.n) if rnd.random() < 0.6]):
-            sub, vmap = embed.induced_embedded_subgraph(G, S)
+            sub, vmap = induced_embedded_subgraph(G, S)
             _line(h, {"induced": embed.graph_to_json(sub), "vmap": list(vmap)})
     assert h.hexdigest() == SUBGRAPH_DIGEST
 
@@ -85,7 +85,7 @@ def test_internal_builders_pass_the_boundary_check():
         _passes_boundary(G)
         rnd = random.Random(G.n)
         S = [v for v in range(G.n) if rnd.random() < 0.6]
-        _passes_boundary(embed.induced_embedded_subgraph(G, S)[0])
+        _passes_boundary(induced_embedded_subgraph(G, S)[0])
         layer = colour.peeling_layering(G).layer
         H = colour.augment_plus(G)
         _passes_boundary(H)

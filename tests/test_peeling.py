@@ -3,7 +3,7 @@
 import hashlib
 import json
 
-from thueplane import colour, embed, gen, verify
+from thueplane import blocking, colour, embed, gen, verify
 
 from conftest import (
     decorate_multigraph,
@@ -83,7 +83,7 @@ def test_augmentation_keeps_the_layering_and_layer_colourings_verify():
         assert colour.peeling_layering(Gp).layer == layer
         for _ids, lg in layer_graphs(Gp, layer):
             assert embed.is_outerplane(lg)
-            vals = colour._colour_outerplane_core(lg)
+            vals = colour._colour_outerplane_core(lg, blocking._even_blocking_over_blocks(lg))
             assert verify.verify_facial_nonrepetitive(lg, vals) is None
 
 

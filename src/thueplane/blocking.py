@@ -50,14 +50,16 @@ class BlockingGraph:
 
 def validate_blocking_set(G, B):
     """Check the definition directly plus the derived observations.
-    Returns (ok, list of violated-condition descriptions)."""
+    Returns (ok, list of violated-condition descriptions); a graph that is
+    not outerplane has the one violation "graph is not outerplane"."""
+    if not embed.is_outerplane(G):
+        return False, ["graph is not outerplane"]
     B = set(B)
-    violations = []
     for x in B:
         if not (0 <= x < G.n):
-            violations.append(f"vertex {x} out of range")
-            return False, violations
+            return False, [f"vertex {x} out of range"]
 
+    violations = []
     blocks, _ = embed._blocks_and_bridges(G)
     for verts, bedges in blocks:
         if len(verts) < 3:
@@ -92,19 +94,16 @@ def validate_blocking_set(G, B):
         if all(x in B for x in verts):
             violations.append(f"inner face {f} fully covered")
 
-    if embed.is_outerplane(G):
-        for e in embed.chords(G):
-            u, v = G.edges[e]
-            if u in B and v in B:
-                violations.append(f"both endpoints of chord {e} in B")
-        for f in G.inner_faces():
-            cyc = G.face_vertices(f)
-            L = len(cyc)
-            flips = sum(1 for i in range(L) if (cyc[i] in B) != (cyc[(i + 1) % L] in B))
-            if flips > 2:
-                violations.append(f"inner face {f}: B-vertices not consecutive")
-    else:
-        violations.append("graph is not outerplane")
+    for e in embed.chords(G):
+        u, v = G.edges[e]
+        if u in B and v in B:
+            violations.append(f"both endpoints of chord {e} in B")
+    for f in G.inner_faces():
+        cyc = G.face_vertices(f)
+        L = len(cyc)
+        flips = sum(1 for i in range(L) if (cyc[i] in B) != (cyc[(i + 1) % L] in B))
+        if flips > 2:
+            violations.append(f"inner face {f}: B-vertices not consecutive")
 
     return (not violations), violations
 
@@ -418,7 +417,6 @@ def _even_blocking_over_blocks(G):
     find = embed._union_find(G.n, (G.edges[e] for e in bridge_ids))
     cls = [find(x) for x in range(G.n)]
     big = [(verts, es) for verts, es in blocks if len(verts) >= 3]
-    big.sort()
 
     class_blocks = {}
     for bid, (verts, _es) in enumerate(big):

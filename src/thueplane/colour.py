@@ -276,9 +276,8 @@ def colour_cactus_even(G):
     """Facially nonrepetitive colouring of a cactus whose cycles are all
     even, over at most 7 colours: deepest degree-2 vertices of the cycles
     (plus the exceptional-length patch) over {1,2,3}, everything else by
-    breadth-first level through a palindrome-free word over {4,5,6,7}."""
-    if not embed.is_outerplane(G):
-        raise ClassMismatchError("input is not a cactus (not outerplane)")
+    breadth-first level through a palindrome-free word over {4,5,6,7}.
+    ``simplify`` checks that G is outerplane."""
     Gs, _ = embed.simplify(G)
     if embed.chords(Gs):
         raise ClassMismatchError("input is not a cactus (it has chords)")
@@ -339,9 +338,8 @@ def _colour_outerplane_core(Gs, B):
 def colour_outerplane(G):
     """Facially nonrepetitive colouring of an outerplane multigraph with at
     most 11 colours: an even blocking set's blocking graph is cactus-coloured
-    over {5..11} and the remaining forest over {1..4}."""
-    if not embed.is_outerplane(G):
-        raise ClassMismatchError("input is not outerplane")
+    over {5..11} and the remaining forest over {1..4}.  ``simplify`` checks
+    that G is outerplane."""
     Gs, _ = embed.simplify(G)
     return _checked(G, _colour_outerplane_core(Gs, blocking._even_blocking_over_blocks(Gs)), 11)
 
@@ -350,9 +348,7 @@ def colour_outerplane_single_block(G):
     """At most 7 colours for an outerplane graph with at most one
     2-connected component: a blocking set of non-exceptional size makes the
     blocking graph one cycle, 3-coloured over {5,6,7}, or one edge; trees
-    take {1,2,3,4}."""
-    if not embed.is_outerplane(G):
-        raise ClassMismatchError("input is not outerplane")
+    take {1,2,3,4}.  ``simplify`` checks that G is outerplane."""
     Gs, _ = embed.simplify(G)
     blocks = [es for vs, es in embed._blocks_and_bridges(Gs)[0] if len(vs) >= 3]
     if len(blocks) > 1:

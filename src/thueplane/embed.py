@@ -360,91 +360,70 @@ def _require_simple_outerplane(G):
 
 
 def _blocks_and_bridges(G):
-    """Iterative Hopcroft-Tarjan block decomposition.
+    """Blocks and bridges of an outerplane multigraph, read off its outer
+    walks.  The input is trusted to be outerplane.
 
-    Returns (blocks, bridges): blocks as (vertex tuple, edge tuple).  Parent
-    edges are tracked by id so parallel edges are never bridges; loops are
-    ignored.
+    Each outer walk is pushed dart by dart.  When it reaches a vertex
+    already on the stack, the darts above that vertex close: two twin darts
+    are a bridge walked out and back, any other segment is the outer cycle
+    of one block.  The block's edges are the non-loop edges of the inner
+    faces reached from that cycle's twin darts, crossing only edges with
+    inner faces on both sides.  A loop step closes nothing.
+
+    Returns (blocks, bridges): blocks as (vertex tuple, edge tuple), each
+    tuple ascending and the list sorted; bridges as ascending edge ids.
     """
-    n = G.n
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
+    origin, face_of, faces = G.origin, G.face_of, G.faces
+    at = [-1] * G.n  # stack height when the walk reached v, while v is open
+    seen = [f in G.outer_faces for f in range(len(faces))]
     blocks = []
-    bridge_list = []
-    edge_stack = []
-
-    # incident edge ids only: a pair per incidence would be 2m more objects
-    # for the garbage collector to trace
-    edges = G.edges
-    incident = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(edges):
-        if u == v:
-            continue
-        incident[u].append(e)
-        incident[v].append(e)
-
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        # (vertex, parent edge, iterator over its incidences): the loop
-        # resumes a vertex's iterator after each child returns
-        stack = [(root, -1, iter(incident[root]))]
-        while stack:
-            v, pe, it = stack[-1]
-            dv = disc[v]
-            for e in it:
-                if e == pe:
+    for f in G.outer_faces:
+        walk = faces[f]
+        at[origin[walk[0]]] = 0
+        stack = []  # darts walked and not yet closed
+        for d in walk:
+            w = origin[d ^ 1]
+            if w == origin[d]:
+                continue
+            stack.append(d)
+            j = at[w]
+            if j == -1:
+                at[w] = len(stack)
+                continue
+            seg = stack[j:]
+            del stack[j:]
+            for x in seg[1:]:
+                at[origin[x]] = -1
+            # a bridge's twin darts reach only the outer face: no edge here
+            edges = set()
+            todo = [face_of[x ^ 1] for x in seg]
+            for g in todo:  # grows while it is read
+                if seen[g]:
                     continue
-                a, b = edges[e]
-                w = a + b - v  # the other end; loops were skipped
-                dw = disc[w]
-                if dw == -1:
-                    edge_stack.append(e)
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, e, iter(incident[w])))
-                    break
-                if dw < dv:
-                    edge_stack.append(e)
-                    if dw < low[v]:
-                        low[v] = dw
-            else:
-                stack.pop()
-                if not stack:
-                    continue
-                p = stack[-1][0]
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if low[v] >= disc[p]:
-                    bedges = []
-                    while True:
-                        e = edge_stack.pop()
-                        bedges.append(e)
-                        if e == pe:
-                            break
-                    verts = set()
-                    for e in bedges:
-                        verts.add(G.edges[e][0])
-                        verts.add(G.edges[e][1])
-                    blocks.append((tuple(sorted(verts)), tuple(sorted(bedges))))
-                    if len(bedges) == 1:
-                        bridge_list.append(bedges[0])
-    return blocks, sorted(bridge_list)
+                seen[g] = True
+                for x in faces[g]:
+                    if origin[x] != origin[x ^ 1]:
+                        edges.add(x >> 1)
+                    todo.append(face_of[x ^ 1])
+            blocks.append((tuple(sorted(origin[x] for x in seg)), tuple(sorted(edges or {d >> 1}))))
+    blocks.sort()
+    return blocks, sorted(es[0] for vs, es in blocks if len(es) == 1)
 
 
 def biconnected_components(G):
-    """Vertex sets of the 2-connected components (blocks on >= 3 vertices)."""
-    blocks, _ = _blocks_and_bridges(G)
-    return sorted(vs for vs, es in blocks if len(vs) >= 3)
+    """Vertex sets of the 2-connected components (blocks on >= 3 vertices)
+    of an outerplane graph, ascending; ClassMismatchError on any other
+    graph."""
+    if not is_outerplane(G):
+        raise ClassMismatchError("biconnected components are read off outerplane graphs")
+    return [vs for vs, es in _blocks_and_bridges(G)[0] if len(vs) >= 3]
 
 
 def bridges(G):
-    """Edge ids whose removal disconnects their component."""
-    _, br = _blocks_and_bridges(G)
-    return br
+    """Edge ids, ascending, whose removal disconnects their component.  On
+    any plane graph these are the edges with one face on both sides."""
+    face_of = G.face_of
+    return [e for e in range(len(G.edges)) if face_of[2 * e] == face_of[2 * e + 1]]
 
 
 # -- surgery -----------------------------------------------------------------
@@ -513,10 +492,12 @@ def simplify(G):
     facial path, so colourings of the result lift back to G.  Returns
     (simple graph, edge map old -> surviving edge id, -1 for loops).  A G
     with no loop and no parallel edge is returned as is, with the identity
-    edge map: restricting it to all its edges would rebuild G itself.
+    edge map: restricting it to all its edges would rebuild G itself.  It is
+    the outerplane pipelines' class check: ClassMismatchError on any graph
+    that is not outerplane.
     """
     if not is_outerplane(G):
-        raise ClassMismatchError("simplify expects an outerplane graph")
+        raise ClassMismatchError("input is not outerplane")
 
     n = G.n
     rep = {}  # endpoint pair a < b, as the int a * n + b -> surviving edge id

@@ -1,9 +1,10 @@
-"""Helpers only the tests use: embedding surgery (induced subgraphs, ears,
-edge contraction, in-face edge insertion) and the weak dual, the per-layer
-graphs of an augmented plane graph, the alternating-block decomposition of
-the outerplane proof, levelling predicates, the brute-force facial-path
-oracle, the good-size blocking set built on copies, and blocking-graph
-predicates and parsing."""
+"""Helpers only the tests use: the Hopcroft-Tarjan DFS that is the oracle
+for the outer-walk block decomposition, embedding surgery (induced
+subgraphs, ears, edge contraction, in-face edge insertion) and the weak
+dual, the per-layer graphs of an augmented plane graph, the
+alternating-block decomposition of the outerplane proof, levelling
+predicates, the brute-force facial-path oracle, the good-size blocking set
+built on copies, and blocking-graph predicates and parsing."""
 
 from dataclasses import dataclass
 
@@ -29,6 +30,84 @@ from thueplane.words import EXCEPTIONAL_CYCLE_LENGTHS, _adjacency
 
 
 # -- embed ---------------------------------------------------------------------
+
+
+def blocks_and_bridges_dfs(G):
+    """Iterative Hopcroft-Tarjan block decomposition, the oracle for
+    ``embed._blocks_and_bridges`` (which reads blocks off the outer walks);
+    it takes any graph.
+
+    Returns (blocks, bridges): blocks as (vertex tuple, edge tuple).  Parent
+    edges are tracked by id so parallel edges are never bridges; loops are
+    ignored.
+    """
+    n = G.n
+    disc = [-1] * n
+    low = [0] * n
+    timer = 0
+    blocks = []
+    bridge_list = []
+    edge_stack = []
+
+    # incident edge ids only: a pair per incidence would be 2m more objects
+    # for the garbage collector to trace
+    edges = G.edges
+    incident = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        if u == v:
+            continue
+        incident[u].append(e)
+        incident[v].append(e)
+
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        # (vertex, parent edge, iterator over its incidences): the loop
+        # resumes a vertex's iterator after each child returns
+        stack = [(root, -1, iter(incident[root]))]
+        while stack:
+            v, pe, it = stack[-1]
+            dv = disc[v]
+            for e in it:
+                if e == pe:
+                    continue
+                a, b = edges[e]
+                w = a + b - v  # the other end; loops were skipped
+                dw = disc[w]
+                if dw == -1:
+                    edge_stack.append(e)
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, e, iter(incident[w])))
+                    break
+                if dw < dv:
+                    edge_stack.append(e)
+                    if dw < low[v]:
+                        low[v] = dw
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                p = stack[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    bedges = []
+                    while True:
+                        e = edge_stack.pop()
+                        bedges.append(e)
+                        if e == pe:
+                            break
+                    verts = set()
+                    for e in bedges:
+                        verts.add(G.edges[e][0])
+                        verts.add(G.edges[e][1])
+                    blocks.append((tuple(sorted(verts)), tuple(sorted(bedges))))
+                    if len(bedges) == 1:
+                        bridge_list.append(bedges[0])
+    return blocks, sorted(bridge_list)
 
 
 def induced_embedded_subgraph(G, S):

@@ -75,6 +75,10 @@ def test_chord_pair_invalid():
     assert any("chord" in v for v in viol)
 
 
+def test_non_outerplane_graph_has_one_violation():
+    assert validate_blocking_set(wheel(5), {0}) == (False, ["graph is not outerplane"])
+
+
 def test_nonconsecutive_invalid():
     ok, viol = validate_blocking_set(polygon(6), {0, 3})
     assert not ok
@@ -178,6 +182,15 @@ def test_pipeline_skips_blocking_rechecks(monkeypatch):
     monkeypatch.setattr(embed, "_blocks_and_bridges", counting_blocks)
     colour_outerplane(G)
     assert calls == {"validate": 0, "blocks": 1}
+    # one block decomposition per pipeline call: the plane pipeline's is of
+    # its layers graph, the single-block pipeline's of its simplified input
+    for pipeline, H in (
+        (colour.colour_plane, gen.generate(gen.GenSpec("nested", 60, 3))),
+        (colour.colour_outerplane_single_block, next(single_block_with_trees(100))),
+    ):
+        calls["blocks"] = 0
+        pipeline(H)
+        assert calls == {"validate": 0, "blocks": 1}
     with pytest.raises(ValueError):
         blocking_graph(polygon(3), {0, 1, 2})
     assert calls["validate"] == 1

@@ -153,8 +153,10 @@ def test_outerplane_corpus():
 
 
 def test_outerplane_rejects_plane_input():
-    with pytest.raises(ClassMismatchError):
-        colour_outerplane(wheel(5))
+    # simplify is the class check of all three outerplane pipelines
+    for pipeline in (colour_outerplane, colour_outerplane_single_block, colour_cactus_even):
+        with pytest.raises(ClassMismatchError, match="^input is not outerplane$"):
+            pipeline(wheel(5))
 
 
 def test_outerplane_multigraph_lift():
@@ -473,6 +475,29 @@ def test_plane_builds_at_most_two_graphs(monkeypatch, spec):
     monkeypatch.setattr(embed, "simplify", counting)
     colour_plane(G)
     assert len(built) <= 2 and simplified == []
+
+
+def test_pipelines_check_outerplanarity_at_most_twice(monkeypatch):
+    # simplify is the outerplane pipelines' one class check; the cactus
+    # pipeline also asks ``chords``, and the plane pipeline checks only the
+    # layers graph it built
+    real = embed.is_outerplane
+    calls = []
+
+    def counting(H):
+        calls.append(H)
+        return real(H)
+
+    monkeypatch.setattr(embed, "is_outerplane", counting)
+    for pipeline, G, expected in (
+        (colour_outerplane, gen.generate(gen.GenSpec("outerplane", 60, 3)), 1),
+        (colour_outerplane_single_block, next(single_block_with_trees(100)), 1),
+        (colour_cactus_even, gen.generate(gen.GenSpec("cactus_even", 60, 3)), 2),
+        (colour_plane, gen.generate(gen.GenSpec("nested", 60, 3)), 1),
+    ):
+        calls.clear()
+        pipeline(G)
+        assert len(calls) == expected, pipeline.__name__
 
 
 @pytest.mark.parametrize("make", [

@@ -14,6 +14,7 @@ from conftest import (
     wheel,
 )
 import support
+from test_golden import golden_corpus
 
 
 # -- construction and validation ----------------------------------------------
@@ -162,6 +163,8 @@ def test_blocks_and_bridges_examples():
     p = path_graph(4)
     assert embed.biconnected_components(p) == []
     assert embed.bridges(p) == [0, 1, 2]
+    with pytest.raises(ClassMismatchError):
+        embed.biconnected_components(wheel(5))
 
 
 def test_showcase_hand_counts():
@@ -174,6 +177,58 @@ def test_showcase_hand_counts():
 def test_parallel_edges_are_not_bridges(triangle):
     g = decorate_multigraph(triangle, seed=1, parallels=2, loops=1)
     assert embed.bridges(g) == []
+
+
+def _outerplane_oracle_corpus():
+    """Outerplane graphs for the block-decomposition oracle: the golden
+    corpus's outerplane graphs, every outerplane ``gen`` kind over many
+    seeds, the small enumerations up to n = 8, and copies of half of them
+    with parallel lenses and loops."""
+    graphs = [G for G in golden_corpus() if embed.is_outerplane(G)]
+    for kind in ("tree", "cycle", "cactus_even", "outerplane", "outerplane_biconnected",
+                 "outerplane_bridgeless", "flower"):
+        graphs += [gen.generate(gen.GenSpec(kind, 3 + seed % 40, seed)) for seed in range(300)]
+    for n in range(1, 9):
+        for kind in ("tree", "cycle", "outerplane_biconnected"):
+            graphs += gen.enumerate_small(kind, n)
+    graphs += [
+        decorate_multigraph(G, seed=i, parallels=1 + i % 3, loops=1 + i % 2)
+        for i, G in enumerate(graphs[::2])
+    ]
+    return graphs
+
+
+def test_blocks_and_bridges_match_the_dfs_oracle():
+    graphs = _outerplane_oracle_corpus()
+    assert len(graphs) >= 3000
+    multigraphs = 0
+    for G in graphs:
+        blocks, br = embed._blocks_and_bridges(G)
+        dfs_blocks, dfs_br = support.blocks_and_bridges_dfs(G)
+        assert blocks == sorted(dfs_blocks)
+        assert br == dfs_br
+        multigraphs += any(u == v for u, v in G.edges)
+    assert multigraphs >= 1000
+
+
+def wheel_with_pendant(k):
+    """``wheel(k)`` plus a pendant vertex on rim vertex 0, in the outer face."""
+    W = wheel(k)
+    e = len(W.edges)
+    # the new dart goes just before an outer dart of vertex 0
+    d = next(d for d in W.faces[W.outer_face] if W.origin[d] == 0)
+    rot = [list(r) for r in W.rotations] + [[2 * e + 1]]
+    rot[0].insert(rot[0].index(d), 2 * e)
+    return embed.build(k + 2, list(W.edges) + [(0, k + 1)], rot, d)
+
+
+def test_bridges_face_test_matches_the_oracle_on_plane_graphs():
+    graphs = [gen.generate(gen.GenSpec("plane", 3 + seed * 3, seed)) for seed in range(12)]
+    graphs += [gen.generate(gen.GenSpec("nested", 3 + seed * 3, seed)) for seed in range(12)]
+    graphs += [wheel(5), wheel_with_pendant(5)]
+    for G in graphs:
+        assert embed.bridges(G) == support.blocks_and_bridges_dfs(G)[1]
+    assert embed.bridges(wheel_with_pendant(5)) == [10]
 
 
 # -- surgery ---------------------------------------------------------------------

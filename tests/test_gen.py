@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from thueplane import embed, gen
@@ -111,3 +113,17 @@ def test_nested_rings_are_peeling_layers():
         for _ids, ring in layer_graphs(G, layer):
             assert ring.n >= 3 and len(ring.components) == 1
             assert all(ring.degree(v) == 2 for v in range(ring.n))
+
+
+# SHA-256 over the ``gen`` plane output, one JSON line per graph, recorded
+# with the generator that rebuilt the graph after each inserted vertex
+PLANE_DIGEST = "8ace8834a2b62dd9aa921c391bbd4aa86305d74419e5bbcae75844029f567215"
+
+
+def test_plane_generator_golden_digest():
+    pairs = [(n, seed) for n in range(1, 61) for seed in range(5)]
+    pairs += [(300, 0), (1000, 0), (2000, 1)]
+    h = hashlib.sha256()
+    for n, seed in pairs:
+        h.update(embed.dumps_graph(generate(GenSpec("plane", n, seed))).encode() + b"\n")
+    assert h.hexdigest() == PLANE_DIGEST

@@ -31,6 +31,7 @@ from thueplane.colour import (
 from thueplane.embed import (
     EmbeddedGraph,
     build,
+    chords,
     face_walks,
     graph_from_json,
     graph_to_json,
@@ -64,6 +65,7 @@ __all__ = [
     "blocking_set_even_bridgeless",
     "blocking_set_good_size",
     "build",
+    "chords",
     "colour_cactus_even",
     "colour_outerplane",
     "colour_outerplane_single_block",

@@ -94,7 +94,7 @@ def validate_blocking_set(G, B):
         if all(x in B for x in verts):
             violations.append(f"inner face {f} fully covered")
 
-    for e in embed.chords(G):
+    for e in embed._chords(G):
         u, v = G.edges[e]
         if u in B and v in B:
             violations.append(f"both endpoints of chord {e} in B")

@@ -279,7 +279,7 @@ def colour_cactus_even(G):
     breadth-first level through a palindrome-free word over {4,5,6,7}.
     ``simplify`` checks that G is outerplane."""
     Gs, _ = embed.simplify(G)
-    if embed.chords(Gs):
+    if embed._chords(Gs):
         raise ClassMismatchError("input is not a cactus (it has chords)")
     for f in Gs.inner_faces():
         if len(Gs.faces[f]) % 2 == 1:

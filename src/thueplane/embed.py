@@ -336,6 +336,11 @@ def chords(G):
     """Edges not incident to the outer face.  Requires an outerplane graph."""
     if not is_outerplane(G):
         raise ClassMismatchError("chords are defined for outerplane graphs")
+    return _chords(G)
+
+
+def _chords(G):
+    """``chords`` of a graph its caller has checked to be outerplane."""
     out = []
     for e in range(len(G.edges)):
         if not G.is_outer_face(G.face_of[2 * e]) and not G.is_outer_face(G.face_of[2 * e + 1]):

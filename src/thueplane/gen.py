@@ -307,6 +307,17 @@ def _gen_flower(spec, rng=None):
 
 
 def _gen_plane(spec, rng=None):
+    """Random 2-connected plane graph by face splitting: from a triangle,
+    each new vertex z goes into a seeded inner face and joins k >= 2 of its
+    corners, which splits that face into k faces.  The faces are tracked as
+    they split, and the graph is built once, at the end.
+
+    Faces are picked by rank among the inner faces in the order
+    ``EmbeddedGraph`` numbers them, by smallest dart, so a Fenwick tree over
+    the darts marks each inner face's smallest dart.  Each walk is stored
+    from its smallest dart.  New face t is the walk from corner t to corner
+    t + 1 closed by two new darts; new darts exceed every old one, so the
+    face that holds the old smallest dart keeps it."""
     rng = rng or _rng(spec)
     b = _Builder()
     v0 = b.new_vertex()
@@ -318,35 +329,50 @@ def _gen_plane(spec, rng=None):
         return b.finish_outerplane()
     b.add_polygon_block(v0, 3, [])
     G = b.finish_outerplane()
-    while G.n < spec.n:
-        inner = G.inner_faces()
-        f = inner[rng.randrange(len(inner))]
-        walk = G.faces[f]
-        verts = G.face_vertices(f)
-        first_occ = []
-        seen = set()
-        for i, x in enumerate(verts):
-            if x not in seen:
-                seen.add(x)
-                first_occ.append(i)
-        dv = len(first_occ)
+    edges, rot = b.edges, b.rot
+    size = 1 << (6 * spec.n).bit_length()  # a power of two above 6n - 12 darts
+    tree = [0] * size
+    walks = {}  # smallest dart -> walk of the inner face from that dart
+
+    def add_face(walk):
+        if walk[0] not in walks:
+            i = walk[0] + 1
+            while i < size:
+                tree[i] += 1
+                i += i & -i
+        walks[walk[0]] = walk
+
+    for f in G.inner_faces():
+        add_face(list(G.faces[f]))
+    for z in range(3, spec.n):
+        r = rng.randrange(len(walks))
+        d, step = 0, size >> 1
+        while step:  # d = the smallest dart of the inner face of rank r
+            if tree[d + step] <= r:
+                d += step
+                r -= tree[d]
+            step >>= 1
+        walk = walks[d]
+        # the graph stays 2-connected, so every face is a cycle and each
+        # walk position is the first occurrence of its vertex
+        dv = len(walk)
         k = rng.randint(2, dv)
         s = rng.randrange(dv)
-        corners = sorted(first_occ[(s + t) % dv] for t in range(k))
-
-        z = G.n
-        new_edges = list(G.edges) + [(z, verts[p]) for p in corners]
-        base = len(G.edges)
-        new_rot = [list(r) for r in G.rotations]
-        new_rot.append([2 * (base + t) for t in reversed(range(k))])
+        corners = sorted((s + t) % dv for t in range(k))
+        base = len(edges)
+        rot.append([2 * (base + t) for t in reversed(range(k))])
         for t, p in enumerate(corners):
-            anchor = walk[p]
-            rot = new_rot[G.origin[anchor]]
-            j = rot.index(anchor)
-            rot.insert(j, 2 * (base + t) + 1)
-        outer = [G.faces[g][0] for g in G.outer_faces]
-        G = embed.EmbeddedGraph(G.n + 1, new_edges, new_rot, tuple(outer))
-    return G
+            x = edges[walk[p] >> 1][walk[p] & 1]
+            edges.append((z, x))
+            rot[x].insert(rot[x].index(walk[p]), 2 * (base + t) + 1)
+        corners.append(corners[0] + dv)
+        walk = walk * 2  # the last face wraps round
+        for t in range(k):
+            face = walk[corners[t] : corners[t + 1]]
+            face += (2 * (base + (t + 1) % k) + 1, 2 * (base + t))
+            j = face.index(min(face))
+            add_face(face[j:] + face[:j])
+    return embed.EmbeddedGraph(spec.n, edges, rot, (G.faces[G.outer_face][0],))
 
 
 def _gen_nested(spec, rng=None):
@@ -417,7 +443,7 @@ def _check_class(spec, G):
         if not all(G.degree(v) == 2 for v in range(G.n)) or len(G.components) != 1:
             raise GenerationError("instance is not a cycle")
     elif kind == "cactus_even":
-        if embed.chords(G):
+        if embed._chords(G):
             raise GenerationError("cactus has chords")
         if any(len(G.faces[f]) % 2 for f in G.inner_faces()):
             raise GenerationError("cactus has an odd cycle")

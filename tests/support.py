@@ -1,7 +1,8 @@
 """Helpers only the tests use: the Hopcroft-Tarjan DFS that is the oracle
-for the outer-walk block decomposition, embedding surgery (induced
-subgraphs, ears, edge contraction, in-face edge insertion) and the weak
-dual, the per-layer graphs of an augmented plane graph, the
+for the outer-walk block decomposition, the rebuild-per-vertex plane
+generator that is the oracle for the face-splitting one, embedding surgery
+(induced subgraphs, ears, edge contraction, in-face edge insertion) and
+the weak dual, the per-layer graphs of an augmented plane graph, the
 alternating-block decomposition of the outerplane proof, levelling
 predicates, the brute-force facial-path oracle, the good-size blocking set
 built on copies, and blocking-graph predicates and parsing."""
@@ -25,6 +26,7 @@ from thueplane.embed import (
     biconnected_components,
     chords,
 )
+from thueplane.gen import _Builder, _rng
 from thueplane.verify import _canonical
 from thueplane.words import EXCEPTIONAL_CYCLE_LENGTHS, _adjacency
 
@@ -300,6 +302,55 @@ def add_edge_in_face(G, u, w, f, u_pos=None, w_pos=None):
 
     outer = [G.faces[g][0] for g in G.outer_faces]
     return EmbeddedGraph(G.n, new_edges, new_rot, _dedup_outer(new_edges, new_rot, outer))
+
+
+# -- gen ---------------------------------------------------------------------
+
+
+def gen_plane_rebuild(spec, rng=None):
+    """The plane generator that rebuilds the graph and re-traces every face
+    after each inserted vertex, Θ(n²); the oracle for ``gen._gen_plane``,
+    which must give the same bytes for every spec."""
+    rng = rng or _rng(spec)
+    b = _Builder()
+    v0 = b.new_vertex()
+    if spec.n == 1:
+        return b.finish_outerplane()
+    if spec.n == 2:
+        b.new_vertex()
+        b.add_edge(0, 1)
+        return b.finish_outerplane()
+    b.add_polygon_block(v0, 3, [])
+    G = b.finish_outerplane()
+    while G.n < spec.n:
+        inner = G.inner_faces()
+        f = inner[rng.randrange(len(inner))]
+        walk = G.faces[f]
+        verts = G.face_vertices(f)
+        first_occ = []
+        seen = set()
+        for i, x in enumerate(verts):
+            if x not in seen:
+                seen.add(x)
+                first_occ.append(i)
+        dv = len(first_occ)
+        k = rng.randint(2, dv)
+        s = rng.randrange(dv)
+        corners = sorted(first_occ[(s + t) % dv] for t in range(k))
+
+        z = G.n
+        new_edges = list(G.edges) + [(z, verts[p]) for p in corners]
+        base = len(G.edges)
+        new_rot = [list(r) for r in G.rotations]
+        new_rot.append([2 * (base + t) for t in reversed(range(k))])
+        for t, p in enumerate(corners):
+            anchor = walk[p]
+            rot = new_rot[G.origin[anchor]]
+            j = rot.index(anchor)
+            rot.insert(j, 2 * (base + t) + 1)
+        outer = [G.faces[g][0] for g in G.outer_faces]
+        G = embed.EmbeddedGraph(G.n + 1, new_edges, new_rot, tuple(outer))
+    return G
 
 
 # -- colour --------------------------------------------------------------------

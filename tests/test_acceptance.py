@@ -297,3 +297,18 @@ def test_criterion_12_k2k_scaling():
         + ", ".join(f"{name} {exp:.3f}" for name, exp in medians.items())
         + f" (<= 1.3), smallest point {smallest:.2f}s, {dt:.1f}s (< 60s)",
     )
+
+
+def test_criterion_13_plane_scaling():
+    # random gen plane graphs: their generator splits one face per inserted
+    # vertex, so 10^5 vertices take seconds to generate
+    t0 = time.time()
+    report = bench.run_bench([1000, 3162, 10000, 31623, 100000], kind="plane", seed=0, repeat=1)
+    dt = time.time() - t0
+    exp = report["fitted_exponent"]
+    _report(
+        13,
+        exp is not None and exp <= 1.3 and dt < 300,
+        f"colour_plane on gen plane graphs: fitted exponent {exp} (<= 1.3) over n = 1e3..1e5, "
+        f"bench took {dt:.1f}s (< 300s)",
+    )

@@ -478,9 +478,9 @@ def test_plane_builds_at_most_two_graphs(monkeypatch, spec):
 
 
 def test_pipelines_check_outerplanarity_at_most_twice(monkeypatch):
-    # simplify is the outerplane pipelines' one class check; the cactus
-    # pipeline also asks ``chords``, and the plane pipeline checks only the
-    # layers graph it built
+    # simplify is the outerplane pipelines' one class check, the cactus
+    # pipeline reads its chords without a second one, and the plane pipeline
+    # checks only the layers graph it built
     real = embed.is_outerplane
     calls = []
 
@@ -492,12 +492,18 @@ def test_pipelines_check_outerplanarity_at_most_twice(monkeypatch):
     for pipeline, G, expected in (
         (colour_outerplane, gen.generate(gen.GenSpec("outerplane", 60, 3)), 1),
         (colour_outerplane_single_block, next(single_block_with_trees(100)), 1),
-        (colour_cactus_even, gen.generate(gen.GenSpec("cactus_even", 60, 3)), 2),
+        (colour_cactus_even, gen.generate(gen.GenSpec("cactus_even", 60, 3)), 1),
         (colour_plane, gen.generate(gen.GenSpec("nested", 60, 3)), 1),
     ):
         calls.clear()
         pipeline(G)
         assert len(calls) == expected, pipeline.__name__
+    # validate_blocking_set reads blocks and chords without a second check
+    G = gen.generate(gen.GenSpec("outerplane", 60, 3))
+    B = blocking.blocking_set_even(G)
+    calls.clear()
+    assert blocking.validate_blocking_set(G, B)[0]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("make", [

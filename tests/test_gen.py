@@ -127,3 +127,15 @@ def test_plane_generator_golden_digest():
     for n, seed in pairs:
         h.update(embed.dumps_graph(generate(GenSpec("plane", n, seed))).encode() + b"\n")
     assert h.hexdigest() == PLANE_DIGEST
+
+
+def test_plane_generator_matches_the_rebuild_oracle():
+    # the face-splitting generator against the one that rebuilt the graph
+    # after each inserted vertex, on seeds the digest above does not cover
+    from support import gen_plane_rebuild
+
+    pairs = [(n, seed) for n in range(1, 61) for seed in range(5, 12)]
+    pairs += [(150, 10), (220, 11), (300, 12)]
+    for n, seed in pairs:
+        spec = GenSpec("plane", n, seed)
+        assert embed.dumps_graph(generate(spec)) == embed.dumps_graph(gen_plane_rebuild(spec)), (n, seed)

@@ -4,7 +4,10 @@ counterexample scan of ``verify._first_square_in_face``, as they stood
 before the regex screen and the one-sweep search replaced them.  The tests
 require the production code to return the *identical* witness."""
 
+import re
+
 _SEP = -1  # sentinel; symbols are assumed non-negative
+_LAZY_SQUARE = re.compile(r"(.+?)\1", re.S)
 
 
 def z_array(s):
@@ -105,4 +108,21 @@ def first_square_in_face(verts, colours, L):
         for r in range(1, len(win) // 2 + 1):
             if win[:r] == win[r : 2 * r]:
                 return s, r
+    return None
+
+
+def first_square_on_cycle(verts, colours):
+    """``first_square_in_face`` for a walk whose vertices are distinct, by one
+    lazy regex match per start, which tries the halves 1, 2, ... in order.
+    Each start costs one C-level match, so this is the reference for cycles
+    too long for the list-slicing scan above."""
+    L = len(verts)
+    assert len(set(verts)) == L
+    labels = {}
+    text = "".join(chr(labels.setdefault(colours[v], len(labels))) for v in verts)
+    text += text
+    for s in range(L):
+        m = _LAZY_SQUARE.match(text, s, s + L)
+        if m is not None:
+            return s, len(m.group(1))
     return None

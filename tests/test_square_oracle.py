@@ -183,3 +183,114 @@ def test_counterexample_search_on_certified_colourings_with_a_plant():
             bad[rnd.choice(verts)] = rnd.randrange(1, 12)
             got = verify._first_square_in_face(verts, bad)
             assert got == square_oracle.first_square_in_face(verts, bad, L)
+
+
+# -- counterexample search on simple cycles ---------------------------------------
+
+
+def _planted(codes, start, half):
+    """Copy of ``codes``, read as a cycle, whose 2*half symbols from
+    ``start`` read XX: the second half takes the symbols of the first."""
+    out = list(codes)
+    L = len(out)
+    for t in range(half):
+        out[(start + half + t) % L] = out[(start + t) % L]
+    return out
+
+
+def _on_cycle(codes, rnd):
+    """A walk of distinct vertices, in shuffled order, coloured ``codes``."""
+    verts = rnd.sample(range(2 * len(codes)), len(codes))
+    colours = [None] * (2 * len(codes))
+    for v, c in zip(verts, codes):
+        colours[v] = c
+    return verts, colours
+
+
+def _same_cycle_witness(codes, rnd):
+    verts, colours = _on_cycle(codes, rnd)
+    want = square_oracle.first_square_in_face(verts, colours, len(verts))
+    assert verify._first_square_in_face(verts, colours) == want, codes
+    assert square_oracle.first_square_on_cycle(verts, colours) == want, codes
+    return want
+
+
+def test_counterexample_search_on_random_simple_cycles():
+    rnd = random.Random(19)
+    base = ternary_nonrepetitive(120)
+    for L in range(2, 121):
+        for palette in (2, 3, 5):
+            for _ in range(3):
+                _same_cycle_witness([rnd.randrange(palette) for _ in range(L)], rnd)
+        # a square-free word with one plant: late starts and long halves
+        for start in {0, L // 2, L - 1, rnd.randrange(L)}:
+            for half in {1, max(1, L // 4), L // 2, rnd.randint(1, L // 2)}:
+                if half:
+                    _same_cycle_witness(_planted(base[:L], start, half), rnd)
+
+
+def test_counterexample_search_with_two_byte_labels():
+    # 300 labels, then pairs (a, a + 256) side by side: the low bytes of
+    # neighbouring labels agree, so a run of zero bytes can start mid-label
+    rnd = random.Random(23)
+    for L in (260, 300, 333, 420):
+        for _ in range(4):
+            codes = list(range(300)) + [0] * (L - 300) if L > 300 else list(range(L))
+            for i in range(min(L, 300), L):
+                a = rnd.randrange(44)
+                codes[i] = a + 256 * (i % 2)
+            for start in (0, 1, 2, rnd.randrange(L), L - 1):
+                half = rnd.choice((1, 2, 3, 40, L // 2))
+                got = _same_cycle_witness(_planted(codes, start, half), rnd)
+                assert got is not None
+
+
+def test_counterexample_search_with_three_byte_labels():
+    # 65,540 distinct labels with one plant: the plant is the only square,
+    # since only its first half's symbols recur, each exactly half later
+    rnd = random.Random(29)
+    L = 65540
+    codes = list(range(L))
+    for start, half in ((0, 1), (0, 3), (0, 77), (1, 1), (2, 5), (3, 64), (0, L // 2)):
+        verts, colours = _on_cycle(_planted(codes, start, half), rnd)
+        want = (start, half) if 2 * half < L else (0, half)
+        if start == 0 and half < 100:  # the oracle copies every half it tries
+            assert square_oracle.first_square_in_face(verts, colours, L) == want
+        assert verify._first_square_in_face(verts, colours) == want
+
+
+def test_counterexample_search_prefers_the_earlier_start_over_the_shorter_half():
+    rnd = random.Random(31)
+    codes = list(range(100))
+    for first, second in (((2, 3), (10, 1)), ((40, 3), (60, 1)), ((20, 9), (50, 2)), ((0, 30), (70, 1))):
+        got = _same_cycle_witness(_planted(_planted(codes, *second), *first), rnd)
+        assert got == first
+    # one start, two halves: "abababab" holds halves 2 and 4 at its start
+    for start in (5, 40):
+        got = _same_cycle_witness(codes[:start] + [0, 1] * 4 + codes[start + 8 :], rnd)
+        assert got == (start, 2)
+
+
+@pytest.mark.parametrize("start", [0, 1000, 1999])
+def test_verify_on_long_chordless_cycles(start):
+    from thueplane import colour
+
+    G = gen.generate(gen.GenSpec("outerplane_biconnected", 2000, 1, chord_probability=0.0))
+    good = colour.colour_outerplane_single_block(G).colours
+    outer = G.face_vertices(G.outer_face)
+    for half in (1, 34, 999, 1000):
+        bad = list(good)
+        window = [outer[(start + t) % 2000] for t in range(2 * half)]
+        for t in range(half):
+            bad[window[half + t]] = bad[window[t]]
+        want = None
+        for f in range(len(G.faces)):
+            verts = G.face_vertices(f)
+            hit = square_oracle.first_square_on_cycle(verts, bad)
+            if hit is not None:
+                s, r = hit
+                path = tuple(verts[(s + k) % 2000] for k in range(2 * r))
+                want = verify.FacialPath(f, path, G.is_outer_face(f))
+                break
+        assert want is not None
+        assert verify.verify_facial_nonrepetitive(G, bad) == want

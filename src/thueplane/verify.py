@@ -7,6 +7,9 @@ any facial path is also a repetition inside the maximal distinct-vertex
 window containing it (and such windows are themselves facial paths), the
 checker scans each maximal window once with the repetition kernel; walks
 that are simple cycles are checked through their doubled colour sequence.
+A failing face is searched for its smallest (start, half) repetition: one
+XOR pass per half on a simple cycle, one regex match per start on other
+walks, where most runs the pass scans cross a repeated vertex.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from thueplane.kernels import find_square
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FacialPath:
     face: int
     vertices: tuple
@@ -88,16 +91,52 @@ def _maximal_distinct_windows(verts):
 #: the second pattern reads text written two characters per colour
 _FIRST_SQUARE = (re.compile(r"(.+?)\1", re.S), re.compile(r"((?:..)+?)\1", re.S))
 _CHARS = sys.maxunicode + 1
+#: the pass hands starts 0..s to the per-start match once _FINISH * (s + 1) is at
+#: most the halves left: 16, not 4 or 8, never lost time on 350- to 20,000-cycles
+_FINISH = 16
+
+
+def _first_square_by_half(codes, top):
+    """(hit, exact): the smallest (start, half) square on the cycle
+    ``codes`` (labels 0..top), or an early square if not exact.  With the
+    doubled walk read as an int T, w bytes a label, the squares of half h
+    are the aligned runs of wh zero bytes in T ^ (T >> 8wh)."""
+    L = len(codes)
+    w = max(1, (top.bit_length() + 7) // 8)
+    data = bytes(codes) if w == 1 else b"".join(c.to_bytes(w, "little") for c in codes)
+    D = int.from_bytes(data + data, "little")
+    best, best_s = None, L
+    for h in range(1, L // 2 + 1):  # only starts < best_s: ties keep the smaller half
+        k = w * (best_s - 1 + 2 * h)
+        T = D & ((1 << 8 * k) - 1)
+        X = (T ^ (T >> 8 * w * h)).to_bytes(k, "little")
+        zero, stop = bytes(w * h), w * (best_s - 1 + h)
+        i = X.find(zero, 0, stop)
+        while i > 0 and i % w:
+            i = X.find(zero, i - i % w + w, stop)
+        if i >= 0:
+            best_s, best = i // w, (i // w, h)
+            if _FINISH * (best_s + 1) <= L // 2 - h:
+                return best, False
+    return best, True
 
 
 def _first_square_in_face(verts, colours):
     """Smallest (start, half) repetition over the facial paths of a cyclic
-    walk; used only to report counterexamples.  The walk's colours are
-    relabelled 0, 1, ... by first occurrence and written once as a string;
-    a walk with more colours than ``chr`` has characters writes each colour
-    as two.  Each start's longest facial path is then matched in place."""
+    walk; used only to report counterexamples.  Colours are relabelled by
+    first occurrence.  The starts a simple cycle's per-half pass leaves, or
+    all of another walk, are matched in place in the labels written as a
+    string, two characters a colour when ``chr`` runs out."""
     labels = {}
     codes = [labels.setdefault(colours[v], len(labels)) for v in verts]
+    L = len(verts)
+    if len(set(verts)) == L:
+        hit, exact = _first_square_by_half(codes, len(labels) - 1)
+        if exact:
+            return hit
+        ends = range(L, L + hit[0] + 1)
+    else:
+        ends = _window_ends(verts)
     if len(labels) <= _CHARS:
         width = 1
         text = "".join(map(chr, codes))
@@ -106,7 +145,7 @@ def _first_square_in_face(verts, colours):
         text = "".join(chr(c // _CHARS) + chr(c % _CHARS) for c in codes)
     text += text
     pattern = _FIRST_SQUARE[width - 1]
-    for s, end in enumerate(_window_ends(verts)):
+    for s, end in enumerate(ends):
         m = pattern.match(text, width * s, width * end)
         if m is not None:
             return s, len(m.group(1)) // width
@@ -141,7 +180,8 @@ def verify_facial_nonrepetitive(G, colours):
                     break
         if bad:
             hit = _first_square_in_face(verts, colours)
-            assert hit is not None, "kernel reported a repetition the scan cannot see"
+            if hit is None:  # kernel and search disagree: a bug that must not pass silently
+                raise RuntimeError(f"face {f}: the kernel reports a repetition the search cannot find")
             s, r = hit
             path = tuple(verts[(s + k) % L] for k in range(2 * r))
             return FacialPath(f, path, G.is_outer_face(f))

@@ -195,16 +195,30 @@ def test_criterion_9_scaling():
 
 def test_criterion_10_plane_nested_scaling():
     # rings of 3 to 7 vertices give n/7 to n/3 peeling layers: the family on
-    # which rebuilding the remaining graph once per layer is quadratic
+    # which rebuilding the remaining graph once per layer is quadratic.  As
+    # in criteria 11 and 12, each round times the sizes back to back and
+    # fits its own exponent, and the criterion reads the median of five
+    # rounds: a slow stretch of a shared machine moves one round, where it
+    # would move the best-of time of one size.
     t0 = time.time()
-    report = bench.run_bench([500, 1000, 2000, 4000], kind="nested", seed=0, repeat=3)
+    sizes = [500, 1000, 2000, 4000]
+    graphs = [gen.generate(gen.GenSpec("nested", n, 0)) for n in sizes]
+    exps = []
+    for _ in range(5):
+        points = []
+        for n, G in zip(sizes, graphs):
+            gc.collect()
+            t = time.perf_counter()
+            colour.colour_plane(G)
+            points.append((n, time.perf_counter() - t))
+        exps.append(bench._fit_exponent(points))
+    exp = statistics.median(exps)
     dt = time.time() - t0
-    exp = bench._fit_exponent([(r["n"], r["colour_verify_seconds"]) for r in report["rows"]])
     _report(
         10,
         exp <= 1.3 and dt < 30,
-        f"colour_plane on nested rings: fitted exponent {exp:.3f} (<= 1.3) over n = 500..4000, "
-        f"{dt:.1f}s (< 30s)",
+        f"colour_plane on nested rings: median fitted exponent of 5 rounds {exp:.3f} (<= 1.3) "
+        f"over n = 500..4000, {dt:.1f}s (< 30s)",
     )
 
 

@@ -1,6 +1,6 @@
-"""Source-tree guards: every top-level function or class in the package is
-used by the package or exported, so helpers that only tests use live in
-``tests/``."""
+"""Source-tree guards: every top-level function, class or constant in the
+package is used by the package or exported, so helpers that only tests use
+live in ``tests/``, and every import in the package is used by its module."""
 
 import ast
 import pathlib
@@ -29,13 +29,22 @@ def _names_used(node):
     return out
 
 
+def _modules():
+    return {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
 def test_every_top_level_definition_is_used_or_exported():
-    modules = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    modules = {name: ast.parse(text) for name, text in _modules().items()}
     defs = []  # (module, name, node)
     for name, tree in modules.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _is_click_command(node):
                 defs.append((name, node.name, node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                        defs.append((name, target.id, node))
     # a use is a name or an attribute anywhere in the package outside the
     # definition itself, so recursion does not count; imports do not count
     uses = {}  # name -> the top-level statements that use it, in any module
@@ -48,4 +57,27 @@ def test_every_top_level_definition_is_used_or_exported():
         for module, name, node in defs
         if name not in thueplane.__all__ and not [n for n in uses.get(name, ()) if n is not node]
     ]
+    assert unused == []
+
+
+def test_every_import_is_used():
+    # a name bound by an import counts as used when its module reads it
+    # anywhere; ``from __future__`` imports, the re-exports that
+    # ``__init__`` lists in ``__all__`` and lines marked ``# noqa`` are exempt
+    unused = []
+    for module, text in _modules().items():
+        tree = ast.parse(text)
+        lines = text.splitlines()
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if module == "__init__.py":
+            read |= set(thueplane.__all__)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read and "# noqa" not in lines[alias.lineno - 1]:
+                    unused.append(f"{module}:{alias.lineno}:{bound}")
     assert unused == []

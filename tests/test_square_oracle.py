@@ -225,8 +225,7 @@ def test_counterexample_search_on_random_simple_cycles():
         # a square-free word with one plant: late starts and long halves
         for start in {0, L // 2, L - 1, rnd.randrange(L)}:
             for half in {1, max(1, L // 4), L // 2, rnd.randint(1, L // 2)}:
-                if half:
-                    _same_cycle_witness(_planted(base[:L], start, half), rnd)
+                _same_cycle_witness(_planted(base[:L], start, half), rnd)
 
 
 def test_counterexample_search_with_two_byte_labels():
@@ -246,12 +245,13 @@ def test_counterexample_search_with_two_byte_labels():
 
 
 def test_counterexample_search_with_three_byte_labels():
-    # 65,540 distinct labels with one plant: the plant is the only square,
-    # since only its first half's symbols recur, each exactly half later
+    # distinct labels with one plant: the plant is the only square, since
+    # only its first half's symbols recur, each exactly half later
     rnd = random.Random(29)
-    L = 65540
+    L = 66000
     codes = list(range(L))
-    for start, half in ((0, 1), (0, 3), (0, 77), (1, 1), (2, 5), (3, 64), (0, L // 2)):
+    for start, half in ((0, 1), (0, 3), (0, 77), (1, 1), (2, 5), (3, 64), (100, 2), (40, 300)):
+        assert L - half > 1 << 16  # labels 0..L - half - 1 take 3 bytes
         verts, colours = _on_cycle(_planted(codes, start, half), rnd)
         want = (start, half) if 2 * half < L else (0, half)
         if start == 0 and half < 100:  # the oracle copies every half it tries

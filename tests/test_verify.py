@@ -104,6 +104,23 @@ def test_counterexample_against_definitional_check():
         assert slow_bad == fast_bad, seed
 
 
+def test_kernel_reporting_a_false_square_raises(monkeypatch):
+    # the check is a raise, not an assert, so it holds under python -O too
+    G = polygon(6)
+    good = colour.colour_outerplane(G).colours
+    assert verify_facial_nonrepetitive(G, good) is None
+    monkeypatch.setattr(verify, "find_square", lambda seq, max_half=0: (0, 1))
+    with pytest.raises(RuntimeError, match="face 0: the kernel reports a repetition"):
+        verify_facial_nonrepetitive(G, good)
+
+
+def test_facial_path_has_no_instance_dict():
+    path = verify_facial_nonrepetitive(polygon(4), [1, 2, 1, 2])
+    assert not hasattr(path, "__dict__")
+    with pytest.raises(AttributeError):
+        path.face = 1
+
+
 def test_counterexample_json(triangle):
     bad = verify_facial_nonrepetitive(polygon(4), [1, 2, 1, 2])
     doc = verify.counterexample_to_json(polygon(4), [1, 2, 1, 2], bad)

@@ -72,9 +72,7 @@ def test_every_import_is_used():
         if module == "__init__.py":
             read |= set(thueplane.__all__)
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
                 continue
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]

@@ -289,3 +289,15 @@ def test_tree_colouring_accepts_embedded_graph():
     cols = tree_colouring(G)
     adj = [sorted(G.neighbours(v)) for v in range(G.n)]
     assert all_paths_nonrepetitive(adj, cols)
+
+
+CYCLE_COLOURING_DIGEST = "716eb734240b4cd4760b3902840e35df5d630da98d09cd70badf139f1bc4c0da"
+
+
+def test_cycle_colouring_golden_digest():
+    import hashlib
+
+    h = hashlib.sha256()
+    for n in list(range(3, 401)) + [1000, 2001, 3000]:
+        h.update(f"{n}:{''.join(map(str, cycle_colouring(n)))};".encode())
+    assert h.hexdigest() == CYCLE_COLOURING_DIGEST

@@ -22,9 +22,28 @@ cutoffs from 64 to 256; 128 to 192 were fastest, within noise of each other.
 A symbol outside the range of ``chr`` turns the screen off for that call.
 Symbols must be non-negative integers; -1 is reserved as an internal
 sentinel.
+
+Squares on a cycle, that is in the arcs of a cyclic word, have one routine
+of their own, ``cyclic_square``: one XOR pass per half length over the
+doubled word written as bytes.  Its exact mode returns the smallest
+(start, half), the counterexample the verifier names; its first mode stops
+at the first square found, a decision for ``words.has_cyclic_repetition``.
+The pass costs Θ(w·L²) bytes for L labels of w bytes, so it decides a cycle
+alone only inside a band, w·L <= ``_BAND`` bytes: there it is quadratic but
+capped, like the screen below ``_SHORT``.  On square-free cycles it beat
+``find_square`` on the doubled word 2-9x up to 6,000 bytes and drew level
+between 12,000 and 16,000 bytes with one- and two-byte labels, so the band
+is 8,192 bytes.  The decision rule: in the verifier, a simple face whose
+doubled walk has at most ``_SHORT`` symbols goes to the screen, one inside
+the band to the exact mode, and a longer one to ``find_square``, after
+which only a failing face runs the exact mode; ``has_cyclic_repetition``
+sends every word inside the band to the first mode.  Above the band the
+exact mode also matches one start per ``_PACE`` halves, so it costs at
+most about twice the cheaper of the pass and the per-start match.
 """
 
 import re
+import sys
 
 #: read by perfbench's context line and by the report of ``thueplane bench``
 BACKEND = "python"
@@ -127,3 +146,98 @@ def find_square(seq, max_half=0):
     # a segment of at most _SHORT symbols holds no square of half > _SHORT // 2
     screen = _SQUARE_UPTO[max_half] if 0 < max_half < len(_SQUARE_UPTO) else _SQUARE
     return _find_square_segment(s, 0, len(s), max_half, text, screen)
+
+
+#: widest cycle, in bytes w·L, that ``cyclic_square`` decides on its own
+_BAND = 8192
+#: above the band the pass matches one start per _PACE halves: a start costs
+#: the match 1.7-6 halves of the pass (L = 2,000 to 65,540, w = 1 to 3)
+_PACE = 4
+#: the pass hands starts s..best to the match once _FINISH * (best - s + 1) is
+#: at most the halves left: 16, not 4 or 8, never lost time on 350- to 20,000-cycles
+_FINISH = 16
+#: at a fixed start the lazy group tries half lengths 1, 2, ... in order;
+#: the second pattern reads text written two characters per label
+_FIRST_SQUARE = (re.compile(r"(.+?)\1", re.S), re.compile(r"((?:..)+?)\1", re.S))
+_CHARS = sys.maxunicode + 1
+
+
+def _width(top):
+    return max(1, (top.bit_length() + 7) // 8)
+
+
+def in_band(seq):
+    """True when the cycle ``seq`` fits the band: its L labels of w bytes, w
+    for its largest label, take at most ``_BAND`` bytes."""
+    return len(seq) * _width(max(seq)) <= _BAND
+
+
+def first_halves(codes):
+    """at(s, end): the smallest half of a square that starts at s and ends
+    by ``end`` in the doubled labels ``codes``, else None; one C-level lazy
+    match, written one character a label, two once ``chr`` runs out."""
+    if max(codes) < _CHARS:
+        width, text = 1, "".join(map(chr, codes))
+    else:
+        width, text = 2, "".join(chr(c // _CHARS) + chr(c % _CHARS) for c in codes)
+    match = _FIRST_SQUARE[width - 1].match
+    text += text
+
+    def at(s, end):
+        m = match(text, width * s, width * end)
+        return None if m is None else len(m.group(1)) // width
+
+    return at
+
+
+def cyclic_square(codes, first=False):
+    """(start, half) of a square on the cycle ``codes`` (non-negative ints),
+    the smallest by start and then half, or with ``first`` the first one
+    found, of the smallest half; None when every arc is square-free.
+
+    One pass per half h: with the doubled walk read as an int T, w bytes a
+    label, the squares of half h are the aligned runs of wh zero bytes in
+    T ^ (T >> 8wh), searched among the starts before the best so far, so
+    ties keep the smaller half.  The pass is Θ(w·L²) bytes, quadratic but
+    capped by ``_BAND`` where it decides a cycle, like the regex screen
+    below ``_SHORT``.  Once a square is known early enough, one lazy match
+    per start finishes; above the band the pass also matches one start per
+    ``_PACE`` halves, so it costs at most about twice the cheaper of the
+    two searches.
+    """
+    L = len(codes)
+    w = _width(max(codes))
+    data = bytes(codes) if w == 1 else b"".join(c.to_bytes(w, "little") for c in codes)
+    D = int.from_bytes(data + data, "little")
+    pace = _PACE if w * L > _BAND else L
+    best, best_s, s, at = None, L, 0, None  # starts below s hold no square
+    for h in range(1, L // 2 + 1):
+        k = w * (best_s - 1 + 2 * h)
+        T = D & ((1 << 8 * k) - 1)
+        X = (T ^ (T >> 8 * w * h)).to_bytes(k, "little")
+        zero, stop = bytes(w * h), w * (best_s - 1 + h)
+        i = X.find(zero, w * s, stop)
+        while i > 0 and i % w:
+            i = X.find(zero, i - i % w + w, stop)
+        if i >= 0:
+            best_s, best = i // w, (i // w, h)
+            if first:
+                return best
+            if _FINISH * (best_s - s + 1) <= L // 2 - h:
+                break
+        if h % pace == 0:
+            at = at or first_halves(codes)
+            r = at(s, s + L)
+            if r is not None:
+                return s, r
+            s += 1
+            if s == best_s:
+                return best
+    else:
+        return best
+    at = at or first_halves(codes)
+    for s in range(s, best_s):
+        r = at(s, s + L)
+        if r is not None:
+            return s, r
+    return best

@@ -7,18 +7,21 @@ any facial path is also a repetition inside the maximal distinct-vertex
 window containing it (and such windows are themselves facial paths), the
 checker scans each maximal window once with the repetition kernel; walks
 that are simple cycles are checked through their doubled colour sequence.
-A failing face is searched for its smallest (start, half) repetition: one
-XOR pass per half on a simple cycle, one regex match per start on other
-walks, where most runs the pass scans cross a repeated vertex.
+A simple face whose doubled walk is longer than ``kernels._SHORT`` and
+which fits the band of ``kernels.cyclic_square`` is decided by that
+routine's exact mode, whose answer is also the counterexample; shorter
+faces stay with the regex screen of ``find_square``, longer ones with its
+Main–Lorentz divide and conquer.  A face that fails there is searched for
+its smallest (start, half) repetition: by the exact mode on a simple
+cycle, by one regex match per start on other walks, where most runs the
+pass scans cross a repeated vertex.
 """
 
 from __future__ import annotations
 
-import re
-import sys
 from dataclasses import dataclass
 
-from thueplane.kernels import find_square
+from thueplane.kernels import _SHORT, cyclic_square, find_square, first_halves, in_band
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,68 +90,20 @@ def _maximal_distinct_windows(verts):
     return [(i, end[i] - i) for i in range(L) if end[i] > (end[i - 1] if i else end[L - 1] - L)]
 
 
-#: at a fixed start the lazy group tries half lengths 1, 2, ... in order;
-#: the second pattern reads text written two characters per colour
-_FIRST_SQUARE = (re.compile(r"(.+?)\1", re.S), re.compile(r"((?:..)+?)\1", re.S))
-_CHARS = sys.maxunicode + 1
-#: the pass hands starts 0..s to the per-start match once _FINISH * (s + 1) is at
-#: most the halves left: 16, not 4 or 8, never lost time on 350- to 20,000-cycles
-_FINISH = 16
-
-
-def _first_square_by_half(codes, top):
-    """(hit, exact): the smallest (start, half) square on the cycle
-    ``codes`` (labels 0..top), or an early square if not exact.  With the
-    doubled walk read as an int T, w bytes a label, the squares of half h
-    are the aligned runs of wh zero bytes in T ^ (T >> 8wh)."""
-    L = len(codes)
-    w = max(1, (top.bit_length() + 7) // 8)
-    data = bytes(codes) if w == 1 else b"".join(c.to_bytes(w, "little") for c in codes)
-    D = int.from_bytes(data + data, "little")
-    best, best_s = None, L
-    for h in range(1, L // 2 + 1):  # only starts < best_s: ties keep the smaller half
-        k = w * (best_s - 1 + 2 * h)
-        T = D & ((1 << 8 * k) - 1)
-        X = (T ^ (T >> 8 * w * h)).to_bytes(k, "little")
-        zero, stop = bytes(w * h), w * (best_s - 1 + h)
-        i = X.find(zero, 0, stop)
-        while i > 0 and i % w:
-            i = X.find(zero, i - i % w + w, stop)
-        if i >= 0:
-            best_s, best = i // w, (i // w, h)
-            if _FINISH * (best_s + 1) <= L // 2 - h:
-                return best, False
-    return best, True
-
-
 def _first_square_in_face(verts, colours):
     """Smallest (start, half) repetition over the facial paths of a cyclic
-    walk; used only to report counterexamples.  Colours are relabelled by
-    first occurrence.  The starts a simple cycle's per-half pass leaves, or
-    all of another walk, are matched in place in the labels written as a
-    string, two characters a colour when ``chr`` runs out."""
+    walk, with colours relabelled by first occurrence: by
+    ``kernels.cyclic_square`` on a simple cycle, by one lazy match per
+    start within its distinct-vertex window on another walk."""
     labels = {}
     codes = [labels.setdefault(colours[v], len(labels)) for v in verts]
-    L = len(verts)
-    if len(set(verts)) == L:
-        hit, exact = _first_square_by_half(codes, len(labels) - 1)
-        if exact:
-            return hit
-        ends = range(L, L + hit[0] + 1)
-    else:
-        ends = _window_ends(verts)
-    if len(labels) <= _CHARS:
-        width = 1
-        text = "".join(map(chr, codes))
-    else:
-        width = 2
-        text = "".join(chr(c // _CHARS) + chr(c % _CHARS) for c in codes)
-    text += text
-    pattern = _FIRST_SQUARE[width - 1]
-    for s, end in enumerate(ends):
-        m = pattern.match(text, width * s, width * end)
-        if m is not None:
-            return s, len(m.group(1)) // width
+    if len(set(verts)) == len(verts):
+        return cyclic_square(codes)
+    at = first_halves(codes)
+    for s, end in enumerate(_window_ends(verts)):
+        r = at(s, end)
+        if r is not None:
+            return s, r
     return None
 
 
@@ -157,9 +112,10 @@ def verify_facial_nonrepetitive(G, colours):
     else the counterexample FacialPath that is smallest by (face id, start
     position on the walk, half length)."""
     colours = list(colours)
-    if len(colours) != G.n or any(c is None for c in colours):
+    odd = [c for c in colours if type(c) is not int or c < 0]
+    if len(colours) != G.n or None in odd:
         raise ValueError("colouring must assign a colour to every vertex")
-    if any(not isinstance(c, int) or c < 0 for c in colours):
+    if odd:
         raise ValueError("colours must be non-negative integers")
 
     for f in range(len(G.faces)):
@@ -168,23 +124,30 @@ def verify_facial_nonrepetitive(G, colours):
         if L < 2:
             continue
         seq = [colours[v] for v in verts]
-        bad = False
-        if len(set(verts)) == L:
-            # simple cycle: every arc of length <= L is a facial path
-            bad = find_square(seq + seq, max_half=L // 2) is not None
+        simple = len(set(verts)) == L
+        if simple and 2 * L > _SHORT and in_band(seq):
+            # the pass's answer is the verdict and the counterexample at once;
+            # a doubled walk of at most _SHORT colours is the screen's alone
+            hit = _first_square_in_face(verts, colours)
+            if hit is None:
+                continue
         else:
-            for start, length in _maximal_distinct_windows(verts):
-                win = [seq[(start + k) % L] for k in range(length)]
-                if find_square(win) is not None:
-                    bad = True
-                    break
-        if bad:
+            if simple:
+                # simple cycle: every arc of length <= L is a facial path
+                bad = find_square(seq + seq, max_half=L // 2) is not None
+            else:
+                bad = any(
+                    find_square([seq[(start + k) % L] for k in range(length)]) is not None
+                    for start, length in _maximal_distinct_windows(verts)
+                )
+            if not bad:
+                continue
             hit = _first_square_in_face(verts, colours)
             if hit is None:  # kernel and search disagree: a bug that must not pass silently
                 raise RuntimeError(f"face {f}: the kernel reports a repetition the search cannot find")
-            s, r = hit
-            path = tuple(verts[(s + k) % L] for k in range(2 * r))
-            return FacialPath(f, path, G.is_outer_face(f))
+        s, r = hit
+        path = tuple(verts[(s + k) % L] for k in range(2 * r))
+        return FacialPath(f, path, G.is_outer_face(f))
     return None
 
 

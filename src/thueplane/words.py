@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from thueplane import embed
-from thueplane.kernels import find_square
+from thueplane.kernels import cyclic_square, find_square, in_band
 
 #: Cycle lengths whose nonrepetitive chromatic number is 4 rather than 3.
 EXCEPTIONAL_CYCLE_LENGTHS = frozenset({5, 7, 9, 10, 14, 17})
@@ -73,11 +73,15 @@ def palindrome_free_nonrepetitive(n):
 
 def has_cyclic_repetition(seq):
     """True when some contiguous cyclic arc of length <= len(seq) contains a
-    repetition (arcs are the paths of a cycle graph)."""
+    repetition (arcs are the paths of a cycle graph): by the per-half pass
+    of ``kernels.cyclic_square``, stopping at the first square, when the
+    cycle is in its band, else by Main–Lorentz on the doubled word."""
     seq = list(seq)
     n = len(seq)
     if n < 2:
         return False
+    if in_band(seq):
+        return cyclic_square(seq, first=True) is not None
     return find_square(seq + seq, max_half=n // 2) is not None
 
 
@@ -94,7 +98,7 @@ def _exact_cycle_word(n, k):
 
     def linear_suffix_square(i):
         for r in range(1, (i + 2) // 2 + 1):
-            if seq[i - 2 * r + 1 : i - r + 1] == seq[i - r + 1 : i + 1]:
+            if seq[i] == seq[i - r] and seq[i - 2 * r + 1 : i - r + 1] == seq[i - r + 1 : i + 1]:
                 return True
         return False
 
@@ -129,7 +133,7 @@ def _seam_cycle_word(n):
         def suffix_square(i):
             lim = min((i + 2) // 2, 2 * t)
             for r in range(1, lim + 1):
-                if word[i - 2 * r + 1 : i - r + 1] == word[i - r + 1 : i + 1]:
+                if word[i] == word[i - r] and word[i - 2 * r + 1 : i - r + 1] == word[i - r + 1 : i + 1]:
                     return True
             return False
 

@@ -22,7 +22,7 @@ TWO_BYTE = (BAND // 2, BAND // 2 + 1)
 
 @pytest.fixture(autouse=True)
 def _narrow_band(monkeypatch):
-    monkeypatch.setattr(kernels, "_BAND", BAND, raising=False)
+    monkeypatch.setattr(kernels, "_BAND", BAND)
 
 
 def _planted(codes, start, half):
@@ -117,3 +117,52 @@ def test_has_cyclic_repetition_matches_main_lorentz():
         for seq in variants:
             want = kernels.find_square(seq + seq, max_half=L // 2) is not None
             assert words.has_cyclic_repetition(seq) == want, (L, width, name)
+
+
+def test_interleaved_search_above_the_band(monkeypatch):
+    # every word lies above a band of 32 bytes, so the pass matches one
+    # start per kernels._PACE halves as it goes
+    monkeypatch.setattr(kernels, "_BAND", 32)
+    rnd = random.Random(43)
+    for L, width, name, codes in WORDS:
+        verts = rnd.sample(range(2 * L), L)
+        colours = dict(zip(verts, codes))
+        want = square_oracle.first_square_on_cycle(verts, colours)
+        assert verify._first_square_in_face(verts, colours) == want, (L, width, name)
+
+
+def _counting(monkeypatch, module):
+    calls = []
+    real = kernels.find_square
+
+    def find_square(seq, max_half=0):
+        calls.append(len(seq))
+        return real(seq, max_half)
+
+    monkeypatch.setattr(module, "find_square", find_square)
+    return calls
+
+
+def test_band_faces_make_no_find_square_call(monkeypatch):
+    cases = []
+    for L in (64, 65, BAND, BAND + 1):
+        G = gen.generate(gen.GenSpec("cycle", L))
+        good = colour.colour_outerplane(G).colours
+        outer = G.face_vertices(G.outer_face)
+        bad = list(good)
+        bad[outer[L // 2 + 1]] = bad[outer[L // 2]]
+        cases.append((L, G, good, bad))
+    calls = _counting(monkeypatch, verify)
+    for L, G, good, bad in cases:
+        in_band = 2 * L > kernels._SHORT and L <= BAND
+        del calls[:]
+        assert verify.verify_facial_nonrepetitive(G, good) is None
+        assert calls == ([] if in_band else [2 * L, 2 * L]), L  # both faces are the cycle
+        del calls[:]
+        assert verify.verify_facial_nonrepetitive(G, bad) is not None
+        assert len(calls) == (0 if in_band else 1), L
+    calls = _counting(monkeypatch, words)
+    for L in (64, BAND, BAND + 1):
+        del calls[:]
+        assert not words.has_cyclic_repetition(words.cycle_colouring(L))
+        assert calls == ([] if L <= BAND else [2 * L]), L

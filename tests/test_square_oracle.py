@@ -147,7 +147,7 @@ def test_counterexample_search_matches_oracle(kind, sizes):
 @pytest.mark.parametrize("chars", [0x110000, 3])
 def test_counterexample_search_on_hand_walks(chars, monkeypatch):
     # with fewer characters than colours the search writes two per colour
-    monkeypatch.setattr(verify, "_CHARS", chars)
+    monkeypatch.setattr(kernels, "_CHARS", chars)
     rnd = random.Random(13)
     walks = [
         [0, 1],
@@ -257,6 +257,21 @@ def test_counterexample_search_with_three_byte_labels():
         if start == 0 and half < 100:  # the oracle copies every half it tries
             assert square_oracle.first_square_in_face(verts, colours, L) == want
         assert verify._first_square_in_face(verts, colours) == want
+
+
+def test_counterexample_search_on_a_long_cycle_whose_only_square_is_the_walk():
+    # distinct labels written twice: the only square has half L // 2, so
+    # the pass alone would run every half over 2 * L bytes; the start
+    # matches interleaved with it find the square at start 0 at once
+    import time
+
+    L = 65540
+    verts, colours = _on_cycle(list(range(L // 2)) * 2, random.Random(41))
+    t0 = time.perf_counter()
+    got = verify._first_square_in_face(verts, colours)
+    elapsed = time.perf_counter() - t0
+    assert got == square_oracle.first_square_on_cycle(verts, colours) == (0, L // 2)
+    assert elapsed < 1.0, elapsed
 
 
 def test_counterexample_search_prefers_the_earlier_start_over_the_shorter_half():

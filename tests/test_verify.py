@@ -76,6 +76,16 @@ def test_partial_colouring_rejected(triangle):
         verify_facial_nonrepetitive(triangle, [1, None, 2])
 
 
+def test_bool_colours_rejected(triangle):
+    # True and False are ints to isinstance, but not colours
+    with pytest.raises(ValueError, match="non-negative integers"):
+        verify_facial_nonrepetitive(triangle, [True, 2, 3])
+    with pytest.raises(ValueError, match="non-negative integers"):
+        verify_facial_nonrepetitive(triangle, [1, 2, False])
+    with pytest.raises(ValueError, match="non-negative integers"):
+        verify_facial_nonrepetitive(triangle, [1, -2, 3])
+
+
 def test_counterexample_is_earliest():
     # the reported face is the smallest failing face id and the block the
     # earliest, shortest repetition on its walk

@@ -23,23 +23,32 @@ A symbol outside the range of ``chr`` turns the screen off for that call.
 Symbols must be non-negative integers; -1 is reserved as an internal
 sentinel.
 
-Squares on a cycle, that is in the arcs of a cyclic word, have one routine
-of their own, ``cyclic_square``: one XOR pass per half length over the
-doubled word written as bytes.  Its exact mode returns the smallest
-(start, half), the counterexample the verifier names; its first mode stops
-at the first square found, a decision for ``words.has_cyclic_repetition``.
-The pass costs Θ(w·L²) bytes for L labels of w bytes, so it decides a cycle
-alone only inside a band, w·L <= ``_BAND`` bytes: there it is quadratic but
-capped, like the screen below ``_SHORT``.  On square-free cycles it beat
-``find_square`` on the doubled word 2-9x up to 6,000 bytes and drew level
-between 12,000 and 16,000 bytes with one- and two-byte labels, so the band
-is 8,192 bytes.  The decision rule: in the verifier, a simple face whose
-doubled walk has at most ``_SHORT`` symbols goes to the screen, one inside
-the band to the exact mode, and a longer one to ``find_square``, after
-which only a failing face runs the exact mode; ``has_cyclic_repetition``
-sends every word inside the band to the first mode.  Above the band the
-exact mode also matches one start per ``_PACE`` halves, so it costs at
-most about twice the cheaper of the pass and the per-start match.
+Squares on a cycle, that is in the arcs of a cyclic word, and squares in
+the distinct-vertex windows of a facial walk have one function each, and
+these two functions alone choose which search runs:
+
+- ``cyclic_square`` decides a cycle of L labels of w bytes, w for its
+  largest label.  Its exact mode returns the smallest (start, half); its
+  first mode returns the first square it finds, a decision.  A cycle with
+  w·L <= ``_BAND`` bytes goes to the per-half pass: one XOR pass per half
+  length over the doubled word written as bytes.  In the exact mode a
+  doubled word of at most ``_SHORT`` symbols goes to the regex screen of
+  ``find_square`` instead, and in either mode a cycle above the band goes
+  to Main–Lorentz on the doubled word.  A cycle found square-free there is
+  done; in the exact mode a failing one then runs the pass.  Above the
+  band the pass also matches one start per ``_PACE`` halves, so it costs
+  at most about twice the cheaper of the pass and the per-start match.
+- ``window_square`` decides a walk with a repeated vertex by
+  ``find_square`` on each maximal window, and only a failing walk runs one
+  lazy match per start for its smallest (start, half).
+
+The pass costs Θ(w·L²) bytes, quadratic but capped by the band, like the
+screen below ``_SHORT``.  On square-free cycles it beat ``find_square`` on
+the doubled word 2-9x up to 6,000 bytes and drew level between 12,000 and
+16,000 bytes with one- and two-byte labels, so the band is 8,192 bytes.
+The pass and the match read only which labels are equal, so labels wider
+than a byte are first relabelled 0, 1, ... by first occurrence; the band is
+decided on the labels as given.
 """
 
 import re
@@ -65,8 +74,11 @@ def z_array(s):
     if n == 0:
         return z
     z[0] = n
+    first = s[0]
     l = r = 0
     for i in range(1, n):
+        if s[i] != first:  # z[i] = 0: a match of length 0 never moves the window [l, r)
+            continue
         k = 0
         if i < r:
             k = min(r - i, z[i - l])
@@ -93,6 +105,8 @@ def _crossing_square(s, lo, mid, hi, max_half):
     for l in range(1, lmax + 1):
         k1 = z1[l] if l < p else 0
         k2 = z2[q + 1 + (p - l)]
+        if k1 + k2 < l:  # then m_lo >= p - k1 > p - l + k2 >= m_hi
+            continue
         # centre position m (relative to lo) of a square u[m-l:m+l];
         # m must keep the centre in u, cross mid, and fit in [lo, hi).
         m_lo = max(l, p - l + 1, p - k1)
@@ -148,7 +162,7 @@ def find_square(seq, max_half=0):
     return _find_square_segment(s, 0, len(s), max_half, text, screen)
 
 
-#: widest cycle, in bytes w·L, that ``cyclic_square`` decides on its own
+#: widest cycle, in bytes w·L, that the per-half pass decides on its own
 _BAND = 8192
 #: above the band the pass matches one start per _PACE halves: a start costs
 #: the match 1.7-6 halves of the pass (L = 2,000 to 65,540, w = 1 to 3)
@@ -160,19 +174,24 @@ _FINISH = 16
 #: the second pattern reads text written two characters per label
 _FIRST_SQUARE = (re.compile(r"(.+?)\1", re.S), re.compile(r"((?:..)+?)\1", re.S))
 _CHARS = sys.maxunicode + 1
+#: a decision that the search cannot reproduce is a bug that must not pass silently
+_DISAGREE = "the kernel reports a repetition the search cannot find"
 
 
 def _width(top):
     return max(1, (top.bit_length() + 7) // 8)
 
 
-def in_band(seq):
-    """True when the cycle ``seq`` fits the band: its L labels of w bytes, w
-    for its largest label, take at most ``_BAND`` bytes."""
-    return len(seq) * _width(max(seq)) <= _BAND
+def _narrow(codes):
+    """``codes`` relabelled 0, 1, ... by first occurrence when a label takes
+    more than one byte, else ``codes`` as given."""
+    if max(codes) < 256:
+        return codes
+    labels = {}
+    return [labels.setdefault(c, len(labels)) for c in codes]
 
 
-def first_halves(codes):
+def _first_halves(codes):
     """at(s, end): the smallest half of a square that starts at s and ends
     by ``end`` in the doubled labels ``codes``, else None; one C-level lazy
     match, written one character a label, two once ``chr`` runs out."""
@@ -191,19 +210,35 @@ def first_halves(codes):
 
 
 def cyclic_square(codes, first=False):
-    """(start, half) of a square on the cycle ``codes`` (non-negative ints),
-    the smallest by start and then half, or with ``first`` the first one
-    found, of the smallest half; None when every arc is square-free.
+    """(start, half) of a square on the cycle ``codes``, a list of
+    non-negative ints: the smallest by start and then half, or with
+    ``first`` the first one found; None when every arc is square-free.
+    Which search runs is the rule in the module docstring."""
+    L = len(codes)
+    if L < 2:
+        return None
+    # for the exact mode below _SHORT, and outside the band, Main–Lorentz
+    # decides first and the pass only names a square it found
+    decided = not first and 2 * L <= _SHORT or L * _width(max(codes)) > _BAND
+    if decided:
+        hit = find_square(codes + codes, max_half=L // 2)
+        if hit is None or first:
+            return None if hit is None else (hit[0] % L, hit[1])
+    hit = _cyclic_pass(_narrow(codes), first)
+    if hit is None and decided:
+        raise RuntimeError(_DISAGREE)
+    return hit
+
+
+def _cyclic_pass(codes, first):
+    """``cyclic_square`` by the per-half pass.
 
     One pass per half h: with the doubled walk read as an int T, w bytes a
     label, the squares of half h are the aligned runs of wh zero bytes in
     T ^ (T >> 8wh), searched among the starts before the best so far, so
-    ties keep the smaller half.  The pass is Θ(w·L²) bytes, quadratic but
-    capped by ``_BAND`` where it decides a cycle, like the regex screen
-    below ``_SHORT``.  Once a square is known early enough, one lazy match
-    per start finishes; above the band the pass also matches one start per
-    ``_PACE`` halves, so it costs at most about twice the cheaper of the
-    two searches.
+    ties keep the smaller half.  Once a square is known early enough, one
+    lazy match per start finishes; above the band the pass also matches
+    one start per ``_PACE`` halves.
     """
     L = len(codes)
     w = _width(max(codes))
@@ -226,7 +261,7 @@ def cyclic_square(codes, first=False):
             if _FINISH * (best_s - s + 1) <= L // 2 - h:
                 break
         if h % pace == 0:
-            at = at or first_halves(codes)
+            at = at or _first_halves(codes)
             r = at(s, s + L)
             if r is not None:
                 return s, r
@@ -235,9 +270,28 @@ def cyclic_square(codes, first=False):
                 return best
     else:
         return best
-    at = at or first_halves(codes)
+    at = at or _first_halves(codes)
     for s in range(s, best_s):
         r = at(s, s + L)
         if r is not None:
             return s, r
     return best
+
+
+def window_square(codes, ends):
+    """(start, half) of the smallest square, by start and then half, that
+    starts at s and ends by ends[s] in the doubled walk ``codes + codes``,
+    where ends[s] - s is the length of the longest distinct-vertex window
+    from s; None when there is none.  Main–Lorentz decides over the maximal
+    windows, and only a failing walk runs one lazy match per start."""
+    L = len(codes)
+    dbl = codes + codes
+    # the window from s is maximal when the one from s - 1 ends before it
+    if all(find_square(dbl[s:end]) is None for s, end in enumerate(ends) if end > ends[s - 1] - (L if s == 0 else 0)):
+        return None
+    at = _first_halves(_narrow(codes))
+    for s, end in enumerate(ends):
+        r = at(s, end)
+        if r is not None:
+            return s, r
+    raise RuntimeError(_DISAGREE)

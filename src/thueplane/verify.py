@@ -5,23 +5,17 @@ are all distinct.  A colouring is facially nonrepetitive when no facial
 path's colour sequence contains a repetition.  Because a repetition inside
 any facial path is also a repetition inside the maximal distinct-vertex
 window containing it (and such windows are themselves facial paths), the
-checker scans each maximal window once with the repetition kernel; walks
-that are simple cycles are checked through their doubled colour sequence.
-A simple face whose doubled walk is longer than ``kernels._SHORT`` and
-which fits the band of ``kernels.cyclic_square`` is decided by that
-routine's exact mode, whose answer is also the counterexample; shorter
-faces stay with the regex screen of ``find_square``, longer ones with its
-Main–Lorentz divide and conquer.  A face that fails there is searched for
-its smallest (start, half) repetition: by the exact mode on a simple
-cycle, by one regex match per start on other walks, where most runs the
-pass scans cross a repeated vertex.
+checker asks the kernel once per face: ``kernels.cyclic_square`` for a
+walk that is a simple cycle, ``kernels.window_square`` with the ends of its
+distinct-vertex windows for any other walk.  The kernel's answer is the
+verdict and the counterexample at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from thueplane.kernels import _SHORT, cyclic_square, find_square, first_halves, in_band
+from thueplane.kernels import cyclic_square, window_square
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,28 +77,14 @@ def _window_ends(verts):
     return end
 
 
-def _maximal_distinct_windows(verts):
-    """Maximal distinct-vertex cyclic windows of ``verts`` as (start, length)."""
-    L = len(verts)
-    end = _window_ends(verts)
-    return [(i, end[i] - i) for i in range(L) if end[i] > (end[i - 1] if i else end[L - 1] - L)]
-
-
 def _first_square_in_face(verts, colours):
     """Smallest (start, half) repetition over the facial paths of a cyclic
-    walk, with colours relabelled by first occurrence: by
-    ``kernels.cyclic_square`` on a simple cycle, by one lazy match per
-    start within its distinct-vertex window on another walk."""
-    labels = {}
-    codes = [labels.setdefault(colours[v], len(labels)) for v in verts]
+    walk, or None: by ``kernels.cyclic_square`` on a simple cycle, by
+    ``kernels.window_square`` on another walk."""
+    seq = [colours[v] for v in verts]
     if len(set(verts)) == len(verts):
-        return cyclic_square(codes)
-    at = first_halves(codes)
-    for s, end in enumerate(_window_ends(verts)):
-        r = at(s, end)
-        if r is not None:
-            return s, r
-    return None
+        return cyclic_square(seq)
+    return window_square(seq, _window_ends(verts))
 
 
 def verify_facial_nonrepetitive(G, colours):
@@ -120,34 +100,11 @@ def verify_facial_nonrepetitive(G, colours):
 
     for f in range(len(G.faces)):
         verts = G.face_vertices(f)
-        L = len(verts)
-        if L < 2:
-            continue
-        seq = [colours[v] for v in verts]
-        simple = len(set(verts)) == L
-        if simple and 2 * L > _SHORT and in_band(seq):
-            # the pass's answer is the verdict and the counterexample at once;
-            # a doubled walk of at most _SHORT colours is the screen's alone
-            hit = _first_square_in_face(verts, colours)
-            if hit is None:
-                continue
-        else:
-            if simple:
-                # simple cycle: every arc of length <= L is a facial path
-                bad = find_square(seq + seq, max_half=L // 2) is not None
-            else:
-                bad = any(
-                    find_square([seq[(start + k) % L] for k in range(length)]) is not None
-                    for start, length in _maximal_distinct_windows(verts)
-                )
-            if not bad:
-                continue
-            hit = _first_square_in_face(verts, colours)
-            if hit is None:  # kernel and search disagree: a bug that must not pass silently
-                raise RuntimeError(f"face {f}: the kernel reports a repetition the search cannot find")
-        s, r = hit
-        path = tuple(verts[(s + k) % L] for k in range(2 * r))
-        return FacialPath(f, path, G.is_outer_face(f))
+        hit = _first_square_in_face(verts, colours)
+        if hit is not None:
+            s, r = hit
+            path = tuple(verts[(s + k) % len(verts)] for k in range(2 * r))
+            return FacialPath(f, path, G.is_outer_face(f))
     return None
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from thueplane import embed
-from thueplane.kernels import cyclic_square, find_square, in_band
+from thueplane.kernels import cyclic_square, find_square
 
 #: Cycle lengths whose nonrepetitive chromatic number is 4 rather than 3.
 EXCEPTIONAL_CYCLE_LENGTHS = frozenset({5, 7, 9, 10, 14, 17})
@@ -73,16 +73,9 @@ def palindrome_free_nonrepetitive(n):
 
 def has_cyclic_repetition(seq):
     """True when some contiguous cyclic arc of length <= len(seq) contains a
-    repetition (arcs are the paths of a cycle graph): by the per-half pass
-    of ``kernels.cyclic_square``, stopping at the first square, when the
-    cycle is in its band, else by Main–Lorentz on the doubled word."""
-    seq = list(seq)
-    n = len(seq)
-    if n < 2:
-        return False
-    if in_band(seq):
-        return cyclic_square(seq, first=True) is not None
-    return find_square(seq + seq, max_half=n // 2) is not None
+    repetition (arcs are the paths of a cycle graph), by the first mode of
+    ``kernels.cyclic_square``."""
+    return cyclic_square(list(seq), first=True) is not None
 
 
 def cycle_alphabet_size(n):
@@ -92,20 +85,22 @@ def cycle_alphabet_size(n):
 _EXACT_CYCLE_LIMIT = 64
 
 
+def _suffix_square(word, i, max_half):
+    """True when word[:i + 1] ends in a square of half at most ``max_half``."""
+    for r in range(1, min((i + 1) // 2, max_half) + 1):
+        if word[i] == word[i - r] and word[i - 2 * r + 1 : i - r + 1] == word[i - r + 1 : i + 1]:
+            return True
+    return False
+
+
 def _exact_cycle_word(n, k):
     """Lexicographically least cyclic nonrepetitive word by backtracking."""
     seq = []
 
-    def linear_suffix_square(i):
-        for r in range(1, (i + 2) // 2 + 1):
-            if seq[i] == seq[i - r] and seq[i - 2 * r + 1 : i - r + 1] == seq[i - r + 1 : i + 1]:
-                return True
-        return False
-
     def extend(i):
         for s in range(k):
             seq.append(s)
-            if not linear_suffix_square(i):
+            if not _suffix_square(seq, i, n):
                 if i + 1 == n:
                     if not has_cyclic_repetition(seq):
                         return True
@@ -129,14 +124,6 @@ def _seam_cycle_word(n):
             continue
         word = list(base)
         fixed = n - t
-
-        def suffix_square(i):
-            lim = min((i + 2) // 2, 2 * t)
-            for r in range(1, lim + 1):
-                if word[i] == word[i - r] and word[i - 2 * r + 1 : i - r + 1] == word[i - r + 1 : i + 1]:
-                    return True
-            return False
-
         attempts = 0
         choice = [0]
         while choice:
@@ -148,7 +135,7 @@ def _seam_cycle_word(n):
                     choice[-1] += 1
                 continue
             word[i] = s
-            if suffix_square(i):
+            if _suffix_square(word, i, 2 * t):
                 choice[-1] += 1
                 continue
             if len(choice) == t:

@@ -131,7 +131,7 @@ def test_interleaved_search_above_the_band(monkeypatch):
         assert verify._first_square_in_face(verts, colours) == want, (L, width, name)
 
 
-def _counting(monkeypatch, module):
+def _counting(monkeypatch):
     calls = []
     real = kernels.find_square
 
@@ -139,7 +139,7 @@ def _counting(monkeypatch, module):
         calls.append(len(seq))
         return real(seq, max_half)
 
-    monkeypatch.setattr(module, "find_square", find_square)
+    monkeypatch.setattr(kernels, "find_square", find_square)
     return calls
 
 
@@ -152,7 +152,7 @@ def test_band_faces_make_no_find_square_call(monkeypatch):
         bad = list(good)
         bad[outer[L // 2 + 1]] = bad[outer[L // 2]]
         cases.append((L, G, good, bad))
-    calls = _counting(monkeypatch, verify)
+    calls = _counting(monkeypatch)
     for L, G, good, bad in cases:
         in_band = 2 * L > kernels._SHORT and L <= BAND
         del calls[:]
@@ -161,8 +161,57 @@ def test_band_faces_make_no_find_square_call(monkeypatch):
         del calls[:]
         assert verify.verify_facial_nonrepetitive(G, bad) is not None
         assert len(calls) == (0 if in_band else 1), L
-    calls = _counting(monkeypatch, words)
     for L in (64, BAND, BAND + 1):
         del calls[:]
         assert not words.has_cyclic_repetition(words.cycle_colouring(L))
         assert calls == ([] if L <= BAND else [2 * L]), L
+
+
+#: colours from 2**48 on reach past kernels._CHARS ** 2, the labels the
+#: per-start match can write even two characters a label
+WIDE = 2**48
+
+
+def _two_cycles(a, b):
+    """Cycles of a and b vertices sharing one vertex: the outer walk passes
+    that vertex twice."""
+    builder = gen._Builder()
+    builder.add_polygon_block(builder.new_vertex(), a, [])
+    builder.add_polygon_block(a // 2, b, [])
+    return builder.finish_outerplane()
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        gen.generate(gen.GenSpec("cycle", 80)),  # 80 seven-byte labels fit the band
+        gen.generate(gen.GenSpec("cycle", 120)),  # 120 do not
+        _two_cycles(40, 41),
+    ],
+    ids=["in band", "above band", "repeated vertex"],
+)
+def test_wide_colours_give_the_witness_of_their_relabelling(G):
+    rnd = random.Random(47)
+    good = colour.colour_outerplane(G).colours
+    outer = G.face_vertices(G.outer_face)
+    L = len(outer)
+    colourings = [good]
+    for start in (0, 7, L // 2):
+        for half in (1, 2, 5, 13):
+            bad = list(good)
+            for t in range(half):
+                bad[outer[(start + half + t) % L]] = bad[outer[(start + t) % L]]
+            colourings.append(bad)
+    rejected = 0
+    for colours in colourings:
+        rank = {c: i for i, c in enumerate(sorted(set(colours)))}
+        small = [rank[c] for c in colours]
+        ladder = rnd.sample(range(WIDE, 2 * WIDE), len(rank))
+        wide = [ladder[c] for c in small]
+        want = verify.verify_facial_nonrepetitive(G, small)
+        assert verify.verify_facial_nonrepetitive(G, wide) == want
+        rejected += want is not None
+        for f in range(len(G.faces)):
+            verts = G.face_vertices(f)
+            assert verify._first_square_in_face(verts, wide) == verify._first_square_in_face(verts, small), f
+    assert rejected >= 6

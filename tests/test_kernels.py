@@ -51,7 +51,7 @@ def test_find_square_agrees_with_oracle(seq, max_half):
             assert r <= max_half
 
 
-def test_backends_agree():
+def test_find_square_witness_matches_reference_divide_and_conquer():
     # the kernel must return the reference divide and conquer's witness,
     # not merely agree that a square exists
     from square_oracle import find_square as reference

@@ -1,6 +1,6 @@
 import pytest
 
-from thueplane import colour, embed, gen, verify
+from thueplane import colour, embed, gen, kernels, verify
 from thueplane.verify import (
     exact_pi_f,
     exact_pi_tree_paths,
@@ -119,8 +119,8 @@ def test_kernel_reporting_a_false_square_raises(monkeypatch):
     G = polygon(6)
     good = colour.colour_outerplane(G).colours
     assert verify_facial_nonrepetitive(G, good) is None
-    monkeypatch.setattr(verify, "find_square", lambda seq, max_half=0: (0, 1))
-    with pytest.raises(RuntimeError, match="face 0: the kernel reports a repetition"):
+    monkeypatch.setattr(kernels, "find_square", lambda seq, max_half=0: (0, 1))
+    with pytest.raises(RuntimeError, match="the kernel reports a repetition"):
         verify_facial_nonrepetitive(G, good)
 
 

@@ -11,6 +11,7 @@ from thueplane.embed import ClassMismatchError
 
 from conftest import decorate_multigraph, hexagon_with_inner_star
 from support import induced_embedded_subgraph, layer_graphs
+from test_blocking import biconnected_corpus
 
 PIPELINES = (
     colour.colour_outerplane,
@@ -44,6 +45,9 @@ def _line(h, doc):
 # once at the public boundary and before the subgraph builders were merged.
 PIPELINE_DIGEST = "c8a69fab74efcef5ca49795eb62d75c1b38a8a030cc02f1a65e42a2ac7538cfc"
 SUBGRAPH_DIGEST = "b78dd4fc33d3bb3711b92519029f5a16ea112797aedaed9fbf765bf59e3217ac"
+# SHA-256 digest recorded before the blocking cores moved from per-block
+# views to per-face arrays built once per graph.
+BLOCKING_DIGEST = "b12ea80bea9b39db8e7021d3e95f5578506bd40a188b4e624adc2f3522b75c8f"
 
 
 def test_pipeline_colourings_golden_digest():
@@ -68,6 +72,24 @@ def test_simplify_and_induced_subgraph_golden_digest():
             sub, vmap = induced_embedded_subgraph(G, S)
             _line(h, {"induced": embed.graph_to_json(sub), "vmap": list(vmap)})
     assert h.hexdigest() == SUBGRAPH_DIGEST
+
+
+def test_blocking_sets_golden_digest():
+    # large graphs with about a thousand blocks each, a flower (blocks that
+    # share one cut vertex), and the layers graphs the plane pipeline feeds
+    # to the same stage; then the size-controlled single-block sets
+    graphs = [gen.generate(gen.GenSpec("outerplane", 10**4, seed)) for seed in (0, 1)]
+    graphs.append(gen.generate(gen.GenSpec("outerplane_bridgeless", 10**4, 0)))
+    graphs.append(gen.generate(gen.GenSpec("flower", 2620, 0)))
+    for kind in ("nested", "plane"):
+        G = gen.generate(gen.GenSpec(kind, 300, 0))
+        graphs.append(colour._layers_graph(G, colour.peeling_layering(G).layer))
+    h = hashlib.sha256()
+    for G in graphs:
+        h.update(json.dumps(sorted(blocking._even_blocking_over_blocks(G))).encode() + b"\n")
+    for G in biconnected_corpus(400, max_n=45):
+        h.update(json.dumps(sorted(blocking.blocking_set_good_size(G))).encode() + b"\n")
+    assert h.hexdigest() == BLOCKING_DIGEST
 
 
 def _passes_boundary(g):

@@ -12,11 +12,12 @@ need.
 All constructors require simple inputs; multigraphs are normalized with
 ``embed.simplify`` by the callers and colourings lift back.
 
-The constructions run on block views (``_block_view``): a 2-connected
-component read in place in its host, in host vertex, edge and face ids, so
-no block is copied out of its host; size control drops an ear from the
-view.  Each public constructor checks its input class, then views its own
-graph and calls the unchecked core a pipeline calls on its blocks.
+The constructions read each block in place: ``_host`` builds the vertex
+cycle of every inner face and the weak dual by face id once per graph, and
+a block is its inner face ids plus its outer-cycle darts, as the one block
+pass returns them; size control drops an ear from the dual in place.  A
+public constructor checks its input class, then reads its own graph as
+one block with the unchecked cores the pipelines call on their blocks.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def validate_blocking_set(G, B):
             return False, [f"vertex {x} out of range"]
 
     violations = []
-    blocks, _ = embed._blocks_and_bridges(G)
+    blocks = embed._blocks_and_bridges(G)[0]
     for verts, bedges in blocks:
         if len(verts) < 3:
             continue
@@ -123,98 +124,83 @@ def _require_biconnected_outerplane(G):
         raise ClassMismatchError("graph is not biconnected")
 
 
-class _BlockView(NamedTuple):
-    """One 2-connected component of an outerplane host, read in place: every
-    id is the host's.  Its inner faces are exactly host inner faces (same
-    dart walks, same start dart), and the weak dual they span is the block's
-    chord tree, so the constructions below need no copy of the block."""
+class _Host(NamedTuple):
+    """A simple outerplane graph read face by face, built once per graph.
+    A block is read in place through it: as its inner face ids, which are
+    host face ids, and the darts of its outer cycle.  The chords between
+    its faces span its weak dual, a tree."""
 
-    cycles: dict  # inner face id -> vertex cycle (tuple)
-    dual: dict  # inner face id -> list of (chord edge, neighbouring face)
-    outer_nb: dict  # vertex -> its two neighbours on the block's outer cycle
-    edges: tuple  # the host's edges, for chord endpoints
-    faces: tuple  # the host's dart walks, for face edge ids
+    graph: embed.EmbeddedGraph
+    cycles: list  # face id -> vertex cycle (tuple), None for an outer face
+    dual: list  # face id -> (chord, face across it) pairs, by chord id
 
 
-def _block_view(G, edge_ids):
-    """View of the block of the simple outerplane graph G whose edges are
-    ``edge_ids`` (sorted, at least three vertices), in time proportional to
-    the block.  A block edge is a chord iff both its sides are inner faces;
-    every other block edge has the outer face on one side and lies on the
+def _host(G):
+    """``_Host`` of the simple outerplane graph G; a chord has inner faces on both sides."""
+    tail, outer, face_of = G.origin.__getitem__, G.outer_faces, G.face_of
+    cycles = [None if f in outer else tuple(map(tail, w)) for f, w in enumerate(G.faces)]
+    dual = [[] for _ in cycles]
+    for e, (f, g) in enumerate(zip(face_of[::2], face_of[1::2])):
+        if f not in outer and g not in outer:
+            dual[f].append((e, g))
+            dual[g].append((e, f))
+    return _Host(G, cycles, dual)
+
+
+def _one_per_face(H, faces, seg, v, include):
+    """``blocking_set_biconnected`` on the block of H with inner faces
+    ``faces``; exclusion reads v's neighbours off ``seg``, the darts of the
     block's outer cycle."""
-    edges, face_of, outer_faces = G.edges, G.face_of, G.outer_faces
-    dual = {}
-    outer_nb = {}
-    for e in edge_ids:
-        f, g = face_of[2 * e], face_of[2 * e + 1]
-        if f in outer_faces or g in outer_faces:
-            u, w = edges[e]
-            outer_nb.setdefault(u, []).append(w)
-            outer_nb.setdefault(w, []).append(u)
-            dual.setdefault(g if f in outer_faces else f, [])  # its inner side
-        else:
-            dual.setdefault(f, []).append((e, g))
-            dual.setdefault(g, []).append((e, f))
-    faces, origin = G.faces, G.origin
-    cycles = {f: tuple(map(origin.__getitem__, faces[f])) for f in dual}
-    return _BlockView(cycles, dual, outer_nb, edges, faces)
-
-
-def _one_per_face(view, v, include):
-    """``blocking_set_biconnected`` on a block view."""
     if not include:
-        forced = min(view.outer_nb[v])
-        B = _one_per_face(view, forced, True)
+        ring = list(map(H.graph.origin.__getitem__, seg))
+        i = ring.index(v)
+        B = _one_per_face(H, faces, seg, min(ring[i - 1], ring[(i + 1) % len(ring)]), True)
         if v in B:
             raise BlockingConstructionError("exclusion failed; one-per-face violated")
         return B
 
-    cycles, dual, edges = view.cycles, view.dual, view.edges
-    if len(cycles) == 1:
+    if len(faces) == 1:
         return frozenset({v})
+    cycles, dual, edges = H.cycles, H.dual, H.graph.edges
 
-    alive_deg = {f: len(nbs) for f, nbs in dual.items()}
-    dead_chords = set()
-    face_alive = {f: True for f in cycles}
-
-    def leaf_chord(f):
-        for e, g in dual[f]:
-            if e not in dead_chords:
-                return e, g
-        raise BlockingConstructionError("leaf face without a live chord")
-
-    def valid_leaf(f):
-        e, _g = leaf_chord(f)
-        u, w = edges[e]
-        return v not in cycles[f] or v in (u, w)
-
-    heap = [f for f in cycles if alive_deg[f] == 1 and valid_leaf(f)]
+    # a leaf is valid when v is off it or on its live chord
+    alive_deg = {}
+    heap = []
+    for f in faces:
+        nbs = dual[f]
+        alive_deg[f] = len(nbs)
+        if len(nbs) == 1 and (v not in cycles[f] or v in edges[nbs[0][0]]):
+            heap.append(f)
     heapq.heapify(heap)
-    peels = []
-    remaining = len(cycles)
-    while remaining > 1:
-        if not heap:
-            raise BlockingConstructionError("no valid ear available")
-        f = heapq.heappop(heap)
-        if not face_alive[f] or alive_deg[f] != 1:
-            continue
-        e, g = leaf_chord(f)
-        u, w = edges[e]
-        interior = tuple(x for x in cycles[f] if x != u and x != w)
-        peels.append((e, interior))
-        face_alive[f] = False
-        dead_chords.add(e)
-        remaining -= 1
+    peels = []  # (chord, face) in peeling order
+    for remaining in range(len(faces), 1, -1):
+        f = -1
+        while alive_deg.get(f) != 1:  # skip peeled faces, which have degree 0
+            if not heap:
+                raise BlockingConstructionError("no valid ear available")
+            f = heapq.heappop(heap)
+        e, g = _live_chord(dual[f], alive_deg)
+        peels.append((e, f))
+        alive_deg[f] = 0
         alive_deg[g] -= 1
-        if alive_deg[g] == 1 and remaining > 1 and valid_leaf(g):
-            heapq.heappush(heap, g)
+        if alive_deg[g] == 1 and remaining > 2:
+            c, _h = _live_chord(dual[g], alive_deg)
+            if v not in cycles[g] or v in edges[c]:
+                heapq.heappush(heap, g)
 
     B = {v}
-    for e, interior in reversed(peels):
+    for e, f in reversed(peels):
         u, w = edges[e]
         if u not in B and w not in B:
-            B.add(min(interior))
+            B.add(min(x for x in cycles[f] if x != u and x != w))
     return frozenset(B)
+
+
+def _live_chord(nbs, alive_deg):
+    for e, g in nbs:
+        if alive_deg[g]:
+            return e, g
+    raise BlockingConstructionError("leaf face without a live chord")
 
 
 def blocking_set_biconnected(G, v, include=True):
@@ -229,19 +215,19 @@ def blocking_set_biconnected(G, v, include=True):
     _require_biconnected_outerplane(G)
     if not (0 <= v < G.n):
         raise ValueError(f"vertex {v} out of range")
-    return _one_per_face(_block_view(G, range(len(G.edges))), v, include)
+    return _one_per_face(_host(G), G.inner_faces(), G.faces[G.outer_face], v, include)
 
 
-def _b_vertex_per_face(view, B):
+def _b_vertex_per_face(cycles, faces, B):
     """Face id -> its unique B vertex (asserts the one-per-face property)."""
     out = {}
-    for f, cyc in view.cycles.items():
-        hits = [x for x in cyc if x in B]
+    for f in faces:
+        hits = B.intersection(cycles[f])
         if len(hits) != 1:
             raise BlockingConstructionError(
                 f"face {f} carries {len(hits)} B-vertices; expected exactly one"
             )
-        out[f] = hits[0]
+        (out[f],) = hits
     return out
 
 
@@ -250,7 +236,7 @@ def _face_neighbours_of(cyc, x):
     return cyc[i - 1], cyc[(i + 1) % len(cyc)]
 
 
-def _evenize(view, B1, ref, root_face, ab_edge=None):
+def _evenize(H, faces, B1, ref, root_face, ab_edge=None):
     """Add one vertex to an odd one-per-face blocking set so the blocking
     graph becomes an even cycle.
 
@@ -259,19 +245,20 @@ def _evenize(view, B1, ref, root_face, ab_edge=None):
     never ref.  ``root_face`` roots the weak dual for the final case.  In
     the edge variant ``ab_edge`` is the outer edge ab, and the ears used by
     the first two cases may not carry it."""
-    cycles, dual, edges = view.cycles, view.dual, view.edges
+    cycles, dual, edges = H.cycles, H.dual, H.graph.edges
 
-    if len(cycles) == 1:
-        (u0,) = tuple(B1)
-        w = min(x for x in view.outer_nb[u0] if x != ref)
+    if len(faces) == 1:
+        # a polygon block: its outer cycle is its one face
+        (u0,) = B1
+        w = min(x for x in _face_neighbours_of(cycles[faces[0]], u0) if x != ref)
         return frozenset(B1 | {w})
 
-    bvert = _b_vertex_per_face(view, B1)
+    bvert = _b_vertex_per_face(cycles, faces, B1)
 
     def face_edge_ids(f):
-        return {d // 2 for d in view.faces[f]}
+        return {d // 2 for d in H.graph.faces[f]}
 
-    ears_list = sorted(f for f in cycles if len(dual[f]) == 1)
+    ears_list = sorted(f for f in faces if len(dual[f]) == 1)
 
     # Case 1: an ear with four or more vertices
     for f in ears_list:
@@ -299,9 +286,9 @@ def _evenize(view, B1, ref, root_face, ab_edge=None):
             continue
         e, _g = dual[f][0]
         u, w = edges[e]
-        (t,) = tuple(x for x in cyc if x != u and x != w)
         if u not in B1 and w not in B1:
             continue
+        (t,) = tuple(x for x in cyc if x != u and x != w)
         if ab_edge is None:
             if t == ref:
                 continue
@@ -312,40 +299,37 @@ def _evenize(view, B1, ref, root_face, ab_edge=None):
     # Case 3: root the dual, take an internal face F whose children are all
     # deepest leaves, and pick inside the star around it
     depth = {root_face: 0}
-    parent_chord = {root_face: None}
+    parent = {root_face: (None, None)}  # face -> (chord to its parent, parent)
     order = [root_face]
-    qi = 0
-    while qi < len(order):
-        f = order[qi]
-        qi += 1
-        for e, g in sorted(dual[f]):
+    for f in order:  # grows while it is read
+        for e, g in dual[f]:  # by chord id
             if g not in depth:
                 depth[g] = depth[f] + 1
-                parent_chord[g] = e
+                parent[g] = (e, f)
                 order.append(g)
-    h = max(depth.values())
+    h = depth[order[-1]]
     if h < 1:
         raise BlockingConstructionError("case 3 reached with a single face")
-    children = {f: [g for _, g in sorted(dual[f]) if depth[g] == depth[f] + 1] for f in cycles}
-    F = min(f for f in cycles if depth[f] == h - 1 and any(depth[g] == h for g in children[f]))
+    F = min(parent[g][1] for g in order if depth[g] == h)
 
     if F == root_face:
         if ab_edge is not None:
             uw = ab_edge
         else:
+            # the star around the root is the root and all its children
             chords_of_F = {c for c, _g in dual[F]}
             cand_edges = []
             for e in sorted(face_edge_ids(F)):
                 a, b = edges[e]
                 if ref in (a, b):
-                    star_faces = 1 + len(children[F]) - (1 if e in chords_of_F else 0)
+                    star_faces = 1 + len(dual[F]) - (1 if e in chords_of_F else 0)
                     if star_faces >= 2:
                         cand_edges.append(e)
             if not cand_edges:
                 raise BlockingConstructionError("no usable edge at the root face")
             uw = min(cand_edges)
     else:
-        uw = parent_chord[F]
+        uw = parent[F][0]
     u, w = edges[uw]
     x = bvert[F]
     cands = [y for y in _face_neighbours_of(cycles[F], x) if y != u and y != w]
@@ -357,13 +341,14 @@ def _evenize(view, B1, ref, root_face, ab_edge=None):
     return frozenset(B1 | {y})
 
 
-def _even_one_per_face(view, v, include):
-    """``blocking_set_even_biconnected`` on a block view."""
-    B1 = _one_per_face(view, v, include)
+def _even_one_per_face(H, faces, seg, v, include):
+    """``blocking_set_even_biconnected`` on the block of H with inner faces
+    ``faces`` and outer-cycle darts ``seg``."""
+    B1 = _one_per_face(H, faces, seg, v, include)
     if len(B1) % 2 == 0:
         return B1
-    root = min(f for f, cyc in view.cycles.items() if v in cyc)
-    return _evenize(view, B1, v, root)
+    root = min(f for f in faces if v in H.cycles[f])
+    return _evenize(H, faces, B1, v, root)
 
 
 def blocking_set_even_biconnected(G, v, include=True):
@@ -372,7 +357,7 @@ def blocking_set_even_biconnected(G, v, include=True):
     _require_biconnected_outerplane(G)
     if not (0 <= v < G.n):
         raise ValueError(f"vertex {v} out of range")
-    return _even_one_per_face(_block_view(G, range(len(G.edges))), v, include)
+    return _even_one_per_face(_host(G), G.inner_faces(), G.faces[G.outer_face], v, include)
 
 
 def blocking_set_even_biconnected_edge(G, a, b):
@@ -391,18 +376,19 @@ def blocking_set_even_biconnected_edge(G, a, b):
     root = G.face_of[2 * eid]
     if G.is_outer_face(root):
         root = G.face_of[2 * eid + 1]
-    return _even_one_per_face_edge(_block_view(G, range(len(G.edges))), a, b, eid, root)
+    return _even_one_per_face_edge(_host(G), G.inner_faces(), a, b, eid, root)
 
 
-def _even_one_per_face_edge(view, a, b, ab_edge, root):
-    """``blocking_set_even_biconnected_edge`` on a block view; ``root`` is
-    the inner face on the outer edge ``ab_edge``."""
-    B1 = _one_per_face(view, b, True)
+def _even_one_per_face_edge(H, faces, a, b, ab_edge, root):
+    """``blocking_set_even_biconnected_edge`` on the block of H with inner
+    faces ``faces``; ``root`` is the inner face on the outer edge
+    ``ab_edge``.  Nothing here reads the block's outer cycle."""
+    B1 = _one_per_face(H, faces, None, b, True)
     if a in B1:
         raise BlockingConstructionError("exclusion of a failed")
     if len(B1) % 2 == 0:
         return B1
-    B = _evenize(view, B1, a, root, ab_edge=ab_edge)
+    B = _evenize(H, faces, B1, a, root, ab_edge=ab_edge)
     if a in B or b not in B:
         raise BlockingConstructionError("edge-variant postcondition violated")
     return B
@@ -412,16 +398,25 @@ def _even_blocking_over_blocks(G):
     """Process the block-cut forest once: every 2-connected component gets
     an even-cycle blocking set whose shared cut class is included exactly
     when an earlier block (or bridge-tree inflation) selected it."""
-    blocks, bridge_ids = embed._blocks_and_bridges(G)
-    # bridge-connected vertices form one class
+    blocks, bridge_ids, shapes = embed._blocks_and_bridges(G)
+    H = _host(G)
+    # bridge-connected vertices form one class, named by its union-find
+    # root; a vertex on no bridge is its own class
+    cls = list(range(G.n))
+    ends = {x for e in bridge_ids for x in G.edges[e]}
     find = embed._union_find(G.n, (G.edges[e] for e in bridge_ids))
-    cls = [find(x) for x in range(G.n)]
-    big = [(verts, es) for verts, es in blocks if len(verts) >= 3]
-
-    class_blocks = {}
-    for bid, (verts, _es) in enumerate(big):
+    for x in ends:
+        cls[x] = find(x)
+    big = [(verts, *shape) for (verts, _es), shape in zip(blocks, shapes) if len(verts) >= 3]
+    first = [-1] * G.n  # class -> the first block on it
+    class_blocks = {}  # class on two or more blocks -> its blocks
+    for bid, (verts, _fs, _seg) in enumerate(big):
         for x in verts:
-            class_blocks.setdefault(cls[x], []).append(bid)
+            c = cls[x]
+            if first[c] == -1:
+                first[c] = bid
+            else:
+                class_blocks.setdefault(c, [first[c]]).append(bid)
 
     selected = set()
     seen_block = [False] * len(big)
@@ -429,20 +424,13 @@ def _even_blocking_over_blocks(G):
         if seen_block[start]:
             continue
         seen_block[start] = True
-        queue = [(start, None)]
-        qi = 0
-        while qi < len(queue):
-            bid, attach_class = queue[qi]
-            qi += 1
-            verts, bedges = big[bid]
-            if attach_class is None:
-                a = verts[0]
-                include = True
-            else:
-                (a,) = [x for x in verts if cls[x] == attach_class]
-                include = attach_class in selected
-            for x in _even_one_per_face(_block_view(G, bedges), a, include):
-                selected.add(cls[x])
+        a = big[start][0][0]
+        selected.add(cls[a])  # a root block includes its first vertex
+        queue = [(start, a)]
+        for bid, a in queue:  # grows while it is read
+            verts, faces, seg = big[bid]
+            B = _even_one_per_face(H, faces, seg, a, cls[a] in selected)
+            selected.update(map(cls.__getitem__, B))
             for x in verts:
                 c = cls[x]
                 # a class is expanded once: its first expansion marks every
@@ -450,9 +438,11 @@ def _even_blocking_over_blocks(G):
                 for nb in class_blocks.pop(c, ()):
                     if not seen_block[nb]:
                         seen_block[nb] = True
-                        queue.append((nb, c))
+                        # its one vertex in class c: c unless c joins bridges
+                        nv = big[nb][0]
+                        queue.append((nb, c if c in nv else next(y for y in nv if cls[y] == c)))
 
-    return frozenset(x for x in range(G.n) if cls[x] in selected)
+    return frozenset(selected.union(x for x in ends if cls[x] in selected))
 
 
 def blocking_set_even_bridgeless(G):
@@ -477,33 +467,29 @@ def blocking_set_good_size(G):
     """Blocking set of a biconnected outerplane graph whose size avoids the
     exceptional cycle lengths (so its blocking cycle is 3-colourable)."""
     _require_biconnected_outerplane(G)
-    return _good_size(_block_view(G, range(len(G.edges))))
+    return _good_size(G, G.inner_faces())
 
 
-def _good_size(view):
-    """``blocking_set_good_size`` on a block view.  A polygon takes the ends
-    of its lowest-id edge, the first two vertices of its outer walk (that
-    walk holds one dart of every edge and starts at its lowest).  Otherwise the smallest-id ear f is dropped from
-    the view, so that its chord becomes an outer edge, and the rest gets an
-    even set with the chord's smaller end b in and its larger end a out.
-    Sizes 10 and 14 then also take b's other neighbour on f."""
-    cycles, dual, edges = view.cycles, view.dual, view.edges
-    if len(cycles) == 1:
-        (f,) = cycles
-        return frozenset(edges[min(view.faces[f]) // 2])
+def _good_size(G, faces):
+    """``blocking_set_good_size`` on the block of the simple outerplane
+    graph G with inner faces ``faces``.  A polygon takes the ends of its
+    lowest-id edge, the first two vertices of its outer walk (that walk
+    holds one dart of every edge and starts at its lowest).  Otherwise the
+    smallest-id ear f is dropped from the block, so that its chord becomes
+    an outer edge, and the rest gets an even set with the chord's smaller
+    end b in and its larger end a out.  Sizes 10 and 14 then also take b's
+    other neighbour on f."""
+    H = _host(G)
+    cycles, dual, edges = H.cycles, H.dual, H.graph.edges
+    if len(faces) == 1:
+        return frozenset(edges[min(H.graph.faces[faces[0]]) // 2])
 
-    f = min(g for g in cycles if len(dual[g]) == 1)
+    f = min(g for g in faces if len(dual[g]) == 1)
     ((chord, g),) = dual[f]
     a, b = sorted(edges[chord], reverse=True)
-    interior = set(cycles[f]) - {a, b}
-    outer_nb = {x: nb for x, nb in view.outer_nb.items() if x not in interior}
-    outer_nb[a] = [b if x in interior else x for x in outer_nb[a]]
-    outer_nb[b] = [a if x in interior else x for x in outer_nb[b]]
-    rest_dual = {h: nbs for h, nbs in dual.items() if h != f}
-    rest_dual[g] = [(e, h) for e, h in dual[g] if h != f]
-    rest_cycles = {h: cyc for h, cyc in cycles.items() if h != f}
-    rest = view._replace(cycles=rest_cycles, dual=rest_dual, outer_nb=outer_nb)
-    B = set(_even_one_per_face_edge(rest, a, b, chord, g))
+    dual[g].remove((chord, f))  # H is this call's own: drop the ear in place
+    rest = [h for h in faces if h != f]
+    B = set(_even_one_per_face_edge(H, rest, a, b, chord, g))
     if len(B) in (10, 14):
         nb1, nb2 = _face_neighbours_of(cycles[f], b)
         B.add(nb1 if nb1 != a else nb2)

@@ -169,6 +169,9 @@ def cmd_gen(kind, n, seed, chord_p, attach_p, out_path):
 def cmd_search(kind, max_n, max_colours):
     """Exact facial chromatic numbers over exhaustively enumerated tiny
     instances (one JSON line per size)."""
+    if max_n > gen.ENUM_GUARD:  # checked before any size is printed
+        _diag(error="parse", option="--max-n", detail=f"enumeration guarded to n <= {gen.ENUM_GUARD}")
+        sys.exit(EXIT_PARSE)
     lo = 3 if kind in ("cycle", "outerplane_biconnected") else 1
     for n in range(lo, max_n + 1):
         worst = 0

@@ -350,10 +350,11 @@ def colour_outerplane_single_block(G):
     blocking graph one cycle, 3-coloured over {5,6,7}, or one edge; trees
     take {1,2,3,4}.  ``simplify`` checks that G is outerplane."""
     Gs, _ = embed.simplify(G)
-    blocks = [es for vs, es in embed._blocks_and_bridges(Gs)[0] if len(vs) >= 3]
-    if len(blocks) > 1:
+    blocks, _, shapes = embed._blocks_and_bridges(Gs)
+    faces = [fs for (vs, _es), (fs, _seg) in zip(blocks, shapes) if len(vs) >= 3]
+    if len(faces) > 1:
         raise ClassMismatchError("graph has more than one 2-connected component")
-    B = blocking._good_size(blocking._block_view(Gs, blocks[0])) if blocks else frozenset()
+    B = blocking._good_size(Gs, faces[0]) if faces else frozenset()
     return _checked(G, _colour_outerplane_core(Gs, B), 7)
 
 

@@ -372,16 +372,18 @@ def _blocks_and_bridges(G):
     already on the stack, the darts above that vertex close: two twin darts
     are a bridge walked out and back, any other segment is the outer cycle
     of one block.  The block's edges are the non-loop edges of the inner
-    faces reached from that cycle's twin darts, crossing only edges with
-    inner faces on both sides.  A loop step closes nothing.
+    faces reached from the twin of the segment's last dart, crossing only
+    edges with inner faces on both sides.  A loop step closes nothing.
 
-    Returns (blocks, bridges): blocks as (vertex tuple, edge tuple), each
-    tuple ascending and the list sorted; bridges as ascending edge ids.
+    Returns (blocks, bridges, shapes): blocks as (vertex tuple, edge tuple),
+    each tuple ascending and the list sorted; bridges as ascending edge
+    ids; and, per block in the same order, (its inner face ids, the darts
+    of its outer cycle in outer-walk order).
     """
     origin, face_of, faces = G.origin, G.face_of, G.faces
     at = [-1] * G.n  # stack height when the walk reached v, while v is open
     seen = [f in G.outer_faces for f in range(len(faces))]
-    blocks = []
+    found = []
     for f in G.outer_faces:
         walk = faces[f]
         at[origin[walk[0]]] = 0
@@ -395,24 +397,31 @@ def _blocks_and_bridges(G):
             if j == -1:
                 at[w] = len(stack)
                 continue
-            seg = stack[j:]
+            seg = tuple(stack[j:])
             del stack[j:]
+            if seg[0] == d ^ 1:  # a bridge, walked out and back
+                u = origin[d]
+                at[u] = -1
+                found.append(((u, w) if u < w else (w, u), (d >> 1,), (), seg))
+                continue
             for x in seg[1:]:
                 at[origin[x]] = -1
-            # a bridge's twin darts reach only the outer face: no edge here
-            edges = set()
-            todo = [face_of[x ^ 1] for x in seg]
+            es = set()
+            fs = []
+            todo = [face_of[d ^ 1]]
             for g in todo:  # grows while it is read
                 if seen[g]:
                     continue
                 seen[g] = True
+                fs.append(g)
                 for x in faces[g]:
                     if origin[x] != origin[x ^ 1]:
-                        edges.add(x >> 1)
+                        es.add(x >> 1)
                     todo.append(face_of[x ^ 1])
-            blocks.append((tuple(sorted(origin[x] for x in seg)), tuple(sorted(edges or {d >> 1}))))
-    blocks.sort()
-    return blocks, sorted(es[0] for vs, es in blocks if len(es) == 1)
+            found.append((tuple(sorted(origin[x] for x in seg)), tuple(sorted(es)), tuple(fs), seg))
+    found.sort()  # by vertex tuple: no two blocks have the same one
+    bridges = sorted(es[0] for _vs, es, _fs, _seg in found if len(es) == 1)
+    return [b[:2] for b in found], bridges, [b[2:] for b in found]
 
 
 def biconnected_components(G):

@@ -457,7 +457,7 @@ def _check_class(spec, G):
     elif kind == "flower":
         if len(G.components) != 1:
             raise GenerationError("flower is not connected")
-        blocks, bridge_ids = embed._blocks_and_bridges(G)
+        blocks, bridge_ids, _ = embed._blocks_and_bridges(G)
         find = embed._union_find(G.n, (G.edges[e] for e in bridge_ids))
         centre = find(0)
         if any(all(find(x) != centre for x in verts) for verts, _es in blocks if len(verts) >= 3):

@@ -336,10 +336,17 @@ def test_even_rejects_multigraph(triangle):
         blocking_set_even(decorate_multigraph(triangle, parallels=1, loops=0))
 
 
-# -- block views -------------------------------------------------------------------
+# -- blocks read in place -----------------------------------------------------------
 
 
-def test_block_view_cores_match_the_public_constructors_on_copies():
+def _blocks_in_place(G):
+    """The blocks of G on at least three vertices, each as the cores read
+    it in place: (vertices, edges, inner faces, outer-cycle darts)."""
+    blocks, _, shapes = embed._blocks_and_bridges(G)
+    return [(vs, es, *shape) for (vs, es), shape in zip(blocks, shapes) if len(vs) >= 3]
+
+
+def test_block_cores_match_the_public_constructors_on_copies():
     # the pipeline reads each block in place in its host; the oracle is the
     # public constructor on the block copied out by embed._restrict
     corpus = [
@@ -350,17 +357,14 @@ def test_block_view_cores_match_the_public_constructors_on_copies():
     ]
     checked = 0
     for G in corpus:
-        blocks, _ = embed._blocks_and_bridges(G)
-        for verts, bedges in blocks:
-            if len(verts) < 3:
-                continue
-            view = blocking._block_view(G, bedges)
+        H = blocking._host(G)
+        for verts, bedges, faces, seg in _blocks_in_place(G):
             sub, local = embed._restrict(G, verts, bedges)
             back = {i: x for x, i in local.items()}
             for x in verts:
                 for include in (True, False):
                     want = {back[y] for y in blocking_set_even_biconnected(sub, local[x], include)}
-                    assert blocking._even_one_per_face(view, x, include) == want
+                    assert blocking._even_one_per_face(H, faces, seg, x, include) == want
                     checked += 1
             for e in bedges:
                 f, g = G.face_of[2 * e], G.face_of[2 * e + 1]
@@ -369,11 +373,28 @@ def test_block_view_cores_match_the_public_constructors_on_copies():
                 root = g if G.is_outer_face(f) else f
                 p, q = G.edges[e]
                 for a, b in ((p, q), (q, p)):
-                    got = blocking._even_one_per_face_edge(view, a, b, e, root)
+                    got = blocking._even_one_per_face_edge(H, faces, a, b, e, root)
                     B = blocking_set_even_biconnected_edge(sub, local[a], local[b])
                     assert got == {back[y] for y in B}
                     checked += 1
     assert checked > 1000
+
+
+def test_excluding_a_cut_vertex_reads_its_neighbours_on_each_block():
+    # a flower centre lies on many blocks, and each block's outer-cycle
+    # darts give its two neighbours there, which exclusion forces instead
+    G = gen.generate(gen.GenSpec("flower", 60, 1))
+    H = blocking._host(G)
+    blocks = _blocks_in_place(G)
+    centre = max(range(G.n), key=lambda x: sum(x in b[0] for b in blocks))
+    around = [b for b in blocks if centre in b[0]]
+    assert len(around) >= 3
+    for verts, bedges, faces, seg in around:
+        sub, local = embed._restrict(G, verts, bedges)
+        back = {i: x for x, i in local.items()}
+        want = {back[y] for y in blocking_set_even_biconnected(sub, local[centre], False)}
+        got = blocking._even_one_per_face(H, faces, seg, centre, False)
+        assert got == want and centre not in got
 
 
 # -- size control ----------------------------------------------------------------------
@@ -407,7 +428,7 @@ def test_good_size_patch_fires_somewhere():
     assert seen_odd
 
 
-def test_good_size_on_views_matches_the_construction_on_copies():
+def test_good_size_in_place_matches_the_construction_on_copies():
     sizes = set()
     for G in biconnected_corpus(400, max_n=45):
         B = blocking_set_good_size(G)
@@ -416,10 +437,10 @@ def test_good_size_on_views_matches_the_construction_on_copies():
     assert {2, 11} <= sizes  # two-vertex sets, and a size the 10/14 patch made
     checked = 0
     for G in single_block_with_trees(600):
-        ((verts, bedges),) = [b for b in embed._blocks_and_bridges(G)[0] if len(b[0]) >= 3]
+        ((verts, _bedges, faces, _seg),) = _blocks_in_place(G)
         sub, _vmap = induced_embedded_subgraph(G, verts)
         want = frozenset(verts[x] for x in good_size_by_copies(sub))
-        assert blocking._good_size(blocking._block_view(G, bedges)) == want
+        assert blocking._good_size(G, faces) == want
         checked += 1
     assert checked >= 50
 

@@ -213,3 +213,10 @@ def test_bench_rejects_sizes_the_generator_rejects(args):
     # both exited 1 with a ValueError traceback
     r = CliRunner().invoke(main, ["bench", *args])
     _assert_parse_exit(r)
+
+
+def test_search_rejects_sizes_past_the_enumeration_guard():
+    # exited 1 with a ValueError traceback after printing the smaller sizes
+    r = CliRunner().invoke(main, ["search", "--kind", "tree", "--max-n", str(gen.ENUM_GUARD + 1)])
+    _assert_parse_exit(r)
+    assert r.stdout == ""

@@ -118,7 +118,7 @@ def test_internal_builders_pass_the_boundary_check():
             continue
         Gs = embed.simplify(G)[0]
         _passes_boundary(Gs)
-        blocks, _ = embed._blocks_and_bridges(Gs)
+        blocks = embed._blocks_and_bridges(Gs)[0]
         for verts, bedges in blocks:
             _passes_boundary(embed._restrict(Gs, verts, bedges)[0])
         B = blocking.blocking_set_even(Gs)

@@ -32,7 +32,6 @@ from thueplane.embed import (
     EmbeddedGraph,
     build,
     chords,
-    face_walks,
     graph_from_json,
     graph_to_json,
     is_outerplane,
@@ -74,7 +73,6 @@ __all__ = [
     "enumerate_small",
     "exact_pi_f",
     "exact_pi_tree_paths",
-    "face_walks",
     "facial_paths",
     "generate",
     "graph_from_json",

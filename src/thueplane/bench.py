@@ -39,7 +39,7 @@ def run_bench(sizes, kind="outerplane", seed=0, repeat=1):
         t_gen = time.perf_counter() - t_gen0
         best = None
         colours_used = None
-        for _ in range(max(1, repeat)):
+        for _ in range(repeat):
             gc.collect()
             t0 = time.perf_counter()
             col = pipeline(G)

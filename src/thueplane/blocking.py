@@ -61,14 +61,16 @@ def validate_blocking_set(G, B):
             return False, [f"vertex {x} out of range"]
 
     violations = []
-    blocks = embed._blocks_and_bridges(G)[0]
-    for verts, bedges in blocks:
+    origin = G.origin
+    for verts, faces, _seg in embed._blocks_and_bridges(G):
         if len(verts) < 3:
             continue
         rest = [x for x in verts if x not in B]
         if not rest:
             violations.append(f"2-connected component {verts} fully covered")
             continue
+        # the block's edges: the non-loop edges of its inner faces
+        bedges = {d >> 1 for f in faces for d in G.faces[f] if origin[d] != origin[d ^ 1]}
         rest_set = set(rest)
         inside = [e for e in bedges if G.edges[e][0] in rest_set and G.edges[e][1] in rest_set]
         # connectivity over the block's surviving edges
@@ -398,16 +400,18 @@ def _even_blocking_over_blocks(G):
     """Process the block-cut forest once: every 2-connected component gets
     an even-cycle blocking set whose shared cut class is included exactly
     when an earlier block (or bridge-tree inflation) selected it."""
-    blocks, bridge_ids, shapes = embed._blocks_and_bridges(G)
+    blocks = embed._blocks_and_bridges(G)
     H = _host(G)
     # bridge-connected vertices form one class, named by its union-find
-    # root; a vertex on no bridge is its own class
+    # root; a vertex on no bridge is its own class.  A bridge is a block
+    # without an inner face, and its vertex tuple is its two ends.
     cls = list(range(G.n))
-    ends = {x for e in bridge_ids for x in G.edges[e]}
-    find = embed._union_find(G.n, (G.edges[e] for e in bridge_ids))
+    bridge_ends = [verts for verts, faces, _seg in blocks if not faces]
+    ends = {x for verts in bridge_ends for x in verts}
+    find = embed._union_find(G.n, bridge_ends)
     for x in ends:
         cls[x] = find(x)
-    big = [(verts, *shape) for (verts, _es), shape in zip(blocks, shapes) if len(verts) >= 3]
+    big = [block for block in blocks if len(block[0]) >= 3]
     first = [-1] * G.n  # class -> the first block on it
     class_blocks = {}  # class on two or more blocks -> its blocks
     for bid, (verts, _fs, _seg) in enumerate(big):

@@ -48,10 +48,14 @@ def _read_graph(path):
         sys.exit(EXIT_PARSE)
 
 
-def _read_colouring(path):
+def _read_colouring(path, n):
+    """The colouring at ``path``, which must colour all n vertices and no more."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return colour.colouring_from_json(json.load(fh))
+            col = colour.colouring_from_json(json.load(fh))
+        if len(col.colours) != n:
+            raise ValueError(f"{len(col.colours)} colours for a graph on {n} vertices")
+        return col
     except (OSError, ValueError, RecursionError) as exc:
         _diag(error="parse", path=str(path), detail=str(exc))
         sys.exit(EXIT_PARSE)
@@ -118,10 +122,7 @@ def cmd_colour(input_path, mode, output_path):
 def cmd_verify(input_path, colouring_path):
     """Check a colouring against every facial path of the graph."""
     G, digest = _read_graph(input_path)
-    col = _read_colouring(colouring_path)
-    if len(col.colours) != G.n:
-        _diag(error="parse", detail="colouring length does not match the graph")
-        sys.exit(EXIT_PARSE)
+    col = _read_colouring(colouring_path, G.n)
     bad = verify.verify_facial_nonrepetitive(G, col.colours)
     if bad is None:
         print(json.dumps({"input_digest": digest, "ok": True}, sort_keys=True))
@@ -266,10 +267,7 @@ def _write_dot(G, colours, path):
 def cmd_export(input_path, colouring_path, svg_path, dot_path):
     """Render a (coloured) graph to SVG (schematic layout) and/or DOT."""
     G, _ = _read_graph(input_path)
-    colours = None
-    if colouring_path:
-        col = _read_colouring(colouring_path)
-        colours = list(col.colours)
+    colours = list(_read_colouring(colouring_path, G.n).colours) if colouring_path else None
     if not svg_path and not dot_path:
         _diag(error="parse", detail="nothing to export: pass --svg and/or --dot")
         sys.exit(EXIT_PARSE)
@@ -323,6 +321,9 @@ def _write_scaling_plot(report, path):
               help="write a log-log scaling plot (SVG)")
 def cmd_bench(corpus, kind, repeat, seed, out_path, plot_path):
     """Time colour+verify over a seeded corpus and fit the scaling exponent."""
+    if repeat < 1:  # checked before anything is timed
+        _diag(error="parse", option="--repeat", detail=f"repeat must be at least 1, not {repeat}")
+        sys.exit(EXIT_PARSE)
     try:
         sizes = [int(s) for s in corpus.replace(";", ",").split(",") if s.strip()]
         for n in sizes:  # a size the generator rejects fails here, before any timing

@@ -106,34 +106,56 @@ def _checked(G, colours, palette_max):
 # -- even cacti ---------------------------------------------------------------
 
 
-def _colour_cycle_component(G, comp, cid, colours):
+def _colour_cycle_component(G, cid, colours):
     W = embed.outer_walk(G, cid)
     word = cycle_colouring(len(W))
     for i, x in enumerate(W):
         colours[x] = word[i] + 1
 
 
-def _distinct_segment_edges(W, members):
-    """Edges of the auxiliary graph on ``members``: one edge per pair of
-    cyclically consecutive member occurrences of the walk W whose connecting
-    walk segment is a path (all vertices distinct), i.e. an outer facial
-    path free of other members."""
-    L = len(W)
-    occ = [i for i in range(L) if W[i] in members]
-    m = len(occ)
-    edges = []
-    if m <= 1:
-        return edges
-    for j in range(m):
-        i0, i1 = occ[j], occ[(j + 1) % m]
-        seg = [W[i0]]
-        k = i0
-        while k != i1:
-            k = (k + 1) % L
-            seg.append(W[k])
-        if len(set(seg)) == len(seg):
-            edges.append((W[i0], W[i1]))
-    return edges
+def _auxiliary_runs(W, H):
+    """The auxiliary graph on the deepest-vertex set H, read off the outer
+    walk W as runs of H, one (order, word) per component; its members are
+    coloured ``word[i] + 1`` in ``order``.
+
+    Link j joins the j-th and (j + 1)-th occurrences of H on W, cyclically,
+    when the walk segment between them repeats no vertex, i.e. is an outer
+    facial path free of other members.  When every link holds (and H has
+    at least two members) the runs close into one cycle, 3-coloured by a
+    cycle word; otherwise each maximal run of links is a path, coloured by
+    a ternary square-free word from its smaller end."""
+    occ = [i for i, x in enumerate(W) if x in H]
+    # every vertex of the component is on W, so this says each member
+    # occurs once: a member on two corners would join up to four links
+    if len(occ) != len(H):
+        raise VerificationBugError("auxiliary deepest-vertex graph is not paths/cycle")
+    hs = [W[i] for i in occ]
+    m = len(hs)
+    link = []
+    for j, i in enumerate(occ):
+        seg = W[i : occ[j + 1] + 1] if j + 1 < m else W[i:] + W[: occ[0] + 1]
+        link.append(len(set(seg)) == len(seg))
+    if m >= 2 and all(link):
+        # from the smallest member, along W only when that member is W's
+        # first occurrence of H and against W otherwise: the order an
+        # adjacency-list trace of the auxiliary graph takes, which the
+        # golden digests pin
+        s = hs.index(min(hs))
+        word = (0, 1) if m == 2 else cycle_colouring(m)
+        if len(set(word)) > 3:
+            raise VerificationBugError("auxiliary cycle needed four symbols")
+        return [(hs if s == 0 else hs[s::-1] + hs[:s:-1], word)]
+    runs = []
+    run = []
+    b = link.index(False)  # start just after a broken link
+    for j in range(b + 1, b + 1 + m):
+        run.append(hs[j % m])
+        if not link[j % m]:
+            if run[-1] < run[0]:
+                run.reverse()
+            runs.append((run, ternary_nonrepetitive(len(run))))
+            run = []
+    return runs
 
 
 def _colour_cactus_component(G, comp, cid, comp_faces, colours):
@@ -144,7 +166,7 @@ def _colour_cactus_component(G, comp, cid, comp_faces, colours):
     degs = {x: G.degree(x) for x in comp}
 
     if all(d == 2 for d in degs.values()):
-        _colour_cycle_component(G, comp, cid, colours)
+        _colour_cycle_component(G, cid, colours)
         return set(), {}
 
     # root: a degree-1 vertex if any, else a vertex of degree >= 3
@@ -181,78 +203,15 @@ def _colour_cactus_component(G, comp, cid, comp_faces, colours):
             H.add(max(nb1, nb2))
 
     if H:
-        W = embed.outer_walk(G, cid)
-        h_edges = _distinct_segment_edges(W, H)
-        h_adj = {x: [] for x in H}
-        for u, w in h_edges:
-            h_adj[u].append(w)
-            h_adj[w].append(u)
-        if any(len(nb) > 2 for nb in h_adj.values()):
-            raise VerificationBugError("auxiliary deepest-vertex graph is not paths/cycle")
-        seen = set()
-        for x0 in sorted(H):
-            if x0 in seen:
-                continue
-            compH = _trace_h_component(h_adj, x0)
-            seen.update(compH["vertices"])
-            if compH["cycle"]:
-                order = compH["order"]
-                m = len(order)
-                word = (0, 1) if m == 2 else cycle_colouring(m)
-                if len(set(word)) > 3:
-                    raise VerificationBugError("auxiliary cycle needed four symbols")
-                for i, x in enumerate(order):
-                    colours[x] = word[i] + 1
-            else:
-                order = compH["order"]
-                word = ternary_nonrepetitive(len(order))
-                for i, x in enumerate(order):
-                    colours[x] = word[i] + 1
+        for order, word in _auxiliary_runs(embed.outer_walk(G, cid), H):
+            for i, x in enumerate(order):
+                colours[x] = word[i] + 1
 
     word = palindrome_free_nonrepetitive(max(lam.values()) + 1)
     for x in comp:
         if x not in H:
             colours[x] = 4 + word[lam[x]]
     return H, lam
-
-
-def _trace_h_component(h_adj, x0):
-    """Walk a path or cycle component of the auxiliary graph from x0."""
-    comp = {x0}
-    frontier = [x0]
-    while frontier:
-        x = frontier.pop()
-        for y in h_adj[x]:
-            if y not in comp:
-                comp.add(y)
-                frontier.append(y)
-    deg_ends = [x for x in sorted(comp) if len(h_adj[x]) <= 1]
-    edge_count = sum(len(h_adj[x]) for x in comp) // 2
-    is_cycle = not deg_ends and edge_count >= len(comp)
-    if is_cycle:
-        start = min(comp)
-        order = [start]
-        prev = None
-        cur = start
-        while True:
-            nxts = [y for y in h_adj[cur] if y != prev] or h_adj[cur][:1]
-            nxt = nxts[0]
-            if nxt == start:
-                break
-            order.append(nxt)
-            prev, cur = cur, nxt
-        return {"vertices": comp, "cycle": True, "order": order}
-    start = deg_ends[0] if deg_ends else min(comp)
-    order = [start]
-    prev = None
-    cur = start
-    while True:
-        nxts = [y for y in h_adj[cur] if y != prev]
-        if not nxts:
-            break
-        order.append(nxts[0])
-        prev, cur = cur, nxts[0]
-    return {"vertices": comp, "cycle": False, "order": order}
 
 
 def _colour_cactus_core(Gs):
@@ -350,8 +309,7 @@ def colour_outerplane_single_block(G):
     blocking graph one cycle, 3-coloured over {5,6,7}, or one edge; trees
     take {1,2,3,4}.  ``simplify`` checks that G is outerplane."""
     Gs, _ = embed.simplify(G)
-    blocks, _, shapes = embed._blocks_and_bridges(Gs)
-    faces = [fs for (vs, _es), (fs, _seg) in zip(blocks, shapes) if len(vs) >= 3]
+    faces = [fs for vs, fs, _seg in embed._blocks_and_bridges(Gs) if len(vs) >= 3]
     if len(faces) > 1:
         raise ClassMismatchError("graph has more than one 2-connected component")
     B = blocking._good_size(Gs, faces[0]) if faces else frozenset()

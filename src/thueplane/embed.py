@@ -20,7 +20,6 @@ graphs built by the package are not checked again.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 
 class EmbeddingError(ValueError):
@@ -29,17 +28,6 @@ class EmbeddingError(ValueError):
 
 class ClassMismatchError(ValueError):
     """Graph does not belong to the class an operation requires."""
-
-
-@dataclass(frozen=True)
-class FaceWalk:
-    face: int
-    darts: tuple
-    vertices: tuple
-    is_outer: bool
-
-    def __len__(self):
-        return len(self.darts)
 
 
 class EmbeddedGraph:
@@ -304,14 +292,6 @@ def loads_graph(text):
 # -- face / outerplane queries ----------------------------------------------
 
 
-def face_walks(G):
-    """Every face as a FaceWalk; the dart walks partition the darts."""
-    return [
-        FaceWalk(f, G.faces[f], G.face_vertices(f), G.is_outer_face(f))
-        for f in range(len(G.faces))
-    ]
-
-
 def is_outerplane(G):
     """True iff every vertex lies on the outer face of its component."""
     on_outer = [False] * G.n
@@ -365,20 +345,21 @@ def _require_simple_outerplane(G):
 
 
 def _blocks_and_bridges(G):
-    """Blocks and bridges of an outerplane multigraph, read off its outer
-    walks.  The input is trusted to be outerplane.
+    """Blocks of an outerplane multigraph, bridges included, read off its
+    outer walks.  The input is trusted to be outerplane.
 
     Each outer walk is pushed dart by dart.  When it reaches a vertex
     already on the stack, the darts above that vertex close: two twin darts
     are a bridge walked out and back, any other segment is the outer cycle
-    of one block.  The block's edges are the non-loop edges of the inner
-    faces reached from the twin of the segment's last dart, crossing only
-    edges with inner faces on both sides.  A loop step closes nothing.
+    of one block.  The block's inner faces are those reached from the twin
+    of the segment's last dart, crossing only edges with inner faces on
+    both sides.  A loop step closes nothing.
 
-    Returns (blocks, bridges, shapes): blocks as (vertex tuple, edge tuple),
-    each tuple ascending and the list sorted; bridges as ascending edge
-    ids; and, per block in the same order, (its inner face ids, the darts
-    of its outer cycle in outer-walk order).
+    Returns one list of blocks, sorted by vertex tuple, each as (ascending
+    vertex tuple, inner face ids, the darts of its outer cycle in outer-walk
+    order).  A bridge is the block with no inner face; its edge is
+    ``seg[0] >> 1``.  The edges of any other block are the non-loop edges
+    of its inner faces.
     """
     origin, face_of, faces = G.origin, G.face_of, G.faces
     at = [-1] * G.n  # stack height when the walk reached v, while v is open
@@ -402,26 +383,20 @@ def _blocks_and_bridges(G):
             if seg[0] == d ^ 1:  # a bridge, walked out and back
                 u = origin[d]
                 at[u] = -1
-                found.append(((u, w) if u < w else (w, u), (d >> 1,), (), seg))
+                found.append(((u, w) if u < w else (w, u), (), seg))
                 continue
             for x in seg[1:]:
                 at[origin[x]] = -1
-            es = set()
             fs = []
             todo = [face_of[d ^ 1]]
             for g in todo:  # grows while it is read
-                if seen[g]:
-                    continue
-                seen[g] = True
-                fs.append(g)
-                for x in faces[g]:
-                    if origin[x] != origin[x ^ 1]:
-                        es.add(x >> 1)
-                    todo.append(face_of[x ^ 1])
-            found.append((tuple(sorted(origin[x] for x in seg)), tuple(sorted(es)), tuple(fs), seg))
+                if not seen[g]:
+                    seen[g] = True
+                    fs.append(g)
+                    todo += [face_of[x ^ 1] for x in faces[g]]
+            found.append((tuple(sorted(origin[x] for x in seg)), tuple(fs), seg))
     found.sort()  # by vertex tuple: no two blocks have the same one
-    bridges = sorted(es[0] for _vs, es, _fs, _seg in found if len(es) == 1)
-    return [b[:2] for b in found], bridges, [b[2:] for b in found]
+    return found
 
 
 def biconnected_components(G):
@@ -430,7 +405,7 @@ def biconnected_components(G):
     graph."""
     if not is_outerplane(G):
         raise ClassMismatchError("biconnected components are read off outerplane graphs")
-    return [vs for vs, es in _blocks_and_bridges(G)[0] if len(vs) >= 3]
+    return [vs for vs, _fs, _seg in _blocks_and_bridges(G) if len(vs) >= 3]
 
 
 def bridges(G):

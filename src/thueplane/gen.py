@@ -15,18 +15,6 @@ from dataclasses import dataclass
 
 from thueplane import embed
 
-KINDS = (
-    "tree",
-    "cycle",
-    "cactus_even",
-    "outerplane",
-    "outerplane_biconnected",
-    "outerplane_bridgeless",
-    "plane",
-    "nested",
-    "flower",
-)
-
 
 class GenerationError(RuntimeError):
     """A generated instance failed its own class predicate (a bug)."""
@@ -182,15 +170,14 @@ def _thinned_block_chords(size, rng, chord_p):
     return sorted(c for c in _triangulation_chords(size, rng) if rng.random() < chord_p)
 
 
-def _gen_cycle(spec):
+def _gen_cycle(spec, rng):
     b = _Builder()
     v0 = b.new_vertex()
     b.add_polygon_block(v0, spec.n, [])
     return b.finish_outerplane()
 
 
-def _gen_tree(spec, rng=None):
-    rng = rng or _rng(spec)
+def _gen_tree(spec, rng):
     b = _Builder()
     b.new_vertex()
     for v in range(1, spec.n):
@@ -199,8 +186,7 @@ def _gen_tree(spec, rng=None):
     return b.finish_outerplane()
 
 
-def _gen_outerplane_biconnected(spec, rng=None):
-    rng = rng or _rng(spec)
+def _gen_outerplane_biconnected(spec, rng):
     b = _Builder()
     v0 = b.new_vertex()
     b.add_polygon_block(v0, spec.n, _thinned_block_chords(spec.n, rng, spec.chord_probability))
@@ -216,8 +202,7 @@ def _block_size(rng, budget, lo=3, hi=12, avoid_remainder_one=False):
     return rng.choice(choices) if choices else None
 
 
-def _gen_outerplane_bridgeless(spec, rng=None):
-    rng = rng or _rng(spec)
+def _gen_outerplane_bridgeless(spec, rng):
     b = _Builder()
     v0 = b.new_vertex()
     if spec.n == 1:
@@ -237,8 +222,7 @@ def _gen_outerplane_bridgeless(spec, rng=None):
     return b.finish_outerplane()
 
 
-def _gen_cactus_even(spec, rng=None):
-    rng = rng or _rng(spec)
+def _gen_cactus_even(spec, rng):
     b = _Builder()
     b.new_vertex()
     budget = spec.n - 1
@@ -256,8 +240,7 @@ def _gen_cactus_even(spec, rng=None):
     return b.finish_outerplane()
 
 
-def _gen_outerplane(spec, rng=None):
-    rng = rng or _rng(spec)
+def _gen_outerplane(spec, rng):
     b = _Builder()
     b.new_vertex()
     budget = spec.n - 1
@@ -281,13 +264,12 @@ def _gen_outerplane(spec, rng=None):
     return b.finish_outerplane()
 
 
-def _gen_flower(spec, rng=None):
+def _gen_flower(spec, rng):
     """Many blocks sharing one bridge-connected class: petals of 3 or 4
     vertices at vertex 0, and further petals at the vertices of a seeded
     tree of bridges grown from 0, whose vertices all join 0's class.  Each
     petal is a polygon with thinned chords attached at a single vertex, so
     every block meets that class."""
-    rng = rng or _rng(spec)
     b = _Builder()
     b.new_vertex()
     stem = [0]  # vertices joined to 0 by bridges
@@ -306,7 +288,7 @@ def _gen_flower(spec, rng=None):
     return b.finish_outerplane()
 
 
-def _gen_plane(spec, rng=None):
+def _gen_plane(spec, rng):
     """Random 2-connected plane graph by face splitting: from a triangle,
     each new vertex z goes into a seeded inner face and joins k >= 2 of its
     corners, which splits that face into k faces.  The faces are tracked as
@@ -318,7 +300,6 @@ def _gen_plane(spec, rng=None):
     from its smallest dart.  New face t is the walk from corner t to corner
     t + 1 closed by two new darts; new darts exceed every old one, so the
     face that holds the old smallest dart keeps it."""
-    rng = rng or _rng(spec)
     b = _Builder()
     v0 = b.new_vertex()
     if spec.n == 1:
@@ -375,7 +356,7 @@ def _gen_plane(spec, rng=None):
     return embed.EmbeddedGraph(spec.n, edges, rot, (G.faces[G.outer_face][0],))
 
 
-def _gen_nested(spec, rng=None):
+def _gen_nested(spec, rng):
     """Concentric rings, ring i + 1 drawn inside ring i, consecutive rings
     joined by a nonempty seeded set of spokes: one peeling layer per ring,
     so the layer count grows linearly with n.  The ring size s is seeded in
@@ -383,7 +364,6 @@ def _gen_nested(spec, rng=None):
     larger ones outermost.  Vertex ids run ring by ring from the outside in, and position j
     of ring i + 1 sits just inside position j of ring i, so a spoke joins
     equal positions and spokes never cross."""
-    rng = rng or _rng(spec)
     k = spec.n // rng.randint(3, min(6, spec.n))
     sizes = [spec.n // k + (1 if i < spec.n % k else 0) for i in range(k)]
     first = [0]
@@ -457,36 +437,30 @@ def _check_class(spec, G):
     elif kind == "flower":
         if len(G.components) != 1:
             raise GenerationError("flower is not connected")
-        blocks, bridge_ids, _ = embed._blocks_and_bridges(G)
-        find = embed._union_find(G.n, (G.edges[e] for e in bridge_ids))
+        find = embed._union_find(G.n, (G.edges[e] for e in embed.bridges(G)))
         centre = find(0)
-        if any(all(find(x) != centre for x in verts) for verts, _es in blocks if len(verts) >= 3):
-            raise GenerationError("a flower block misses the bridge class of vertex 0")
+        for verts, _fs, _seg in embed._blocks_and_bridges(G):
+            if len(verts) >= 3 and all(find(x) != centre for x in verts):
+                raise GenerationError("a flower block misses the bridge class of vertex 0")
+
+
+_GENERATORS = {
+    "tree": _gen_tree,
+    "cycle": _gen_cycle,
+    "cactus_even": _gen_cactus_even,
+    "outerplane": _gen_outerplane,
+    "outerplane_biconnected": _gen_outerplane_biconnected,
+    "outerplane_bridgeless": _gen_outerplane_bridgeless,
+    "plane": _gen_plane,
+    "nested": _gen_nested,
+    "flower": _gen_flower,
+}
+KINDS = tuple(_GENERATORS)
 
 
 def generate(spec):
     """Deterministic instance of the requested class; same spec, same bytes."""
-    rng = _rng(spec)
-    if spec.kind == "tree":
-        G = _gen_tree(spec, rng)
-    elif spec.kind == "cycle":
-        G = _gen_cycle(spec)
-    elif spec.kind == "cactus_even":
-        G = _gen_cactus_even(spec, rng)
-    elif spec.kind == "outerplane":
-        G = _gen_outerplane(spec, rng)
-    elif spec.kind == "outerplane_biconnected":
-        G = _gen_outerplane_biconnected(spec, rng)
-    elif spec.kind == "outerplane_bridgeless":
-        G = _gen_outerplane_bridgeless(spec, rng)
-    elif spec.kind == "plane":
-        G = _gen_plane(spec, rng)
-    elif spec.kind == "nested":
-        G = _gen_nested(spec, rng)
-    elif spec.kind == "flower":
-        G = _gen_flower(spec, rng)
-    else:  # pragma: no cover
-        raise ValueError(spec.kind)
+    G = _GENERATORS[spec.kind](spec, _rng(spec))
     _check_class(spec, G)
     return G
 
@@ -546,7 +520,7 @@ def enumerate_small(kind, n):
         raise ValueError(f"enumeration guarded to n <= {ENUM_GUARD}")
     if kind == "cycle":
         if n >= 3:
-            yield _gen_cycle(GenSpec("cycle", n))
+            yield generate(GenSpec("cycle", n))
         return
     if kind == "tree":
         if n == 1:

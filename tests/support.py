@@ -1,5 +1,7 @@
 """Helpers only the tests use: the Hopcroft-Tarjan DFS that is the oracle
-for the outer-walk block decomposition, the rebuild-per-vertex plane
+for the outer-walk block decomposition, a block's edges read off its
+inner faces, the auxiliary-graph trace that is the oracle for the run
+reading of the cactus colouring, the rebuild-per-vertex plane
 generator that is the oracle for the face-splitting one, embedding surgery
 (induced subgraphs, ears, edge contraction, in-face edge insertion) and
 the weak dual, the per-layer graphs of an augmented plane graph, the
@@ -28,7 +30,7 @@ from thueplane.embed import (
 )
 from thueplane.gen import _Builder, _rng
 from thueplane.verify import _canonical
-from thueplane.words import EXCEPTIONAL_CYCLE_LENGTHS, _adjacency
+from thueplane.words import EXCEPTIONAL_CYCLE_LENGTHS, _adjacency, cycle_colouring, ternary_nonrepetitive
 
 
 # -- embed ---------------------------------------------------------------------
@@ -110,6 +112,108 @@ def blocks_and_bridges_dfs(G):
                     if len(bedges) == 1:
                         bridge_list.append(bedges[0])
     return blocks, sorted(bridge_list)
+
+
+def block_edges(G, faces, seg):
+    """Ascending edge ids of the block that ``embed._blocks_and_bridges``
+    returns as (vertices, ``faces``, ``seg``): the non-loop edges of its
+    inner faces, or, for a bridge (no face), the edge of its first dart."""
+    if not faces:
+        return (seg[0] >> 1,)
+    origin = G.origin
+    return tuple(sorted({d >> 1 for f in faces for d in G.faces[f] if origin[d] != origin[d ^ 1]}))
+
+
+# -- colour --------------------------------------------------------------------
+
+
+def distinct_segment_edges(W, members):
+    """Edges of the auxiliary graph on ``members``: one edge per pair of
+    cyclically consecutive member occurrences of the walk W whose connecting
+    walk segment is a path (all vertices distinct), i.e. an outer facial
+    path free of other members."""
+    L = len(W)
+    occ = [i for i in range(L) if W[i] in members]
+    m = len(occ)
+    edges = []
+    if m <= 1:
+        return edges
+    for j in range(m):
+        i0, i1 = occ[j], occ[(j + 1) % m]
+        seg = [W[i0]]
+        k = i0
+        while k != i1:
+            k = (k + 1) % L
+            seg.append(W[k])
+        if len(set(seg)) == len(seg):
+            edges.append((W[i0], W[i1]))
+    return edges
+
+
+def trace_h_component(h_adj, x0):
+    """Walk a path or cycle component of the auxiliary graph from x0."""
+    comp = {x0}
+    frontier = [x0]
+    while frontier:
+        x = frontier.pop()
+        for y in h_adj[x]:
+            if y not in comp:
+                comp.add(y)
+                frontier.append(y)
+    deg_ends = [x for x in sorted(comp) if len(h_adj[x]) <= 1]
+    edge_count = sum(len(h_adj[x]) for x in comp) // 2
+    is_cycle = not deg_ends and edge_count >= len(comp)
+    if is_cycle:
+        start = min(comp)
+        order = [start]
+        prev = None
+        cur = start
+        while True:
+            nxts = [y for y in h_adj[cur] if y != prev] or h_adj[cur][:1]
+            nxt = nxts[0]
+            if nxt == start:
+                break
+            order.append(nxt)
+            prev, cur = cur, nxt
+        return {"vertices": comp, "cycle": True, "order": order}
+    start = deg_ends[0] if deg_ends else min(comp)
+    order = [start]
+    prev = None
+    cur = start
+    while True:
+        nxts = [y for y in h_adj[cur] if y != prev]
+        if not nxts:
+            break
+        order.append(nxts[0])
+        prev, cur = cur, nxts[0]
+    return {"vertices": comp, "cycle": False, "order": order}
+
+
+def auxiliary_components_oracle(W, H):
+    """The auxiliary graph on the deepest-vertex set H as the cactus
+    colouring once built it, as adjacency lists from the outer walk W, and
+    traced per component; the oracle for ``colour._auxiliary_runs``.
+    Returns one (order, word, is cycle) per component, components by
+    smallest member."""
+    h_adj = {x: [] for x in H}
+    for u, w in distinct_segment_edges(W, H):
+        h_adj[u].append(w)
+        h_adj[w].append(u)
+    assert all(len(nb) <= 2 for nb in h_adj.values()), "auxiliary graph is not paths/cycle"
+    out = []
+    seen = set()
+    for x0 in sorted(H):
+        if x0 in seen:
+            continue
+        comp = trace_h_component(h_adj, x0)
+        seen.update(comp["vertices"])
+        m = len(comp["order"])
+        if comp["cycle"]:
+            word = (0, 1) if m == 2 else cycle_colouring(m)
+        else:
+            word = ternary_nonrepetitive(m)
+        out.append((comp["order"], word, comp["cycle"]))
+    return out
 
 
 def induced_embedded_subgraph(G, S):

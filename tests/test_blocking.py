@@ -31,6 +31,7 @@ from conftest import (
     wheel,
 )
 from support import (
+    block_edges,
     blocking_graph_from_json,
     good_size_by_copies,
     induced_embedded_subgraph,
@@ -153,7 +154,10 @@ def test_walk_criterion_agrees_with_block_decomposition():
     for G in list(graphs):
         S = [v for v in range(G.n) if rnd.random() < 0.8]
         graphs.append(induced_embedded_subgraph(G, S)[0])
-        graphs += [embed._restrict(G, vs, es)[0] for vs, es in embed._blocks_and_bridges(G)[0]]
+        graphs += [
+            embed._restrict(G, vs, block_edges(G, fs, seg))[0]
+            for vs, fs, seg in embed._blocks_and_bridges(G)
+        ]
     biconnected = 0
     for G in graphs:
         if G.n < 3:
@@ -342,8 +346,11 @@ def test_even_rejects_multigraph(triangle):
 def _blocks_in_place(G):
     """The blocks of G on at least three vertices, each as the cores read
     it in place: (vertices, edges, inner faces, outer-cycle darts)."""
-    blocks, _, shapes = embed._blocks_and_bridges(G)
-    return [(vs, es, *shape) for (vs, es), shape in zip(blocks, shapes) if len(vs) >= 3]
+    return [
+        (vs, block_edges(G, fs, seg), fs, seg)
+        for vs, fs, seg in embed._blocks_and_bridges(G)
+        if len(vs) >= 3
+    ]
 
 
 def test_block_cores_match_the_public_constructors_on_copies():

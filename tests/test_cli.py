@@ -121,6 +121,20 @@ def test_verify_rejects_malformed_colouring_documents(tmp_path, doc):
     _assert_parse_exit(run(["verify", "--input", str(g), "--colouring", str(c)]))
 
 
+@pytest.mark.parametrize(
+    "command", [["verify"], ["export", "--svg", "g.svg"], ["export", "--dot", "g.dot"]]
+)
+@pytest.mark.parametrize("colours", [[1, 2], [1, 2, 3, 1, 2, 3]])
+def test_colouring_of_the_wrong_length_is_a_parse_failure(tmp_path, monkeypatch, command, colours):
+    # export exited 1 with an IndexError traceback on the short colouring
+    monkeypatch.chdir(tmp_path)
+    g = write_graph(tmp_path, polygon(5))
+    c = tmp_path / "c.json"
+    c.write_text(json.dumps({"colours": colours, "palette_max": 3}))
+    _assert_parse_exit(run([command[0], "--input", g, "--colouring", str(c), *command[1:]]))
+    assert not (tmp_path / "g.svg").exists() and not (tmp_path / "g.dot").exists()
+
+
 def test_verify_counterexample_exit(tmp_path):
     g = write_graph(tmp_path, polygon(4))
     c = tmp_path / "c.json"
@@ -218,5 +232,19 @@ def test_bench_rejects_sizes_the_generator_rejects(args):
 def test_search_rejects_sizes_past_the_enumeration_guard():
     # exited 1 with a ValueError traceback after printing the smaller sizes
     r = CliRunner().invoke(main, ["search", "--kind", "tree", "--max-n", str(gen.ENUM_GUARD + 1)])
+    _assert_parse_exit(r)
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("repeat", ["0", "-5"])
+def test_bench_rejects_a_repeat_below_one(monkeypatch, repeat):
+    # ran once and reported the repeat as given
+    from thueplane import bench
+
+    def timing(*args, **kwargs):
+        raise AssertionError("bench timed a run")
+
+    monkeypatch.setattr(bench, "run_bench", timing)
+    r = CliRunner().invoke(main, ["bench", "--corpus", "60", "--repeat", repeat])
     _assert_parse_exit(r)
     assert r.stdout == ""

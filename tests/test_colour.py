@@ -24,6 +24,7 @@ from conftest import (
     single_block_with_trees,
     wheel,
 )
+import support
 from support import interleave_check_decomposition, layer_graphs
 
 
@@ -99,6 +100,39 @@ def test_cactus_accepts_multigraph():
     c = colour_cactus_even(G)
     assert c.distinct_colours() <= 7
     assert verify.verify_facial_nonrepetitive(G, c.colours) is None
+
+
+def test_auxiliary_runs_match_the_adjacency_trace(monkeypatch):
+    # the runs of the deepest-vertex set along the outer walk against the
+    # auxiliary graph built as adjacency lists and traced, per component,
+    # on even cacti, outerplane blocking graphs and flowers of squares
+    real = colour._auxiliary_runs
+    calls = []
+
+    def recording(W, H):
+        got = real(W, H)
+        calls.append((W, set(H), got))
+        return got
+
+    monkeypatch.setattr(colour, "_auxiliary_runs", recording)
+    for seed in range(300):
+        colour_cactus_even(gen.generate(gen.GenSpec("cactus_even", 5 + seed % 60, seed)))
+        colour_outerplane(gen.generate(gen.GenSpec("outerplane", 5 + seed % 80, seed)))
+    for petals in range(2, 13):
+        colour_cactus_even(flower_cactus(petals))
+    shapes = {"path": 0, "cycle along W": 0, "cycle against W": 0}
+    for W, H, got in calls:
+        want = support.auxiliary_components_oracle(W, H)
+        assert sorted((list(order), tuple(word)) for order, word in got) == sorted(
+            (order, tuple(word)) for order, word, _cycle in want
+        )
+        first = next(x for x in W if x in H)
+        for order, _word, cycle in want:
+            if not cycle:
+                shapes["path"] += len(order) >= 2
+            elif len(order) >= 3:
+                shapes["cycle along W" if order[0] == first else "cycle against W"] += 1
+    assert len(calls) > 500 and min(shapes.values()) >= 10, shapes
 
 
 def test_monotone_level_runs_outside_deepest_set():

@@ -203,20 +203,21 @@ def test_blocks_and_bridges_match_the_dfs_oracle():
     assert len(graphs) >= 3000
     multigraphs = 0
     for G in graphs:
-        blocks, br, shapes = embed._blocks_and_bridges(G)
+        found = embed._blocks_and_bridges(G)
+        blocks = [(vs, support.block_edges(G, fs, seg)) for vs, fs, seg in found]
         dfs_blocks, dfs_br = support.blocks_and_bridges_dfs(G)
         assert blocks == sorted(dfs_blocks)
-        assert br == dfs_br
-        # each inner face lies in one block, all its non-loop edges there,
-        # unless loops alone bound it (inside a loop drawn in an outer
-        # face); a block's outer-cycle darts walk its vertices on outer faces
-        inside = sorted(f for fs, _seg in shapes for f in fs)
+        # the bridges are the blocks without a face, each its first dart's edge
+        assert sorted(seg[0] >> 1 for _vs, fs, seg in found if not fs) == dfs_br
+        # each inner face lies in one block, unless loops alone bound it
+        # (inside a loop drawn in an outer face); a block's outer-cycle
+        # darts are its edges, walk its vertices and lie on outer faces
+        inside = sorted(f for _vs, fs, _seg in found for f in fs)
         missed = set(G.inner_faces()).difference(inside)
         assert len(set(inside)) == len(inside)
         assert all(G.origin[d] == G.origin[d ^ 1] for f in missed for d in G.faces[f])
-        for (verts, es), (fs, seg) in zip(blocks, shapes):
-            walked = {d >> 1 for f in fs for d in G.faces[f] if G.origin[d] != G.origin[d ^ 1]}
-            assert walked <= set(es) and {d >> 1 for d in seg} <= set(es)
+        for (verts, _fs, seg), (_, es) in zip(found, blocks):
+            assert {d >> 1 for d in seg} <= set(es)
             assert sorted(G.origin[d] for d in seg) == list(verts)
             assert all(G.is_outer_face(G.face_of[d]) for d in seg)
         multigraphs += any(u == v for u, v in G.edges)

@@ -29,7 +29,10 @@ _PLANE_KINDS = ("plane", "nested")
 
 def run_bench(sizes, kind="outerplane", seed=0, repeat=1):
     """Time colour+verify per size (best of ``repeat``, each after a full
-    garbage collection); returns per-size rows and the fitted exponent."""
+    garbage collection); returns per-size rows and the fitted exponent.
+    ValueError when ``repeat`` is below 1."""
+    if repeat < 1:
+        raise ValueError(f"repeat must be at least 1, not {repeat}")
     pipeline = colour.colour_plane if kind in _PLANE_KINDS else colour.colour_outerplane
     rows = []
     for n in sorted(sizes):

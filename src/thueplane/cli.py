@@ -3,8 +3,9 @@
 Exit codes for ``colour``: 0 success (output verified), 2 input parse
 failure, 3 graph-class mismatch for the requested mode, 4 internal
 verification failure (a bug).  ``verify`` exits 0 when the colouring checks
-out and 1 with a counterexample otherwise.  Diagnostics go to stderr as
-JSON lines; results go to stdout or the requested output files.
+out and 1 with a counterexample otherwise.  Every command exits 2 when an
+output file cannot be written.  Diagnostics go to stderr as JSON lines;
+results go to stdout or the requested output files.
 """
 
 from __future__ import annotations
@@ -36,6 +37,16 @@ _PALETTE = [
 
 def _diag(**fields):
     print(json.dumps(fields, sort_keys=True), file=sys.stderr)
+
+
+def _write(path, text):
+    """Write ``text`` to ``path``, or exit 2 with an ``output`` diagnostic."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _diag(error="output", path=str(path), detail=str(exc))
+        sys.exit(EXIT_PARSE)
 
 
 def _read_graph(path):
@@ -97,10 +108,8 @@ def cmd_colour(input_path, mode, output_path):
         sys.exit(EXIT_INTERNAL)
     t_colour = time.perf_counter() - t0  # includes the pipeline's certificate
 
-    doc = result.dumps()
     if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
+        _write(output_path, result.dumps() + "\n")
     report = {
         "input_digest": digest,
         "mode": mode,
@@ -156,8 +165,7 @@ def cmd_gen(kind, n, seed, chord_p, attach_p, out_path):
         sys.exit(EXIT_INTERNAL)
     doc = embed.dumps_graph(G)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
+        _write(out_path, doc + "\n")
     else:
         print(doc)
     sys.exit(EXIT_OK)
@@ -172,6 +180,9 @@ def cmd_search(kind, max_n, max_colours):
     instances (one JSON line per size)."""
     if max_n > gen.ENUM_GUARD:  # checked before any size is printed
         _diag(error="parse", option="--max-n", detail=f"enumeration guarded to n <= {gen.ENUM_GUARD}")
+        sys.exit(EXIT_PARSE)
+    if max_colours < 1:
+        _diag(error="parse", option="--max-colours", detail=f"max colours must be at least 1, not {max_colours}")
         sys.exit(EXIT_PARSE)
     lo = 3 if kind in ("cycle", "outerplane_biconnected") else 1
     for n in range(lo, max_n + 1):
@@ -242,8 +253,7 @@ def _write_svg(G, colours, path):
         parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="8" fill="{fill}" stroke="#000"/>')
         parts.append(f'<text x="{x + 9:.1f}" y="{y - 9:.1f}" font-size="9">{v}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write(path, "\n".join(parts) + "\n")
 
 
 def _write_dot(G, colours, path):
@@ -255,8 +265,7 @@ def _write_dot(G, colours, path):
     for u, v in G.edges:
         lines.append(f"  {u} -- {v};")
     lines.append("}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 @main.command("export")
@@ -306,8 +315,7 @@ def _write_scaling_plot(report, path):
         f'fitted exponent {report["fitted_exponent"]}</text>'
     )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write(path, "\n".join(parts) + "\n")
 
 
 @main.command("bench")
@@ -334,8 +342,7 @@ def cmd_bench(corpus, kind, repeat, seed, out_path, plot_path):
     report = bench_mod.run_bench(sizes, kind=kind, seed=seed, repeat=repeat)
     doc = json.dumps(report, sort_keys=True, indent=2)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
+        _write(out_path, doc + "\n")
     if plot_path:
         _write_scaling_plot(report, plot_path)
     print(doc)

@@ -377,41 +377,17 @@ def _augmentation(G, layer):
     return edges, corners, floor
 
 
-def _plus_rotations(G, corners, dart_map):
-    """The rotations of G plus in one sweep over G's, mapped through
-    ``dart_map`` (-1 drops a dart).  Added edge j has darts 2(m + j) and
-    2(m + j) + 1 at its corners ``corners[j]``, m = len(G.edges); a corner's
-    darts go just before its anchor dart, the incoming one first."""
-    m = len(G.edges)
-    before = [None] * (2 * m)  # anchor dart -> (incoming, outgoing), -1 for none
-    for j, (a, b) in enumerate(corners):
-        d = 2 * (m + j)
-        before[a] = (before[a] or (-1, -1))[0], d
-        before[b] = d + 1, (before[b] or (-1, -1))[1]
-    out = []
-    for rot in G.rotations:
-        r = []
-        for d in rot:
-            ins = before[d]
-            if ins is not None:
-                for x in ins:
-                    if x != -1 and dart_map[x] != -1:
-                        r.append(dart_map[x])
-            if dart_map[d] != -1:
-                r.append(dart_map[d])
-        out.append(r)
-    return out
-
-
 def augment_plus(G):
     """Add, inside every inner face, an edge between each pair of cyclically
     consecutive same-layer occurrences of the face walk (the lower of the
     two layers the walk touches).  The layer sets are unchanged and each
     layer's induced subgraph becomes outerplane.  The added edges lie in
-    inner faces, so G's outer faces, one per component, stay outer."""
+    inner faces, so G's outer faces, one per component, stay outer.  The
+    rotations are G's with the added darts inserted at their corners in one
+    sweep, by ``embed._mapped_rotations``."""
     added, corners, _floor = _augmentation(G, peeling_layering(G).layer)
     edges = G.edges + tuple(added)
-    rot = _plus_rotations(G, corners, range(2 * len(edges)))
+    rot = embed._mapped_rotations(G, range(2 * len(edges)), corners)
     return embed.EmbeddedGraph(G.n, edges, rot, tuple(G.faces[f][0] for f in G.outer_faces))
 
 
@@ -421,7 +397,8 @@ def _layers_graph(G, layer):
     ``layer`` is G's peeling layering.  Loops are dropped and each endpoint
     pair keeps its first edge, as ``embed.simplify`` would: every vertex of
     a layer is on its outer face, so parallel edges bound an empty lens.
-    Rotations are G plus's restricted to the kept darts.
+    Rotations are G plus's restricted to the kept darts, in one sweep over
+    G's by ``embed._mapped_rotations``.
 
     The outer darts, those that peeling the lower layers off G plus leaves
     on outer faces, are the kept darts of G whose face in G is outer or
@@ -449,7 +426,8 @@ def _layers_graph(G, layer):
                 if e < m:
                     outer += [d + s for s in (0, 1) if floor[face_of[2 * e + s]] < i]
     del pairs, added  # the build below is the peak
-    return embed.EmbeddedGraph(n, edges, _plus_rotations(G, corners, dart_map), tuple(outer))
+    rot = embed._mapped_rotations(G, dart_map, corners)
+    return embed.EmbeddedGraph(n, edges, rot, tuple(outer))
 
 
 def colour_plane(G):

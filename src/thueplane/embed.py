@@ -161,14 +161,6 @@ class EmbeddedGraph:
     def neighbours(self, v):
         return [self.origin[d ^ 1] for d in self.rotations[v]]
 
-    def dart_of(self, e, at):
-        u, v = self.edges[e]
-        if at == u:
-            return 2 * e
-        if at == v:
-            return 2 * e + 1
-        raise EmbeddingError(f"vertex {at} is not an endpoint of edge {e}")
-
     def canonical_outer_darts(self):
         return tuple(sorted(self.faces[f][0] for f in self.outer_faces))
 
@@ -435,60 +427,48 @@ def _union_find(n, pairs):
     return find
 
 
-def _dedup_outer(edges, rotations, outer_darts):
-    """Keep at most one designated dart per component (the smallest)."""
-    if not outer_darts:
-        return ()
-    find = _union_find(len(rotations), edges)
-    best = {}
-    for d in sorted(set(outer_darts)):
-        best.setdefault(find(edges[d >> 1][d & 1]), d)
-    return tuple(sorted(best.values()))
-
-
-def _restrict(G, verts, edge_ids):
-    """Embedded subgraph of G on the vertices ``verts`` and the edges
-    ``edge_ids`` (each with both ends in ``verts``), in time proportional to
-    what it keeps.  Local ids follow host order.  Each rotation is G's
-    restricted to the kept darts; a kept dart whose face in G is outer is a
-    candidate outer dart, and each component keeps its smallest candidate
-    (one with none keeps the default designation).  Returns the subgraph and
-    a host -> local vertex dict."""
-    keep = sorted(verts)
-    local = {x: i for i, x in enumerate(keep)}
-    edges = G.edges
-    dart = {}  # host dart -> local dart
-    new_edges = []
-    for e in sorted(edge_ids):
-        u, v = edges[e]
-        j = 2 * len(new_edges)
-        dart[2 * e] = j
-        dart[2 * e + 1] = j + 1
-        new_edges.append((local[u], local[v]))
-    new_rot = [[nd for nd in map(dart.get, G.rotations[x]) if nd is not None] for x in keep]
-    face_of, outer_faces = G.face_of, G.outer_faces
-    outer = [nd for d, nd in dart.items() if face_of[d] in outer_faces]
-    del dart  # the build below is the peak; for simplify the map spans the host
-    sub = EmbeddedGraph(len(keep), new_edges, new_rot, _dedup_outer(new_edges, new_rot, outer))
-    return sub, local
+def _mapped_rotations(G, dart_map, corners):
+    """G's rotations, plus added edges, in one sweep mapped through
+    ``dart_map`` (-1 drops a dart).  Added edge j has darts 2(m + j) and
+    2(m + j) + 1 at its corners ``corners[j]``, m = len(G.edges); a corner's
+    darts go just before its anchor dart, the incoming one first."""
+    m = len(G.edges)
+    before = [None] * (2 * m)  # anchor dart -> (incoming, outgoing), -1 for none
+    for j, (a, b) in enumerate(corners):
+        d = 2 * (m + j)
+        before[a] = (before[a] or (-1, -1))[0], d
+        before[b] = d + 1, (before[b] or (-1, -1))[1]
+    out = []
+    for rot in G.rotations:
+        r = []
+        for d in rot:
+            ins = before[d]
+            if ins is not None:
+                for x in ins:
+                    if x != -1 and dart_map[x] != -1:
+                        r.append(dart_map[x])
+            if dart_map[d] != -1:
+                r.append(dart_map[d])
+        out.append(r)
+    return out
 
 
 def simplify(G):
-    """Drop loops and collapse parallel bundles to one representative.
+    """Drop loops and keep the first edge of each parallel bundle.
 
     Facial paths, read as vertex sequences, are preserved: in an outerplane
     graph any two parallel edges bound a vertex-free lens and loops carry no
     facial path, so colourings of the result lift back to G.  Returns
-    (simple graph, edge map old -> surviving edge id, -1 for loops).  A G
-    with no loop and no parallel edge is returned as is, with the identity
-    edge map: restricting it to all its edges would rebuild G itself.  It is
-    the outerplane pipelines' class check: ClassMismatchError on any graph
-    that is not outerplane.
+    (simple graph, edge map old -> surviving edge id, -1 for loops); the
+    rotations are G's restricted to the kept darts by ``_mapped_rotations``.
+    A G with no loop and no parallel edge is returned as is, with the
+    identity edge map.  It is the outerplane pipelines' class check:
+    ClassMismatchError on any graph that is not outerplane.
     """
     if not is_outerplane(G):
         raise ClassMismatchError("input is not outerplane")
 
-    n = G.n
+    n, m = G.n, len(G.edges)
     rep = {}  # endpoint pair a < b, as the int a * n + b -> surviving edge id
     kept = []  # host id of each surviving edge
     emap = []
@@ -502,7 +482,17 @@ def simplify(G):
             j = rep[key] = len(kept)
             kept.append(i)
         emap.append(j)
-    if len(kept) == len(G.edges):
+    if len(kept) == m:
         return G, tuple(emap)
-    G2, _ = _restrict(G, range(G.n), kept)
-    return G2, tuple(emap)
+    # the dart map is built only here, so a simple G pays for no map
+    dart_map = [-1] * (2 * m)
+    for j, i in enumerate(kept):
+        dart_map[2 * i : 2 * i + 2] = 2 * j, 2 * j + 1
+    edges = [G.edges[i] for i in kept]
+    # Dropping a loop or a parallel edge merges the two faces beside it, so
+    # the kept darts of one outer face of G all lie on one face of the
+    # result and need no deduplication (EmbeddedGraph raises otherwise).
+    outer = [dart_map[d] for f in G.outer_faces for d in G.faces[f] if dart_map[d] != -1]
+    rot = _mapped_rotations(G, dart_map, ())
+    del rep, kept, dart_map  # the build below is the peak
+    return EmbeddedGraph(n, edges, rot, outer), tuple(emap)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from thueplane.kernels import cyclic_square, window_square
+from thueplane.kernels import cyclic_square, find_square, window_square
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,7 +127,6 @@ def _min_colours_for_paths(n, paths, max_colours):
     max_colours colours do not suffice.  Colour classes are canonical:
     vertex i may only use colours up to 1 + max(previous), so the first
     vertex is fixed to colour 1."""
-    paths = [tuple(p) for p in paths]
     by_max = [[] for _ in range(max(n, 1))]
     for p in paths:
         if len(p) >= 2:
@@ -140,18 +139,7 @@ def _min_colours_for_paths(n, paths, max_colours):
             top = min(k, used + 1)
             for c in range(1, top + 1):
                 colours[i] = c
-                ok = True
-                for p in by_max[i]:
-                    cs = [colours[v] for v in p]
-                    for r in range(1, len(cs) // 2 + 1):
-                        for a in range(len(cs) - 2 * r + 1):
-                            if cs[a : a + r] == cs[a + r : a + 2 * r]:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
+                ok = all(find_square([colours[v] for v in p]) is None for p in by_max[i])
                 if ok and (i + 1 == n or place(i + 1, max(used, c))):
                     return True
             colours[i] = 0
@@ -185,5 +173,4 @@ def exact_pi_tree_paths(T, max_colours, guard=SEARCH_GUARD):
         raise ValueError(f"exact search guarded to {guard} vertices")
     if sum(len(a) for a in adj) != 2 * (n - 1):
         raise ValueError("input is not a tree")
-    paths = [tuple(p) for p in _all_tree_paths(adj)]
-    return _min_colours_for_paths(n, paths, max_colours)
+    return _min_colours_for_paths(n, _all_tree_paths(adj), max_colours)

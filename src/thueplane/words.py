@@ -9,6 +9,7 @@ reversed.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from thueplane import embed
@@ -93,75 +94,53 @@ def _suffix_square(word, i, max_half):
     return False
 
 
-def _exact_cycle_word(n, k):
-    """Lexicographically least cyclic nonrepetitive word by backtracking."""
-    seq = []
-
-    def extend(i):
-        for s in range(k):
-            seq.append(s)
-            if not _suffix_square(seq, i, n):
-                if i + 1 == n:
-                    if not has_cyclic_repetition(seq):
-                        return True
-                elif extend(i + 1):
-                    return True
-            seq.pop()
-        return False
-
-    if not extend(0):
-        raise RuntimeError(f"no cyclic nonrepetitive word of length {n} over {k} symbols")
-    return tuple(seq)
-
-
-def _seam_cycle_word(n):
-    """Large-n cyclic nonrepetitive ternary word: keep a square-free prefix
-    and re-derive its tail by bounded search until the wrap-around also
-    checks clean.  Every candidate is certified by the cyclic checker."""
-    base = ternary_nonrepetitive(n)
-    for t in (16, 24, 32, 48):
-        if t >= n:
+def _closed_word(word, fixed, k, max_half, budget):
+    """First cyclic nonrepetitive word found by re-choosing ``word[fixed:]``
+    (in place) depth first, symbols 0..k-1 in increasing order: a prefix
+    ending in a square of half at most ``max_half`` is cut, and a full word
+    is accepted when ``has_cyclic_repetition`` finds no square.  None when
+    the search is exhausted or ``budget`` + 1 full words failed (``math.inf``:
+    no budget)."""
+    n = len(word)
+    choice = [0]  # the symbol tried at positions fixed, fixed + 1, ...
+    while choice:
+        i = fixed + len(choice) - 1
+        if choice[-1] == k:
+            choice.pop()
+            if choice:
+                choice[-1] += 1
             continue
-        word = list(base)
-        fixed = n - t
-        attempts = 0
-        choice = [0]
-        while choice:
-            i = fixed + len(choice) - 1
-            s = choice[-1]
-            if s >= 3:
-                choice.pop()
-                if choice:
-                    choice[-1] += 1
-                continue
-            word[i] = s
-            if _suffix_square(word, i, 2 * t):
-                choice[-1] += 1
-                continue
-            if len(choice) == t:
-                if not has_cyclic_repetition(word):
-                    return tuple(word)
-                attempts += 1
-                if attempts > 200:
-                    break
-                choice[-1] += 1
-            else:
+        word[i] = choice[-1]
+        if not _suffix_square(word, i, max_half):
+            if i + 1 < n:
                 choice.append(0)
-    raise RuntimeError(f"seam search failed for cycle length {n}")
+                continue
+            if not has_cyclic_repetition(word):
+                return tuple(word)
+            budget -= 1
+            if budget < 0:
+                return None
+        choice[-1] += 1
+    return None
 
 
 @lru_cache(maxsize=None)
 def cycle_colouring(n):
     """Cyclic sequence of length n over the minimum alphabet (3 symbols, or
     4 for the exceptional lengths) in which every arc of length <= n is
-    nonrepetitive.  Small lengths get the lexicographically least word by
-    backtracking; large ones a verified seam-closed square-free word."""
+    nonrepetitive, by ``_closed_word``.  Small lengths get the
+    lexicographically least word; large ones keep a square-free prefix and
+    re-choose a tail of t symbols, 200 failed candidates allowed per t."""
     if n < 3:
         raise ValueError("cycles have at least 3 vertices")
     k = cycle_alphabet_size(n)
-    if n <= _EXACT_CYCLE_LIMIT:
-        return _exact_cycle_word(n, k)
-    return _seam_cycle_word(n)
+    exact = n <= _EXACT_CYCLE_LIMIT  # one tail, the whole word, no budget
+    base = ternary_nonrepetitive(n)
+    for t in (n,) if exact else (16, 24, 32, 48):
+        word = _closed_word(list(base), n - t, k, 2 * t, math.inf if exact else 200)
+        if word is not None:
+            return word
+    raise RuntimeError(f"no cyclic nonrepetitive word of length {n} over {k} symbols found")
 
 
 # -- levellings ---------------------------------------------------------------

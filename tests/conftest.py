@@ -8,6 +8,8 @@ import pytest
 from thueplane import embed, gen
 from thueplane.gen import _Builder
 
+from support import _dedup_outer, dart_of
+
 
 def polygon(n, chords=()):
     b = _Builder()
@@ -102,7 +104,7 @@ def decorate_multigraph(G, seed=0, parallels=2, loops=1):
             continue
         ne = len(edges)
         edges.append((u, v))
-        du, dv = G.dart_of(e, u), G.dart_of(e, v)
+        du, dv = dart_of(G, e, u), dart_of(G, e, v)
         rot[u].insert(rot[u].index(du) + 1, 2 * ne)
         rot[v].insert(rot[v].index(dv), 2 * ne + 1)
 
@@ -114,7 +116,7 @@ def decorate_multigraph(G, seed=0, parallels=2, loops=1):
         rot[v][pos:pos] = [2 * ne + 1, 2 * ne]
 
     outer = [G.faces[f][0] for f in G.outer_faces]
-    return embed.EmbeddedGraph(G.n, edges, rot, embed._dedup_outer(edges, rot, outer))
+    return embed.EmbeddedGraph(G.n, edges, rot, _dedup_outer(edges, rot, outer))
 
 
 def single_block_with_trees(count):

@@ -5,7 +5,7 @@ remaining graph, once per layer.  It costs Θ(n · layers); the tests diff
 
 from thueplane import embed
 
-from support import induced_embedded_subgraph
+from support import _dedup_outer, induced_embedded_subgraph
 
 
 def _induced(G, S):
@@ -62,7 +62,7 @@ def peel(G):
             if any(x in vi for x in verts):
                 outer_cands.extend(dart_map[d] for d in cur.faces[f] if dart_map[d] != -1)
         nxt = embed.EmbeddedGraph(
-            len(keep), new_edges, new_rot, embed._dedup_outer(new_edges, new_rot, outer_cands)
+            len(keep), new_edges, new_rot, _dedup_outer(new_edges, new_rot, outer_cands)
         )
         cur_ids = [cur_ids[x] for x in keep]
         cur = nxt

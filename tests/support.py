@@ -3,7 +3,10 @@ for the outer-walk block decomposition, a block's edges read off its
 inner faces, the auxiliary-graph trace that is the oracle for the run
 reading of the cactus colouring, the rebuild-per-vertex plane
 generator that is the oracle for the face-splitting one, embedding surgery
-(induced subgraphs, ears, edge contraction, in-face edge insertion) and
+(the dart of an edge at a vertex, restriction to a vertex and edge subset
+with one outer dart per component, the simplification built on it that is
+the oracle for ``embed.simplify``, induced subgraphs, ears, edge
+contraction, in-face edge insertion) and
 the weak dual, the per-layer graphs of an augmented plane graph, the
 alternating-block decomposition of the outerplane proof, levelling
 predicates, the brute-force facial-path oracle, the good-size blocking set
@@ -20,13 +23,14 @@ from thueplane.blocking import (
     blocking_set_even_biconnected_edge,
 )
 from thueplane.embed import (
+    ClassMismatchError,
     EmbeddedGraph,
     EmbeddingError,
-    _dedup_outer,
     _require_simple_outerplane,
-    _restrict,
+    _union_find,
     biconnected_components,
     chords,
+    is_outerplane,
 )
 from thueplane.gen import _Builder, _rng
 from thueplane.verify import _canonical
@@ -124,6 +128,81 @@ def block_edges(G, faces, seg):
     return tuple(sorted({d >> 1 for f in faces for d in G.faces[f] if origin[d] != origin[d ^ 1]}))
 
 
+def dart_of(G, e, at):
+    """The dart of edge e that leaves vertex ``at``."""
+    u, v = G.edges[e]
+    if at == u:
+        return 2 * e
+    if at == v:
+        return 2 * e + 1
+    raise EmbeddingError(f"vertex {at} is not an endpoint of edge {e}")
+
+
+def _dedup_outer(edges, rotations, outer_darts):
+    """Keep at most one designated dart per component (the smallest)."""
+    if not outer_darts:
+        return ()
+    find = _union_find(len(rotations), edges)
+    best = {}
+    for d in sorted(set(outer_darts)):
+        best.setdefault(find(edges[d >> 1][d & 1]), d)
+    return tuple(sorted(best.values()))
+
+
+def _restrict(G, verts, edge_ids):
+    """Embedded subgraph of G on the vertices ``verts`` and the edges
+    ``edge_ids`` (each with both ends in ``verts``), in time proportional to
+    what it keeps.  Local ids follow host order.  Each rotation is G's
+    restricted to the kept darts; a kept dart whose face in G is outer is a
+    candidate outer dart, and each component keeps its smallest candidate
+    (one with none keeps the default designation).  Returns the subgraph and
+    a host -> local vertex dict."""
+    keep = sorted(verts)
+    local = {x: i for i, x in enumerate(keep)}
+    edges = G.edges
+    dart = {}  # host dart -> local dart
+    new_edges = []
+    for e in sorted(edge_ids):
+        u, v = edges[e]
+        j = 2 * len(new_edges)
+        dart[2 * e] = j
+        dart[2 * e + 1] = j + 1
+        new_edges.append((local[u], local[v]))
+    new_rot = [[nd for nd in map(dart.get, G.rotations[x]) if nd is not None] for x in keep]
+    face_of, outer_faces = G.face_of, G.outer_faces
+    outer = [nd for d, nd in dart.items() if face_of[d] in outer_faces]
+    del dart  # the build below is the peak; for simplify the map spans the host
+    sub = EmbeddedGraph(len(keep), new_edges, new_rot, _dedup_outer(new_edges, new_rot, outer))
+    return sub, local
+
+
+def simplify_by_restriction(G):
+    """``embed.simplify`` as a restriction of G to the first edge of each
+    endpoint pair, with one outer dart kept per component: the oracle for
+    the one-sweep build, which passes every kept outer dart."""
+    if not is_outerplane(G):
+        raise ClassMismatchError("input is not outerplane")
+
+    n = G.n
+    rep = {}  # endpoint pair a < b, as the int a * n + b -> surviving edge id
+    kept = []  # host id of each surviving edge
+    emap = []
+    for i, (a, b) in enumerate(G.edges):
+        if a == b:
+            emap.append(-1)
+            continue
+        key = a * n + b if a < b else b * n + a
+        j = rep.get(key)
+        if j is None:
+            j = rep[key] = len(kept)
+            kept.append(i)
+        emap.append(j)
+    if len(kept) == len(G.edges):
+        return G, tuple(emap)
+    G2, _ = _restrict(G, range(G.n), kept)
+    return G2, tuple(emap)
+
+
 # -- colour --------------------------------------------------------------------
 
 
@@ -217,7 +296,7 @@ def auxiliary_components_oracle(W, H):
 
 
 def induced_embedded_subgraph(G, S):
-    """Embedded subgraph induced by vertex set S (see ``embed._restrict``):
+    """Embedded subgraph induced by vertex set S (see ``_restrict``):
     the outer face of each surviving component is the face holding its
     formerly-outer darts; components with none keep the default designation
     (for a forest component that face is unique).  Returns the subgraph and
@@ -330,7 +409,7 @@ def contract_edge(G, e):
         i, side = divmod(d, 2)
         return None if i == e else 2 * emap[i] + side
 
-    d_keep = G.dart_of(e, keep)
+    d_keep = dart_of(G, e, keep)
     d_gone = d_keep ^ 1
 
     rot_gone = list(G.rotations[gone])
@@ -514,7 +593,7 @@ def layer_graphs(G, layer):
     out = []
     for i in range(k):
         rot = [[dart_map[d] for d in G.rotations[v] if dart_map[d] != -1] for v in ids[i]]
-        outer_i = embed._dedup_outer(edges[i], rot, outer[i])
+        outer_i = _dedup_outer(edges[i], rot, outer[i])
         out.append((tuple(ids[i]), embed.EmbeddedGraph(len(ids[i]), edges[i], rot, outer_i)))
     return out
 

@@ -31,6 +31,7 @@ from conftest import (
     wheel,
 )
 from support import (
+    _restrict,
     block_edges,
     blocking_graph_from_json,
     good_size_by_copies,
@@ -155,7 +156,7 @@ def test_walk_criterion_agrees_with_block_decomposition():
         S = [v for v in range(G.n) if rnd.random() < 0.8]
         graphs.append(induced_embedded_subgraph(G, S)[0])
         graphs += [
-            embed._restrict(G, vs, block_edges(G, fs, seg))[0]
+            _restrict(G, vs, block_edges(G, fs, seg))[0]
             for vs, fs, seg in embed._blocks_and_bridges(G)
         ]
     biconnected = 0
@@ -355,7 +356,7 @@ def _blocks_in_place(G):
 
 def test_block_cores_match_the_public_constructors_on_copies():
     # the pipeline reads each block in place in its host; the oracle is the
-    # public constructor on the block copied out by embed._restrict
+    # public constructor on the block copied out by _restrict
     corpus = [
         gen.generate(gen.GenSpec(kind, n, seed))
         for kind, n in (("outerplane", 60), ("outerplane_bridgeless", 40),
@@ -366,7 +367,7 @@ def test_block_cores_match_the_public_constructors_on_copies():
     for G in corpus:
         H = blocking._host(G)
         for verts, bedges, faces, seg in _blocks_in_place(G):
-            sub, local = embed._restrict(G, verts, bedges)
+            sub, local = _restrict(G, verts, bedges)
             back = {i: x for x, i in local.items()}
             for x in verts:
                 for include in (True, False):
@@ -397,7 +398,7 @@ def test_excluding_a_cut_vertex_reads_its_neighbours_on_each_block():
     around = [b for b in blocks if centre in b[0]]
     assert len(around) >= 3
     for verts, bedges, faces, seg in around:
-        sub, local = embed._restrict(G, verts, bedges)
+        sub, local = _restrict(G, verts, bedges)
         back = {i: x for x, i in local.items()}
         want = {back[y] for y in blocking_set_even_biconnected(sub, local[centre], False)}
         got = blocking._even_one_per_face(H, faces, seg, centre, False)

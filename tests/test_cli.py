@@ -248,3 +248,43 @@ def test_bench_rejects_a_repeat_below_one(monkeypatch, repeat):
     r = CliRunner().invoke(main, ["bench", "--corpus", "60", "--repeat", repeat])
     _assert_parse_exit(r)
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize("repeat", [0, -5])
+def test_run_bench_rejects_a_repeat_below_one(repeat):
+    # failed deep inside with a TypeError from round(None)
+    from thueplane import bench
+
+    with pytest.raises(ValueError, match="repeat"):
+        bench.run_bench([30], repeat=repeat)
+
+
+@pytest.mark.parametrize("max_colours", ["0", "-1"])
+def test_search_rejects_max_colours_below_one(max_colours):
+    # printed "exceeds -1" for every size and exited 0
+    r = CliRunner().invoke(main, ["search", "--kind", "cycle", "--max-colours", max_colours])
+    _assert_parse_exit(r)
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["colour", "--input", "{g}", "--output", "{out}"],
+        ["gen", "--kind", "cycle", "--n", "5", "--out", "{out}"],
+        ["export", "--input", "{g}", "--svg", "{out}"],
+        ["export", "--input", "{g}", "--dot", "{out}"],
+        ["bench", "--corpus", "30,40", "--out", "{out}"],
+        ["bench", "--corpus", "30,40", "--plot", "{out}"],
+    ],
+)
+@pytest.mark.parametrize("target", ["missing/x.json", ""])
+def test_an_unwritable_output_exits_2(tmp_path, command, target):
+    # each write exited 1 with a FileNotFoundError or IsADirectoryError
+    # traceback; "" names the directory itself
+    g = write_graph(tmp_path, polygon(5))
+    out = str(tmp_path / target)
+    r = run([arg.format(g=g, out=out) for arg in command])
+    assert r.exit_code == 2
+    diag = json.loads(r.stderr.strip().splitlines()[-1])
+    assert (diag["error"], diag["path"]) == ("output", out) and diag["detail"]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from thueplane import embed, gen, verify
@@ -5,6 +7,7 @@ from thueplane.embed import ClassMismatchError, EmbeddingError
 
 from conftest import (
     decorate_multigraph,
+    disjoint_union,
     fan5,
     path_graph,
     polygon,
@@ -362,6 +365,56 @@ def test_simplify_returns_a_simple_graph_as_is():
         simple, emap = embed.simplify(G)
         assert simple is G
         assert emap == tuple(range(len(G.edges)))
+
+
+def _renumbered_edges(G, seed):
+    """G with its edge ids shuffled, so that its smallest dart may lie on an
+    inner face; the embedding and the outer faces are unchanged."""
+    perm = list(range(len(G.edges)))
+    random.Random(seed).shuffle(perm)
+    edges = [None] * len(perm)
+    for e, p in enumerate(perm):
+        edges[p] = G.edges[e]
+    rot = [[2 * perm[d >> 1] + (d & 1) for d in r] for r in G.rotations]
+    outer = [2 * perm[d >> 1] + (d & 1) for d in G.canonical_outer_darts()]
+    return embed.EmbeddedGraph(G.n, edges, rot, outer)
+
+
+def _simplify_corpus():
+    """Multigraphs of every outerplane kind with parallels and loops, with
+    their edges renumbered, their disjoint unions, and a 3-edge bundle and
+    a loop with each of their faces designated outer."""
+    kinds = ("tree", "cycle", "cactus_even", "outerplane", "outerplane_biconnected",
+             "outerplane_bridgeless", "flower")
+    graphs = []
+    for seed in range(16):
+        parts = [
+            decorate_multigraph(gen.generate(gen.GenSpec(kind, 6 + 2 * seed, seed)), seed, 3, 2)
+            for kind in kinds
+        ]
+        parts += [_renumbered_edges(G, seed) for G in parts]
+        graphs += parts + [disjoint_union(*parts), disjoint_union(*parts[::-1])]
+    bundle = [(0, 1)] * 3, [[0, 2, 4], [5, 3, 1]]
+    loop = [(0, 0)], [[0, 1]]
+    for edges, rot in (bundle, loop):
+        G = embed.EmbeddedGraph(len(rot), edges, rot)
+        for walk in G.faces:
+            H = embed.EmbeddedGraph(len(rot), edges, rot, (walk[0],))
+            graphs += [H, disjoint_union(H, polygon(4), H)]
+    return graphs
+
+
+def test_simplify_matches_the_restriction():
+    # one sweep with every kept outer dart gives the graph that restricting
+    # G to the kept edges, one outer dart per component, gives
+    corpus = _simplify_corpus()
+    assert sum(len(G.edges) != len(embed.simplify(G)[0].edges) for G in corpus) > 250
+    for G in corpus:
+        got, emap = embed.simplify(G)
+        want, want_emap = support.simplify_by_restriction(G)
+        assert embed.graph_to_json(got) == embed.graph_to_json(want)
+        assert emap == want_emap
+        assert got.outer_faces == want.outer_faces
 
 
 def test_simplify_requires_outerplane():

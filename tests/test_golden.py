@@ -10,7 +10,7 @@ from thueplane import blocking, colour, embed, gen
 from thueplane.embed import ClassMismatchError
 
 from conftest import decorate_multigraph, hexagon_with_inner_star
-from support import block_edges, induced_embedded_subgraph, layer_graphs
+from support import _restrict, block_edges, induced_embedded_subgraph, layer_graphs
 from test_blocking import biconnected_corpus
 
 PIPELINES = (
@@ -119,7 +119,7 @@ def test_internal_builders_pass_the_boundary_check():
         Gs = embed.simplify(G)[0]
         _passes_boundary(Gs)
         for verts, faces, seg in embed._blocks_and_bridges(Gs):
-            _passes_boundary(embed._restrict(Gs, verts, block_edges(Gs, faces, seg))[0])
+            _passes_boundary(_restrict(Gs, verts, block_edges(Gs, faces, seg))[0])
         B = blocking.blocking_set_even(Gs)
         _passes_boundary(blocking.blocking_graph(Gs, B).graph)
         _passes_boundary(blocking._blocking_graph(Gs, B, simple=True).graph)

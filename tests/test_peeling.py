@@ -16,7 +16,7 @@ from conftest import (
     wheel,
 )
 from peel_oracle import peel
-from support import layer_graphs
+from support import _restrict, layer_graphs
 
 
 def plane_corpus():
@@ -104,5 +104,5 @@ def test_layers_graph_is_the_layer_graphs_of_g_plus():
         for e, (u, _w) in enumerate(L.edges):
             edge_ids[layer[u]].append(e)
         for (ids, lg), es in zip(want, edge_ids):
-            sub, _local = embed._restrict(L, ids, es)
+            sub, _local = _restrict(L, ids, es)
             assert _graph_key(sub) == _graph_key(lg)

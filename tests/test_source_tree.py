@@ -1,6 +1,7 @@
 """Source-tree guards: every top-level function, class or constant in the
-package is used by the package or exported, so helpers that only tests use
-live in ``tests/``, and every import in the package is used by its module."""
+package is used by the package or exported, and every method of a package
+class is read by the package, so helpers that only tests use live in
+``tests/``; and every import in the package is used by its module."""
 
 import ast
 import pathlib
@@ -58,6 +59,30 @@ def test_every_top_level_definition_is_used_or_exported():
         if name not in thueplane.__all__ and not [n for n in uses.get(name, ()) if n is not node]
     ]
     assert unused == []
+
+
+def test_every_method_is_read_by_the_package():
+    # a non-dunder method of a package class is read when its name is a
+    # name or an attribute anywhere in the package outside its own body
+    trees = [ast.parse(text) for text in _modules().values()]
+    reads = [
+        (node.id if isinstance(node, ast.Name) else node.attr, node)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    unread = []
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("__"):
+                    continue
+                own = set(map(id, ast.walk(method)))
+                if not any(name == method.name and id(node) not in own for name, node in reads):
+                    unread.append(f"{cls.name}.{method.name}")
+    assert unread == []
 
 
 def test_every_import_is_used():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -301,3 +302,28 @@ def test_cycle_colouring_golden_digest():
     for n in list(range(3, 401)) + [1000, 2001, 3000]:
         h.update(f"{n}:{''.join(map(str, cycle_colouring(n)))};".encode())
     assert h.hexdigest() == CYCLE_COLOURING_DIGEST
+
+
+def test_closed_word_budget_ends_the_search(monkeypatch):
+    # the first full candidate of length 6 over {0, 1, 2}, 010201, wraps
+    # round to a square, so a budget of 0 ends the search there
+    calls = []
+
+    def counted(seq):
+        calls.append(tuple(seq))
+        return has_cyclic_repetition(seq)
+
+    monkeypatch.setattr(words, "has_cyclic_repetition", counted)
+    assert words._closed_word([0] * 6, 0, 3, 6, 0) is None
+    assert calls == [(0, 1, 0, 2, 0, 1)]
+    assert words._closed_word([0] * 6, 0, 3, 6, math.inf) == cycle_colouring(6)
+
+
+@pytest.mark.parametrize("n", [8, 65])
+def test_cycle_colouring_raises_when_every_search_fails(monkeypatch, n):
+    # n = 8 exhausts the full search, n = 65 the budget of every seam tail;
+    # last in the file, as it empties the cache the tests above fill
+    monkeypatch.setattr(words, "has_cyclic_repetition", lambda seq: True)
+    cycle_colouring.cache_clear()
+    with pytest.raises(RuntimeError):
+        cycle_colouring(n)

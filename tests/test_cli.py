@@ -159,6 +159,26 @@ def test_search_cycles():
     assert by_n[5] == 4 and by_n[6] == 3
 
 
+#: (instances, max_exact) per n of ``search --max-n 8``, from n = 1 for
+#: trees and n = 3 for polygons with chords
+SEARCH_PINNED = {
+    "tree": [(1, 1), (1, 2), (1, 2), (2, 3), (3, 3), (6, 3), (11, 3), (23, 3)],
+    "outerplane_biconnected": [(1, 3), (2, 3), (3, 4), (9, 4), (20, 4), (75, 4)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SEARCH_PINNED))
+def test_search_output_is_pinned(kind):
+    r = run(["search", "--kind", kind, "--max-n", "8"])
+    assert r.exit_code == 0
+    lo = 9 - len(SEARCH_PINNED[kind])
+    want = "".join(
+        json.dumps({"instances": c, "kind": kind, "max_exact": x, "n": n}, sort_keys=True) + "\n"
+        for n, (c, x) in enumerate(SEARCH_PINNED[kind], lo)
+    )
+    assert r.stdout == want
+
+
 def test_export(tmp_path):
     g = write_graph(tmp_path, gen.generate(gen.GenSpec("outerplane", 12, 2)))
     c = tmp_path / "c.json"

@@ -40,9 +40,10 @@ def _diag(**fields):
 
 
 def _write(path, text):
-    """Write ``text`` to ``path``, or exit 2 with an ``output`` diagnostic."""
+    """Write ``text`` to ``path``, or exit 2 with an ``output`` diagnostic.
+    Empty ``text`` only checks that ``path`` can be written (append mode)."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w" if text else "a", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         _diag(error="output", path=str(path), detail=str(exc))
@@ -139,7 +140,7 @@ def cmd_verify(input_path, colouring_path):
     print(
         json.dumps(
             {"input_digest": digest, "ok": False,
-             "counterexample": verify.counterexample_to_json(G, col.colours, bad)},
+             "counterexample": verify.counterexample_to_json(col.colours, bad)},
             sort_keys=True,
         )
     )
@@ -292,8 +293,6 @@ def _write_scaling_plot(report, path):
     import math
 
     rows = [r for r in report["rows"] if r["colour_verify_seconds"] > 0]
-    if len(rows) < 2:
-        return
     xs = [math.log10(r["n"]) for r in rows]
     ys = [math.log10(r["colour_verify_seconds"]) for r in rows]
     x0, x1 = min(xs), max(xs)
@@ -339,6 +338,11 @@ def cmd_bench(corpus, kind, repeat, seed, out_path, plot_path):
     except ValueError as exc:
         _diag(error="parse", detail=f"bad corpus spec {corpus!r}: {exc}")
         sys.exit(EXIT_PARSE)
+    if plot_path and len(set(sizes)) < 2:
+        _diag(error="parse", option="--plot", detail="a scaling plot needs at least two distinct sizes")
+        sys.exit(EXIT_PARSE)
+    for path in filter(None, (out_path, plot_path)):  # an unwritable path fails before any timing
+        _write(path, "")
     report = bench_mod.run_bench(sizes, kind=kind, seed=seed, repeat=repeat)
     doc = json.dumps(report, sort_keys=True, indent=2)
     if out_path:

@@ -237,7 +237,7 @@ def colour_cactus_even(G):
     (plus the exceptional-length patch) over {1,2,3}, everything else by
     breadth-first level through a palindrome-free word over {4,5,6,7}.
     ``simplify`` checks that G is outerplane."""
-    Gs, _ = embed.simplify(G)
+    Gs = embed.simplify(G)
     if embed._chords(Gs):
         raise ClassMismatchError("input is not a cactus (it has chords)")
     for f in Gs.inner_faces():
@@ -299,7 +299,7 @@ def colour_outerplane(G):
     most 11 colours: an even blocking set's blocking graph is cactus-coloured
     over {5..11} and the remaining forest over {1..4}.  ``simplify`` checks
     that G is outerplane."""
-    Gs, _ = embed.simplify(G)
+    Gs = embed.simplify(G)
     return _checked(G, _colour_outerplane_core(Gs, blocking._even_blocking_over_blocks(Gs)), 11)
 
 
@@ -308,7 +308,7 @@ def colour_outerplane_single_block(G):
     2-connected component: a blocking set of non-exceptional size makes the
     blocking graph one cycle, 3-coloured over {5,6,7}, or one edge; trees
     take {1,2,3,4}.  ``simplify`` checks that G is outerplane."""
-    Gs, _ = embed.simplify(G)
+    Gs = embed.simplify(G)
     faces = [fs for vs, fs, _seg in embed._blocks_and_bridges(Gs) if len(vs) >= 3]
     if len(faces) > 1:
         raise ClassMismatchError("graph has more than one 2-connected component")

@@ -41,39 +41,8 @@ class EmbeddedGraph:
         self.n = n
         self.edges = tuple(edges)
         self.rotations = tuple(tuple(r) for r in rotations)
-        self.num_darts = 2 * len(self.edges)
-
-        m = self.num_darts
-        origin = [0] * m
-        for i, (u, v) in enumerate(self.edges):
-            origin[2 * i] = u
-            origin[2 * i + 1] = v
-        self.origin = origin
-
-        rot_next = [0] * m
-        for rot in self.rotations:
-            k = len(rot)
-            for j, d in enumerate(rot):
-                rot_next[d] = rot[(j + 1) % k]
-        self.rot_next = rot_next
-
-        # faces: orbits of d -> rot_next[twin(d)], canonical start = min dart
-        face_of = [-1] * m
-        faces = []
-        for d0 in range(m):
-            if face_of[d0] != -1:
-                continue
-            walk = []
-            d = d0
-            while face_of[d] == -1:
-                face_of[d] = len(faces)
-                walk.append(d)
-                d = rot_next[d ^ 1]
-            if d != d0:
-                raise EmbeddingError("face tracing did not close; bad rotation system")
-            faces.append(tuple(walk))
-        self.faces = tuple(faces)
-        self.face_of = face_of
+        self.origin = origin = [x for e in self.edges for x in e]
+        m = len(origin)
 
         # connected components (isolated vertices are their own)
         comp_of = [-1] * n
@@ -97,26 +66,45 @@ class EmbeddedGraph:
         self.components = tuple(comps)
         self.comp_of = comp_of
 
-        # outer face designation, one per dart-bearing component
-        outer = {}
+        rot_next = [0] * m
+        for rot in self.rotations:
+            k = len(rot)
+            for j, d in enumerate(rot):
+                rot_next[d] = rot[(j + 1) % k]
+
+        # faces: orbits of d -> rot_next[twin(d)], numbered by smallest dart;
+        # a component's first face is its outer face unless an outer dart names another
+        outer = [None] * len(comps)
+        face_of = [-1] * m
+        faces = []
+        for d0 in range(m):
+            if face_of[d0] != -1:
+                continue
+            c = comp_of[origin[d0]]
+            if outer[c] is None:
+                outer[c] = len(faces)
+            walk = []
+            d = d0
+            while face_of[d] == -1:
+                face_of[d] = len(faces)
+                walk.append(d)
+                d = rot_next[d ^ 1]
+            if d != d0:
+                raise EmbeddingError("face tracing did not close; bad rotation system")
+            faces.append(tuple(walk))
+        self.faces = tuple(faces)
+        self.face_of = face_of
+
+        given = {}  # component -> the face its outer darts designate
         for d in outer_darts:
             if not (0 <= d < m):
                 raise EmbeddingError(f"outer dart {d} out of range")
-            c = comp_of[origin[d]]
-            f = face_of[d]
-            if c in outer and outer[c] != f:
+            if given.setdefault(comp_of[origin[d]], face_of[d]) != face_of[d]:
                 raise EmbeddingError("conflicting outer darts for one component")
+        for c, f in given.items():
             outer[c] = f
-        mindart = [m] * len(comps)
-        for d in range(m):
-            c = comp_of[origin[d]]
-            if d < mindart[c]:
-                mindart[c] = d
-        for cid in range(len(comps)):
-            if cid not in outer and mindart[cid] < m:
-                outer[cid] = face_of[mindart[cid]]
-        self._outer_by_comp = outer
-        self.outer_faces = frozenset(outer.values())
+        self._outer_by_comp = outer  # per component, None for an isolated vertex
+        self.outer_faces = frozenset(f for f in outer if f is not None)
 
     def _validate_euler(self):
         """Euler's formula on every component with an edge: the rotation
@@ -147,7 +135,7 @@ class EmbeddedGraph:
         return f in self.outer_faces
 
     def outer_face_of_component(self, cid):
-        return self._outer_by_comp.get(cid)
+        return self._outer_by_comp[cid]
 
     def face_vertices(self, f):
         return tuple(self.origin[d] for d in self.faces[f])
@@ -320,17 +308,18 @@ def _chords(G):
     return out
 
 
+def is_simple(G):
+    """True iff G has no loop and no parallel edges: one scan over the edge
+    keys u * n + w, u < w, which a loop never enters."""
+    n = G.n
+    return len({u * n + w if u < w else w * n + u for u, w in G.edges if u != w}) == len(G.edges)
+
+
 def _require_simple_outerplane(G):
     if not is_outerplane(G):
         raise ClassMismatchError("operation requires an outerplane graph")
-    seen = set()
-    for u, v in G.edges:
-        if u == v:
-            raise ClassMismatchError("operation requires a simple graph (loop found)")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ClassMismatchError("operation requires a simple graph (parallel edges found)")
-        seen.add(key)
+    if not is_simple(G):
+        raise ClassMismatchError("operation requires a simple graph: a loop or parallel edges")
 
 
 # -- connectivity ------------------------------------------------------------
@@ -458,41 +447,30 @@ def simplify(G):
 
     Facial paths, read as vertex sequences, are preserved: in an outerplane
     graph any two parallel edges bound a vertex-free lens and loops carry no
-    facial path, so colourings of the result lift back to G.  Returns
-    (simple graph, edge map old -> surviving edge id, -1 for loops); the
-    rotations are G's restricted to the kept darts by ``_mapped_rotations``.
-    A G with no loop and no parallel edge is returned as is, with the
-    identity edge map.  It is the outerplane pipelines' class check:
+    facial path, so colourings of the result lift back to G.  A simple G
+    (``is_simple``) is returned as is; any other G is rebuilt in one pass
+    over its edges, with G's rotations restricted to the kept darts by
+    ``_mapped_rotations``.  It is the outerplane pipelines' class check:
     ClassMismatchError on any graph that is not outerplane.
     """
     if not is_outerplane(G):
         raise ClassMismatchError("input is not outerplane")
+    if is_simple(G):
+        return G
 
     n, m = G.n, len(G.edges)
-    rep = {}  # endpoint pair a < b, as the int a * n + b -> surviving edge id
-    kept = []  # host id of each surviving edge
-    emap = []
-    for i, (a, b) in enumerate(G.edges):
-        if a == b:
-            emap.append(-1)
-            continue
-        key = a * n + b if a < b else b * n + a
-        j = rep.get(key)
-        if j is None:
-            j = rep[key] = len(kept)
-            kept.append(i)
-        emap.append(j)
-    if len(kept) == m:
-        return G, tuple(emap)
-    # the dart map is built only here, so a simple G pays for no map
+    seen = set()  # endpoint pairs a < b kept so far, as the int a * n + b
+    edges = []
     dart_map = [-1] * (2 * m)
-    for j, i in enumerate(kept):
-        dart_map[2 * i : 2 * i + 2] = 2 * j, 2 * j + 1
-    edges = [G.edges[i] for i in kept]
-    # Dropping a loop or a parallel edge merges the two faces beside it, so
-    # the kept darts of one outer face of G all lie on one face of the
-    # result and need no deduplication (EmbeddedGraph raises otherwise).
+    for i, (a, b) in enumerate(G.edges):
+        key = a * n + b if a < b else b * n + a
+        if a != b and key not in seen:
+            seen.add(key)
+            dart_map[2 * i : 2 * i + 2] = 2 * len(edges), 2 * len(edges) + 1
+            edges.append((a, b))
+    # dropping a loop or a parallel edge merges the two faces beside it, so
+    # the kept darts of an outer face of G lie on one face of the result
     outer = [dart_map[d] for f in G.outer_faces for d in G.faces[f] if dart_map[d] != -1]
     rot = _mapped_rotations(G, dart_map, ())
-    del rep, kept, dart_map  # the build below is the peak
-    return EmbeddedGraph(n, edges, rot, outer), tuple(emap)
+    del seen, dart_map  # the build below is the peak
+    return EmbeddedGraph(n, edges, rot, outer)

@@ -3,9 +3,10 @@
 Every generator is correct by construction (no planarity testing): polygons
 with non-crossing chords, feature gluing along the outer face,
 face-interior vertex insertion and concentric rings joined by spokes all
-maintain an explicit rotation system.
-Outputs are validated against their class predicate before being returned;
-a predicate failure is a generator bug, not a caller error.
+maintain an explicit rotation system, and each graph is built once.
+Every output, enumerated ones included, is validated against its class
+predicate before being returned; a predicate failure is a generator bug,
+not a caller error.
 """
 
 from __future__ import annotations
@@ -94,19 +95,10 @@ class _Builder:
         return ids
 
     def finish_outerplane(self):
-        """Designate the face witnessing outerplanarity as outer.  The
-        default designation (the face of the smallest dart) is usually that
-        face already; only when it is not is the graph built again."""
-        g = embed.EmbeddedGraph(len(self.rot), self.edges, self.rot, ())
-        want = {v for v in range(g.n) if g.rotations[v]}
-        if not want:
-            return g
-        for f, walk in enumerate(g.faces):
-            if {g.origin[d] for d in walk} == want:
-                if f in g.outer_faces:
-                    return g
-                return embed.EmbeddedGraph(len(self.rot), self.edges, self.rot, (walk[0],))
-        raise GenerationError("construction lost outerplanarity")
+        """The graph, with its default outer face: the face of dart 0.  Each
+        feature appends its darts after the earlier ones at its anchor, so
+        that face runs round the whole graph; ``_check_class`` checks it."""
+        return embed.EmbeddedGraph(len(self.rot), self.edges, self.rot, ())
 
 
 def _triangulation_chords(size, rng):
@@ -309,7 +301,6 @@ def _gen_plane(spec, rng):
         b.add_edge(0, 1)
         return b.finish_outerplane()
     b.add_polygon_block(v0, 3, [])
-    G = b.finish_outerplane()
     edges, rot = b.edges, b.rot
     size = 1 << (6 * spec.n).bit_length()  # a power of two above 6n - 12 darts
     tree = [0] * size
@@ -323,8 +314,7 @@ def _gen_plane(spec, rng):
                 i += i & -i
         walks[walk[0]] = walk
 
-    for f in G.inner_faces():
-        add_face(list(G.faces[f]))
+    add_face([1, 5, 3])  # the triangle's inner face 1->0->2->1; dart 0's face is outer
     for z in range(3, spec.n):
         r = rng.randrange(len(walks))
         d, step = 0, size >> 1
@@ -353,7 +343,7 @@ def _gen_plane(spec, rng):
             face += (2 * (base + (t + 1) % k) + 1, 2 * (base + t))
             j = face.index(min(face))
             add_face(face[j:] + face[:j])
-    return embed.EmbeddedGraph(spec.n, edges, rot, (G.faces[G.outer_face][0],))
+    return embed.EmbeddedGraph(spec.n, edges, rot, (0,))
 
 
 def _gen_nested(spec, rng):
@@ -403,10 +393,7 @@ def _check_class(spec, G):
     kind = spec.kind
     if G.n != spec.n:
         raise GenerationError(f"generated {G.n} vertices instead of {spec.n}")
-    simple_ok = all(u != v for u, v in G.edges) and len(
-        {(min(u, v), max(u, v)) for u, v in G.edges}
-    ) == len(G.edges)
-    if not simple_ok:
+    if not embed.is_simple(G):
         raise GenerationError("generator emitted loops or parallel edges")
     if kind == "plane":
         return
@@ -515,7 +502,8 @@ def _dihedral_canonical(n, chord_set):
 def enumerate_small(kind, n):
     """Exhaustive enumeration (deduplicated best-effort up to relabelling)
     of tiny instances.  Supported kinds: tree, cycle,
-    outerplane_biconnected."""
+    outerplane_biconnected.  Every instance passes the class check that
+    ``generate``'s outputs pass."""
     if n > ENUM_GUARD:
         raise ValueError(f"enumeration guarded to n <= {ENUM_GUARD}")
     if kind == "cycle":
@@ -523,18 +511,18 @@ def enumerate_small(kind, n):
             yield generate(GenSpec("cycle", n))
         return
     if kind == "tree":
-        if n == 1:
-            yield embed.EmbeddedGraph(1, [], [[]], ())
-            return
         import networkx as nx
 
-        for T in nx.nonisomorphic_trees(n):
+        trees = [()] if n == 1 else (T.edges() for T in nx.nonisomorphic_trees(n))
+        for tree_edges in trees:
             b = _Builder()
             for _ in range(n):
                 b.new_vertex()
-            for u, v in sorted(tuple(sorted(e)) for e in T.edges()):
+            for u, v in sorted(tuple(sorted(e)) for e in tree_edges):
                 b.add_edge(u, v)
-            yield b.finish_outerplane()
+            G = b.finish_outerplane()
+            _check_class(GenSpec(kind, n), G)
+            yield G
         return
     if kind == "outerplane_biconnected":
         if n < 3:
@@ -548,6 +536,8 @@ def enumerate_small(kind, n):
             b = _Builder()
             v0 = b.new_vertex()
             b.add_polygon_block(v0, n, sorted(subset))
-            yield b.finish_outerplane()
+            G = b.finish_outerplane()
+            _check_class(GenSpec(kind, n), G)
+            yield G
         return
     raise ValueError(f"exhaustive enumeration not supported for kind {kind!r}")

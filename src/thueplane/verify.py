@@ -37,23 +37,17 @@ def _canonical(seq):
 
 def facial_paths(G):
     """Iterate every facial path of every face, once per face in canonical
-    direction (smaller endpoint first).  Intended for desk-scale graphs;
-    verification never materializes this set."""
+    direction (smaller endpoint first): the prefixes of each walk position's
+    longest distinct-vertex window (``_window_ends``).  Intended for
+    desk-scale graphs; verification never materializes this set."""
     for f in range(len(G.faces)):
         verts = G.face_vertices(f)
-        L = len(verts)
         is_outer = G.is_outer_face(f)
+        dbl = verts + verts
         seen = set()
-        for start in range(L):
-            window = []
-            used = set()
-            for k in range(L):
-                v = verts[(start + k) % L]
-                if v in used:
-                    break
-                used.add(v)
-                window.append(v)
-                c = _canonical(window)
+        for s, e in enumerate(_window_ends(verts)):
+            for j in range(s + 1, e + 1):
+                c = _canonical(dbl[s:j])
                 if c not in seen:
                     seen.add(c)
                     yield FacialPath(f, c, is_outer)
@@ -108,7 +102,7 @@ def verify_facial_nonrepetitive(G, colours):
     return None
 
 
-def counterexample_to_json(G, colours, path):
+def counterexample_to_json(colours, path):
     return {
         "face": path.face,
         "vertices": list(path.vertices),
@@ -163,8 +157,12 @@ def exact_pi_f(G, max_colours, guard=SEARCH_GUARD):
 
 
 def exact_pi_tree_paths(T, max_colours, guard=SEARCH_GUARD):
-    """Exact nonrepetitive chromatic number of a tree over all its paths
-    (for a tree these are exactly its facial paths)."""
+    """Exact nonrepetitive chromatic number of a tree over all its paths.
+    Every facial path of a tree is a path, but not every path is facial: in
+    the star K_{1,4} with rotation (1, 2, 3, 4) at the centre, 1-0-3 and
+    2-0-4 are paths and not facial paths.  So this bounds the facial number
+    of every embedding of T from above; the two are equal on every tree
+    ``gen.enumerate_small`` gives up to 9 vertices."""
     from thueplane.words import _adjacency, _all_tree_paths
 
     adj = _adjacency(T)

@@ -21,7 +21,7 @@ def _induced(G, S):
             emap[i] = len(new_edges)
             new_edges.append((vmap[a], vmap[b]))
 
-    dart_map = [-1] * G.num_darts
+    dart_map = [-1] * (2 * len(G.edges))
     for i, j in emap.items():
         dart_map[2 * i] = 2 * j
         dart_map[2 * i + 1] = 2 * j + 1

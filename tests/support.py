@@ -564,7 +564,7 @@ def layer_graphs(G, layer):
         ids[i].append(v)
 
     edges = [[] for _ in range(k)]
-    dart_map = [-1] * G.num_darts
+    dart_map = [-1] * (2 * len(G.edges))
     n = G.n
     pairs = set()  # endpoint pairs u < w with an edge, as u * n + w
     for e, (u, w) in enumerate(G.edges):

@@ -256,18 +256,43 @@ def test_search_rejects_sizes_past_the_enumeration_guard():
     assert r.stdout == ""
 
 
-@pytest.mark.parametrize("repeat", ["0", "-5"])
-def test_bench_rejects_a_repeat_below_one(monkeypatch, repeat):
-    # ran once and reported the repeat as given
+def _forbid_timing(monkeypatch):
     from thueplane import bench
 
     def timing(*args, **kwargs):
         raise AssertionError("bench timed a run")
 
     monkeypatch.setattr(bench, "run_bench", timing)
+
+
+@pytest.mark.parametrize("repeat", ["0", "-5"])
+def test_bench_rejects_a_repeat_below_one(monkeypatch, repeat):
+    # ran once and reported the repeat as given
+    _forbid_timing(monkeypatch)
     r = CliRunner().invoke(main, ["bench", "--corpus", "60", "--repeat", repeat])
     _assert_parse_exit(r)
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize("corpus", ["30", "30,30"])
+def test_bench_rejects_a_plot_of_one_size_before_timing(tmp_path, monkeypatch, corpus):
+    # timed the corpus, then exited 0 without writing the plot
+    _forbid_timing(monkeypatch)
+    plot = tmp_path / "one.svg"
+    r = CliRunner().invoke(main, ["bench", "--corpus", corpus, "--plot", str(plot)])
+    _assert_parse_exit(r)
+    assert r.stdout == "" and not plot.exists()
+
+
+@pytest.mark.parametrize("option", ["--out", "--plot"])
+def test_bench_finds_an_unwritable_output_before_timing(tmp_path, monkeypatch, option):
+    # timed the whole corpus before finding the path unwritable
+    _forbid_timing(monkeypatch)
+    out = str(tmp_path / "missing" / "x.json")
+    r = CliRunner().invoke(main, ["bench", "--corpus", "30,60", option, out])
+    assert r.exit_code == 2 and r.stdout == ""
+    diag = json.loads(r.stderr.strip().splitlines()[-1])
+    assert (diag["error"], diag["path"]) == ("output", out)
 
 
 @pytest.mark.parametrize("repeat", [0, -5])

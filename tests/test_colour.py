@@ -67,7 +67,7 @@ def test_cactus_rejects_odd_cycle():
 
 def test_flower_patch_engages():
     G = flower_cactus(5)
-    Gs, _ = embed.simplify(G)
+    Gs = embed.simplify(G)
     colours = [None] * Gs.n
     faces = _component_faces(Gs, 0)
     H, lam = colour._colour_cactus_component(Gs, Gs.components[0], 0, faces, colours)
@@ -78,7 +78,7 @@ def test_flower_patch_engages():
 
 def test_flower_patch_nine():
     G = flower_cactus(9)
-    Gs, _ = embed.simplify(G)
+    Gs = embed.simplify(G)
     colours = [None] * Gs.n
     faces = _component_faces(Gs, 0)
     H, _ = colour._colour_cactus_component(Gs, Gs.components[0], 0, faces, colours)
@@ -141,7 +141,7 @@ def test_monotone_level_runs_outside_deepest_set():
     for seed in range(40):
         n = 4 + (seed * 5) % 30
         G = gen.generate(gen.GenSpec("cactus_even", n, seed))
-        Gs, _ = embed.simplify(G)
+        Gs = embed.simplify(G)
         for cid, comp in enumerate(Gs.components):
             colours = [None] * Gs.n
             faces = _component_faces(Gs, cid)
@@ -451,7 +451,7 @@ def test_blocking_graph_cactus_colouring_verifies():
     # blocking graph's colouring: it is a facially nonrepetitive 7-colouring
     for seed in range(200):
         n = 1 + (seed * 11) % 60
-        Gs, _ = embed.simplify(gen.generate(gen.GenSpec("outerplane", n, seed)))
+        Gs = embed.simplify(gen.generate(gen.GenSpec("outerplane", n, seed)))
         B = blocking.blocking_set_even(Gs)
         if not B:
             continue

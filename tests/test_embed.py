@@ -88,7 +88,7 @@ def test_face_partition_and_euler_over_corpus():
             if kind == "plane":
                 n = max(n, 3)
             G = gen.generate(gen.GenSpec(kind, n, seed))
-            assert sum(len(f) for f in G.faces) == G.num_darts
+            assert sum(len(f) for f in G.faces) == 2 * len(G.edges)
             # Euler is asserted inside the constructor; re-run explicitly
             G._validate_euler()
 
@@ -337,15 +337,10 @@ def test_surgery_outputs_revalidate():
 
 def test_simplify_drops_loops_and_parallels(triangle):
     g = decorate_multigraph(triangle, seed=3, parallels=3, loops=2)
-    simple, emap = embed.simplify(g)
+    simple = embed.simplify(g)
     assert len(simple.edges) == 3
-    assert all(u != v for u, v in simple.edges)
-    for old, new in enumerate(emap):
-        u, v = g.edges[old]
-        if u == v:
-            assert new == -1
-        else:
-            assert {u, v} == set(simple.edges[new])
+    assert embed.is_simple(simple) and not embed.is_simple(g)
+    assert {frozenset(e) for e in simple.edges} == {frozenset(e) for e in g.edges if e[0] != e[1]}
 
 
 def test_simplify_preserves_facial_paths():
@@ -353,7 +348,7 @@ def test_simplify_preserves_facial_paths():
     for seed in range(6):
         base = gen.generate(gen.GenSpec("outerplane", 9, seed))
         g = decorate_multigraph(base, seed=seed, parallels=3, loops=2)
-        simple, _ = embed.simplify(g)
+        simple = embed.simplify(g)
         multi_paths = {p.vertices for p in verify.facial_paths(g)}
         simple_paths = {p.vertices for p in verify.facial_paths(simple)}
         assert multi_paths <= simple_paths
@@ -362,9 +357,7 @@ def test_simplify_preserves_facial_paths():
 def test_simplify_returns_a_simple_graph_as_is():
     for kind in ("outerplane", "tree", "cactus_even", "flower"):
         G = gen.generate(gen.GenSpec(kind, 30, 1))
-        simple, emap = embed.simplify(G)
-        assert simple is G
-        assert emap == tuple(range(len(G.edges)))
+        assert embed.simplify(G) is G
 
 
 def _renumbered_edges(G, seed):
@@ -408,13 +401,20 @@ def test_simplify_matches_the_restriction():
     # one sweep with every kept outer dart gives the graph that restricting
     # G to the kept edges, one outer dart per component, gives
     corpus = _simplify_corpus()
-    assert sum(len(G.edges) != len(embed.simplify(G)[0].edges) for G in corpus) > 250
+    assert sum(len(G.edges) != len(embed.simplify(G).edges) for G in corpus) > 250
     for G in corpus:
-        got, emap = embed.simplify(G)
-        want, want_emap = support.simplify_by_restriction(G)
+        got = embed.simplify(G)
+        want, _emap = support.simplify_by_restriction(G)
         assert embed.graph_to_json(got) == embed.graph_to_json(want)
-        assert emap == want_emap
         assert got.outer_faces == want.outer_faces
+
+
+def test_is_simple_finds_every_loop_and_parallel_pair():
+    for G in _simplify_corpus():
+        pairs = [(min(u, v), max(u, v)) for u, v in G.edges]
+        want = all(u != v for u, v in pairs) and len(set(pairs)) == len(pairs)
+        assert embed.is_simple(G) == want
+        assert embed.is_simple(embed.simplify(G))
 
 
 def test_simplify_requires_outerplane():

@@ -1,7 +1,8 @@
 """Source-tree guards: every top-level function, class or constant in the
 package is used by the package or exported, and every method of a package
 class is read by the package, so helpers that only tests use live in
-``tests/``; and every import in the package is used by its module."""
+``tests/``; every attribute a package class sets on ``self`` is read by the
+package; and every import in the package is used by its module."""
 
 import ast
 import pathlib
@@ -82,6 +83,30 @@ def test_every_method_is_read_by_the_package():
                 own = set(map(id, ast.walk(method)))
                 if not any(name == method.name and id(node) not in own for name, node in reads):
                     unread.append(f"{cls.name}.{method.name}")
+    assert unread == []
+
+
+def test_every_instance_attribute_is_read_by_the_package():
+    # an attribute a package class sets as ``self.x = ...`` is read when
+    # ``.x`` is loaded anywhere in the package, on any object
+    trees = [ast.parse(text) for text in _modules().values()]
+    loaded = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                targets = node.targets if isinstance(node, ast.Assign) else ()
+                for sub in (s for target in targets for s in ast.walk(target)):
+                    if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                            and sub.value.id == "self" and sub.attr not in loaded):
+                        unread.append(f"{cls.name}.{sub.attr}")
     assert unread == []
 
 

@@ -7,6 +7,7 @@ from thueplane.verify import (
     facial_paths,
     verify_facial_nonrepetitive,
 )
+from thueplane.words import _adjacency, _all_tree_paths
 
 from conftest import path_graph, polygon
 from support import naive_facial_paths
@@ -133,7 +134,7 @@ def test_facial_path_has_no_instance_dict():
 
 def test_counterexample_json(triangle):
     bad = verify_facial_nonrepetitive(polygon(4), [1, 2, 1, 2])
-    doc = verify.counterexample_to_json(polygon(4), [1, 2, 1, 2], bad)
+    doc = verify.counterexample_to_json([1, 2, 1, 2], bad)
     assert set(doc) == {"face", "vertices", "colours"}
     assert doc["colours"] == [1, 2, 1, 2]
 
@@ -165,6 +166,16 @@ def test_tree_paths_exact():
     assert exact_pi_tree_paths([[1], [0, 2], [1, 3], [2]], 4) == 3  # path on 4
     assert exact_pi_tree_paths([[1, 2, 3], [0], [0], [0]], 4) == 2  # star
     assert exact_pi_tree_paths([[]], 4) == 1
+
+
+def test_a_star_has_paths_that_are_not_facial():
+    # K_{1,4} with rotation (1, 2, 3, 4) at the centre: its one face walk
+    # takes no two opposite leaves in a row
+    star = embed.build(5, [(0, 1), (0, 2), (0, 3), (0, 4)], [[0, 2, 4, 6], [1], [3], [5], [7]], 0)
+    facial = {p.vertices for p in facial_paths(star) if len(p) >= 2}
+    paths = {verify._canonical(p) for p in _all_tree_paths(_adjacency(star))}
+    assert facial < paths
+    assert paths - facial == {(1, 0, 3), (2, 0, 4)}
 
 
 def test_tree_paths_rejects_non_tree():

@@ -139,3 +139,30 @@ def test_plane_generator_matches_the_rebuild_oracle():
     for n, seed in pairs:
         spec = GenSpec("plane", n, seed)
         assert embed.dumps_graph(generate(spec)) == embed.dumps_graph(gen_plane_rebuild(spec)), (n, seed)
+
+
+# SHA-256 over the ``gen`` output of every kind but plane, one JSON line per
+# graph: every n up to 40 with three seeds, the first-block rule of the
+# bridgeless kind at n = 3..14 with twenty more seeds, triangulations of
+# long polygons up to n = 3,001 (one with every chord kept) and n = 1,000
+# of each kind
+OUTERPLANE_KINDS_DIGEST = "91189fa0c7ffd4e657a28a95deb384cfac135a54068a10620d7b8853b02fdfcb"
+
+
+def test_non_plane_generators_golden_digest():
+    kinds = [kind for kind in gen.KINDS if kind != "plane"]
+    specs = [
+        GenSpec(kind, n, seed)
+        for kind in kinds
+        for n in range(gen._MIN_N.get(kind, 1), 41)
+        if not (kind == "outerplane_bridgeless" and n == 2)
+        for seed in range(3)
+    ]
+    specs += [GenSpec("outerplane_bridgeless", n, seed) for n in range(3, 15) for seed in range(3, 23)]
+    specs += [GenSpec("outerplane_biconnected", n, seed) for n, seed in [(100, 0), (333, 1), (1000, 2), (3001, 3)]]
+    specs += [GenSpec(kind, 1000, 7) for kind in kinds]
+    specs.append(GenSpec("outerplane_biconnected", 3000, 4, chord_probability=1.0))
+    h = hashlib.sha256()
+    for spec in specs:
+        h.update(embed.dumps_graph(generate(spec)).encode() + b"\n")
+    assert h.hexdigest() == OUTERPLANE_KINDS_DIGEST

@@ -40,11 +40,6 @@ class BlockingGraph:
     graph: embed.EmbeddedGraph
     host_vertex: tuple  # blocking-graph vertex id -> host vertex id
 
-    def to_json(self):
-        doc = embed.graph_to_json(self.graph)
-        doc["host_vertex"] = list(self.host_vertex)
-        return doc
-
 
 # -- validation ---------------------------------------------------------------
 
@@ -220,22 +215,23 @@ def blocking_set_biconnected(G, v, include=True):
     return _one_per_face(_host(G), G.inner_faces(), G.faces[G.outer_face], v, include)
 
 
-def _b_vertex_per_face(cycles, faces, B):
-    """Face id -> its unique B vertex (asserts the one-per-face property)."""
-    out = {}
-    for f in faces:
-        hits = B.intersection(cycles[f])
-        if len(hits) != 1:
-            raise BlockingConstructionError(
-                f"face {f} carries {len(hits)} B-vertices; expected exactly one"
-            )
-        (out[f],) = hits
-    return out
-
-
 def _face_neighbours_of(cyc, x):
     i = cyc.index(x)
     return cyc[i - 1], cyc[(i + 1) % len(cyc)]
+
+
+def _beside_b_vertex(H, f, B, e, why):
+    """The smaller neighbour on face f of f's one B vertex that is not an
+    end of edge e; ``why`` names the failure when both neighbours are."""
+    hits = B.intersection(H.cycles[f])
+    if len(hits) != 1:
+        raise BlockingConstructionError(f"face {f} carries {len(hits)} B-vertices; expected exactly one")
+    (x,) = hits
+    u, w = H.graph.edges[e]
+    cands = [y for y in _face_neighbours_of(H.cycles[f], x) if y != u and y != w]
+    if not cands:
+        raise BlockingConstructionError(why)
+    return min(cands)
 
 
 def _evenize(H, faces, B1, ref, root_face, ab_edge=None):
@@ -246,7 +242,8 @@ def _evenize(H, faces, B1, ref, root_face, ab_edge=None):
     or the excluded endpoint a of the edge variant): the chosen vertex is
     never ref.  ``root_face`` roots the weak dual for the final case.  In
     the edge variant ``ab_edge`` is the outer edge ab, and the ears used by
-    the first two cases may not carry it."""
+    the first two cases may not carry it: ab lies on ``root_face`` alone.
+    B1's vertex is looked up only on the faces read."""
     cycles, dual, edges = H.cycles, H.dual, H.graph.edges
 
     if len(faces) == 1:
@@ -254,11 +251,6 @@ def _evenize(H, faces, B1, ref, root_face, ab_edge=None):
         (u0,) = B1
         w = min(x for x in _face_neighbours_of(cycles[faces[0]], u0) if x != ref)
         return frozenset(B1 | {w})
-
-    bvert = _b_vertex_per_face(cycles, faces, B1)
-
-    def face_edge_ids(f):
-        return {d // 2 for d in H.graph.faces[f]}
 
     ears_list = sorted(f for f in faces if len(dual[f]) == 1)
 
@@ -268,18 +260,12 @@ def _evenize(H, faces, B1, ref, root_face, ab_edge=None):
         if len(cyc) < 4:
             continue
         e, _g = dual[f][0]
-        u, w = edges[e]
         if ab_edge is None:
-            ok = ref not in cyc or ref in (u, w)
-        else:
-            ok = ab_edge not in face_edge_ids(f)
-        if not ok:
+            if ref in cyc and ref not in edges[e]:
+                continue
+        elif f == root_face:
             continue
-        x = bvert[f]
-        cands = [y for y in _face_neighbours_of(cyc, x) if y != u and y != w]
-        if not cands:
-            raise BlockingConstructionError("no eligible neighbour in a long ear")
-        return frozenset(B1 | {min(cands)})
+        return frozenset(B1 | {_beside_b_vertex(H, f, B1, e, "no eligible neighbour in a long ear")})
 
     # Case 2: a triangular ear with a chord endpoint already in the set
     for f in ears_list:
@@ -294,7 +280,7 @@ def _evenize(H, faces, B1, ref, root_face, ab_edge=None):
         if ab_edge is None:
             if t == ref:
                 continue
-        elif ab_edge in face_edge_ids(f):
+        elif f == root_face:
             continue
         return frozenset(B1 | {t})
 
@@ -320,24 +306,16 @@ def _evenize(H, faces, B1, ref, root_face, ab_edge=None):
         else:
             # the star around the root is the root and all its children
             chords_of_F = {c for c, _g in dual[F]}
-            cand_edges = []
-            for e in sorted(face_edge_ids(F)):
-                a, b = edges[e]
-                if ref in (a, b):
-                    star_faces = 1 + len(dual[F]) - (1 if e in chords_of_F else 0)
-                    if star_faces >= 2:
-                        cand_edges.append(e)
+            cand_edges = [
+                e for e in (d >> 1 for d in H.graph.faces[F])
+                if ref in edges[e] and 1 + len(dual[F]) - (e in chords_of_F) >= 2
+            ]
             if not cand_edges:
                 raise BlockingConstructionError("no usable edge at the root face")
             uw = min(cand_edges)
     else:
         uw = parent[F][0]
-    u, w = edges[uw]
-    x = bvert[F]
-    cands = [y for y in _face_neighbours_of(cycles[F], x) if y != u and y != w]
-    if not cands:
-        raise BlockingConstructionError("central face degenerated to a triangle")
-    y = min(cands)
+    y = _beside_b_vertex(H, F, B1, uw, "central face degenerated to a triangle")
     if y == ref:
         raise BlockingConstructionError("case 3 picked the protected vertex")
     return frozenset(B1 | {y})
@@ -366,19 +344,11 @@ def blocking_set_even_biconnected_edge(G, a, b):
     """Even-cycle blocking set with a excluded and b included, for an edge
     ab on the outer face."""
     _require_biconnected_outerplane(G)
-    eid = None
-    for e, (p, q) in enumerate(G.edges):
-        if {p, q} == {a, b}:
-            outer = G.is_outer_face(G.face_of[2 * e]) or G.is_outer_face(G.face_of[2 * e + 1])
-            if outer:
-                eid = e
-                break
-    if eid is None:
+    origin = G.origin
+    ab = [d for d in G.faces[G.outer_face] if {origin[d], origin[d ^ 1]} == {a, b}]
+    if not ab:
         raise ClassMismatchError("ab must be an edge on the outer face")
-    root = G.face_of[2 * eid]
-    if G.is_outer_face(root):
-        root = G.face_of[2 * eid + 1]
-    return _even_one_per_face_edge(_host(G), G.inner_faces(), a, b, eid, root)
+    return _even_one_per_face_edge(_host(G), G.inner_faces(), a, b, ab[0] >> 1, G.face_of[ab[0] ^ 1])
 
 
 def _even_one_per_face_edge(H, faces, a, b, ab_edge, root):

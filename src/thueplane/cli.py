@@ -190,10 +190,7 @@ def cmd_search(kind, max_n, max_colours):
         worst = 0
         count = 0
         for G in gen.enumerate_small(kind, n):
-            if kind == "tree":
-                res = verify.exact_pi_tree_paths([sorted(G.neighbours(v)) for v in range(G.n)], max_colours)
-            else:
-                res = verify.exact_pi_f(G, max_colours)
+            res = verify.exact_pi_f(G, max_colours)
             count += 1
             if res is None:
                 worst = None

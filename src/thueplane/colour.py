@@ -22,7 +22,6 @@ from thueplane import blocking, embed, verify
 from thueplane.embed import ClassMismatchError
 from thueplane.words import (
     EXCEPTIONAL_CYCLE_LENGTHS,
-    bfs_levels,
     cycle_colouring,
     palindrome_free_nonrepetitive,
     ternary_nonrepetitive,
@@ -162,7 +161,6 @@ def _colour_cactus_component(G, comp, cid, comp_faces, colours):
     """Colour one cactus component with at least one inner face, its inner
     faces ``comp_faces``; returns the deepest-vertex set and levelling so
     tests can probe the construction."""
-    local = {x: i for i, x in enumerate(comp)}
     degs = {x: G.degree(x) for x in comp}
 
     if all(d == 2 for d in degs.values()):
@@ -173,9 +171,7 @@ def _colour_cactus_component(G, comp, cid, comp_faces, colours):
     deg1 = [x for x in comp if degs[x] == 1]
     root = min(deg1) if deg1 else min(x for x in comp if degs[x] >= 3)
 
-    adj = [[local[w] for w in sorted(G.neighbours(x))] for x in comp]
-    lev_local = bfs_levels(adj, local[root])
-    lam = {x: lev_local[local[x]] for x in comp}
+    lam = _levels(G, [root], None)
 
     H = set()
     for f in comp_faces:
@@ -249,16 +245,12 @@ def colour_cactus_even(G):
 # -- outerplane ---------------------------------------------------------------
 
 
-def _colour_forest(G, rest, colours):
-    """Tree-colour every component of G[rest] (each must be a tree) over
-    {1..4}: breadth-first levels from the component's smallest vertex,
-    indexed into one palindrome-free nonrepetitive word, as
-    ``words.tree_colouring`` colours each tree.  The word of a shallower
-    tree is a prefix of the word made here for the deepest level."""
-    rest_set = set(rest)
+def _levels(G, roots, inside):
+    """Breadth-first level of every vertex reached from ``roots`` in
+    G[inside] (G if None); each root not yet reached starts a new tree."""
     rotations, origin = G.rotations, G.origin
     level = {}
-    for x0 in sorted(rest):
+    for x0 in roots:
         if x0 in level:
             continue
         k = level[x0] = 0
@@ -269,10 +261,20 @@ def _colour_forest(G, rest, colours):
             for x in frontier:
                 for d in rotations[x]:
                     w = origin[d ^ 1]
-                    if w in rest_set and w not in level:
+                    if w not in level and (inside is None or w in inside):
                         level[w] = k
                         nxt.append(w)
             frontier = nxt
+    return level
+
+
+def _colour_forest(G, rest, colours):
+    """Tree-colour every component of G[rest] (each must be a tree) over
+    {1..4}: breadth-first levels from the component's smallest vertex,
+    indexed into one palindrome-free nonrepetitive word, as
+    ``words.tree_colouring`` colours each tree.  The word of a shallower
+    tree is a prefix of the word made here for the deepest level."""
+    level = _levels(G, sorted(rest), set(rest))
     if level:
         word = palindrome_free_nonrepetitive(max(level.values()) + 1)
         for x, k in level.items():

@@ -68,9 +68,9 @@ class EmbeddedGraph:
 
         rot_next = [0] * m
         for rot in self.rotations:
-            k = len(rot)
-            for j, d in enumerate(rot):
-                rot_next[d] = rot[(j + 1) % k]
+            prev = rot[-1] if rot else 0
+            for d in rot:
+                rot_next[prev], prev = d, d
 
         # faces: orbits of d -> rot_next[twin(d)], numbered by smallest dart;
         # a component's first face is its outer face unless an outer dart names another
@@ -186,62 +186,50 @@ def graph_to_json(G):
     return doc
 
 
-def _validate_structure(n, edges, rotations):
-    """Ranges and the rotation system: every endpoint is a vertex, and every
-    dart is listed exactly once, at its origin."""
-    if n < 0:
-        raise EmbeddingError("negative vertex count")
-    if len(rotations) != n:
-        raise EmbeddingError("rotations must list every vertex")
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise EmbeddingError(f"edge endpoint out of range: ({u}, {v})")
-    m = 2 * len(edges)
-    seen = [False] * m
-    for v, rot in enumerate(rotations):
-        for d in rot:
-            if not (0 <= d < m):
-                raise EmbeddingError(f"dart {d} out of range")
-            if seen[d]:
-                raise EmbeddingError(f"dart {d} listed twice")
-            seen[d] = True
-            e, side = divmod(d, 2)
-            if edges[e][side] != v:
-                raise EmbeddingError(
-                    f"dart {d} listed at vertex {v}, but its origin is {edges[e][side]}"
-                )
-    if not all(seen):
-        raise EmbeddingError("some dart missing from the rotations")
-
-
 def graph_from_json(doc):
     """Graph from its JSON document; the one place outside input is
-    checked.  First the shapes: ``n``, every endpoint, every dart and the
-    outer darts must be plain integers, every edge a pair.  Then the ranges
-    and the rotation system, before construction (face tracing needs a valid
-    rotation system); the outer darts while constructing; Euler's formula
-    after.  Any failure raises EmbeddingError, never a silently coerced
-    graph."""
+    checked.  One loop over ``edges`` checks that each is a pair of plain
+    integers, both vertices, and one loop over ``rotations`` that each is a
+    list of plain integer darts, every dart listed once, at its origin.  The
+    outer darts, plain integers, are checked while constructing (face
+    tracing needs a valid rotation system), Euler's formula after.  Any
+    failure raises EmbeddingError, never a silently coerced graph."""
     if not isinstance(doc, dict):
         raise EmbeddingError("malformed graph document: not a JSON object")
     try:
         n, edges, rotations = doc["n"], doc["edges"], doc["rotations"]
     except KeyError as exc:
         raise EmbeddingError(f"malformed graph document: missing {exc}") from exc
-    if type(n) is not int:
-        raise EmbeddingError(f"malformed graph document: n {n!r} is not an integer")
+    if type(n) is not int or n < 0:
+        raise EmbeddingError(f"malformed graph document: n {n!r} is not a non-negative integer")
     if not isinstance(edges, (list, tuple)):
         raise EmbeddingError("malformed graph document: edges is not a list")
-    # type(x) is int: a JSON integer, not a bool, float or string
+    pairs = []
     for e in edges:
+        # type(x) is int: a JSON integer, not a bool, float or string
         if not (isinstance(e, (list, tuple)) and len(e) == 2 and type(e[0]) is type(e[1]) is int):
             raise EmbeddingError(f"malformed graph document: edge {e!r} is not a pair of integers")
-    if not (
-        isinstance(rotations, (list, tuple))
-        and all(isinstance(r, (list, tuple)) for r in rotations)
-        and all(type(d) is int for r in rotations for d in r)
-    ):
-        raise EmbeddingError("malformed graph document: rotations are not lists of integer darts")
+        u, v = e
+        if not (0 <= u < n and 0 <= v < n):
+            raise EmbeddingError(f"edge endpoint out of range: ({u}, {v})")
+        pairs.append((u, v))
+    if not isinstance(rotations, (list, tuple)) or len(rotations) != n:
+        raise EmbeddingError(f"malformed graph document: rotations is not a list of {n} rotations")
+    m = 2 * len(pairs)
+    seen = [False] * m
+    for v, rot in enumerate(rotations):
+        if not isinstance(rot, (list, tuple)):
+            raise EmbeddingError(f"malformed graph document: rotation of vertex {v} is not a list")
+        for d in rot:
+            if type(d) is not int or not (0 <= d < m):
+                raise EmbeddingError(f"malformed graph document: dart {d!r} is not an integer in range")
+            if seen[d]:
+                raise EmbeddingError(f"dart {d} listed twice")
+            seen[d] = True
+            if pairs[d >> 1][d & 1] != v:
+                raise EmbeddingError(f"dart {d} listed at vertex {v}, but its origin is {pairs[d >> 1][d & 1]}")
+    if not all(seen):
+        raise EmbeddingError("some dart missing from the rotations")
     outer = doc.get("outer_darts")
     if outer is None:
         od = doc.get("outer_dart", -1)
@@ -250,9 +238,7 @@ def graph_from_json(doc):
         outer = [od] if od >= 0 else []
     elif not (isinstance(outer, (list, tuple)) and all(type(d) is int for d in outer)):
         raise EmbeddingError("malformed graph document: outer_darts is not a list of integer darts")
-    edges = [tuple(e) for e in edges]
-    _validate_structure(n, edges, rotations)
-    G = EmbeddedGraph(n, edges, rotations, tuple(outer))
+    G = EmbeddedGraph(n, pairs, rotations, tuple(outer))
     G._validate_euler()
     return G
 

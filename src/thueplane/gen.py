@@ -103,7 +103,8 @@ class _Builder:
 
 def _triangulation_chords(size, rng):
     """Chord set (local index pairs) of a uniformly random triangulation of
-    a convex polygon, via a uniformly random binary tree (leaf insertion)."""
+    a convex polygon, via a uniformly random binary tree (leaf insertion):
+    ``size - 2`` pairs of draws grow it, one walk reads it in post-order."""
     k = size - 1  # leaves <-> polygon sides other than the base (0, size-1)
     if k < 2:
         return []
@@ -132,29 +133,27 @@ def _triangulation_chords(size, rng):
         else:
             left[internal], right[internal] = leaf, x
 
-    # in-order leaf ranks give boundary sides; spans of internal nodes give
-    # triangulation diagonals
+    # the reversed (node, right, left) pre-order is the post-order: leaves
+    # come in side order, each giving one side, and the span of each
+    # internal node but the root is a triangulation diagonal
+    order = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if left[node] != -1:
+            stack += (left[node], right[node])
     span = {}
     chords = []
-    next_leaf = [0]
-    stack = [(root, False)]
-    while stack:
-        node, done = stack.pop()
+    sides = 0
+    for node in reversed(order):
         if left[node] == -1:
-            i = next_leaf[0]
-            next_leaf[0] += 1
-            span[node] = (i, i + 1)
-            continue
-        if not done:
-            stack.append((node, True))
-            stack.append((right[node], False))
-            stack.append((left[node], False))
+            span[node] = (sides, sides + 1)
+            sides += 1
         else:
-            lo = span[left[node]][0]
-            hi = span[right[node]][1]
-            span[node] = (lo, hi)
+            span[node] = (span[left[node]][0], span[right[node]][1])
             if node != root:
-                chords.append((lo, hi))
+                chords.append(span[node])
     return chords
 
 
@@ -199,9 +198,7 @@ def _gen_outerplane_bridgeless(spec, rng):
     v0 = b.new_vertex()
     if spec.n == 1:
         return b.finish_outerplane()
-    hi = min(spec.n, 12)
-    choices = [m for m in range(3, hi + 1) if spec.n - m != 1] or [spec.n]
-    first = rng.choice(choices)
+    first = _block_size(rng, spec.n - 1, avoid_remainder_one=True)
     b.add_polygon_block(v0, first, _thinned_block_chords(first, rng, spec.chord_probability))
     budget = spec.n - first
     while budget > 0:

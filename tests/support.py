@@ -719,6 +719,12 @@ def good_size_by_copies(G):
     return frozenset(B)
 
 
+def blocking_graph_to_json(bg):
+    doc = embed.graph_to_json(bg.graph)
+    doc["host_vertex"] = list(bg.host_vertex)
+    return doc
+
+
 def blocking_graph_from_json(doc):
     host = tuple(doc["host_vertex"])
     return BlockingGraph(embed.graph_from_json(doc), host)

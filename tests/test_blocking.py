@@ -34,6 +34,7 @@ from support import (
     _restrict,
     block_edges,
     blocking_graph_from_json,
+    blocking_graph_to_json,
     good_size_by_copies,
     induced_embedded_subgraph,
     is_bridgeless_cactus,
@@ -581,7 +582,7 @@ def test_inner_face_restriction_is_path_and_blocking_graph_facial_path():
 def test_blocking_graph_json_round_trip():
     G = showcase_graph()
     bg = blocking_graph(G, SHOWCASE_BLOCKING_SET)
-    doc = bg.to_json()
+    doc = blocking_graph_to_json(bg)
     assert doc["host_vertex"] == sorted(SHOWCASE_BLOCKING_SET)
     bg2 = blocking_graph_from_json(doc)
     assert bg2.graph.edges == bg.graph.edges

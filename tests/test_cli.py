@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from thueplane import embed, gen
+from thueplane import embed, gen, verify
 from thueplane.cli import main
 
 from conftest import polygon, wheel
@@ -73,6 +73,9 @@ def _assert_parse_exit(r):
         {"edges": [[0, True]]},
         {"edges": [[0, 1, 1]]},
         {"rotations": [[0.0], [1]]},
+        {"rotations": [0, [1]]},
+        {"rotations": [[0]]},
+        {"n": -1},
         {"outer_dart": "0"},
         {"outer_dart": -2},
         {"outer_darts": [0.5]},
@@ -177,6 +180,16 @@ def test_search_output_is_pinned(kind):
         for n, (c, x) in enumerate(SEARCH_PINNED[kind], lo)
     )
     assert r.stdout == want
+
+
+def test_search_reports_facial_numbers_for_trees(monkeypatch):
+    # a tree's number over all paths only bounds its facial one from above
+    def refuse(*args):
+        raise AssertionError("search asked for the number over all paths")
+
+    monkeypatch.setattr(verify, "exact_pi_tree_paths", refuse)
+    r = run(["search", "--kind", "tree", "--max-n", "5"])
+    assert r.exit_code == 0 and len(r.stdout.splitlines()) == 5
 
 
 def test_export(tmp_path):

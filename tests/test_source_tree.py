@@ -64,8 +64,15 @@ def test_every_top_level_definition_is_used_or_exported():
 
 def test_every_method_is_read_by_the_package():
     # a non-dunder method of a package class is read when its name is a
-    # name or an attribute anywhere in the package outside its own body
+    # name or an attribute anywhere in the package outside its own body;
+    # ``self.NAME`` reads only the method of the class it stands in
     trees = [ast.parse(text) for text in _modules().values()]
+    classes = [cls for tree in trees for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)]
+    reader = {}  # id of a ``self.NAME`` node -> the class it stands in
+    for cls in classes:
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self":
+                reader[id(node)] = cls
     reads = [
         (node.id if isinstance(node, ast.Name) else node.attr, node)
         for tree in trees
@@ -73,16 +80,16 @@ def test_every_method_is_read_by_the_package():
         if isinstance(node, (ast.Name, ast.Attribute))
     ]
     unread = []
-    for tree in trees:
-        for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef):
+    for cls in classes:
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef) or method.name.startswith("__"):
                 continue
-            for method in cls.body:
-                if not isinstance(method, ast.FunctionDef) or method.name.startswith("__"):
-                    continue
-                own = set(map(id, ast.walk(method)))
-                if not any(name == method.name and id(node) not in own for name, node in reads):
-                    unread.append(f"{cls.name}.{method.name}")
+            own = set(map(id, ast.walk(method)))
+            if not any(
+                name == method.name and id(node) not in own and reader.get(id(node), cls) is cls
+                for name, node in reads
+            ):
+                unread.append(f"{cls.name}.{method.name}")
     assert unread == []
 
 

@@ -31,17 +31,15 @@ from thueplane.colour import (
 from thueplane.embed import (
     EmbeddedGraph,
     build,
-    chords,
     graph_from_json,
     graph_to_json,
     is_outerplane,
 )
 from thueplane.gen import GenSpec, enumerate_small, generate
-from thueplane.verify import exact_pi_f, exact_pi_tree_paths, facial_paths, verify_facial_nonrepetitive
+from thueplane.verify import exact_pi_f, facial_paths, verify_facial_nonrepetitive
 from thueplane.words import (
     cycle_colouring,
     has_repetition,
-    is_palindrome_free,
     palindrome_free_nonrepetitive,
     ternary_nonrepetitive,
     tree_colouring,
@@ -64,7 +62,6 @@ __all__ = [
     "blocking_set_even_bridgeless",
     "blocking_set_good_size",
     "build",
-    "chords",
     "colour_cactus_even",
     "colour_outerplane",
     "colour_outerplane_single_block",
@@ -72,14 +69,12 @@ __all__ = [
     "cycle_colouring",
     "enumerate_small",
     "exact_pi_f",
-    "exact_pi_tree_paths",
     "facial_paths",
     "generate",
     "graph_from_json",
     "graph_to_json",
     "has_repetition",
     "is_outerplane",
-    "is_palindrome_free",
     "palindrome_free_nonrepetitive",
     "peeling_layering",
     "ternary_nonrepetitive",

@@ -111,13 +111,7 @@ def validate_blocking_set(G, B):
 
 def _require_biconnected_outerplane(G):
     embed._require_simple_outerplane(G)
-    if G.n < 3:
-        raise ClassMismatchError("biconnected graphs have at least 3 vertices")
-    # every vertex is on the outer walk, and a cut vertex or a bridge end
-    # repeats on it: G is biconnected iff vertex 0's outer walk is a cycle
-    # through all n vertices
-    W = embed.outer_walk(G, 0)
-    if len(W) != G.n or len(set(W)) != G.n:
+    if not embed.is_biconnected(G):
         raise ClassMismatchError("graph is not biconnected")
 
 

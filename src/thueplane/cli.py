@@ -179,13 +179,13 @@ def cmd_gen(kind, n, seed, chord_p, attach_p, out_path):
 def cmd_search(kind, max_n, max_colours):
     """Exact facial chromatic numbers over exhaustively enumerated tiny
     instances (one JSON line per size)."""
-    if max_n > gen.ENUM_GUARD:  # checked before any size is printed
-        _diag(error="parse", option="--max-n", detail=f"enumeration guarded to n <= {gen.ENUM_GUARD}")
+    lo = 3 if kind in ("cycle", "outerplane_biconnected") else 1
+    if not lo <= max_n <= gen.ENUM_GUARD:  # checked before any size is printed
+        _diag(error="parse", option="--max-n", detail=f"{kind} enumeration runs over {lo} <= n <= {gen.ENUM_GUARD}")
         sys.exit(EXIT_PARSE)
     if max_colours < 1:
         _diag(error="parse", option="--max-colours", detail=f"max colours must be at least 1, not {max_colours}")
         sys.exit(EXIT_PARSE)
-    lo = 3 if kind in ("cycle", "outerplane_biconnected") else 1
     for n in range(lo, max_n + 1):
         worst = 0
         count = 0

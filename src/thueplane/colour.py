@@ -22,6 +22,7 @@ from thueplane import blocking, embed, verify
 from thueplane.embed import ClassMismatchError
 from thueplane.words import (
     EXCEPTIONAL_CYCLE_LENGTHS,
+    _colour_forest,
     cycle_colouring,
     palindrome_free_nonrepetitive,
     ternary_nonrepetitive,
@@ -171,7 +172,7 @@ def _colour_cactus_component(G, comp, cid, comp_faces, colours):
     deg1 = [x for x in comp if degs[x] == 1]
     root = min(deg1) if deg1 else min(x for x in comp if degs[x] >= 3)
 
-    lam = _levels(G, [root], None)
+    lam = embed._levels(G, [root], None)
 
     H = set()
     for f in comp_faces:
@@ -243,42 +244,6 @@ def colour_cactus_even(G):
 
 
 # -- outerplane ---------------------------------------------------------------
-
-
-def _levels(G, roots, inside):
-    """Breadth-first level of every vertex reached from ``roots`` in
-    G[inside] (G if None); each root not yet reached starts a new tree."""
-    rotations, origin = G.rotations, G.origin
-    level = {}
-    for x0 in roots:
-        if x0 in level:
-            continue
-        k = level[x0] = 0
-        frontier = [x0]
-        while frontier:
-            k += 1
-            nxt = []
-            for x in frontier:
-                for d in rotations[x]:
-                    w = origin[d ^ 1]
-                    if w not in level and (inside is None or w in inside):
-                        level[w] = k
-                        nxt.append(w)
-            frontier = nxt
-    return level
-
-
-def _colour_forest(G, rest, colours):
-    """Tree-colour every component of G[rest] (each must be a tree) over
-    {1..4}: breadth-first levels from the component's smallest vertex,
-    indexed into one palindrome-free nonrepetitive word, as
-    ``words.tree_colouring`` colours each tree.  The word of a shallower
-    tree is a prefix of the word made here for the deepest level."""
-    level = _levels(G, sorted(rest), set(rest))
-    if level:
-        word = palindrome_free_nonrepetitive(max(level.values()) + 1)
-        for x, k in level.items():
-            colours[x] = 1 + word[k]
 
 
 def _colour_outerplane_core(Gs, B):

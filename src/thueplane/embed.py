@@ -146,9 +146,6 @@ class EmbeddedGraph:
     def degree(self, v):
         return len(self.rotations[v])
 
-    def neighbours(self, v):
-        return [self.origin[d ^ 1] for d in self.rotations[v]]
-
     def canonical_outer_darts(self):
         return tuple(sorted(self.faces[f][0] for f in self.outer_faces))
 
@@ -278,15 +275,9 @@ def outer_walk(G, component=0):
     return G.face_vertices(f)
 
 
-def chords(G):
-    """Edges not incident to the outer face.  Requires an outerplane graph."""
-    if not is_outerplane(G):
-        raise ClassMismatchError("chords are defined for outerplane graphs")
-    return _chords(G)
-
-
 def _chords(G):
-    """``chords`` of a graph its caller has checked to be outerplane."""
+    """Edge ids, ascending, not incident to an outer face, of a graph its
+    caller has checked to be outerplane: its chords."""
     out = []
     for e in range(len(G.edges)):
         if not G.is_outer_face(G.face_of[2 * e]) and not G.is_outer_face(G.face_of[2 * e + 1]):
@@ -366,13 +357,15 @@ def _blocks_and_bridges(G):
     return found
 
 
-def biconnected_components(G):
-    """Vertex sets of the 2-connected components (blocks on >= 3 vertices)
-    of an outerplane graph, ascending; ClassMismatchError on any other
-    graph."""
-    if not is_outerplane(G):
-        raise ClassMismatchError("biconnected components are read off outerplane graphs")
-    return [vs for vs, _fs, _seg in _blocks_and_bridges(G) if len(vs) >= 3]
+def is_biconnected(G):
+    """True iff the outerplane graph G is 2-connected.  Every vertex is on
+    the outer walk, and a cut vertex or a bridge end repeats on it, so G is
+    2-connected iff vertex 0's outer walk is a cycle through all n >= 3
+    vertices.  The input is trusted to be outerplane."""
+    if G.n < 3:
+        return False
+    W = outer_walk(G, 0)
+    return len(W) == G.n and len(set(W)) == G.n
 
 
 def bridges(G):
@@ -380,6 +373,29 @@ def bridges(G):
     any plane graph these are the edges with one face on both sides."""
     face_of = G.face_of
     return [e for e in range(len(G.edges)) if face_of[2 * e] == face_of[2 * e + 1]]
+
+
+def _levels(G, roots, inside):
+    """Breadth-first level of every vertex reached from ``roots`` in
+    G[inside] (G if None); each root not yet reached starts a new tree."""
+    rotations, origin = G.rotations, G.origin
+    level = {}
+    for x0 in roots:
+        if x0 in level:
+            continue
+        k = level[x0] = 0
+        frontier = [x0]
+        while frontier:
+            k += 1
+            nxt = []
+            for x in frontier:
+                for d in rotations[x]:
+                    w = origin[d ^ 1]
+                    if w not in level and (inside is None or w in inside):
+                        level[w] = k
+                        nxt.append(w)
+            frontier = nxt
+    return level
 
 
 # -- surgery -----------------------------------------------------------------

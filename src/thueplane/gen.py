@@ -412,8 +412,7 @@ def _check_class(spec, G):
         if any(len(G.faces[f]) % 2 for f in G.inner_faces()):
             raise GenerationError("cactus has an odd cycle")
     elif kind == "outerplane_biconnected":
-        blocks = embed.biconnected_components(G)
-        if len(blocks) != 1 or len(blocks[0]) != G.n:
+        if not embed.is_biconnected(G):
             raise GenerationError("instance is not biconnected")
     elif kind == "outerplane_bridgeless":
         if embed.bridges(G):

@@ -115,60 +115,34 @@ def counterexample_to_json(colours, path):
 SEARCH_GUARD = 12
 
 
-def _min_colours_for_paths(n, paths, max_colours):
-    """Minimum k <= max_colours such that the vertices 0..n-1 admit a
-    colouring making every path in ``paths`` nonrepetitive; None when even
-    max_colours colours do not suffice.  Colour classes are canonical:
-    vertex i may only use colours up to 1 + max(previous), so the first
-    vertex is fixed to colour 1."""
-    by_max = [[] for _ in range(max(n, 1))]
-    for p in paths:
+def exact_pi_f(G, max_colours):
+    """Exact facial nonrepetitive chromatic number by exhaustive search,
+    None when it exceeds max_colours.  Guarded to ``SEARCH_GUARD``
+    vertices.  For k = 1, 2, ... every colouring with at most k colours is
+    tried by backtracking, each facial path checked by ``find_square`` once
+    its largest vertex is coloured.  Colour classes are canonical: vertex i
+    may only use colours up to 1 + max(previous), so the first vertex is
+    fixed to colour 1."""
+    n = G.n
+    if n > SEARCH_GUARD:
+        raise ValueError(f"exact search guarded to {SEARCH_GUARD} vertices")
+    by_max = [[] for _ in range(n)]  # facial paths by largest vertex, coloured last
+    for p in {p.vertices for p in facial_paths(G)}:
         if len(p) >= 2:
             by_max[max(p)].append(p)
 
     colours = [0] * n
 
-    def feasible(k):
-        def place(i, used):
-            top = min(k, used + 1)
-            for c in range(1, top + 1):
-                colours[i] = c
-                ok = all(find_square([colours[v] for v in p]) is None for p in by_max[i])
-                if ok and (i + 1 == n or place(i + 1, max(used, c))):
-                    return True
-            colours[i] = 0
-            return False
-
-        return n == 0 or place(0, 0)
+    def place(i, used, k):
+        for c in range(1, min(k, used + 1) + 1):
+            colours[i] = c
+            ok = all(find_square([colours[v] for v in p]) is None for p in by_max[i])
+            if ok and (i + 1 == n or place(i + 1, max(used, c), k)):
+                return True
+        colours[i] = 0
+        return False
 
     for k in range(1, max_colours + 1):
-        if feasible(k):
+        if n == 0 or place(0, 0, k):
             return k
     return None
-
-
-def exact_pi_f(G, max_colours, guard=SEARCH_GUARD):
-    """Exact facial nonrepetitive chromatic number by exhaustive search,
-    None when it exceeds max_colours.  Guarded to tiny instances."""
-    if G.n > guard:
-        raise ValueError(f"exact search guarded to {guard} vertices")
-    paths = {p.vertices for p in facial_paths(G)}
-    return _min_colours_for_paths(G.n, paths, max_colours)
-
-
-def exact_pi_tree_paths(T, max_colours, guard=SEARCH_GUARD):
-    """Exact nonrepetitive chromatic number of a tree over all its paths.
-    Every facial path of a tree is a path, but not every path is facial: in
-    the star K_{1,4} with rotation (1, 2, 3, 4) at the centre, 1-0-3 and
-    2-0-4 are paths and not facial paths.  So this bounds the facial number
-    of every embedding of T from above; the two are equal on every tree
-    ``gen.enumerate_small`` gives up to 9 vertices."""
-    from thueplane.words import _adjacency, _all_tree_paths
-
-    adj = _adjacency(T)
-    n = len(adj)
-    if n > guard:
-        raise ValueError(f"exact search guarded to {guard} vertices")
-    if sum(len(a) for a in adj) != 2 * (n - 1):
-        raise ValueError("input is not a tree")
-    return _min_colours_for_paths(n, _all_tree_paths(adj), max_colours)

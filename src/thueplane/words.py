@@ -31,19 +31,6 @@ def has_repetition(seq):
     return (w is not None), w
 
 
-def is_palindrome_free(seq):
-    """No block of length >= 2 equals its own reverse.  Any palindrome of
-    length >= 2 contains a centre xx or xyx, so checking those suffices."""
-    seq = list(seq)
-    for i in range(len(seq) - 1):
-        if seq[i] == seq[i + 1]:
-            return False
-    for i in range(len(seq) - 2):
-        if seq[i] == seq[i + 2]:
-            return False
-    return True
-
-
 def ternary_nonrepetitive(n):
     """Prefix of length n of a fixed square-free word over {0, 1, 2}
     (iterated morphism 0->012, 1->02, 2->1; outputs nest as n grows)."""
@@ -143,81 +130,40 @@ def cycle_colouring(n):
     raise RuntimeError(f"no cyclic nonrepetitive word of length {n} over {k} symbols found")
 
 
-# -- levellings ---------------------------------------------------------------
-
-
-def _adjacency(T):
-    if isinstance(T, embed.EmbeddedGraph):
-        return [sorted(T.neighbours(v)) for v in range(T.n)]
-    return [sorted(nb) for nb in T]
-
-
-def bfs_levels(adj, root):
-    n = len(adj)
-    levels = [-1] * n
-    levels[root] = 0
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if levels[w] == -1:
-                    levels[w] = levels[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return levels
-
-
 # -- tree colouring -----------------------------------------------------------
 
 
-def _all_tree_paths(adj):
-    n = len(adj)
-    for u in range(n):
-        parent = [-2] * n
-        parent[u] = -1
-        order = [u]
-        qi = 0
-        while qi < len(order):
-            v = order[qi]
-            qi += 1
-            for w in adj[v]:
-                if parent[w] == -2:
-                    parent[w] = v
-                    order.append(w)
-        for v in range(u + 1, n):
-            path = [v]
-            x = v
-            while x != u:
-                x = parent[x]
-                path.append(x)
-            yield path
+def _colour_forest(G, rest, colours):
+    """Tree-colour every component of G[rest] (each must be a tree) over
+    {1..4}: breadth-first levels from the component's smallest vertex
+    (``embed._levels``), indexed into one palindrome-free nonrepetitive
+    word.  The word of a shallower tree is a prefix of the word made here
+    for the deepest level, so each component gets the colours
+    ``tree_colouring`` gives it alone."""
+    level = embed._levels(G, sorted(rest), set(rest))
+    if level:
+        word = palindrome_free_nonrepetitive(max(level.values()) + 1)
+        for x, k in level.items():
+            colours[x] = 1 + word[k]
 
 
-def tree_colouring(T, root=0, palette=(1, 2, 3, 4)):
-    """Colour a tree so that every path is nonrepetitive, using at most the
-    four palette colours: breadth-first levels from the root indexed into a
-    palindrome-free nonrepetitive word.
+def tree_colouring(T):
+    """Colour the tree T, an ``EmbeddedGraph``, over {1..4} so that every
+    path is nonrepetitive: breadth-first levels from vertex 0 indexed into
+    a palindrome-free nonrepetitive word, by the pipelines' own
+    ``_colour_forest``.
 
     The output is not re-checked: along a tree path the levels fall one
     step at a time to the vertex nearest the root and then rise, and a
     square-free palindrome-free word read through such a level sequence has
     no repetition (Kündgen and Pelsmajer, Discrete Math. 2008).  The tests
     check this on every path of small and random trees.  The input is
-    checked: palette, edge count and connectivity.
+    checked: n - 1 edges and one component.
     """
-    adj = _adjacency(T)
-    n = len(adj)
-    if len(palette) < 4 or len(set(palette)) < 4:
-        raise ValueError("palette must contain four distinct colours")
-    if n == 0:
+    if T.n == 0:
         return ()
-    edge_ends = sum(len(nb) for nb in adj)
-    if edge_ends != 2 * (n - 1):
-        raise ValueError("input is not a tree (wrong edge count)")
-    levels = bfs_levels(adj, root)
-    if min(levels) < 0:
-        raise ValueError("input is not connected")
-
-    word = palindrome_free_nonrepetitive(max(levels) + 1)
-    return tuple(palette[word[levels[v]]] for v in range(n))
+    if len(T.edges) != T.n - 1 or len(T.components) != 1:
+        raise ValueError("input is not a tree")
+    colours = [None] * T.n
+    _colour_forest(T, range(T.n), colours)
+    return tuple(colours)

@@ -8,7 +8,7 @@ import pytest
 from thueplane import embed, gen
 from thueplane.gen import _Builder
 
-from support import _dedup_outer, dart_of
+from support import _dedup_outer, biconnected_components, dart_of
 
 
 def polygon(n, chords=()):
@@ -124,7 +124,7 @@ def single_block_with_trees(count):
     hanging off it, from the first ``count`` seeds."""
     for seed in range(count):
         G = gen.generate(gen.GenSpec("outerplane", 8 + seed % 50, seed, attachment_probability=0.8))
-        blocks = embed.biconnected_components(G)
+        blocks = biconnected_components(G)
         if len(blocks) == 1 and len(blocks[0]) < G.n:
             yield G
 

@@ -1,4 +1,5 @@
-"""Helpers only the tests use: the Hopcroft-Tarjan DFS that is the oracle
+"""Helpers only the tests use: the chords and the 2-connected components
+of an outerplane graph, the Hopcroft-Tarjan DFS that is the oracle
 for the outer-walk block decomposition, a block's edges read off its
 inner faces, the auxiliary-graph trace that is the oracle for the run
 reading of the cactus colouring, the rebuild-per-vertex plane
@@ -9,7 +10,8 @@ the oracle for ``embed.simplify``, induced subgraphs, ears, edge
 contraction, in-face edge insertion) and
 the weak dual, the per-layer graphs of an augmented plane graph, the
 alternating-block decomposition of the outerplane proof, levelling
-predicates, the brute-force facial-path oracle, the good-size blocking set
+predicates, the palindrome check, every path of a tree, the brute-force
+facial-path oracle, the good-size blocking set
 built on copies, and blocking-graph predicates and parsing."""
 
 from dataclasses import dataclass
@@ -26,15 +28,15 @@ from thueplane.embed import (
     ClassMismatchError,
     EmbeddedGraph,
     EmbeddingError,
+    _blocks_and_bridges,
+    _chords,
     _require_simple_outerplane,
     _union_find,
-    biconnected_components,
-    chords,
     is_outerplane,
 )
 from thueplane.gen import _Builder, _rng
 from thueplane.verify import _canonical
-from thueplane.words import EXCEPTIONAL_CYCLE_LENGTHS, _adjacency, cycle_colouring, ternary_nonrepetitive
+from thueplane.words import EXCEPTIONAL_CYCLE_LENGTHS, cycle_colouring, ternary_nonrepetitive
 
 
 # -- embed ---------------------------------------------------------------------
@@ -116,6 +118,23 @@ def blocks_and_bridges_dfs(G):
                     if len(bedges) == 1:
                         bridge_list.append(bedges[0])
     return blocks, sorted(bridge_list)
+
+
+def chords(G):
+    """Edge ids, ascending, not incident to an outer face: the chords of
+    an outerplane graph; ClassMismatchError on any other graph."""
+    if not is_outerplane(G):
+        raise ClassMismatchError("chords are defined for outerplane graphs")
+    return _chords(G)
+
+
+def biconnected_components(G):
+    """Vertex sets of the 2-connected components (blocks on >= 3 vertices)
+    of an outerplane graph, ascending; ClassMismatchError on any other
+    graph."""
+    if not is_outerplane(G):
+        raise ClassMismatchError("biconnected components are read off outerplane graphs")
+    return [vs for vs, _fs, _seg in _blocks_and_bridges(G) if len(vs) >= 3]
 
 
 def block_edges(G, faces, seg):
@@ -620,9 +639,14 @@ def interleave_check_decomposition(P, B):
 # -- words ---------------------------------------------------------------------
 
 
-def levelling_ok(G, levels):
-    """Adjacent vertices may differ by at most one level."""
-    adj = _adjacency(G)
+def adjacency(G):
+    """Per vertex, its neighbours ascending, one per incident dart."""
+    return [sorted(G.origin[d ^ 1] for d in G.rotations[v]) for v in range(G.n)]
+
+
+def levelling_ok(adj, levels):
+    """Adjacent vertices of the adjacency lists ``adj`` differ by at most
+    one level."""
     if len(levels) != len(adj):
         return False
     if any(l < 0 for l in levels):
@@ -637,6 +661,43 @@ def levelling_ok(G, levels):
 def level_pattern(path, levels):
     """Level sequence of a vertex path."""
     return tuple(levels[v] for v in path)
+
+
+def is_palindrome_free(seq):
+    """No block of length >= 2 equals its own reverse.  Any palindrome of
+    length >= 2 contains a centre xx or xyx, so checking those suffices."""
+    seq = list(seq)
+    for i in range(len(seq) - 1):
+        if seq[i] == seq[i + 1]:
+            return False
+    for i in range(len(seq) - 2):
+        if seq[i] == seq[i + 2]:
+            return False
+    return True
+
+
+def all_tree_paths(T):
+    """Every path of the tree T with at least two vertices, once, as a
+    vertex list from its larger end v to its smaller end u: one
+    breadth-first parent array per u."""
+    n = T.n
+    adj = adjacency(T)
+    for u in range(n):
+        parent = [-2] * n
+        parent[u] = -1
+        order = [u]
+        for v in order:  # grows while it is read
+            for w in adj[v]:
+                if parent[w] == -2:
+                    parent[w] = v
+                    order.append(w)
+        for v in range(u + 1, n):
+            path = [v]
+            x = v
+            while x != u:
+                x = parent[x]
+                path.append(x)
+            yield path
 
 
 # -- verify --------------------------------------------------------------------
@@ -655,7 +716,7 @@ def naive_facial_paths(G):
                 wins.add(tuple(verts[(start + k) % L] for k in range(length)))
         window_sets.append(wins)
 
-    adj = [sorted(set(G.neighbours(v))) for v in range(G.n)]
+    adj = [sorted(set(nb)) for nb in adjacency(G)]
     out = set()
 
     def grow(path, used):

@@ -145,19 +145,16 @@ def test_criterion_7_word_properties():
     tern = words.ternary_nonrepetitive(2000)
     ok = ok and not words.has_repetition(tern)[0]
     pal = words.palindrome_free_nonrepetitive(2000)
-    ok = ok and not words.has_repetition(pal)[0] and words.is_palindrome_free(pal)
+    ok = ok and not words.has_repetition(pal)[0] and support.is_palindrome_free(pal)
     for n in range(0, 2001, 97):
         ok = ok and tern[:n] == words.ternary_nonrepetitive(n)
     checked = 0
-    from thueplane.words import _all_tree_paths
-
     for seed in range(220):
         n = 2 + seed % 15  # up to 16 vertices
         G = gen.generate(gen.GenSpec("tree", n, seed))
-        adj = [sorted(G.neighbours(v)) for v in range(n)]
-        cols = words.tree_colouring(adj)
+        cols = words.tree_colouring(G)  # the pipelines' forest colouring
         ok = ok and len(set(cols)) <= 4
-        for p in _all_tree_paths(adj):
+        for p in support.all_tree_paths(G):
             if words.has_repetition([cols[v] for v in p])[0]:
                 ok = False
         checked += 1
@@ -232,7 +229,7 @@ def test_criterion_11_flower_scaling():
     t0 = time.time()
     sizes = [2620, 5240, 10480, 18340, 26200]  # 989 to 10,035 blocks
     graphs = [gen.generate(gen.GenSpec("flower", n, 0)) for n in sizes]
-    k = len(embed.biconnected_components(graphs[-1]))
+    k = len(support.biconnected_components(graphs[-1]))
     # ROADMAP item 3 sets its time target on its flower: k triangles
     # sharing one vertex
     b = gen._Builder()

@@ -32,6 +32,7 @@ from conftest import (
 )
 from support import (
     _restrict,
+    biconnected_components,
     block_edges,
     blocking_graph_from_json,
     blocking_graph_to_json,
@@ -164,7 +165,7 @@ def test_walk_criterion_agrees_with_block_decomposition():
     for G in graphs:
         if G.n < 3:
             continue
-        blocks = embed.biconnected_components(G)
+        blocks = biconnected_components(G)
         expected = len(blocks) == 1 and len(blocks[0]) == G.n
         assert _walk_says_biconnected(G) == expected
         biconnected += expected

@@ -182,16 +182,6 @@ def test_search_output_is_pinned(kind):
     assert r.stdout == want
 
 
-def test_search_reports_facial_numbers_for_trees(monkeypatch):
-    # a tree's number over all paths only bounds its facial one from above
-    def refuse(*args):
-        raise AssertionError("search asked for the number over all paths")
-
-    monkeypatch.setattr(verify, "exact_pi_tree_paths", refuse)
-    r = run(["search", "--kind", "tree", "--max-n", "5"])
-    assert r.exit_code == 0 and len(r.stdout.splitlines()) == 5
-
-
 def test_export(tmp_path):
     g = write_graph(tmp_path, gen.generate(gen.GenSpec("outerplane", 12, 2)))
     c = tmp_path / "c.json"
@@ -265,6 +255,14 @@ def test_bench_rejects_sizes_the_generator_rejects(args):
 def test_search_rejects_sizes_past_the_enumeration_guard():
     # exited 1 with a ValueError traceback after printing the smaller sizes
     r = CliRunner().invoke(main, ["search", "--kind", "tree", "--max-n", str(gen.ENUM_GUARD + 1)])
+    _assert_parse_exit(r)
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("kind, max_n", [("cycle", "2"), ("tree", "0"), ("tree", "-5")])
+def test_search_rejects_a_max_n_below_the_smallest_size(kind, max_n):
+    # exited 0 without printing a size
+    r = CliRunner().invoke(main, ["search", "--kind", kind, "--max-n", max_n])
     _assert_parse_exit(r)
     assert r.stdout == ""
 

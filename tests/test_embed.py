@@ -122,7 +122,7 @@ def test_outerplane_iff_outer_walk_covers():
 
 def test_fan_chords_and_ears():
     fan = fan5()
-    ch = embed.chords(fan)
+    ch = support.chords(fan)
     assert len(ch) == 2
     er = support.ears(fan)
     assert len(er) == 2
@@ -133,19 +133,19 @@ def test_fan_chords_and_ears():
 
 def test_single_cycle_no_chords_no_ears():
     c = polygon(8)
-    assert embed.chords(c) == []
+    assert support.chords(c) == []
     assert support.ears(c) == []
 
 
 def test_two_triangles_sharing_edge_one_chord():
     g = polygon(4, [(0, 2)])
-    assert len(embed.chords(g)) == 1
+    assert len(support.chords(g)) == 1
     assert len(support.ears(g)) == 2  # both faces lean on the single chord
 
 
 def test_chords_reject_non_outerplane():
     with pytest.raises(ClassMismatchError):
-        embed.chords(wheel(5))
+        support.chords(wheel(5))
 
 
 def test_weak_dual_is_forest_on_corpus():
@@ -158,23 +158,23 @@ def test_weak_dual_is_forest_on_corpus():
 
 
 def test_blocks_and_bridges_examples():
-    assert embed.biconnected_components(two_triangles_shared_vertex()) == [
+    assert support.biconnected_components(two_triangles_shared_vertex()) == [
         (0, 1, 2),
         (2, 3, 4),
     ]
     assert embed.bridges(two_triangles_shared_vertex()) == []
     p = path_graph(4)
-    assert embed.biconnected_components(p) == []
+    assert support.biconnected_components(p) == []
     assert embed.bridges(p) == [0, 1, 2]
     with pytest.raises(ClassMismatchError):
-        embed.biconnected_components(wheel(5))
+        support.biconnected_components(wheel(5))
 
 
 def test_showcase_hand_counts():
     G = showcase_graph()
     assert len(G.inner_faces()) == 3
     assert len(embed.bridges(G)) == 2
-    assert len(embed.biconnected_components(G)) == 2
+    assert len(support.biconnected_components(G)) == 2
 
 
 def test_parallel_edges_are_not_bridges(triangle):
@@ -267,7 +267,7 @@ def test_contract_bridge_joins_blocks():
     g = two_triangles_bridge()
     (b,) = embed.bridges(g)
     g2, _ = support.contract_edge(g, b)
-    assert len(embed.biconnected_components(g2)) == 2
+    assert len(support.biconnected_components(g2)) == 2
     assert embed.bridges(g2) == []
 
 

@@ -5,6 +5,8 @@ import pytest
 from thueplane import embed, gen
 from thueplane.gen import GenSpec, enumerate_small, generate
 
+from support import biconnected_components, chords
+
 
 def test_spec_validation():
     with pytest.raises(ValueError):
@@ -32,7 +34,7 @@ def test_every_kind_meets_its_predicate():
 def test_biconnected_predicates():
     G = generate(GenSpec("outerplane_biconnected", 12, 7))
     assert embed.is_outerplane(G)
-    blocks = embed.biconnected_components(G)
+    blocks = biconnected_components(G)
     assert len(blocks) == 1 and len(blocks[0]) == 12
 
 
@@ -53,12 +55,12 @@ def test_seed_determinism_bytes():
 
 def test_chord_probability_zero_gives_cycle():
     G = generate(GenSpec("outerplane_biconnected", 10, 3, chord_probability=0.0))
-    assert embed.chords(G) == []
+    assert chords(G) == []
 
 
 def test_chord_probability_one_triangulates():
     G = generate(GenSpec("outerplane_biconnected", 10, 3, chord_probability=1.0))
-    assert len(embed.chords(G)) == 10 - 3
+    assert len(chords(G)) == 10 - 3
 
 
 def test_bridgeless_rejects_two():
@@ -81,7 +83,7 @@ def test_enumerate_biconnected_square():
     # square: bare cycle plus one chord class
     gs = list(enumerate_small("outerplane_biconnected", 4))
     assert len(gs) == 2
-    chord_counts = sorted(len(embed.chords(G)) for G in gs)
+    chord_counts = sorted(len(chords(G)) for G in gs)
     assert chord_counts == [0, 1]
 
 
@@ -90,7 +92,7 @@ def test_enumerate_biconnected_pentagon():
     # up to symmetry)
     gs = list(enumerate_small("outerplane_biconnected", 5))
     assert len(gs) == 3
-    assert sorted(len(embed.chords(G)) for G in gs) == [0, 1, 2]
+    assert sorted(len(chords(G)) for G in gs) == [0, 1, 2]
 
 
 def test_enumerate_guard():

@@ -1,15 +1,18 @@
 """Source-tree guards: every top-level function, class or constant in the
 package is used by the package or exported, and every method of a package
 class is read by the package, so helpers that only tests use live in
-``tests/``; every attribute a package class sets on ``self`` is read by the
+``tests/``; every exported name has its line in the README's Public API
+table; every attribute a package class sets on ``self`` is read by the
 package; and every import in the package is used by its module."""
 
 import ast
 import pathlib
+import re
 
 import thueplane
 
 SRC = pathlib.Path(thueplane.__file__).parent
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _is_click_command(node):
@@ -35,6 +38,22 @@ def _modules():
     return {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
 
+def _readme_api():
+    """The names the README's Public API table gives a line, each as the
+    row's first cell in backticks; empty without the table."""
+    text = README.read_text()
+    if "\n## Public API\n" not in text:
+        return []
+    section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `(\w+)` +\|", section, re.M)
+
+
+def test_every_public_name_has_a_readme_line():
+    # one line per ``__all__`` name: the statement it reproduces, or the
+    # command that uses it
+    assert sorted(_readme_api()) == sorted(thueplane.__all__)
+
+
 def test_every_top_level_definition_is_used_or_exported():
     modules = {name: ast.parse(text) for name, text in _modules().items()}
     defs = []  # (module, name, node)
@@ -48,7 +67,9 @@ def test_every_top_level_definition_is_used_or_exported():
                     if isinstance(target, ast.Name) and not target.id.startswith("__"):
                         defs.append((name, target.id, node))
     # a use is a name or an attribute anywhere in the package outside the
-    # definition itself, so recursion does not count; imports do not count
+    # definition itself, so recursion does not count; imports do not count;
+    # an exported name counts as used only when the README names it
+    exported = set(thueplane.__all__) & set(_readme_api())
     uses = {}  # name -> the top-level statements that use it, in any module
     for tree in modules.values():
         for node in tree.body:
@@ -57,7 +78,7 @@ def test_every_top_level_definition_is_used_or_exported():
     unused = [
         f"{module}:{name}"
         for module, name, node in defs
-        if name not in thueplane.__all__ and not [n for n in uses.get(name, ()) if n is not node]
+        if name not in exported and not [n for n in uses.get(name, ()) if n is not node]
     ]
     assert unused == []
 

@@ -1,16 +1,10 @@
 import pytest
 
 from thueplane import colour, embed, gen, kernels, verify
-from thueplane.verify import (
-    exact_pi_f,
-    exact_pi_tree_paths,
-    facial_paths,
-    verify_facial_nonrepetitive,
-)
-from thueplane.words import _adjacency, _all_tree_paths
+from thueplane.verify import exact_pi_f, facial_paths, verify_facial_nonrepetitive
 
 from conftest import path_graph, polygon
-from support import naive_facial_paths
+from support import all_tree_paths, naive_facial_paths
 
 
 # -- facial path enumeration -----------------------------------------------------
@@ -156,16 +150,11 @@ def test_exceeds_max():
     assert exact_pi_f(polygon(5), 3) is None
 
 
-def test_guard_enforced():
+def test_guard_enforced(monkeypatch):
     with pytest.raises(ValueError):
         exact_pi_f(polygon(13), 4)
-    assert exact_pi_f(polygon(13), 4, guard=13) == 3
-
-
-def test_tree_paths_exact():
-    assert exact_pi_tree_paths([[1], [0, 2], [1, 3], [2]], 4) == 3  # path on 4
-    assert exact_pi_tree_paths([[1, 2, 3], [0], [0], [0]], 4) == 2  # star
-    assert exact_pi_tree_paths([[]], 4) == 1
+    monkeypatch.setattr(verify, "SEARCH_GUARD", 13)
+    assert exact_pi_f(polygon(13), 4) == 3
 
 
 def test_a_star_has_paths_that_are_not_facial():
@@ -173,14 +162,9 @@ def test_a_star_has_paths_that_are_not_facial():
     # takes no two opposite leaves in a row
     star = embed.build(5, [(0, 1), (0, 2), (0, 3), (0, 4)], [[0, 2, 4, 6], [1], [3], [5], [7]], 0)
     facial = {p.vertices for p in facial_paths(star) if len(p) >= 2}
-    paths = {verify._canonical(p) for p in _all_tree_paths(_adjacency(star))}
+    paths = {verify._canonical(p) for p in all_tree_paths(star)}
     assert facial < paths
     assert paths - facial == {(1, 0, 3), (2, 0, 4)}
-
-
-def test_tree_paths_rejects_non_tree():
-    with pytest.raises(ValueError):
-        exact_pi_tree_paths([[1, 2], [0, 2], [0, 1]], 4)
 
 
 def test_exact_never_exceeds_pipeline():

@@ -5,21 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thueplane import gen, words
+from thueplane import embed, gen, words
 from thueplane.words import (
     EXCEPTIONAL_CYCLE_LENGTHS,
-    bfs_levels,
     cycle_alphabet_size,
     cycle_colouring,
     has_cyclic_repetition,
     has_repetition,
-    is_palindrome_free,
     palindrome_free_nonrepetitive,
     ternary_nonrepetitive,
     tree_colouring,
 )
 
-from support import level_pattern, levelling_ok
+from conftest import disjoint_union, path_graph, polygon, single_vertex
+from support import adjacency, all_tree_paths, is_palindrome_free, level_pattern, levelling_ok
 
 
 def naive_repetitive(seq):
@@ -198,8 +197,8 @@ def test_level_pattern_of_repetitions_matches():
     for trial in range(30):
         n = rnd.randrange(4, 11)
         G = gen.generate(gen.GenSpec("outerplane", n, trial))
-        adj = [sorted(G.neighbours(v)) for v in range(n)]
-        levels = bfs_levels(adj, 0)
+        adj = adjacency(G)
+        levels = embed._levels(G, [0], None)
         colours = [word[levels[v]] for v in range(n)]
 
         def paths(prefix, used):
@@ -222,56 +221,41 @@ def test_level_pattern_of_repetitions_matches():
 # -- tree colouring ---------------------------------------------------------------
 
 
-def all_paths_nonrepetitive(adj, colours):
-    from thueplane.words import _all_tree_paths
-
-    return all(
-        not has_repetition([colours[v] for v in p])[0] for p in _all_tree_paths(adj)
-    )
+def all_paths_nonrepetitive(T, colours):
+    return all(not has_repetition([colours[v] for v in p])[0] for p in all_tree_paths(T))
 
 
 def test_tree_single_vertex():
-    assert tree_colouring([[]]) == (1,)
+    assert tree_colouring(single_vertex()) == (1,)
+    assert tree_colouring(embed.build(0, [], [])) == ()
 
 
 def test_star_two_colours():
-    adj = [[1, 2, 3, 4, 5]] + [[0]] * 5
-    cols = tree_colouring(adj)
+    star = embed.build(6, [(0, i) for i in range(1, 6)], [[0, 2, 4, 6, 8], [1], [3], [5], [7], [9]], 0)
+    cols = tree_colouring(star)
     assert len(set(cols)) == 2
 
 
 def test_path10_nonrepetitive():
-    adj = [[1]] + [[i - 1, i + 1] for i in range(1, 9)] + [[8]]
-    cols = tree_colouring(adj)
+    P = path_graph(10)
+    cols = tree_colouring(P)
     assert len(set(cols)) <= 4
-    assert all_paths_nonrepetitive(adj, cols)
+    assert all_paths_nonrepetitive(P, cols)
 
 
 def test_tree_colouring_rejects_cycles_and_disconnection():
     with pytest.raises(ValueError):
-        tree_colouring([[1, 2], [0, 2], [0, 1]])
+        tree_colouring(polygon(3))
     with pytest.raises(ValueError):
-        tree_colouring([[1], [0], [3], [2]])
-
-
-def test_tree_colouring_custom_palette():
-    adj = [[1], [0, 2], [1, 3], [2]]
-    cols = tree_colouring(adj, palette=(7, 8, 9, 10))
-    assert set(cols) <= {7, 8, 9, 10}
+        tree_colouring(disjoint_union(polygon(3), single_vertex()))  # n - 1 edges
 
 
 def test_trees_exhaustive_paths_small():
-    import networkx as nx
-
     for n in range(1, 10):
-        for T in nx.nonisomorphic_trees(n) if n > 1 else [None]:
-            if T is None:
-                adj = [[]]
-            else:
-                adj = [sorted(T.neighbors(v)) for v in range(n)]
-            cols = tree_colouring(adj)
+        for T in gen.enumerate_small("tree", n):
+            cols = tree_colouring(T)
             assert len(set(cols)) <= 4
-            assert all_paths_nonrepetitive(adj, cols)
+            assert all_paths_nonrepetitive(T, cols)
 
 
 def test_random_trees_to_16_exhaustive_paths():
@@ -279,17 +263,30 @@ def test_random_trees_to_16_exhaustive_paths():
     sizes += [17 + seed % 24 for seed in range(48)]  # 17..40, twice each
     for seed, n in enumerate(sizes):
         G = gen.generate(gen.GenSpec("tree", n, seed))
-        adj = [sorted(G.neighbours(v)) for v in range(n)]
-        cols = tree_colouring(adj)
+        cols = tree_colouring(G)
         assert len(set(cols)) <= 4
-        assert all_paths_nonrepetitive(adj, cols)
+        assert all_paths_nonrepetitive(G, cols)
 
 
 def test_tree_colouring_accepts_embedded_graph():
     G = gen.generate(gen.GenSpec("tree", 12, 5))
-    cols = tree_colouring(G)
-    adj = [sorted(G.neighbours(v)) for v in range(G.n)]
-    assert all_paths_nonrepetitive(adj, cols)
+    assert all_paths_nonrepetitive(G, tree_colouring(G))
+
+
+def test_forest_colouring_gives_each_tree_its_own_colouring():
+    # a shallower tree's word prefixes a deeper one's, so one forest pass
+    # over trees of different depths colours each as it is coloured alone
+    trees = [gen.generate(gen.GenSpec("tree", n, seed)) for seed, n in enumerate((1, 2, 40, 3, 9, 60, 5))]
+    trees.append(path_graph(30))
+    depths = {max(embed._levels(T, [0], None).values()) for T in trees}
+    assert len(depths) >= 5
+    F = disjoint_union(*trees)
+    colours = [None] * F.n
+    words._colour_forest(F, range(F.n), colours)
+    v0 = 0
+    for T in trees:
+        assert tuple(colours[v0 : v0 + T.n]) == tree_colouring(T)
+        v0 += T.n
 
 
 CYCLE_COLOURING_DIGEST = "716eb734240b4cd4760b3902840e35df5d630da98d09cd70badf139f1bc4c0da"

@@ -48,6 +48,10 @@ SUBGRAPH_DIGEST = "b78dd4fc33d3bb3711b92519029f5a16ea112797aedaed9fbf765bf59e321
 # SHA-256 digest recorded before the blocking cores moved from per-block
 # views to per-face arrays built once per graph.
 BLOCKING_DIGEST = "b12ea80bea9b39db8e7021d3e95f5578506bd40a188b4e624adc2f3522b75c8f"
+# SHA-256 digest recorded while blocking graphs still built their rotation
+# lists walk step by walk step: it pins the embedding (each dart's successor
+# in its rotation), not where a rotation list starts.
+BLOCKING_GRAPH_DIGEST = "0e4577c62d9af4d2988508f1a8a9c97dfa115343bab17c100e0c27c2e5ddcd13"
 
 
 def test_pipeline_colourings_golden_digest():
@@ -91,6 +95,24 @@ def test_blocking_sets_golden_digest():
     for G in biconnected_corpus(400, max_n=45):
         h.update(json.dumps(sorted(blocking.blocking_set_good_size(G))).encode() + b"\n")
     assert h.hexdigest() == BLOCKING_DIGEST
+
+
+def test_blocking_graph_embedding_golden_digest():
+    h = hashlib.sha256()
+    for G in golden_corpus():
+        if not embed.is_outerplane(G):
+            continue
+        Gs = embed.simplify(G)
+        B = blocking.blocking_set_even(Gs)
+        for simple in (False, True):
+            bg = blocking._blocking_graph(Gs, B, simple)
+            g = bg.graph
+            rot_next = [0] * (2 * len(g.edges))
+            for rot in g.rotations:
+                for d, e in zip(rot, rot[1:] + rot[:1]):
+                    rot_next[d] = e
+            _line(h, [g.n, g.edges, rot_next, sorted(g.outer_faces), bg.host_vertex])
+    assert h.hexdigest() == BLOCKING_GRAPH_DIGEST
 
 
 def _passes_boundary(g):

@@ -482,53 +482,45 @@ def blocking_graph(G, B):
 
 def _blocking_graph(G, B, simple):
     """``blocking_graph`` without the check, for sets the constructors here
-    just built.  With ``simple`` the graph is built as ``embed.simplify``
-    would return it, in the same sweep; the pipelines colour that graph.
-    The blocking graph of a simple graph need not be simple: a blocking
-    cycle of length 2 gives a parallel pair, and a walk step between two
-    occurrences of one B-vertex gives a loop.  Such a step gets no edge, so
-    the first edge of each endpoint pair is the one kept, as in
-    ``simplify``."""
+    just built.  Each step of an outer walk from one B-vertex occurrence to
+    the next is an edge drawn in the outer face, at corners (a, b): a is
+    the walk dart leaving the first occurrence, b the one leaving the next.
+    ``embed._mapped_rotations`` drops every dart of G and inserts these, and
+    the graph keeps the rotations of B's vertices; a rotation list starts
+    where the vertex's rotation in G does.  The forward dart of a
+    component's first edge traces its outer face.
+
+    With ``simple`` the graph is built as ``embed.simplify`` would return
+    it, in the same pass; the pipelines colour that graph.  The blocking
+    graph of a simple graph need not be simple: a blocking cycle of length
+    2 gives a parallel pair, and a step between two occurrences of one
+    B-vertex gives a loop.  Such a step gets no edge, so the first edge of
+    each endpoint pair is the one kept, as in ``simplify``."""
     B = set(B)
     hosts = sorted(B)
     local = {x: i for i, x in enumerate(hosts)}
-
+    k, origin = len(hosts), G.origin
     edges = []
-    rotations = [[] for _ in hosts]
-    outer_darts = []
-    k = len(hosts)
+    corners = []
+    outer = []
     pairs = set()  # endpoint pairs u < w with an edge, as u * k + w
-
     for cid in range(len(G.components)):
         f = G.outer_face_of_component(cid)
         if f is None:
             continue
-        W = [local[x] for x in G.face_vertices(f) if x in B]
-        m = len(W)
-        # step j of the walk, W[j] -> W[j + 1], is edge ids[j] or -1
-        ids = []
-        for j in range(m):
-            u, w = W[j], W[(j + 1) % m]
+        walk = [d for d in G.faces[f] if origin[d] in B]
+        first = len(edges)
+        for a, b in zip(walk, walk[1:] + walk[:1]):
+            u, w = local[origin[a]], local[origin[b]]
             if simple:
                 key = u * k + w if u < w else w * k + u
                 if u == w or key in pairs:
-                    ids.append(-1)
                     continue
                 pairs.add(key)
-            ids.append(len(edges))
             edges.append((u, w))
-        # the walk's forward darts trace the outer face
-        first = next((e for e in ids if e != -1), None)
-        if first is not None:
-            outer_darts.append(2 * first)
-        # each occurrence of a vertex adds its incoming dart, then outgoing
-        for j in range(m):
-            e_in, e_out = ids[j - 1], ids[j]
-            rot = rotations[W[j]]
-            if e_in != -1:
-                rot.append(2 * e_in + 1)
-            if e_out != -1:
-                rot.append(2 * e_out)
-
-    graph = embed.EmbeddedGraph(len(hosts), edges, rotations, tuple(outer_darts))
-    return BlockingGraph(graph, tuple(hosts))
+            corners.append((a, b))
+        if len(edges) > first:
+            outer.append(2 * first)
+    dart_map = [-1] * (2 * len(G.edges)) + list(range(2 * len(edges)))
+    rot = embed._mapped_rotations(G, hosts, dart_map, corners)
+    return BlockingGraph(embed.EmbeddedGraph(k, edges, rot, tuple(outer)), tuple(hosts))

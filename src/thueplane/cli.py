@@ -179,7 +179,7 @@ def cmd_gen(kind, n, seed, chord_p, attach_p, out_path):
 def cmd_search(kind, max_n, max_colours):
     """Exact facial chromatic numbers over exhaustively enumerated tiny
     instances (one JSON line per size)."""
-    lo = 3 if kind in ("cycle", "outerplane_biconnected") else 1
+    lo = gen._MIN_N.get(kind, 1)
     if not lo <= max_n <= gen.ENUM_GUARD:  # checked before any size is printed
         _diag(error="parse", option="--max-n", detail=f"{kind} enumeration runs over {lo} <= n <= {gen.ENUM_GUARD}")
         sys.exit(EXIT_PARSE)

@@ -14,7 +14,6 @@ failure signals a bug, never a valid outcome.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -316,13 +315,12 @@ def peeling_layering(G):
 
 
 def _augmentation(G, layer):
-    """The edges ``augment_plus`` adds to G, their corners, and per face the
+    """The corners of the edges ``augment_plus`` adds to G, and per face the
     lowest layer on its walk (-1 if outer).  Each inner face, in id order,
-    joins its cyclically consecutive occurrences of that layer: an edge
-    (u, w) from the corner just before walk dart a to the one just before
-    walk dart b has corners (a, b)."""
+    joins its cyclically consecutive occurrences of that layer: the edge
+    from the corner just before walk dart a to the one just before walk
+    dart b has corners (a, b) and joins the origins of a and b."""
     origin, outer_faces = G.origin, G.outer_faces
-    edges = []
     corners = []
     floor = []
     for f, walk in enumerate(G.faces):
@@ -337,11 +335,9 @@ def _augmentation(G, layer):
         occ = [i for i, x in enumerate(ls) if x == lmin]
         for p, q in zip(occ, occ[1:] + occ[:1]):
             a, b = walk[p], walk[q]
-            u, w = origin[a], origin[b]
-            if u != w:
-                edges.append((u, w))
+            if origin[a] != origin[b]:
                 corners.append((a, b))
-    return edges, corners, floor
+    return corners, floor
 
 
 def augment_plus(G):
@@ -352,20 +348,18 @@ def augment_plus(G):
     inner faces, so G's outer faces, one per component, stay outer.  The
     rotations are G's with the added darts inserted at their corners in one
     sweep, by ``embed._mapped_rotations``."""
-    added, corners, _floor = _augmentation(G, peeling_layering(G).layer)
-    edges = G.edges + tuple(added)
-    rot = embed._mapped_rotations(G, range(2 * len(edges)), corners)
+    corners, _floor = _augmentation(G, peeling_layering(G).layer)
+    edges = G.edges + tuple((G.origin[a], G.origin[b]) for a, b in corners)
+    rot = embed._mapped_rotations(G, range(G.n), range(2 * len(edges)), corners)
     return embed.EmbeddedGraph(G.n, edges, rot, tuple(G.faces[f][0] for f in G.outer_faces))
 
 
 def _layers_graph(G, layer):
     """The layers of ``augment_plus(G)`` side by side, built without G plus:
-    one simple graph on G's ids with G plus's same-layer edges, G's first.
-    ``layer`` is G's peeling layering.  Loops are dropped and each endpoint
-    pair keeps its first edge, as ``embed.simplify`` would: every vertex of
-    a layer is on its outer face, so parallel edges bound an empty lens.
-    Rotations are G plus's restricted to the kept darts, in one sweep over
-    G's by ``embed._mapped_rotations``.
+    ``embed._same_layer_graph`` of G and its augmentation, one simple graph
+    on G's ids.  ``layer`` is G's peeling layering.  Every vertex of a layer
+    is on its outer face, so parallel edges bound an empty lens and keeping
+    the first of each is what ``embed.simplify`` would do.
 
     The outer darts, those that peeling the lower layers off G plus leaves
     on outer faces, are the kept darts of G whose face in G is outer or
@@ -374,27 +368,7 @@ def _layers_graph(G, layer):
     vertices of it), so no added dart is one.  In a layer-i component they
     lie on one face, as the faces below i hold none of its edges and meet
     through lower-layer vertices, so they need no deduplication."""
-    added, corners, floor = _augmentation(G, layer)
-    n, m, face_of = G.n, len(G.edges), G.face_of
-    edges = []
-    outer = []
-    dart_map = [-1] * (2 * (m + len(added)))
-    pairs = set()  # endpoint pairs u < w with an edge, as u * n + w
-    for e, (u, w) in enumerate(itertools.chain(G.edges, added)):
-        i = layer[u]
-        if u != w and layer[w] == i:
-            key = u * n + w if u < w else w * n + u
-            if key not in pairs:
-                pairs.add(key)
-                d = 2 * len(edges)
-                dart_map[2 * e] = d
-                dart_map[2 * e + 1] = d + 1
-                edges.append((u, w))
-                if e < m:
-                    outer += [d + s for s in (0, 1) if floor[face_of[2 * e + s]] < i]
-    del pairs, added  # the build below is the peak
-    rot = embed._mapped_rotations(G, dart_map, corners)
-    return embed.EmbeddedGraph(n, edges, rot, tuple(outer))
+    return embed._same_layer_graph(G, layer, *_augmentation(G, layer))
 
 
 def colour_plane(G):

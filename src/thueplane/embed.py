@@ -19,6 +19,7 @@ graphs built by the package are not checked again.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 
@@ -418,30 +419,30 @@ def _union_find(n, pairs):
     return find
 
 
-def _mapped_rotations(G, dart_map, corners):
-    """G's rotations, plus added edges, in one sweep mapped through
-    ``dart_map`` (-1 drops a dart).  Added edge j has darts 2(m + j) and
-    2(m + j) + 1 at its corners ``corners[j]``, m = len(G.edges); a corner's
-    darts go just before its anchor dart, the incoming one first."""
-    m = len(G.edges)
-    before = [None] * (2 * m)  # anchor dart -> (incoming, outgoing), -1 for none
+def _mapped_rotations(G, vertices, dart_map, corners):
+    """The rotations of ``vertices``, in order: G's plus added edges, in
+    one sweep mapped through ``dart_map`` (-1 drops a dart).  Added edge j
+    has darts 2(m + j) and 2(m + j) + 1 at its corners ``corners[j]``,
+    m = len(G.edges); a corner's kept darts go just before its anchor dart,
+    the incoming one first."""
+    m, rotations = len(G.edges), G.rotations
+    before = [()] * (2 * m)  # anchor dart -> the mapped darts inserted before it
     for j, (a, b) in enumerate(corners):
-        d = 2 * (m + j)
-        before[a] = (before[a] or (-1, -1))[0], d
-        before[b] = d + 1, (before[b] or (-1, -1))[1]
-    out = []
-    for rot in G.rotations:
+        out, inc = dart_map[2 * (m + j)], dart_map[2 * (m + j) + 1]
+        if out != -1:
+            before[a] += (out,)
+        if inc != -1:
+            before[b] = (inc,) + before[b]
+    rots = []
+    for v in vertices:
         r = []
-        for d in rot:
-            ins = before[d]
-            if ins is not None:
-                for x in ins:
-                    if x != -1 and dart_map[x] != -1:
-                        r.append(dart_map[x])
-            if dart_map[d] != -1:
-                r.append(dart_map[d])
-        out.append(r)
-    return out
+        for d in rotations[v]:
+            r += before[d]
+            x = dart_map[d]
+            if x != -1:
+                r.append(x)
+        rots.append(r)
+    return rots
 
 
 def simplify(G):
@@ -450,29 +451,46 @@ def simplify(G):
     Facial paths, read as vertex sequences, are preserved: in an outerplane
     graph any two parallel edges bound a vertex-free lens and loops carry no
     facial path, so colourings of the result lift back to G.  A simple G
-    (``is_simple``) is returned as is; any other G is rebuilt in one pass
-    over its edges, with G's rotations restricted to the kept darts by
-    ``_mapped_rotations``.  It is the outerplane pipelines' class check:
-    ClassMismatchError on any graph that is not outerplane.
+    (``is_simple``) is returned as is; any other G is ``_same_layer_graph``
+    of G with one layer, every outer face at floor -1 and every inner face
+    at 0.  It is the outerplane pipelines' class check: ClassMismatchError
+    on any graph that is not outerplane.
     """
     if not is_outerplane(G):
         raise ClassMismatchError("input is not outerplane")
     if is_simple(G):
         return G
-
-    n, m = G.n, len(G.edges)
-    seen = set()  # endpoint pairs a < b kept so far, as the int a * n + b
-    edges = []
-    dart_map = [-1] * (2 * m)
-    for i, (a, b) in enumerate(G.edges):
-        key = a * n + b if a < b else b * n + a
-        if a != b and key not in seen:
-            seen.add(key)
-            dart_map[2 * i : 2 * i + 2] = 2 * len(edges), 2 * len(edges) + 1
-            edges.append((a, b))
     # dropping a loop or a parallel edge merges the two faces beside it, so
     # the kept darts of an outer face of G lie on one face of the result
-    outer = [dart_map[d] for f in G.outer_faces for d in G.faces[f] if dart_map[d] != -1]
-    rot = _mapped_rotations(G, dart_map, ())
-    del seen, dart_map  # the build below is the peak
-    return EmbeddedGraph(n, edges, rot, outer)
+    floor = [-1 if f in G.outer_faces else 0 for f in range(len(G.faces))]
+    return _same_layer_graph(G, [0] * G.n, (), floor)
+
+
+def _same_layer_graph(G, layer, corners, floor):
+    """G plus edges added at ``corners``, as ``_mapped_rotations`` takes
+    them, restricted to the edges whose ends share a ``layer``, in one pass
+    over the edges, G's first.  The edge added at corners (a, b) joins the
+    origins of a and b.  Loops are dropped and each endpoint pair keeps its
+    first edge.  A kept dart of G is outer when the ``floor`` of its face
+    in G lies below its layer; no added dart is."""
+    n, m, origin, face_of = G.n, len(G.edges), G.origin, G.face_of
+    edges = []
+    outer = []
+    dart_map = [-1] * (2 * (m + len(corners)))
+    pairs = set()  # endpoint pairs u < w with an edge, as u * n + w
+    added = ((origin[a], origin[b]) for a, b in corners)
+    for e, (u, w) in enumerate(itertools.chain(G.edges, added)):
+        i = layer[u]
+        if u != w and layer[w] == i:
+            key = u * n + w if u < w else w * n + u
+            if key not in pairs:
+                pairs.add(key)
+                d = 2 * len(edges)
+                dart_map[2 * e] = d
+                dart_map[2 * e + 1] = d + 1
+                edges.append((u, w))
+                if e < m:
+                    outer += [d + s for s in (0, 1) if floor[face_of[2 * e + s]] < i]
+    del pairs  # the build below is the peak
+    rot = _mapped_rotations(G, range(n), dart_map, corners)
+    return EmbeddedGraph(n, edges, rot, tuple(outer))

@@ -499,12 +499,16 @@ def enumerate_small(kind, n):
     """Exhaustive enumeration (deduplicated best-effort up to relabelling)
     of tiny instances.  Supported kinds: tree, cycle,
     outerplane_biconnected.  Every instance passes the class check that
-    ``generate``'s outputs pass."""
+    ``generate``'s outputs pass; a size below the kind's smallest yields
+    none."""
     if n > ENUM_GUARD:
         raise ValueError(f"enumeration guarded to n <= {ENUM_GUARD}")
+    if kind not in ("tree", "cycle", "outerplane_biconnected"):
+        raise ValueError(f"exhaustive enumeration not supported for kind {kind!r}")
+    if n < _MIN_N.get(kind, 1):
+        return
     if kind == "cycle":
-        if n >= 3:
-            yield generate(GenSpec("cycle", n))
+        yield generate(GenSpec("cycle", n))
         return
     if kind == "tree":
         import networkx as nx
@@ -520,20 +524,15 @@ def enumerate_small(kind, n):
             _check_class(GenSpec(kind, n), G)
             yield G
         return
-    if kind == "outerplane_biconnected":
-        if n < 3:
-            return
-        seen = set()
-        for subset in _noncrossing_chord_subsets(n):
-            key = _dihedral_canonical(n, subset)
-            if key in seen:
-                continue
-            seen.add(key)
-            b = _Builder()
-            v0 = b.new_vertex()
-            b.add_polygon_block(v0, n, sorted(subset))
-            G = b.finish_outerplane()
-            _check_class(GenSpec(kind, n), G)
-            yield G
-        return
-    raise ValueError(f"exhaustive enumeration not supported for kind {kind!r}")
+    seen = set()  # outerplane_biconnected: one polygon per chord set up to symmetry
+    for subset in _noncrossing_chord_subsets(n):
+        key = _dihedral_canonical(n, subset)
+        if key in seen:
+            continue
+        seen.add(key)
+        b = _Builder()
+        v0 = b.new_vertex()
+        b.add_polygon_block(v0, n, sorted(subset))
+        G = b.finish_outerplane()
+        _check_class(GenSpec(kind, n), G)
+        yield G

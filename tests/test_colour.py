@@ -19,7 +19,6 @@ from conftest import (
     disjoint_union,
     fan5,
     nested_triangles,
-    path_graph,
     polygon,
     single_block_with_trees,
     wheel,

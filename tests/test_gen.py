@@ -95,6 +95,12 @@ def test_enumerate_biconnected_pentagon():
     assert sorted(len(chords(G)) for G in gs) == [0, 1, 2]
 
 
+def test_enumerate_below_the_smallest_size_yields_nothing():
+    for kind in ("tree", "cycle", "outerplane_biconnected"):
+        for n in (-3, 0):
+            assert list(enumerate_small(kind, n)) == []
+
+
 def test_enumerate_guard():
     with pytest.raises(ValueError):
         list(enumerate_small("tree", 10))

@@ -3,7 +3,8 @@ package is used by the package or exported, and every method of a package
 class is read by the package, so helpers that only tests use live in
 ``tests/``; every exported name has its line in the README's Public API
 table; every attribute a package class sets on ``self`` is read by the
-package; and every import in the package is used by its module."""
+package; and every import in the package and its tests is used by its
+module."""
 
 import ast
 import pathlib
@@ -12,7 +13,8 @@ import re
 import thueplane
 
 SRC = pathlib.Path(thueplane.__file__).parent
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+TESTS = pathlib.Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 
 
 def _is_click_command(node):
@@ -141,14 +143,19 @@ def test_every_instance_attribute_is_read_by_the_package():
 def test_every_import_is_used():
     # a name bound by an import counts as used when its module reads it
     # anywhere; ``from __future__`` imports, the re-exports that
-    # ``__init__`` lists in ``__all__`` and lines marked ``# noqa`` are exempt
+    # ``__init__`` lists in ``__all__`` and lines marked ``# noqa`` are
+    # exempt.  Test modules are scanned too, where a fixture imported by
+    # name is used when a test takes it as an argument.
+    tests = {f"tests/{path.name}": path.read_text() for path in sorted(TESTS.glob("*.py"))}
     unused = []
-    for module, text in _modules().items():
+    for module, text in {**_modules(), **tests}.items():
         tree = ast.parse(text)
         lines = text.splitlines()
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         if module == "__init__.py":
             read |= set(thueplane.__all__)
+        if module in tests:
+            read |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
         for node in ast.walk(tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
                 continue

@@ -23,10 +23,12 @@ A symbol outside the range of ``chr`` turns the screen off for that call.
 Symbols must be non-negative integers; -1 is reserved as an internal
 sentinel.
 
-Squares on a cycle, that is in the arcs of a cyclic word, and squares in
-the distinct-vertex windows of a facial walk have one function each, and
-these two functions alone choose which search runs:
+A short facial walk, a cycle (the arcs of a cyclic word) and the
+distinct-vertex windows of a facial walk have one function each, and these
+three functions alone choose which search runs:
 
+- ``_short_walk_square_free`` clears a walk of L <= ``_SHORT // 2`` darts if
+  one search of its doubled colours finds no square of half <= L // 2.
 - ``cyclic_square`` decides a cycle of L labels of w bytes, w for its
   largest label.  Its exact mode returns the smallest (start, half); its
   first mode returns the first square it finds, a decision.  A cycle with
@@ -160,6 +162,17 @@ def find_square(seq, max_half=0):
     # a segment of at most _SHORT symbols holds no square of half > _SHORT // 2
     screen = _SQUARE_UPTO[max_half] if 0 < max_half < len(_SQUARE_UPTO) else _SQUARE
     return _find_square_segment(s, 0, len(s), max_half, text, screen)
+
+
+def _short_walk_square_free(walk, origin, colours):
+    """True clears the walk: its doubled colours hold every square of its facial paths."""
+    if not 2 <= len(walk) <= _SHORT // 2:
+        return False
+    try:
+        text = "".join([chr(colours[origin[d]]) for d in walk])
+    except (ValueError, OverflowError):  # a colour past the range of chr
+        return False
+    return _SQUARE_UPTO[len(walk) // 2].search(text + text) is None
 
 
 #: widest cycle, in bytes w·L, that the per-half pass decides on its own

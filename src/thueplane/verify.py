@@ -5,17 +5,16 @@ are all distinct.  A colouring is facially nonrepetitive when no facial
 path's colour sequence contains a repetition.  Because a repetition inside
 any facial path is also a repetition inside the maximal distinct-vertex
 window containing it (and such windows are themselves facial paths), the
-checker asks the kernel once per face: ``kernels.cyclic_square`` for a
-walk that is a simple cycle, ``kernels.window_square`` with the ends of its
-distinct-vertex windows for any other walk.  The kernel's answer is the
-verdict and the counterexample at once.
+checker asks the kernel once per face: a short walk that one regex search
+of its doubled colours clears is done; on any other, ``cyclic_square`` (a
+simple cycle) or ``window_square`` gives the verdict and the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from thueplane.kernels import cyclic_square, find_square, window_square
+from thueplane.kernels import _short_walk_square_free, cyclic_square, find_square, window_square
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +91,10 @@ def verify_facial_nonrepetitive(G, colours):
     if odd:
         raise ValueError("colours must be non-negative integers")
 
-    for f in range(len(G.faces)):
+    origin = G.origin
+    for f, walk in enumerate(G.faces):
+        if _short_walk_square_free(walk, origin, colours):
+            continue
         verts = G.face_vertices(f)
         hit = _first_square_in_face(verts, colours)
         if hit is not None:

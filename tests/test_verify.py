@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from thueplane import colour, embed, gen, kernels, verify
@@ -5,6 +7,7 @@ from thueplane.verify import exact_pi_f, facial_paths, verify_facial_nonrepetiti
 
 from conftest import path_graph, polygon
 from support import all_tree_paths, naive_facial_paths
+from test_golden import golden_corpus
 
 
 # -- facial path enumeration -----------------------------------------------------
@@ -92,8 +95,6 @@ def test_counterexample_is_earliest():
 
 def test_counterexample_against_definitional_check():
     # agree with a from-scratch check over every facial path
-    import random
-
     from thueplane.kernels import find_square
 
     rnd = random.Random(3)
@@ -110,13 +111,88 @@ def test_counterexample_against_definitional_check():
 
 
 def test_kernel_reporting_a_false_square_raises(monkeypatch):
-    # the check is a raise, not an assert, so it holds under python -O too
-    G = polygon(6)
-    good = colour.colour_outerplane(G).colours
-    assert verify_facial_nonrepetitive(G, good) is None
-    monkeypatch.setattr(kernels, "find_square", lambda seq, max_half=0: (0, 1))
-    with pytest.raises(RuntimeError, match="the kernel reports a repetition"):
-        verify_facial_nonrepetitive(G, good)
+    # the check is a raise, not an assert, so it holds under python -O too.
+    # Each face has more darts than the short-face screen reads, so
+    # find_square decides it: on the cycle once the band is shut
+    # (cyclic_square's raise), on the path's outer walk by its windows
+    # (window_square's raise)
+    for G in (polygon(65), path_graph(34)):
+        good = colour.colour_outerplane(G).colours
+        assert verify_facial_nonrepetitive(G, good) is None
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_BAND", 0)
+            patch.setattr(kernels, "find_square", lambda seq, max_half=0: (0, 1))
+            with pytest.raises(RuntimeError, match="the kernel reports a repetition"):
+                verify_facial_nonrepetitive(G, good)
+
+
+# -- the short-face screen ---------------------------------------------------------
+
+
+def _unscreened(G, colours):
+    """verify_facial_nonrepetitive without the short-face screen: the exact
+    per-face search on every face."""
+    for f in range(len(G.faces)):
+        verts = G.face_vertices(f)
+        hit = verify._first_square_in_face(verts, colours)
+        if hit is not None:
+            s, r = hit
+            return verify.FacialPath(f, tuple(verts[(s + k) % len(verts)] for k in range(2 * r)), G.is_outer_face(f))
+    return None
+
+
+def _planted(G, colours, f, start, half):
+    """``colours`` with the square of half ``half`` from ``start`` planted on
+    the walk of face f; on a walk that repeats a vertex a later write wins."""
+    verts = G.face_vertices(f)
+    out = list(colours)
+    for t in range(half):
+        out[verts[(start + half + t) % len(verts)]] = out[verts[(start + t) % len(verts)]]
+    return out
+
+
+def _screen_cases():
+    """(name, graph, colouring): the golden corpus (trees, cacti, plane graphs
+    and multigraph digons and loops among it), two nested loops with a
+    pendant edge (walks (0, 0) and (0, 0, 1)) and cycles of 3 to 65 vertices,
+    with pipeline colourings, squares planted on the first simple and the
+    first repeating walk of every length from 2 to 65, random colourings, and
+    colours past the range of ``chr``."""
+    rnd = random.Random(53)
+    loops = embed.build(2, [(0, 0), (0, 0), (0, 1)], [[0, 2, 3, 1, 4], [5]], 0)
+    graphs = golden_corpus() + [loops] + [polygon(L) for L in range(3, 66)]
+    coloured = [(G, colour.colour_plane(G).colours) for G in graphs]
+    planted = set()  # (face length, walk is simple)
+    for i, (G, good) in enumerate(coloured):
+        yield f"graph {i}", G, good
+        for palette in (2, 3, 5):
+            yield f"graph {i} random {palette}", G, [rnd.randrange(palette) for _ in range(G.n)]
+        wide = list(good)
+        wide[rnd.randrange(G.n)] += 0x110000
+        yield f"graph {i} one wide colour", G, wide
+        for f in range(len(G.faces)):
+            verts = G.face_vertices(f)
+            L = len(verts)
+            kind = (L, len(set(verts)) == L)
+            if not 2 <= L <= 65 or kind in planted:
+                continue
+            planted.add(kind)
+            for start in {0, L - 1, rnd.randrange(L)}:
+                for half in {1, L // 2, rnd.randint(1, L // 2)}:
+                    bad = _planted(G, good, f, start, half)
+                    yield f"graph {i} face {f} plant {start} {half}", G, bad
+                    yield f"graph {i} face {f} wide plant {start} {half}", G, [c + 0x110000 for c in bad]
+    assert {L for L, _ in planted} == set(range(2, 66))
+    assert {L for L, simple in planted if not simple} >= {2, 3, 4, 8, 64}
+
+
+def test_screen_gives_the_unscreened_verdict_and_witness():
+    rejected = 0
+    for name, G, colours in _screen_cases():
+        want = _unscreened(G, colours)
+        assert verify_facial_nonrepetitive(G, colours) == want, name
+        rejected += want is not None
+    assert rejected > 1000
 
 
 def test_facial_path_has_no_instance_dict():

@@ -3,7 +3,8 @@
 Exit codes for ``colour``: 0 success (output verified), 2 input parse
 failure, 3 graph-class mismatch for the requested mode, 4 internal
 verification failure (a bug).  ``verify`` exits 0 when the colouring checks
-out and 1 with a counterexample otherwise.  Every command exits 2 when an
+out, 1 with a counterexample otherwise, 2 on a parse failure and 4 on an
+internal verification failure.  Every command exits 2 when an
 output file cannot be written.  Diagnostics go to stderr as JSON lines;
 results go to stdout or the requested output files.
 """
@@ -18,7 +19,7 @@ import time
 import click
 
 from thueplane import bench as bench_mod
-from thueplane import blocking, colour, embed, gen, verify
+from thueplane import colour, embed, gen, verify
 from thueplane.embed import ClassMismatchError, EmbeddingError
 
 EXIT_OK = 0
@@ -104,7 +105,7 @@ def cmd_colour(input_path, mode, output_path):
     except ClassMismatchError as exc:
         _diag(error="class-mismatch", mode=mode, detail=str(exc))
         sys.exit(EXIT_CLASS)
-    except (colour.VerificationBugError, blocking.BlockingConstructionError) as exc:
+    except RuntimeError as exc:  # VerificationBugError, BlockingConstructionError and kernel bugs
         _diag(error="internal-verification-failure", mode=mode, detail=str(exc))
         sys.exit(EXIT_INTERNAL)
     t_colour = time.perf_counter() - t0  # includes the pipeline's certificate
@@ -133,7 +134,11 @@ def cmd_verify(input_path, colouring_path):
     """Check a colouring against every facial path of the graph."""
     G, digest = _read_graph(input_path)
     col = _read_colouring(colouring_path, G.n)
-    bad = verify.verify_facial_nonrepetitive(G, col.colours)
+    try:
+        bad = verify.verify_facial_nonrepetitive(G, col.colours)
+    except RuntimeError as exc:  # the kernel named a witness that is not a square
+        _diag(error="internal-verification-failure", detail=str(exc))
+        sys.exit(EXIT_INTERNAL)
     if bad is None:
         print(json.dumps({"input_digest": digest, "ok": True}, sort_keys=True))
         sys.exit(EXIT_OK)

@@ -108,23 +108,18 @@ class EmbeddedGraph:
         self.outer_faces = frozenset(f for f in outer if f is not None)
 
     def _validate_euler(self):
-        """Euler's formula on every component with an edge: the rotation
-        system is planar.  Run by :func:`graph_from_json`."""
-        ncomp = len(self.components)
-        e_count = [0] * ncomp
-        f_count = [0] * ncomp
-        for u, _v in self.edges:
-            e_count[self.comp_of[u]] += 1
-        for walk in self.faces:
-            f_count[self.comp_of[self.origin[walk[0]]]] += 1
-        for cid, members in enumerate(self.components):
-            if e_count[cid] == 0:
-                continue
-            if len(members) - e_count[cid] + f_count[cid] != 2:
-                raise EmbeddingError(
-                    f"Euler check failed on component {cid}: "
-                    f"V={len(members)} E={e_count[cid]} F={f_count[cid]}"
-                )
+        """Euler's formula: the rotation system is planar.  Run by
+        :func:`graph_from_json`.  A connected rotation system has
+        V - E + F = 2 - 2g <= 2, with g = 0 exactly when it is planar, and a
+        vertex with no dart adds 1 to V alone, so one count over the whole
+        graph checks every component at once."""
+        isolated = sum(1 for rot in self.rotations if not rot)
+        V, E, F = self.n, len(self.edges), len(self.faces)
+        if V - E + F != 2 * len(self.components) - isolated:
+            raise EmbeddingError(
+                f"Euler check failed: V={V} E={E} F={F} over {len(self.components)} components, "
+                f"{isolated} of them isolated vertices"
+            )
 
     # -- basic queries ---------------------------------------------------
 

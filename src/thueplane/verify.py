@@ -7,7 +7,8 @@ any facial path is also a repetition inside the maximal distinct-vertex
 window containing it (and such windows are themselves facial paths), the
 checker asks the kernel once per face: a short walk that one regex search
 of its doubled colours clears is done; on any other, ``cyclic_square`` (a
-simple cycle) or ``window_square`` gives the verdict and the witness.
+simple cycle) or ``window_square`` gives the verdict and the witness.  The
+witness is checked before it is returned, whichever search named it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from thueplane.kernels import _short_walk_square_free, cyclic_square, find_square, window_square
+
+#: a witness that is not a square on a facial path is a kernel bug that must not pass silently
+_DISAGREE = "the kernel reports a repetition the search cannot find"
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +87,9 @@ def _first_square_in_face(verts, colours):
 def verify_facial_nonrepetitive(G, colours):
     """Return None when every facial path of G is nonrepetitively coloured,
     else the counterexample FacialPath that is smallest by (face id, start
-    position on the walk, half length)."""
+    position on the walk, half length).  Raises RuntimeError when the
+    kernel names a path that repeats a vertex or does not read XX: a raise,
+    not an assert, so the check holds under ``python -O`` too."""
     colours = list(colours)
     odd = [c for c in colours if type(c) is not int or c < 0]
     if len(colours) != G.n or None in odd:
@@ -100,6 +106,8 @@ def verify_facial_nonrepetitive(G, colours):
         if hit is not None:
             s, r = hit
             path = tuple(verts[(s + k) % len(verts)] for k in range(2 * r))
+            if len(set(path)) < 2 * r or [colours[v] for v in path[:r]] != [colours[v] for v in path[r:]]:
+                raise RuntimeError(_DISAGREE)
             return FacialPath(f, path, G.is_outer_face(f))
     return None
 

@@ -23,7 +23,8 @@ _MORPHISM = {0: (0, 1, 2), 1: (0, 2), 2: (1,)}
 
 def has_repetition(seq):
     """(True, (start, half_length)) when some block of seq is a repetition,
-    else (False, None)."""
+    else (False, None).  The witness is the leftmost repetition, and the
+    shortest at that start, as ``find_square`` names it."""
     seq = list(seq)
     if any(s < 0 for s in seq):
         raise ValueError("symbols must be non-negative")

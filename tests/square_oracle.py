@@ -1,8 +1,13 @@
-"""Reference oracles for square detection: the unscreened Main–Lorentz
-divide and conquer of ``kernels.find_square`` and the per-start
-counterexample scan of ``verify._first_square_in_face``, as they stood
-before the regex screen and the one-sweep search replaced them.  The tests
-require the production code to return the *identical* witness."""
+"""Reference oracles for square detection.
+
+- ``find_square`` is the unscreened Main–Lorentz divide and conquer as it
+  stood before the regex screen, which returns *some* square; the tests
+  read only its decision.
+- ``leftmost_square`` names the smallest (start, half) square of a
+  sequence, the witness ``kernels.find_square`` must return.
+- ``first_square_in_face`` and ``first_square_on_cycle`` are the per-start
+  counterexample scans of ``verify._first_square_in_face``; the tests
+  require the production code to return the *identical* witness."""
 
 import re
 
@@ -91,6 +96,21 @@ def find_square(seq, max_half=0):
     if len(s) < 2:
         return None
     return _find_square_segment(s, 0, len(s), max_half)
+
+
+def leftmost_square(seq, max_half=0):
+    """Smallest (start, half) square of ``seq``, by start and then half,
+    with half at most ``max_half`` when it is positive; None when there is
+    none.  One lazy match per start, which tries the halves 1, 2, ... in
+    order, on the symbols relabelled 0, 1, ... so that each is a character."""
+    labels = {}
+    text = "".join(chr(labels.setdefault(c, len(labels))) for c in seq)
+    n = len(text)
+    for s in range(n):
+        m = _LAZY_SQUARE.match(text, s, s + 2 * max_half if max_half > 0 else n)
+        if m is not None:
+            return s, len(m.group(1))
+    return None
 
 
 def first_square_in_face(verts, colours, L):

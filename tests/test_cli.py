@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from thueplane import embed, gen, verify
 from thueplane.cli import main
 
-from conftest import polygon, wheel
+from conftest import path_graph, polygon, wheel
 
 
 def run(args):
@@ -241,6 +241,23 @@ def test_colour_exit_4_when_the_certificate_fails(tmp_path, monkeypatch):
         verify, "verify_facial_nonrepetitive", lambda G, colours: verify.FacialPath(0, (0,), False)
     )
     r = run(["colour", "--input", g])
+    assert r.exit_code == 4
+    assert json.loads(r.stderr.strip().splitlines()[-1])["error"] == "internal-verification-failure"
+
+
+@pytest.mark.parametrize("command", ["colour", "verify"])
+def test_a_kernel_naming_a_false_square_exits_4(tmp_path, monkeypatch, command):
+    # the path's outer walk of 66 darts goes to find_square window by
+    # window, and the verifier's check of the named path raises
+    from thueplane import colour, kernels
+
+    G = path_graph(34)
+    g = write_graph(tmp_path, G)
+    c = tmp_path / "c.json"
+    c.write_text(colour.colour_outerplane(G).dumps())
+    monkeypatch.setattr(kernels, "find_square", lambda seq, max_half=0: (0, 1))
+    args = {"colour": ["colour", "--input", g], "verify": ["verify", "--input", g, "--colouring", str(c)]}
+    r = run(args[command])
     assert r.exit_code == 4
     assert json.loads(r.stderr.strip().splitlines()[-1])["error"] == "internal-verification-failure"
 

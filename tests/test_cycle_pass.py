@@ -120,8 +120,8 @@ def test_has_cyclic_repetition_matches_main_lorentz():
 
 
 def test_interleaved_search_above_the_band(monkeypatch):
-    # every word lies above a band of 32 bytes, so the pass matches one
-    # start per kernels._PACE halves as it goes
+    # every word lies above a band of 32 bytes, so find_square on the
+    # doubled word names the witness
     monkeypatch.setattr(kernels, "_BAND", 32)
     rnd = random.Random(43)
     for L, width, name, codes in WORDS:
@@ -154,13 +154,12 @@ def test_band_faces_make_no_find_square_call(monkeypatch):
         cases.append((L, G, good, bad))
     calls = _counting(monkeypatch)
     for L, G, good, bad in cases:
-        # a face of at most kernels._SHORT // 2 darts goes to find_square
-        # only when the short-face screen flags it; a band face never does
-        screened = 2 * L <= kernels._SHORT
-        in_band = not screened and L <= BAND
+        # a band face never goes to find_square, and a short face that the
+        # short-face screen flags goes to the per-half pass as well
+        in_band = L <= BAND
         del calls[:]
         assert verify.verify_facial_nonrepetitive(G, good) is None
-        assert calls == ([] if screened or in_band else [2 * L, 2 * L]), L  # both faces are the cycle
+        assert calls == ([] if in_band else [2 * L, 2 * L]), L  # both faces are the cycle
         del calls[:]
         assert verify.verify_facial_nonrepetitive(G, bad) is not None
         assert calls == ([] if in_band else [2 * L]), L
@@ -170,8 +169,7 @@ def test_band_faces_make_no_find_square_call(monkeypatch):
         assert calls == ([] if L <= BAND else [2 * L]), L
 
 
-#: colours from 2**48 on reach past kernels._CHARS ** 2, the labels the
-#: per-start match can write even two characters a label
+#: colours from 2**48 on reach far past the range of chr
 WIDE = 2**48
 
 

@@ -93,6 +93,17 @@ def test_face_partition_and_euler_over_corpus():
             G._validate_euler()
 
 
+@pytest.mark.parametrize("beside", [False, True], ids=["alone", "beside a triangle and an isolated vertex"])
+def test_build_rejects_a_rotation_system_of_genus_one(beside):
+    # two loops at one vertex whose darts interleave: V=1, E=2, F=1 is a torus
+    edges, rot = [(0, 0), (0, 0)], [[0, 2, 1, 3]]
+    if beside:
+        edges += [(1, 2), (2, 3), (3, 1)]
+        rot += [[4, 9], [5, 6], [7, 8], []]
+    with pytest.raises(EmbeddingError, match="Euler"):
+        embed.build(len(rot), edges, rot, 0)
+
+
 def test_face_tracing_deterministic():
     G = gen.generate(gen.GenSpec("outerplane", 25, 4))
     doc = embed.dumps_graph(G)

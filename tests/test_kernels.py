@@ -41,20 +41,14 @@ def test_z_array_matches_naive():
 @given(st.lists(st.integers(min_value=0, max_value=3), max_size=48), st.integers(0, 4))
 @settings(max_examples=400, deadline=None)
 def test_find_square_agrees_with_oracle(seq, max_half):
-    got = kernels.find_square(seq, max_half)
-    want = naive_square(seq, max_half)
-    assert (got is None) == (want is None)
-    if got is not None:
-        s, r = got
-        assert seq[s : s + r] == seq[s + r : s + 2 * r]
-        if max_half:
-            assert r <= max_half
+    assert kernels.find_square(seq, max_half) == naive_square(seq, max_half)
 
 
-def test_find_square_witness_matches_reference_divide_and_conquer():
-    # the kernel must return the reference divide and conquer's witness,
-    # not merely agree that a square exists
+def test_find_square_witness_is_the_leftmost_shortest_square():
+    # the kernel must name the smallest (start, half), not merely agree
+    # with the reference divide and conquer that a square exists
     from square_oracle import find_square as reference
+    from square_oracle import leftmost_square
     from thueplane.words import ternary_nonrepetitive
 
     rnd = random.Random(11)
@@ -67,8 +61,12 @@ def test_find_square_witness_matches_reference_divide_and_conquer():
             near[rnd.randrange(n)] = rnd.randrange(3)
             seqs.append(near)
     for seq in seqs:
-        for max_half in (0, 1, 3, 64):
-            assert kernels.find_square(seq, max_half) == reference(seq, max_half), (seq, max_half)
+        for max_half in (0, 1, 3, 63, 64, 65, 10**6):
+            got = kernels.find_square(seq, max_half)
+            assert got == leftmost_square(seq, max_half), (seq, max_half)
+            assert (got is None) == (reference(seq, max_half) is None), (seq, max_half)
+            if len(seq) <= 129:
+                assert got == naive_square(seq, max_half), (seq, max_half)
 
 
 def test_long_squarefree_word_is_clean():

@@ -1,9 +1,10 @@
 """Witness equality against the reference square searches.
 
-``kernels.find_square`` and ``verify._first_square_in_face`` must
-return exactly what the oracles in ``square_oracle`` return, not merely
-agree on whether a square exists: the witnesses end up in counterexamples
-and in the colourings built from them."""
+``kernels.find_square`` must name the leftmost, shortest square that
+``square_oracle.leftmost_square`` names, and agree with the reference
+divide and conquer on whether one exists.  ``verify._first_square_in_face``
+must return exactly what the counterexample oracles return.  The witnesses
+end up in counterexamples and in the colourings built from them."""
 
 import random
 
@@ -29,8 +30,9 @@ MAX_HALVES = sorted({0, 1, 2, 3, SHORT // 2 - 1, SHORT // 2, SHORT // 2 + 1, 10*
 
 def _same_witness(seq, max_half):
     got = kernels.find_square(seq, max_half)
-    want = square_oracle.find_square(seq, max_half)
+    want = square_oracle.leftmost_square(seq, max_half)
     assert got == want, (len(seq), max_half, got, want)
+    assert (square_oracle.find_square(seq, max_half) is None) == (want is None), (len(seq), max_half)
 
 
 def test_random_sequences():
@@ -144,10 +146,7 @@ def test_counterexample_search_matches_oracle(kind, sizes):
     assert simple and (repeated or kind == "plane")
 
 
-@pytest.mark.parametrize("chars", [0x110000, 3])
-def test_counterexample_search_on_hand_walks(chars, monkeypatch):
-    # with fewer characters than colours the search writes two per colour
-    monkeypatch.setattr(kernels, "_CHARS", chars)
+def test_counterexample_search_on_hand_walks():
     rnd = random.Random(13)
     walks = [
         [0, 1],

@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from thueplane import colour, embed, gen, kernels, verify
+from thueplane import colour, embed, gen, kernels, verify, words
 from thueplane.verify import exact_pi_f, facial_paths, verify_facial_nonrepetitive
 
 from conftest import path_graph, polygon
@@ -113,9 +114,9 @@ def test_counterexample_against_definitional_check():
 def test_kernel_reporting_a_false_square_raises(monkeypatch):
     # the check is a raise, not an assert, so it holds under python -O too.
     # Each face has more darts than the short-face screen reads, so
-    # find_square decides it: on the cycle once the band is shut
-    # (cyclic_square's raise), on the path's outer walk by its windows
-    # (window_square's raise)
+    # find_square names the witness: on the cycle once the band is shut,
+    # on the path's outer walk by its windows; the verifier's check of the
+    # returned path raises on both
     for G in (polygon(65), path_graph(34)):
         good = colour.colour_outerplane(G).colours
         assert verify_facial_nonrepetitive(G, good) is None
@@ -124,6 +125,49 @@ def test_kernel_reporting_a_false_square_raises(monkeypatch):
             patch.setattr(kernels, "find_square", lambda seq, max_half=0: (0, 1))
             with pytest.raises(RuntimeError, match="the kernel reports a repetition"):
                 verify_facial_nonrepetitive(G, good)
+
+
+def _path_with_a_late_square():
+    # the outer walk runs 0, 1, ..., n - 1 and back; a square-free word along
+    # the path, with a square of half 3 planted where the walk turns
+    n = 16000
+    G = path_graph(n)
+    good = list(words.ternary_nonrepetitive(n))
+    return G, good, G.face_vertices(G.outer_face), n - 7
+
+
+def _cycle_with_a_late_square():
+    L = 20000
+    G = gen.generate(gen.GenSpec("cycle", L))
+    walk = G.face_vertices(G.outer_face)
+    good = [None] * L
+    for v, c in zip(walk, words.cycle_colouring(L)):
+        good[v] = c
+    return G, good, walk, L - 10
+
+
+def _best_of_2(G, colours):
+    times = []
+    for _ in range(2):
+        t0 = time.perf_counter()
+        hit = verify_facial_nonrepetitive(G, colours)
+        times.append(time.perf_counter() - t0)
+    return min(times), hit
+
+
+@pytest.mark.parametrize("make", [_path_with_a_late_square, _cycle_with_a_late_square], ids=["path", "cycle"])
+def test_rejecting_a_late_square_costs_at_most_twice_accepting(make):
+    # the witness search must stay near-linear: a search that tries the
+    # starts before the square one by one is quadratic here
+    G, good, walk, start = make()
+    bad = list(good)
+    for t in range(3):
+        bad[walk[start + 3 + t]] = bad[walk[start + t]]
+    accept, hit = _best_of_2(G, good)
+    assert hit is None
+    reject, hit = _best_of_2(G, bad)
+    assert hit is not None and walk.index(hit.vertices[0]) >= start - 6  # the plant, or a square it made
+    assert reject <= 2 * accept, (reject, accept)
 
 
 # -- the short-face screen ---------------------------------------------------------

@@ -31,23 +31,22 @@ three functions alone choose which search runs:
 
 - ``_short_walk_square_free`` clears a walk of L <= ``_SHORT // 2`` darts if
   one search of its doubled colours finds no square of half <= L // 2.
-- ``cyclic_square`` decides a cycle of L labels of w bytes, w for its
-  largest label.  A cycle with w·L <= ``_BAND`` bytes goes to the per-half
-  pass: one XOR pass per half length over the doubled word written as
-  bytes, finished by one lazy match per start once a square is known
-  early enough.  A cycle above the band is ``find_square`` on the doubled
-  word with halves up to L // 2.  Its ``first`` mode stops the pass at the
-  first square found, a decision.
+- ``cyclic_square`` decides a cycle of L labels.  A cycle of at most
+  ``_BAND`` labels, each below 256, goes to the per-half pass: one XOR pass
+  per half length over the doubled word written as bytes, finished by one
+  lazy match per start once a square is known early enough.  Every other
+  cycle is ``find_square`` on the doubled word with halves up to L // 2.
+  Its ``first`` mode stops the pass at the first square found, a decision.
 - ``window_square`` is ``find_square`` on each maximal window, in start
   order, keeping the smallest hit.
 
-The pass costs Θ(w·L²) bytes, quadratic but capped by the band, like the
+The pass costs Θ(L²) bytes, quadratic but capped by the band, like the
 screen below ``_SHORT``.  On square-free cycles it beat ``find_square`` on
-the doubled word 2-9x up to 6,000 bytes and drew level between 12,000 and
-16,000 bytes with one- and two-byte labels, so the band is 8,192 bytes.
-The pass reads only which labels are equal, so labels wider than a byte
-are first relabelled 0, 1, ... by first occurrence; the band is decided on
-the labels as given.
+the doubled word up to 4,000 labels (31-47 against 43-53 ms), drew level at
+4,500 and lost from 5,000 on (167-177 against 109-123 ms at 8,000; best of
+5, 2-CPU VM, Python 3.11), so the band is 4,096 labels.  A label of 256 or
+more comes only from outside input (no pipeline colours with more than
+22), and ``find_square`` decides it exactly.
 """
 
 import re
@@ -170,24 +169,11 @@ def _short_walk_square_free(walk, origin, colours):
     return _SQUARE_UPTO[len(walk) // 2].search(text + text) is None
 
 
-#: widest cycle, in bytes w·L, that the per-half pass decides on its own
-_BAND = 8192
+#: longest cycle, in labels, that the per-half pass decides on its own
+_BAND = 4096
 #: the pass hands starts 0..best to the match once _FINISH * (best + 1) is
 #: at most the halves left: 16, not 4 or 8, never lost time on 350- to 20,000-cycles
 _FINISH = 16
-
-
-def _width(top):
-    return max(1, (top.bit_length() + 7) // 8)
-
-
-def _narrow(codes):
-    """``codes`` relabelled 0, 1, ... by first occurrence when a label takes
-    more than one byte, else ``codes`` as given."""
-    if max(codes) < 256:
-        return codes
-    labels = {}
-    return [labels.setdefault(c, len(labels)) for c in codes]
 
 
 def cyclic_square(codes, first=False):
@@ -198,44 +184,39 @@ def cyclic_square(codes, first=False):
     L = len(codes)
     if L < 2:
         return None
-    if L * _width(max(codes)) > _BAND:
+    if L > _BAND or max(codes) > 255:
         # a square from start L or later recurs L earlier, so the leftmost starts before L
         return find_square(codes + codes, max_half=L // 2)
-    return _cyclic_pass(_narrow(codes), first)
+    return _cyclic_pass(codes, first)
 
 
 def _cyclic_pass(codes, first):
-    """``cyclic_square`` by the per-half pass.
+    """``cyclic_square`` by the per-half pass, on labels below 256.
 
-    One pass per half h: with the doubled walk read as an int T, w bytes a
-    label, the squares of half h are the aligned runs of wh zero bytes in
-    T ^ (T >> 8wh), searched among the starts before the best so far, so
+    One pass per half h: with the doubled walk read as an int T, one byte
+    a label, the squares of half h are the runs of h zero bytes in
+    T ^ (T >> 8h), searched among the starts before the best so far, so
     ties keep the smaller half.  Once a square is known early enough, one
     lazy match per start finishes.
     """
     L = len(codes)
-    w = _width(max(codes))
-    data = bytes(codes) if w == 1 else b"".join(c.to_bytes(w, "little") for c in codes)
+    data = bytes(codes)
     D = int.from_bytes(data + data, "little")
     best, best_s = None, L
     for h in range(1, L // 2 + 1):
-        k = w * (best_s - 1 + 2 * h)
+        k = best_s - 1 + 2 * h
         T = D & ((1 << 8 * k) - 1)
-        X = (T ^ (T >> 8 * w * h)).to_bytes(k, "little")
-        zero, stop = bytes(w * h), w * (best_s - 1 + h)
-        i = X.find(zero, 0, stop)
-        while i > 0 and i % w:
-            i = X.find(zero, i - i % w + w, stop)
+        X = (T ^ (T >> 8 * h)).to_bytes(k, "little")
+        i = X.find(bytes(h), 0, best_s - 1 + h)
         if i >= 0:
-            best_s, best = i // w, (i // w, h)
+            best_s, best = i, (i, h)
             if first:
                 return best
             if _FINISH * (best_s + 1) <= L // 2 - h:
                 break
     else:
         return best
-    # narrowed labels lie below the band, so each is one character
-    text = "".join(map(chr, codes)) * 2
+    text = data.decode("latin-1") * 2
     for s in range(best_s):
         m = _FIRST_SQUARE.match(text, s, s + L)
         if m is not None:

@@ -8,7 +8,9 @@ window containing it (and such windows are themselves facial paths), the
 checker asks the kernel once per face: a short walk that one regex search
 of its doubled colours clears is done; on any other, ``cyclic_square`` (a
 simple cycle) or ``window_square`` gives the verdict and the witness.  The
-witness is checked before it is returned, whichever search named it.
+witness is checked before it is returned, whichever search named it.  A
+cycle component is searched once, on its lower-id face: its two faces read
+one cyclic word in opposite directions.
 """
 
 from __future__ import annotations
@@ -97,9 +99,10 @@ def verify_facial_nonrepetitive(G, colours):
     if odd:
         raise ValueError("colours must be non-negative integers")
 
-    origin = G.origin
+    origin, rotations = G.origin, G.rotations
+    twins = set()  # faces whose twin face has passed
     for f, walk in enumerate(G.faces):
-        if _short_walk_square_free(walk, origin, colours):
+        if f in twins or _short_walk_square_free(walk, origin, colours):
             continue
         verts = G.face_vertices(f)
         hit = _first_square_in_face(verts, colours)
@@ -109,6 +112,10 @@ def verify_facial_nonrepetitive(G, colours):
             if len(set(path)) < 2 * r or [colours[v] for v in path[:r]] != [colours[v] for v in path[r:]]:
                 raise RuntimeError(_DISAGREE)
             return FacialPath(f, path, G.is_outer_face(f))
+        # a walk whose vertices all have degree 2 takes both edges at each, so
+        # it is a cycle component, whose other face reads its word reversed
+        if all(len(rotations[v]) == 2 for v in verts):
+            twins.add(G.face_of[walk[0] ^ 1])
     return None
 
 

@@ -3,8 +3,8 @@
 ``verify_facial_nonrepetitive`` and ``words.has_cyclic_repetition`` must
 give what a ``find_square(seq + seq, max_half=L // 2)`` decision gives, and
 the verifier must name the counterexample ``square_oracle`` names.  The
-band is patched down to ``BAND`` bytes so that its edges are cheap to
-reach: ``BAND`` labels of one byte, ``BAND // 2`` of two."""
+band is patched down to ``BAND`` labels so that its edges are cheap to
+reach.  Labels of 256 or more go to ``find_square`` at any length."""
 
 import random
 
@@ -13,11 +13,12 @@ import pytest
 from thueplane import colour, gen, kernels, verify, words
 
 import square_oracle
+from conftest import decorate_multigraph, disjoint_union
 
 BAND = 600
 ONE_BYTE = (64, 65, 127, 128, 129, BAND, BAND + 1)
-#: a relabelled face takes two bytes a label from 257 distinct labels on
-TWO_BYTE = (BAND // 2, BAND // 2 + 1)
+#: in-band lengths with more than 256 distinct labels, which the pass leaves to find_square
+WIDE_LABELS = (BAND // 2, BAND // 2 + 1)
 
 
 @pytest.fixture(autouse=True)
@@ -48,9 +49,8 @@ def _one_byte_words(L, rnd):
     yield "two plants", _planted(_planted(free, L - 3, 1), L // 3, L // 5)
 
 
-def _two_byte_words(L, rnd):
-    # distinct labels whose low bytes mostly agree, so runs of zero bytes
-    # start mid-label
+def _wide_words(L, rnd):
+    # distinct labels, so square-free
     free = [rnd.randrange(4) + 256 * i for i in range(L)]
     yield "square-free", free
     yield "shuffled", rnd.sample(range(1 << 16), L)
@@ -68,8 +68,8 @@ def _words():
     for L in ONE_BYTE:
         for name, codes in _one_byte_words(L, rnd):
             yield L, 1, name, codes
-    for L in TWO_BYTE:
-        for name, codes in _two_byte_words(L, rnd):
+    for L in WIDE_LABELS:
+        for name, codes in _wide_words(L, rnd):
             assert len(set(codes)) > 256
             yield L, 2, name, codes
 
@@ -120,7 +120,7 @@ def test_has_cyclic_repetition_matches_main_lorentz():
 
 
 def test_interleaved_search_above_the_band(monkeypatch):
-    # every word lies above a band of 32 bytes, so find_square on the
+    # every word lies above a band of 32 labels, so find_square on the
     # doubled word names the witness
     monkeypatch.setattr(kernels, "_BAND", 32)
     rnd = random.Random(43)
@@ -159,14 +159,73 @@ def test_band_faces_make_no_find_square_call(monkeypatch):
         in_band = L <= BAND
         del calls[:]
         assert verify.verify_facial_nonrepetitive(G, good) is None
-        assert calls == ([] if in_band else [2 * L, 2 * L]), L  # both faces are the cycle
+        assert calls == ([] if in_band else [2 * L]), L  # the second face is the first reversed
         del calls[:]
         assert verify.verify_facial_nonrepetitive(G, bad) is not None
         assert calls == ([] if in_band else [2 * L]), L
+    for L, G, good, _ in cases[1:3]:
+        # labels of 256 or more go to find_square inside the band too
+        del calls[:]
+        assert verify.verify_facial_nonrepetitive(G, [c + 256 for c in good]) is None
+        assert calls == [2 * L], L
     for L in (64, BAND, BAND + 1):
         del calls[:]
         assert not words.has_cyclic_repetition(words.cycle_colouring(L))
         assert calls == ([] if L <= BAND else [2 * L]), L
+
+
+def _cycle_words(G):
+    """A square-free cycle word along the first face of each component that
+    passes all of its vertices, and the walks of those faces."""
+    colours = [None] * G.n
+    walks = []
+    for comp in G.components:
+        verts = next(w for w in map(G.face_vertices, range(len(G.faces))) if sorted(w) == list(comp))
+        for v, c in zip(verts, words.cycle_colouring(len(verts))):
+            colours[v] = c
+        walks.append(verts)
+    return colours, walks
+
+
+def _plant(colours, walk, start, half):
+    out = list(colours)
+    for t in range(half):
+        out[walk[(start + half + t) % len(walk)]] = out[walk[(start + t) % len(walk)]]
+    return out
+
+
+@pytest.mark.parametrize("a, b", [(65, 90), (BAND + 1, BAND + 40)])
+def test_two_cycle_components_give_the_reference_witness(monkeypatch, a, b):
+    G = disjoint_union(gen.generate(gen.GenSpec("cycle", a)), gen.generate(gen.GenSpec("cycle", b)))
+    good, walks = _cycle_words(G)
+    colourings = [good]
+    for walk in walks:  # a square in each component in turn
+        for start, half in ((0, 1), (3, 2), (len(walk) // 2, 9), (len(walk) - 1, len(walk) // 2)):
+            colourings.append(_plant(good, walk, start, half))
+    rejected = 0
+    for colours in colourings:
+        want = _reference(G, colours)
+        assert verify.verify_facial_nonrepetitive(G, colours) == want
+        rejected += want is not None
+    assert rejected == len(colourings) - 1
+    calls = _counting(monkeypatch)
+    assert verify.verify_facial_nonrepetitive(G, good) is None
+    # one search per component above the band
+    assert calls == ([] if b <= BAND else [2 * a, 2 * b])
+
+
+def test_a_cycle_with_a_doubled_edge_gives_the_reference_witness(monkeypatch):
+    L = BAND + 1
+    G = decorate_multigraph(gen.generate(gen.GenSpec("cycle", L)), seed=5, parallels=1, loops=0)
+    assert len(G.faces) == 3
+    good, (walk,) = _cycle_words(G)
+    for start, half in ((0, 0), (0, 1), (5, 3), (L // 2, L // 2)):
+        colours = _plant(good, walk, start, half)
+        assert verify.verify_facial_nonrepetitive(G, colours) == _reference(G, colours)
+    calls = _counting(monkeypatch)
+    assert verify.verify_facial_nonrepetitive(G, good) is None
+    # two vertices of degree 3: the long faces are not a cycle component's, each is searched
+    assert calls == [2 * L, 2 * L]
 
 
 #: colours from 2**48 on reach far past the range of chr
@@ -185,7 +244,7 @@ def _two_cycles(a, b):
 @pytest.mark.parametrize(
     "G",
     [
-        gen.generate(gen.GenSpec("cycle", 80)),  # 80 seven-byte labels fit the band
+        gen.generate(gen.GenSpec("cycle", 80)),  # in the band by length, not by label
         gen.generate(gen.GenSpec("cycle", 120)),  # 120 do not
         _two_cycles(40, 41),
     ],

@@ -285,16 +285,21 @@ def colour_outerplane_single_block(G):
 # -- plane graphs -------------------------------------------------------------
 
 
-def peeling_layering(G):
-    """Layer index per vertex: layer 0 holds the outer-face vertices, layer
-    i the outer-face vertices once layers below are removed.
+def _peel(G):
+    """The peeling layering of G as lists: the layer of each vertex and the
+    level of each face.
 
     One breadth-first search over the vertex-face incidence graph (Baker,
     J. ACM 1994), from the outer face of every component: a vertex first
     met on a level-k face is in layer k, and a face first met at a layer-k
-    vertex has level k + 1.  Vertices without darts are in layer 0."""
+    vertex has level k + 1.  Vertices without darts are in layer 0.
+
+    A face's level - 1 is the lowest layer on its walk (-1 if outer), and no
+    vertex on the walk is above its level: a layer-j vertex puts every face
+    around it at level <= j + 1, a face gets level k + 1 at a layer-k vertex,
+    and a level-k face puts every vertex on it still unplaced in layer k."""
     origin, face_of, faces, rotations = G.origin, G.face_of, G.faces, G.rotations
-    layer = [-1] * G.n
+    layer = [-1 if r else 0 for r in rotations]
     level = [-1] * len(faces)
     queue = sorted(G.outer_faces)
     for f in queue:
@@ -311,33 +316,45 @@ def peeling_layering(G):
                 if level[g] == -1:
                     level[g] = k + 1
                     queue.append(g)
-    return PeelingLayering(tuple(0 if i == -1 else i for i in layer))
+    return layer, level
 
 
-def _augmentation(G, layer):
-    """The corners of the edges ``augment_plus`` adds to G, and per face the
-    lowest layer on its walk (-1 if outer).  Each inner face, in id order,
-    joins its cyclically consecutive occurrences of that layer: the edge
-    from the corner just before walk dart a to the one just before walk
-    dart b has corners (a, b) and joins the origins of a and b."""
-    origin, outer_faces = G.origin, G.outer_faces
+def peeling_layering(G):
+    """Layer index per vertex: layer 0 holds the outer-face vertices, layer
+    i the outer-face vertices once layers below are removed (``_peel``)."""
+    return PeelingLayering(tuple(_peel(G)[0]))
+
+
+def _augmentation(G, layer, level, chords):
+    """The corners of the edges ``augment_plus`` adds to G.  Each inner
+    face f, in id order, joins the cyclically consecutive occurrences on its
+    walk of its lowest layer, level[f] - 1 (``_peel``): the edge from the
+    corner just before walk dart a to the one just before walk dart b has
+    corners (a, b) and joins the origins of a and b.  With ``chords``, only
+    the corners that can add an edge to the layers graph: a corner joining
+    the two ends of the walk edge a >> 1 or b >> 1, as one between walk
+    neighbours does, doubles an edge of G, and a face of fewer than 4 darts
+    has no other kind."""
+    origin = G.origin
     corners = []
-    floor = []
     for f, walk in enumerate(G.faces):
-        if f in outer_faces:
-            floor.append(-1)
+        k = level[f] - 1
+        if k < 0 or (chords and len(walk) < 4):
             continue
-        ls = [layer[origin[d]] for d in walk]
-        lmin = min(ls)
-        floor.append(lmin)
-        if max(ls) > lmin + 1:
-            raise VerificationBugError("inner face spans more than two peeling layers")
-        occ = [i for i, x in enumerate(ls) if x == lmin]
-        for p, q in zip(occ, occ[1:] + occ[:1]):
-            a, b = walk[p], walk[q]
-            if origin[a] != origin[b]:
-                corners.append((a, b))
-    return corners, floor
+        first = a = None
+        for b in walk + walk:  # round the walk, then on to its first occurrence
+            if layer[origin[b]] != k:
+                continue
+            if a is None:
+                first = b
+            else:
+                u, w = origin[a], origin[b]
+                if u != w and not (chords and (origin[a ^ 1] == w or origin[b ^ 1] == u)):
+                    corners.append((a, b))
+                if b == first:
+                    break
+            a = b
+    return corners
 
 
 def augment_plus(G):
@@ -348,27 +365,29 @@ def augment_plus(G):
     inner faces, so G's outer faces, one per component, stay outer.  The
     rotations are G's with the added darts inserted at their corners in one
     sweep, by ``embed._mapped_rotations``."""
-    corners, _floor = _augmentation(G, peeling_layering(G).layer)
+    corners = _augmentation(G, *_peel(G), False)
     edges = G.edges + tuple((G.origin[a], G.origin[b]) for a, b in corners)
     rot = embed._mapped_rotations(G, range(G.n), range(2 * len(edges)), corners)
     return embed.EmbeddedGraph(G.n, edges, rot, tuple(G.faces[f][0] for f in G.outer_faces))
 
 
-def _layers_graph(G, layer):
+def _layers_graph(G, layer, level):
     """The layers of ``augment_plus(G)`` side by side, built without G plus:
-    ``embed._same_layer_graph`` of G and its augmentation, one simple graph
-    on G's ids.  ``layer`` is G's peeling layering.  Every vertex of a layer
-    is on its outer face, so parallel edges bound an empty lens and keeping
-    the first of each is what ``embed.simplify`` would do.
+    ``embed._same_layer_graph`` of G and its augmentation's chords, one
+    simple graph on G's ids, ``layer`` and ``level`` from ``_peel(G)``.
+    Every vertex of a layer is on its outer face, so parallel edges bound
+    an empty lens and keeping the first of each, as ``embed.simplify``
+    does, leaves out every corner that doubles an edge of G.
 
     The outer darts, those that peeling the lower layers off G plus leaves
     on outer faces, are the kept darts of G whose face in G is outer or
-    holds a vertex below their layer.  G's faces suffice: each face G plus
-    cuts from an inner face keeps its lowest layer (an added edge joins two
-    vertices of it), so no added dart is one.  In a layer-i component they
-    lie on one face, as the faces below i hold none of its edges and meet
-    through lower-layer vertices, so they need no deduplication."""
-    return embed._same_layer_graph(G, layer, *_augmentation(G, layer))
+    holds a vertex below their layer: whose face's level is at most their
+    layer.  G's faces suffice: each face G plus cuts from an inner face
+    keeps its lowest layer (an added edge joins two vertices of it), so no
+    added dart is one.  In a layer-i component they lie on one face, as the
+    faces below i hold none of its edges and meet through lower-layer
+    vertices, so they need no deduplication."""
+    return embed._same_layer_graph(G, layer, _augmentation(G, layer, level, True), level)
 
 
 def colour_plane(G):
@@ -378,8 +397,8 @@ def colour_plane(G):
     One core call colours all layers side by side, as calls per layer
     would: the core works a component at a time, reading only the order of
     ids within one, and a shallower tree's word prefixes a deeper one's."""
-    layer = peeling_layering(G).layer
-    L = _layers_graph(G, layer)
+    layer, level = _peel(G)
+    L = _layers_graph(G, layer, level)
     # O(n): the blocking cores trust that their input is outerplane, so
     # without it a construction bug would surface as a lookup error deep in
     # a core, or as a colouring the verifier rejects far from its cause

@@ -19,7 +19,6 @@ graphs built by the package are not checked again.
 
 from __future__ import annotations
 
-import itertools
 import json
 
 
@@ -41,39 +40,35 @@ class EmbeddedGraph:
     def __init__(self, n, edges, rotations, outer_darts=()):
         self.n = n
         self.edges = tuple(edges)
-        self.rotations = tuple(tuple(r) for r in rotations)
+        self.rotations = rotations = tuple(map(tuple, rotations))
         self.origin = origin = [x for e in self.edges for x in e]
         m = len(origin)
 
-        # connected components (isolated vertices are their own)
+        # connected components (isolated vertices are their own), and the
+        # face-tracing map d -> rotation_next(twin(d)), in one sweep
         comp_of = [-1] * n
         comps = []
+        face_next = [0] * m
         for v0 in range(n):
             if comp_of[v0] != -1:
                 continue
             cid = len(comps)
-            stack = [v0]
+            members = [v0]
             comp_of[v0] = cid
-            members = []
-            while stack:
-                v = stack.pop()
-                members.append(v)
-                for d in self.rotations[v]:
+            for v in members:  # grows while it is read
+                rot = rotations[v]
+                prev = rot[-1] if rot else 0
+                for d in rot:
+                    face_next[prev ^ 1] = prev = d
                     w = origin[d ^ 1]
                     if comp_of[w] == -1:
                         comp_of[w] = cid
-                        stack.append(w)
+                        members.append(w)
             comps.append(tuple(sorted(members)))
         self.components = tuple(comps)
         self.comp_of = comp_of
 
-        rot_next = [0] * m
-        for rot in self.rotations:
-            prev = rot[-1] if rot else 0
-            for d in rot:
-                rot_next[prev], prev = d, d
-
-        # faces: orbits of d -> rot_next[twin(d)], numbered by smallest dart;
+        # faces: orbits of face_next, numbered by smallest dart;
         # a component's first face is its outer face unless an outer dart names another
         outer = [None] * len(comps)
         face_of = [-1] * m
@@ -81,15 +76,16 @@ class EmbeddedGraph:
         for d0 in range(m):
             if face_of[d0] != -1:
                 continue
+            fid = len(faces)
             c = comp_of[origin[d0]]
             if outer[c] is None:
-                outer[c] = len(faces)
+                outer[c] = fid
             walk = []
             d = d0
             while face_of[d] == -1:
-                face_of[d] = len(faces)
+                face_of[d] = fid
                 walk.append(d)
-                d = rot_next[d ^ 1]
+                d = face_next[d]
             if d != d0:
                 raise EmbeddingError("face tracing did not close; bad rotation system")
             faces.append(tuple(walk))
@@ -436,7 +432,7 @@ def _mapped_rotations(G, vertices, dart_map, corners):
             x = dart_map[d]
             if x != -1:
                 r.append(x)
-        rots.append(r)
+        rots.append(tuple(r))  # no list outlives the sweep to swell the full collections
     return rots
 
 
@@ -447,8 +443,8 @@ def simplify(G):
     graph any two parallel edges bound a vertex-free lens and loops carry no
     facial path, so colourings of the result lift back to G.  A simple G
     (``is_simple``) is returned as is; any other G is ``_same_layer_graph``
-    of G with one layer, every outer face at floor -1 and every inner face
-    at 0.  It is the outerplane pipelines' class check: ClassMismatchError
+    of G with one layer, every outer face at level 0 and every inner face
+    at 1.  It is the outerplane pipelines' class check: ClassMismatchError
     on any graph that is not outerplane.
     """
     if not is_outerplane(G):
@@ -457,24 +453,23 @@ def simplify(G):
         return G
     # dropping a loop or a parallel edge merges the two faces beside it, so
     # the kept darts of an outer face of G lie on one face of the result
-    floor = [-1 if f in G.outer_faces else 0 for f in range(len(G.faces))]
-    return _same_layer_graph(G, [0] * G.n, (), floor)
+    level = [0 if f in G.outer_faces else 1 for f in range(len(G.faces))]
+    return _same_layer_graph(G, [0] * G.n, (), level)
 
 
-def _same_layer_graph(G, layer, corners, floor):
+def _same_layer_graph(G, layer, corners, level):
     """G plus edges added at ``corners``, as ``_mapped_rotations`` takes
-    them, restricted to the edges whose ends share a ``layer``, in one pass
-    over the edges, G's first.  The edge added at corners (a, b) joins the
-    origins of a and b.  Loops are dropped and each endpoint pair keeps its
-    first edge.  A kept dart of G is outer when the ``floor`` of its face
-    in G lies below its layer; no added dart is."""
+    them, restricted to the edges whose ends share a ``layer``: one loop over
+    G's edges, then one over the added ones, each joining the origins of its
+    corners (a, b), two vertices of one layer.  Loops are dropped and each
+    endpoint pair keeps its first edge.  A kept dart of G is outer when the
+    ``level`` of its face in G is at most its layer; no added dart is."""
     n, m, origin, face_of = G.n, len(G.edges), G.origin, G.face_of
     edges = []
     outer = []
     dart_map = [-1] * (2 * (m + len(corners)))
     pairs = set()  # endpoint pairs u < w with an edge, as u * n + w
-    added = ((origin[a], origin[b]) for a, b in corners)
-    for e, (u, w) in enumerate(itertools.chain(G.edges, added)):
+    for e, (u, w) in enumerate(G.edges):
         i = layer[u]
         if u != w and layer[w] == i:
             key = u * n + w if u < w else w * n + u
@@ -484,8 +479,19 @@ def _same_layer_graph(G, layer, corners, floor):
                 dart_map[2 * e] = d
                 dart_map[2 * e + 1] = d + 1
                 edges.append((u, w))
-                if e < m:
-                    outer += [d + s for s in (0, 1) if floor[face_of[2 * e + s]] < i]
+                if level[face_of[2 * e]] <= i:
+                    outer.append(d)
+                if level[face_of[2 * e + 1]] <= i:
+                    outer.append(d + 1)
+    for e, (a, b) in enumerate(corners, m):
+        u, w = origin[a], origin[b]
+        key = u * n + w if u < w else w * n + u
+        if key not in pairs:
+            pairs.add(key)
+            d = 2 * len(edges)
+            dart_map[2 * e] = d
+            dart_map[2 * e + 1] = d + 1
+            edges.append((u, w))
     del pairs  # the build below is the peak
     rot = _mapped_rotations(G, range(n), dart_map, corners)
     return EmbeddedGraph(n, edges, rot, tuple(outer))

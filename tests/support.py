@@ -7,7 +7,7 @@ generator that is the oracle for the face-splitting one, embedding surgery
 (the dart of an edge at a vertex, restriction to a vertex and edge subset
 with one outer dart per component, the simplification built on it that is
 the oracle for ``embed.simplify``, induced subgraphs, ears, edge
-contraction, in-face edge insertion) and
+contraction, in-face edge insertion, relabelled and mirrored copies) and
 the weak dual, the per-layer graphs of an augmented plane graph, the
 alternating-block decomposition of the outerplane proof, levelling
 predicates, the palindrome check, every path of a tree, the brute-force
@@ -166,6 +166,33 @@ def _dedup_outer(edges, rotations, outer_darts):
     for d in sorted(set(outer_darts)):
         best.setdefault(find(edges[d >> 1][d & 1]), d)
     return tuple(sorted(best.values()))
+
+
+def transform(G, rng, mirror):
+    """A copy of G drawn the same way under new names: the vertices
+    relabelled, the edges reordered and each reversed at random, every
+    rotation started at a random dart and, with ``mirror``, every rotation
+    reversed (the mirror image).  The outer darts are carried along; in the
+    mirror image a face is traced through the twins of its darts, in
+    reverse, so an outer dart d carries over as the image of its twin."""
+    vert = list(range(G.n))
+    rng.shuffle(vert)
+    order = list(range(len(G.edges)))
+    rng.shuffle(order)
+    dart = [0] * (2 * len(G.edges))
+    edges = [None] * len(G.edges)
+    for e, (u, w) in enumerate(G.edges):
+        flip = rng.randrange(2)
+        dart[2 * e] = 2 * order[e] + flip
+        dart[2 * e + 1] = 2 * order[e] + 1 - flip
+        edges[order[e]] = (vert[w], vert[u]) if flip else (vert[u], vert[w])
+    rot = [None] * G.n
+    for v, r in enumerate(G.rotations):
+        k = rng.randrange(len(r)) if r else 0
+        r = [dart[d] for d in r[k:] + r[:k]]
+        rot[vert[v]] = r[::-1] if mirror else r
+    outer = tuple(dart[d ^ 1] if mirror else dart[d] for d in G.canonical_outer_darts())
+    return EmbeddedGraph(G.n, edges, rot, outer)
 
 
 def _restrict(G, verts, edge_ids):

@@ -88,7 +88,7 @@ def test_blocking_sets_golden_digest():
     graphs.append(gen.generate(gen.GenSpec("flower", 2620, 0)))
     for kind in ("nested", "plane"):
         G = gen.generate(gen.GenSpec(kind, 300, 0))
-        graphs.append(colour._layers_graph(G, colour.peeling_layering(G).layer))
+        graphs.append(colour._layers_graph(G, *colour._peel(G)))
     h = hashlib.sha256()
     for G in graphs:
         h.update(json.dumps(sorted(blocking._even_blocking_over_blocks(G))).encode() + b"\n")
@@ -136,7 +136,7 @@ def test_internal_builders_pass_the_boundary_check():
         _passes_boundary(H)
         for _ids, layer_graph in layer_graphs(H, layer):
             _passes_boundary(layer_graph)
-        _passes_boundary(colour._layers_graph(G, layer))
+        _passes_boundary(colour._layers_graph(G, *colour._peel(G)))
         if not embed.is_outerplane(G):
             continue
         Gs = embed.simplify(G)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 from thueplane import blocking, colour, embed, gen, verify
 
@@ -16,7 +17,7 @@ from conftest import (
     wheel,
 )
 from peel_oracle import peel
-from support import _restrict, layer_graphs
+from support import _restrict, layer_graphs, transform
 
 
 def plane_corpus():
@@ -87,22 +88,73 @@ def test_augmentation_keeps_the_layering_and_layer_colourings_verify():
             assert verify.verify_facial_nonrepetitive(lg, vals) is None
 
 
-def test_layers_graph_is_the_layer_graphs_of_g_plus():
-    # colour_plane colours one layers graph built straight from G; split per
-    # layer it must be the layer graphs of G+, key for key
+def _layer_corpus(ks):
+    """The plane corpus, its rerooted copies, multigraph copies of every
+    seventh graph, K_{2,k} for each k in ``ks`` and the hexagon with its
+    inner star."""
     corpus = plane_corpus()
     graphs = corpus + [rerooted(G) for G in corpus if G.inner_faces()]
     graphs += [
         decorate_multigraph(G, seed=i, parallels=3, loops=2) for i, G in enumerate(corpus[::7])
     ]
-    graphs += [k2k(k) for k in (1, 2, 3, 4, 9, 40)] + [hexagon_with_inner_star()]
-    for G in graphs:
-        layer = colour.peeling_layering(G).layer
-        L = colour._layers_graph(G, layer)
-        want = layer_graphs(colour.augment_plus(G), layer)
-        edge_ids = [[] for _ in want]
-        for e, (u, _w) in enumerate(L.edges):
-            edge_ids[layer[u]].append(e)
-        for (ids, lg), es in zip(want, edge_ids):
-            sub, _local = _restrict(L, ids, es)
-            assert _graph_key(sub) == _graph_key(lg)
+    graphs += [k2k(k) for k in ks]
+    return graphs + [hexagon_with_inner_star()]
+
+
+def _assert_layers_graph_is_the_layer_graphs_of_g_plus(G):
+    layer, level = colour._peel(G)
+    L = colour._layers_graph(G, layer, level)
+    want = layer_graphs(colour.augment_plus(G), layer)
+    edge_ids = [[] for _ in want]
+    for e, (u, _w) in enumerate(L.edges):
+        edge_ids[layer[u]].append(e)
+    for (ids, lg), es in zip(want, edge_ids):
+        sub, _local = _restrict(L, ids, es)
+        assert _graph_key(sub) == _graph_key(lg)
+
+
+def test_layers_graph_is_the_layer_graphs_of_g_plus():
+    # colour_plane colours one layers graph built straight from G; split per
+    # layer it must be the layer graphs of G+, key for key
+    for G in _layer_corpus((1, 2, 3, 4, 9, 40)):
+        _assert_layers_graph_is_the_layer_graphs_of_g_plus(G)
+
+
+def test_face_levels_are_the_floors_and_the_layers_graph_omits_only_doubled_edges():
+    # the invariants that stand in for a run-time check: a face's level - 1
+    # is the lowest layer on its walk (-1 if outer) and no vertex on the
+    # walk is above its level; and every corner of G plus that the layers
+    # graph is not given joins the two ends of an edge of its own face walk
+    for G in _layer_corpus(range(1, 41)):
+        layer, level = colour._peel(G)
+        for f, walk in enumerate(G.faces):
+            ls = [layer[G.origin[d]] for d in walk]
+            assert level[f] - 1 == (-1 if f in G.outer_faces else min(ls))
+            assert max(ls) <= level[f]
+        every = colour._augmentation(G, layer, level, False)
+        assert len(colour.augment_plus(G).edges) == len(G.edges) + len(every)
+        chords = colour._augmentation(G, layer, level, True)
+        kept = set(chords)
+        assert kept <= set(every)
+        for a, b in (c for c in every if c not in kept):
+            f = G.face_of[a]
+            assert G.face_of[b] == f
+            ends = {G.origin[a], G.origin[b]}
+            assert any({G.origin[d], G.origin[d ^ 1]} == ends for d in G.faces[f])
+
+
+def test_relabelled_and_mirrored_copies_of_the_plane_corpus():
+    # metamorphic: a copy under new vertex and edge names, with the edges
+    # reversed at random, the rotations started elsewhere and, in one copy
+    # of two, mirrored, is the same drawing; it peels into layers of the
+    # same sizes, colour_plane certifies it within 22 colours, and its
+    # layers graph is the layer graphs of its G plus
+    for i, G in enumerate(plane_corpus()):
+        for mirror in (False, True):
+            H = transform(G, random.Random(i), mirror)
+            assert embed.dumps_graph(embed.graph_from_json(embed.graph_to_json(H))) == embed.dumps_graph(H)
+            assert sorted(colour.peeling_layering(H).layer) == sorted(colour.peeling_layering(G).layer)
+            colours = colour.colour_plane(H).colours
+            assert max(colours, default=0) <= 22
+            assert verify.verify_facial_nonrepetitive(H, colours) is None
+            _assert_layers_graph_is_the_layer_graphs_of_g_plus(H)

@@ -105,13 +105,6 @@ def _checked(G, colours, palette_max):
 # -- even cacti ---------------------------------------------------------------
 
 
-def _colour_cycle_component(G, cid, colours):
-    W = embed.outer_walk(G, cid)
-    word = cycle_colouring(len(W))
-    for i, x in enumerate(W):
-        colours[x] = word[i] + 1
-
-
 def _auxiliary_runs(W, H):
     """The auxiliary graph on the deepest-vertex set H, read off the outer
     walk W as runs of H, one (order, word) per component; its members are
@@ -164,7 +157,9 @@ def _colour_cactus_component(G, comp, cid, comp_faces, colours):
     degs = {x: G.degree(x) for x in comp}
 
     if all(d == 2 for d in degs.values()):
-        _colour_cycle_component(G, cid, colours)
+        W = embed.outer_walk(G, cid)
+        for x, c in zip(W, cycle_colouring(len(W))):
+            colours[x] = c + 1
         return set(), {}
 
     # root: a degree-1 vertex if any, else a vertex of degree >= 3
@@ -371,34 +366,29 @@ def augment_plus(G):
     return embed.EmbeddedGraph(G.n, edges, rot, tuple(G.faces[f][0] for f in G.outer_faces))
 
 
-def _layers_graph(G, layer, level):
-    """The layers of ``augment_plus(G)`` side by side, built without G plus:
-    ``embed._same_layer_graph`` of G and its augmentation's chords, one
-    simple graph on G's ids, ``layer`` and ``level`` from ``_peel(G)``.
-    Every vertex of a layer is on its outer face, so parallel edges bound
-    an empty lens and keeping the first of each, as ``embed.simplify``
-    does, leaves out every corner that doubles an edge of G.
-
-    The outer darts, those that peeling the lower layers off G plus leaves
-    on outer faces, are the kept darts of G whose face in G is outer or
-    holds a vertex below their layer: whose face's level is at most their
-    layer.  G's faces suffice: each face G plus cuts from an inner face
-    keeps its lowest layer (an added edge joins two vertices of it), so no
-    added dart is one.  In a layer-i component they lie on one face, as the
-    faces below i hold none of its edges and meet through lower-layer
-    vertices, so they need no deduplication."""
-    return embed._same_layer_graph(G, layer, _augmentation(G, layer, level, True), level)
-
-
 def colour_plane(G):
     """Facially nonrepetitive colouring of any plane graph with at most 22
     colours: augment, split into peeling layers, colour each layer's
     outerplane graph with {1..11} on even layers and {12..22} on odd ones.
     One core call colours all layers side by side, as calls per layer
     would: the core works a component at a time, reading only the order of
-    ids within one, and a shallower tree's word prefixes a deeper one's."""
+    ids within one, and a shallower tree's word prefixes a deeper one's.
+
+    The layers graph is the layers of ``augment_plus(G)`` side by side,
+    built without G plus: ``embed._same_layer_graph`` of G and its
+    augmentation's chords, one simple graph on G's ids.  Every vertex of a
+    layer is on its outer face, so parallel edges bound an empty lens and
+    keeping the first of each, as ``embed.simplify`` does, leaves out every
+    corner that doubles an edge of G.  The outer darts, those that peeling
+    the lower layers off G plus leaves on outer faces, are the kept darts of
+    G whose face in G is outer or holds a vertex below their layer: whose
+    face's level is at most their layer.  G's faces suffice: each face G
+    plus cuts from an inner face keeps its lowest layer (an added edge joins
+    two vertices of it), so no added dart is one.  In a layer-i component
+    they lie on one face, as the faces below i hold none of its edges and
+    meet through lower-layer vertices, so they need no deduplication."""
     layer, level = _peel(G)
-    L = _layers_graph(G, layer, level)
+    L = embed._same_layer_graph(G, layer, _augmentation(G, layer, level, True), level)
     # O(n): the blocking cores trust that their input is outerplane, so
     # without it a construction bug would surface as a lookup error deep in
     # a core, or as a colouring the verifier rejects far from its cause

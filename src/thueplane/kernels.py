@@ -6,8 +6,10 @@ the same witness: the smallest square by start, then by half.
 ``find_square`` finds it in O(n log n) by divide and conquer (Main &
 Lorentz, J. Algorithms 1984).  A segment's answer is the smaller of the
 left half's answer and the smallest square crossing the midpoint, found
-with Z-arrays in both orientations; the right half is searched only when
-both are empty, so a square-free input costs what a decision costs.
+with Z-arrays in both orientations (``_crossing_squares``, which also
+checks the two cuts of a candidate cycle word in ``words``); the right half
+is searched only when both are empty, so a square-free input costs what a
+decision costs.
 
 Short segments are decided in C.  The sequence is written once as a
 string, one character per symbol, and a segment of at most ``_SHORT``
@@ -36,7 +38,6 @@ three functions alone choose which search runs:
   per half length over the doubled word written as bytes, finished by one
   lazy match per start once a square is known early enough.  Every other
   cycle is ``find_square`` on the doubled word with halves up to L // 2.
-  Its ``first`` mode stops the pass at the first square found, a decision.
 - ``window_square`` is ``find_square`` on each maximal window, in start
   order, keeping the smallest hit.
 
@@ -119,6 +120,19 @@ def _crossing_centres(s, lo, mid, hi, max_half):
     return out
 
 
+def _crossing_squares(s, lo, mid, hi, max_half):
+    """(start, half) of the leftmost square of each half, in each
+    orientation, among the squares of s[lo:hi] that hold both s[mid - 1]
+    and s[mid]: the Main-Lorentz crossing step.  Empty when none crosses
+    mid; ``max_half`` bounds the half as in ``find_square``."""
+    hits = [(lo + first - l, l) for l, first, _ in _crossing_centres(s, lo, mid, hi, max_half)]
+    # squares whose centre lies right of mid: search the reversal
+    seg = s[lo:hi]
+    seg.reverse()
+    hits += [(hi - last - l, l) for l, _, last in _crossing_centres(seg, 0, hi - mid, hi - lo, max_half)]
+    return hits
+
+
 def _find_square_segment(s, lo, hi, max_half, text=None, screen=None):
     if hi - lo < 2:
         return None
@@ -127,11 +141,7 @@ def _find_square_segment(s, lo, hi, max_half, text=None, screen=None):
         return None if m is None else (m.start(), len(_FIRST_SQUARE.match(text, m.start(), hi).group(1)))
     mid = (lo + hi) // 2
     left = _find_square_segment(s, lo, mid, max_half, text, screen)
-    hits = [(lo + first - l, l) for l, first, _ in _crossing_centres(s, lo, mid, hi, max_half)]
-    # squares whose centre lies right of mid: search the reversal
-    seg = s[lo:hi]
-    seg.reverse()
-    hits += [(hi - last - l, l) for l, _, last in _crossing_centres(seg, 0, hi - mid, hi - lo, max_half)]
+    hits = _crossing_squares(s, lo, mid, hi, max_half)
     if left is not None:
         hits.append(left)
     # every square left of mid or across it starts before any right of mid
@@ -176,21 +186,21 @@ _BAND = 4096
 _FINISH = 16
 
 
-def cyclic_square(codes, first=False):
+def cyclic_square(codes):
     """(start, half) of a square on the cycle ``codes``, a list of
-    non-negative ints: the smallest by start and then half, or with
-    ``first`` the first one the pass finds; None when every arc is
-    square-free.  Which search runs is the rule in the module docstring."""
+    non-negative ints: the smallest by start and then half; None when every
+    arc is square-free.  Which search runs is the rule in the module
+    docstring."""
     L = len(codes)
     if L < 2:
         return None
     if L > _BAND or max(codes) > 255:
         # a square from start L or later recurs L earlier, so the leftmost starts before L
         return find_square(codes + codes, max_half=L // 2)
-    return _cyclic_pass(codes, first)
+    return _cyclic_pass(codes)
 
 
-def _cyclic_pass(codes, first):
+def _cyclic_pass(codes):
     """``cyclic_square`` by the per-half pass, on labels below 256.
 
     One pass per half h: with the doubled walk read as an int T, one byte
@@ -210,8 +220,6 @@ def _cyclic_pass(codes, first):
         i = X.find(bytes(h), 0, best_s - 1 + h)
         if i >= 0:
             best_s, best = i, (i, h)
-            if first:
-                return best
             if _FINISH * (best_s + 1) <= L // 2 - h:
                 break
     else:

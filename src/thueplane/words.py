@@ -9,11 +9,8 @@ reversed.
 
 from __future__ import annotations
 
-import math
-from functools import lru_cache
-
 from thueplane import embed
-from thueplane.kernels import cyclic_square, find_square
+from thueplane.kernels import _crossing_squares, find_square
 
 #: Cycle lengths whose nonrepetitive chromatic number is 4 rather than 3.
 EXCEPTIONAL_CYCLE_LENGTHS = frozenset({5, 7, 9, 10, 14, 17})
@@ -60,18 +57,73 @@ def palindrome_free_nonrepetitive(n):
     return tuple(out[:n])
 
 
-def has_cyclic_repetition(seq):
-    """True when some contiguous cyclic arc of length <= len(seq) contains a
-    repetition (arcs are the paths of a cycle graph), by the first mode of
-    ``kernels.cyclic_square``."""
-    return cyclic_square(list(seq), first=True) is not None
-
-
-def cycle_alphabet_size(n):
-    return 4 if n in EXCEPTIONAL_CYCLE_LENGTHS else 3
-
-
-_EXACT_CYCLE_LIMIT = 64
+#: ``cycle_colouring(n)`` for n = 3..64 at index n - 3: the lexicographically
+#: least cyclically square-free word over the minimum alphabet.  The tests
+#: rebuild each one by exhaustive search (``support.exact_cycle_word``).
+_CYCLE_WORDS = (
+    "012",
+    "0102",
+    "01023",
+    "010212",
+    "0102013",
+    "01021012",
+    "010201203",
+    "0102010313",
+    "01020120212",
+    "010201210212",
+    "0102012021012",
+    "01020103010213",
+    "010201210120212",
+    "0102012102010212",
+    "01020103010201213",
+    "010201202101210212",
+    "0102012021020121012",
+    "01020120210201021012",
+    "010210120210201210212",
+    "0102012021012102010212",
+    "01020120210121020120212",
+    "010201202101210201021012",
+    "0102012021012010201210212",
+    "01020120210120102101210212",
+    "010201202101201021201210212",
+    "0102012021012010201210120212",
+    "01020120210120102012102010212",
+    "010201202101201021012102010212",
+    "0102012021012010210121020120212",
+    "01020120210120102012021201210212",
+    "010201202101201021012021020120212",
+    "0102012021012010210120210201021012",
+    "01020120210120102012021201210120212",
+    "010201202101201020120212010201210212",
+    "0102012021012010201202120102101210212",
+    "01020120210120102012101201021201210212",
+    "010201202101201020120212010201210120212",
+    "0102012021012010201202120102012102010212",
+    "01020120210120102012021201021012102010212",
+    "010201202101201020120212010210121020120212",
+    "0102012021012010201202120102101202102010212",
+    "01020120210120102012021201021012010201210212",
+    "010201202101201020120212010210120210201210212",
+    "0102012021012010201202120102012101202101210212",
+    "01020120210120102012021201020121012010210120212",
+    "010201202101201020120212010201210120102101210212",
+    "0102012021012010201202120102012101201021201210212",
+    "01020120210120102012021201020121012021012102010212",
+    "010201202101201020120212010201210120102120210120212",
+    "0102012021012010201202120102012101201021012102010212",
+    "01020120210120102012021201020121012010201202101210212",
+    "010201202101201020120212010201210120102012021201210212",
+    "0102012021012010201202120102012101201020120210201210212",
+    "01020120210120102012021201020121012010210120210201210212",
+    "010201202101201020120212010201210120102012021012102010212",
+    "0102012021012010201202120102012101201020120210121020120212",
+    "01020120210120102012021201020121012010201202102010210120212",
+    "010201202101201020120212010201210120102012021012010201210212",
+    "0102012021012010201202120102012101201020120210120102101210212",
+    "01020120210120102012021201020121012010201202101201021201210212",
+    "010201202101201020120212010201210120102012021012010201210120212",
+    "0102012021012010201202120102012101201020120210120102012102010212",
+)
 
 
 def _suffix_square(word, i, max_half):
@@ -82,28 +134,35 @@ def _suffix_square(word, i, max_half):
     return False
 
 
-def _closed_word(word, fixed, k, max_half, budget):
-    """First cyclic nonrepetitive word found by re-choosing ``word[fixed:]``
-    (in place) depth first, symbols 0..k-1 in increasing order: a prefix
-    ending in a square of half at most ``max_half`` is cut, and a full word
-    is accepted when ``has_cyclic_repetition`` finds no square.  None when
-    the search is exhausted or ``budget`` + 1 full words failed (``math.inf``:
-    no budget)."""
+def _closed_word(word, fixed):
+    """First cyclic nonrepetitive word found by re-choosing the tail
+    ``word[fixed:]`` of t symbols (in place) depth first, symbols 0, 1, 2 in
+    increasing order; ``word[:fixed]`` must be square-free.  None when the
+    search is exhausted or 201 full words failed.
+
+    A partial word ending in a square of half at most 2t is cut.  A full
+    word of n symbols is accepted when no square of half at most n // 2
+    crosses either of its cuts, ``fixed`` in the word and the seam n in the
+    doubled word, by the Main-Lorentz crossing step.  A square of the cycle
+    that crosses neither lies in the square-free prefix or in the tail, and
+    one in the tail, of half at most t / 2, was cut where it ends."""
     n = len(word)
+    budget = 200
     choice = [0]  # the symbol tried at positions fixed, fixed + 1, ...
     while choice:
         i = fixed + len(choice) - 1
-        if choice[-1] == k:
+        if choice[-1] == 3:
             choice.pop()
             if choice:
                 choice[-1] += 1
             continue
         word[i] = choice[-1]
-        if not _suffix_square(word, i, max_half):
+        if not _suffix_square(word, i, 2 * (n - fixed)):
             if i + 1 < n:
                 choice.append(0)
                 continue
-            if not has_cyclic_repetition(word):
+            seam = _crossing_squares(word + word, 0, n, 2 * n, n // 2)
+            if not (seam or _crossing_squares(word, 0, fixed, n, n // 2)):
                 return tuple(word)
             budget -= 1
             if budget < 0:
@@ -112,23 +171,22 @@ def _closed_word(word, fixed, k, max_half, budget):
     return None
 
 
-@lru_cache(maxsize=None)
 def cycle_colouring(n):
     """Cyclic sequence of length n over the minimum alphabet (3 symbols, or
     4 for the exceptional lengths) in which every arc of length <= n is
-    nonrepetitive, by ``_closed_word``.  Small lengths get the
-    lexicographically least word; large ones keep a square-free prefix and
-    re-choose a tail of t symbols, 200 failed candidates allowed per t."""
+    nonrepetitive.  Lengths up to 64 read ``_CYCLE_WORDS``; longer ones keep
+    a prefix of ``ternary_nonrepetitive`` and re-choose a tail of t = 16,
+    24, 32 or 48 symbols by ``_closed_word``."""
     if n < 3:
         raise ValueError("cycles have at least 3 vertices")
-    k = cycle_alphabet_size(n)
-    exact = n <= _EXACT_CYCLE_LIMIT  # one tail, the whole word, no budget
+    if n - 3 < len(_CYCLE_WORDS):
+        return tuple(map(int, _CYCLE_WORDS[n - 3]))
     base = ternary_nonrepetitive(n)
-    for t in (n,) if exact else (16, 24, 32, 48):
-        word = _closed_word(list(base), n - t, k, 2 * t, math.inf if exact else 200)
+    for t in (16, 24, 32, 48):
+        word = _closed_word(list(base), n - t)
         if word is not None:
             return word
-    raise RuntimeError(f"no cyclic nonrepetitive word of length {n} over {k} symbols found")
+    raise RuntimeError(f"no cyclic nonrepetitive word of length {n} over 3 symbols found")
 
 
 # -- tree colouring -----------------------------------------------------------

@@ -14,9 +14,10 @@ predicates, the palindrome check, every path of a tree, the brute-force
 facial-path oracle, the good-size blocking set
 built on copies, and blocking-graph predicates and parsing."""
 
+import re
 from dataclasses import dataclass
 
-from thueplane import embed
+from thueplane import colour, embed
 from thueplane.blocking import (
     BlockingConstructionError,
     BlockingGraph,
@@ -35,6 +36,7 @@ from thueplane.embed import (
     is_outerplane,
 )
 from thueplane.gen import _Builder, _rng
+from thueplane.kernels import cyclic_square
 from thueplane.verify import _canonical
 from thueplane.words import EXCEPTIONAL_CYCLE_LENGTHS, cycle_colouring, ternary_nonrepetitive
 
@@ -585,6 +587,13 @@ def gen_plane_rebuild(spec, rng=None):
 # -- colour --------------------------------------------------------------------
 
 
+def layers_graph(G):
+    """The one graph of all peeling layers that ``colour_plane`` colours,
+    built as ``colour_plane`` builds it."""
+    layer, level = colour._peel(G)
+    return embed._same_layer_graph(G, layer, colour._augmentation(G, layer, level, True), level)
+
+
 def layer_graphs(G, layer):
     """Per layer i of ``layer`` (a peeling layering of G), the sorted vertex
     ids of layer i and the simple embedded graph they induce, built in one
@@ -664,6 +673,43 @@ def interleave_check_decomposition(P, B):
 
 
 # -- words ---------------------------------------------------------------------
+
+
+_SQUARE_AT_START = re.compile(r"(.+)\1")
+
+
+def has_cyclic_repetition(seq):
+    """True when some contiguous cyclic arc of length <= len(seq) contains a
+    repetition (arcs are the paths of a cycle graph), by
+    ``kernels.cyclic_square``."""
+    return cyclic_square(list(seq)) is not None
+
+
+def cycle_alphabet_size(n):
+    return 4 if n in EXCEPTIONAL_CYCLE_LENGTHS else 3
+
+
+def exact_cycle_word(n):
+    """The lexicographically least word of length n over
+    ``cycle_alphabet_size(n)`` symbols with no square on any arc of the
+    cycle: depth first over every position, a partial word ending in a
+    square is cut and a full word is accepted when
+    ``has_cyclic_repetition`` finds none.  Exponential in practice; the
+    oracle for the table ``words.cycle_colouring`` reads up to n = 64."""
+    symbols = "0123"[: cycle_alphabet_size(n)]
+
+    def extend(rev):  # the partial word, reversed: its squares at the end start rev
+        if len(rev) == n:
+            word = tuple(map(int, reversed(rev)))
+            return None if has_cyclic_repetition(word) else word
+        for c in symbols:
+            if not _SQUARE_AT_START.match(c + rev):
+                word = extend(c + rev)
+                if word is not None:
+                    return word
+        return None
+
+    return extend("")
 
 
 def adjacency(G):

@@ -93,7 +93,7 @@ def test_criterion_5_cycle_table():
         ok = ok and got == want
     for n in range(3, 21):
         w = words.cycle_colouring(n)
-        ok = ok and not words.has_cyclic_repetition(w)
+        ok = ok and not support.has_cyclic_repetition(w)
         ok = ok and len(set(w)) <= (4 if n in words.EXCEPTIONAL_CYCLE_LENGTHS else 3)
     dt = time.time() - t0
     _report(

@@ -1,6 +1,6 @@
 """Verdicts and witnesses on simple cycles around the per-half pass's band.
 
-``verify_facial_nonrepetitive`` and ``words.has_cyclic_repetition`` must
+``verify_facial_nonrepetitive`` and ``support.has_cyclic_repetition`` must
 give what a ``find_square(seq + seq, max_half=L // 2)`` decision gives, and
 the verifier must name the counterexample ``square_oracle`` names.  The
 band is patched down to ``BAND`` labels so that its edges are cheap to
@@ -14,6 +14,7 @@ from thueplane import colour, gen, kernels, verify, words
 
 import square_oracle
 from conftest import decorate_multigraph, disjoint_union
+from support import has_cyclic_repetition
 
 BAND = 600
 ONE_BYTE = (64, 65, 127, 128, 129, BAND, BAND + 1)
@@ -116,7 +117,7 @@ def test_has_cyclic_repetition_matches_main_lorentz():
         variants = [codes] if width == 2 else [codes, [c + 256 for c in codes]]
         for seq in variants:
             want = kernels.find_square(seq + seq, max_half=L // 2) is not None
-            assert words.has_cyclic_repetition(seq) == want, (L, width, name)
+            assert has_cyclic_repetition(seq) == want, (L, width, name)
 
 
 def test_interleaved_search_above_the_band(monkeypatch):
@@ -170,7 +171,7 @@ def test_band_faces_make_no_find_square_call(monkeypatch):
         assert calls == [2 * L], L
     for L in (64, BAND, BAND + 1):
         del calls[:]
-        assert not words.has_cyclic_repetition(words.cycle_colouring(L))
+        assert not has_cyclic_repetition(words.cycle_colouring(L))
         assert calls == ([] if L <= BAND else [2 * L]), L
 
 

@@ -10,7 +10,14 @@ from thueplane import blocking, colour, embed, gen
 from thueplane.embed import ClassMismatchError
 
 from conftest import decorate_multigraph, hexagon_with_inner_star
-from support import _restrict, block_edges, induced_embedded_subgraph, layer_graphs, simplify_by_restriction
+from support import (
+    _restrict,
+    block_edges,
+    induced_embedded_subgraph,
+    layer_graphs,
+    layers_graph,
+    simplify_by_restriction,
+)
 from test_blocking import biconnected_corpus
 
 PIPELINES = (
@@ -88,7 +95,7 @@ def test_blocking_sets_golden_digest():
     graphs.append(gen.generate(gen.GenSpec("flower", 2620, 0)))
     for kind in ("nested", "plane"):
         G = gen.generate(gen.GenSpec(kind, 300, 0))
-        graphs.append(colour._layers_graph(G, *colour._peel(G)))
+        graphs.append(layers_graph(G))
     h = hashlib.sha256()
     for G in graphs:
         h.update(json.dumps(sorted(blocking._even_blocking_over_blocks(G))).encode() + b"\n")
@@ -136,7 +143,7 @@ def test_internal_builders_pass_the_boundary_check():
         _passes_boundary(H)
         for _ids, layer_graph in layer_graphs(H, layer):
             _passes_boundary(layer_graph)
-        _passes_boundary(colour._layers_graph(G, *colour._peel(G)))
+        _passes_boundary(layers_graph(G))
         if not embed.is_outerplane(G):
             continue
         Gs = embed.simplify(G)

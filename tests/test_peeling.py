@@ -17,7 +17,7 @@ from conftest import (
     wheel,
 )
 from peel_oracle import peel
-from support import _restrict, layer_graphs, transform
+from support import _restrict, layer_graphs, layers_graph, transform
 
 
 def plane_corpus():
@@ -102,8 +102,8 @@ def _layer_corpus(ks):
 
 
 def _assert_layers_graph_is_the_layer_graphs_of_g_plus(G):
-    layer, level = colour._peel(G)
-    L = colour._layers_graph(G, layer, level)
+    layer = colour._peel(G)[0]
+    L = layers_graph(G)
     want = layer_graphs(colour.augment_plus(G), layer)
     edge_ids = [[] for _ in want]
     for e, (u, _w) in enumerate(L.edges):

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thueplane import embed, gen, words
+from thueplane import embed, gen, kernels, words
 from thueplane.words import (
     EXCEPTIONAL_CYCLE_LENGTHS,
-    cycle_alphabet_size,
     cycle_colouring,
-    has_cyclic_repetition,
     has_repetition,
     palindrome_free_nonrepetitive,
     ternary_nonrepetitive,
@@ -18,7 +16,16 @@ from thueplane.words import (
 )
 
 from conftest import disjoint_union, path_graph, polygon, single_vertex
-from support import adjacency, all_tree_paths, is_palindrome_free, level_pattern, levelling_ok
+from support import (
+    adjacency,
+    all_tree_paths,
+    cycle_alphabet_size,
+    exact_cycle_word,
+    has_cyclic_repetition,
+    is_palindrome_free,
+    level_pattern,
+    levelling_ok,
+)
 
 
 def naive_repetitive(seq):
@@ -179,6 +186,58 @@ def test_cycle_colouring_rejects_small():
         cycle_colouring(2)
 
 
+#: the exact searches up to this length take under 1 s in all
+EXACT_FAST = 58
+
+
+def test_cycle_word_table_is_the_exact_search():
+    assert len(words._CYCLE_WORDS) == 62  # n = 3..64
+    for n in range(3, EXACT_FAST + 1):
+        assert cycle_colouring(n) == exact_cycle_word(n), n
+
+
+@pytest.mark.slow
+def test_cycle_word_table_is_the_exact_search_above_58():
+    for n in range(EXACT_FAST + 1, 65):
+        assert cycle_colouring(n) == exact_cycle_word(n), n
+
+
+def test_two_cut_verdicts_match_the_full_cyclic_check(monkeypatch):
+    # _closed_word judges a full candidate at the seam, then, when the seam
+    # holds no square, at the tail's left end; each verdict must be the
+    # whole cycle's
+    judged = []  # [candidate, the cut that found a square or None]
+    real = words._crossing_squares
+
+    def recorded(s, lo, mid, hi, max_half):
+        hits = real(s, lo, mid, hi, max_half)
+        if len(s) == 2 * mid:
+            judged.append([tuple(s[:mid]), "seam" if hits else None])
+        else:
+            assert judged[-1] == [tuple(s), None]
+            judged[-1][1] = "tail" if hits else None
+        return hits
+
+    monkeypatch.setattr(words, "_crossing_squares", recorded)
+    for n in range(65, 701):
+        word = cycle_colouring(n)
+        assert judged[-1] == [word, None]  # the candidate accepted
+    for word, cut in judged:
+        assert has_cyclic_repetition(word) == (cut is not None), (len(word), cut)
+    cuts = [cut for _word, cut in judged]
+    assert cuts.count("seam") > 1000 and cuts.count("tail") > 10
+
+
+def test_long_cycle_words_make_no_square_search(monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("the two-cut test needs no square search")
+
+    for owner, name in ((kernels, "find_square"), (kernels, "cyclic_square"), (words, "find_square")):
+        monkeypatch.setattr(owner, name, search)
+    w = cycle_colouring(20000)
+    assert len(w) == 20000 and set(w) == {0, 1, 2}
+
+
 # -- levellings -----------------------------------------------------------------
 
 
@@ -301,26 +360,37 @@ def test_cycle_colouring_golden_digest():
     assert h.hexdigest() == CYCLE_COLOURING_DIGEST
 
 
+def _judged(monkeypatch, failures):
+    """Make the two-cut test find a square in the first ``failures`` full
+    candidates and none after; the candidates judged, in order."""
+    judged = []
+
+    def crossing(s, lo, mid, hi, max_half):
+        if len(s) == 2 * mid:  # the seam, judged first
+            judged.append(tuple(s[:mid]))
+        return [(0, 1)] if len(judged) <= failures else []
+
+    monkeypatch.setattr(words, "_crossing_squares", crossing)
+    return judged
+
+
 def test_closed_word_budget_ends_the_search(monkeypatch):
-    # the first full candidate of length 6 over {0, 1, 2}, 010201, wraps
-    # round to a square, so a budget of 0 ends the search there
-    calls = []
-
-    def counted(seq):
-        calls.append(tuple(seq))
-        return has_cyclic_repetition(seq)
-
-    monkeypatch.setattr(words, "has_cyclic_repetition", counted)
-    assert words._closed_word([0] * 6, 0, 3, 6, 0) is None
-    assert calls == [(0, 1, 0, 2, 0, 1)]
-    assert words._closed_word([0] * 6, 0, 3, 6, math.inf) == cycle_colouring(6)
+    # a tail of 24 symbols on 65 has more than 201 full candidates: 200 may
+    # fail, and the 201st failure ends the search
+    base = ternary_nonrepetitive(65)
+    judged = _judged(monkeypatch, 200)
+    assert words._closed_word(list(base), 65 - 24) == judged[-1]
+    assert len(judged) == 201
+    judged = _judged(monkeypatch, 201)
+    assert words._closed_word(list(base), 65 - 24) is None
+    assert len(judged) == 201
 
 
-@pytest.mark.parametrize("n", [8, 65])
+@pytest.mark.parametrize("n", [65])
 def test_cycle_colouring_raises_when_every_search_fails(monkeypatch, n):
-    # n = 8 exhausts the full search, n = 65 the budget of every seam tail;
-    # last in the file, as it empties the cache the tests above fill
-    monkeypatch.setattr(words, "has_cyclic_repetition", lambda seq: True)
-    cycle_colouring.cache_clear()
+    # the tail of 16 runs out after 76 full candidates; the tails of 24, 32
+    # and 48 each end at the budget
+    judged = _judged(monkeypatch, math.inf)
     with pytest.raises(RuntimeError):
         cycle_colouring(n)
+    assert len(judged) == 76 + 3 * 201

@@ -52,7 +52,7 @@ def run_bench(sizes, kind="outerplane", seed=0, repeat=1):
         rows.append(
             {
                 "n": n,
-                "edges": len(G.edges),
+                "edges": len(G.origin) >> 1,
                 "gen_seconds": round(t_gen, 6),
                 "colour_verify_seconds": round(best, 6),
                 "colours_used": colours_used,

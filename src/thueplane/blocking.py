@@ -67,11 +67,11 @@ def validate_blocking_set(G, B):
         # the block's edges: the non-loop edges of its inner faces
         bedges = {d >> 1 for f in faces for d in G.faces[f] if origin[d] != origin[d ^ 1]}
         rest_set = set(rest)
-        inside = [e for e in bedges if G.edges[e][0] in rest_set and G.edges[e][1] in rest_set]
+        inside = [e for e in bedges if origin[2 * e] in rest_set and origin[2 * e + 1] in rest_set]
         # connectivity over the block's surviving edges
         adj = {x: [] for x in rest}
         for e in inside:
-            a, b = G.edges[e]
+            a, b = origin[2 * e], origin[2 * e + 1]
             adj[a].append(b)
             adj[b].append(a)
         seen = {rest[0]}
@@ -93,8 +93,7 @@ def validate_blocking_set(G, B):
             violations.append(f"inner face {f} fully covered")
 
     for e in embed._chords(G):
-        u, v = G.edges[e]
-        if u in B and v in B:
+        if origin[2 * e] in B and origin[2 * e + 1] in B:
             violations.append(f"both endpoints of chord {e} in B")
     for f in G.inner_faces():
         cyc = G.face_vertices(f)
@@ -138,6 +137,11 @@ def _host(G):
     return _Host(G, cycles, dual)
 
 
+def _has_end(origin, e, v):
+    """True when v is an end of edge e."""
+    return origin[2 * e] == v or origin[2 * e + 1] == v
+
+
 def _one_per_face(H, faces, seg, v, include):
     """``blocking_set_biconnected`` on the block of H with inner faces
     ``faces``; exclusion reads v's neighbours off ``seg``, the darts of the
@@ -152,7 +156,7 @@ def _one_per_face(H, faces, seg, v, include):
 
     if len(faces) == 1:
         return frozenset({v})
-    cycles, dual, edges = H.cycles, H.dual, H.graph.edges
+    cycles, dual, origin = H.cycles, H.dual, H.graph.origin
 
     # a leaf is valid when v is off it or on its live chord
     alive_deg = {}
@@ -160,7 +164,7 @@ def _one_per_face(H, faces, seg, v, include):
     for f in faces:
         nbs = dual[f]
         alive_deg[f] = len(nbs)
-        if len(nbs) == 1 and (v not in cycles[f] or v in edges[nbs[0][0]]):
+        if len(nbs) == 1 and (v not in cycles[f] or _has_end(origin, nbs[0][0], v)):
             heap.append(f)
     heapq.heapify(heap)
     peels = []  # (chord, face) in peeling order
@@ -176,12 +180,12 @@ def _one_per_face(H, faces, seg, v, include):
         alive_deg[g] -= 1
         if alive_deg[g] == 1 and remaining > 2:
             c, _h = _live_chord(dual[g], alive_deg)
-            if v not in cycles[g] or v in edges[c]:
+            if v not in cycles[g] or _has_end(origin, c, v):
                 heapq.heappush(heap, g)
 
     B = {v}
     for e, f in reversed(peels):
-        u, w = edges[e]
+        u, w = origin[2 * e], origin[2 * e + 1]
         if u not in B and w not in B:
             B.add(min(x for x in cycles[f] if x != u and x != w))
     return frozenset(B)
@@ -221,7 +225,7 @@ def _beside_b_vertex(H, f, B, e, why):
     if len(hits) != 1:
         raise BlockingConstructionError(f"face {f} carries {len(hits)} B-vertices; expected exactly one")
     (x,) = hits
-    u, w = H.graph.edges[e]
+    u, w = H.graph.origin[2 * e], H.graph.origin[2 * e + 1]
     cands = [y for y in _face_neighbours_of(H.cycles[f], x) if y != u and y != w]
     if not cands:
         raise BlockingConstructionError(why)
@@ -238,7 +242,7 @@ def _evenize(H, faces, B1, ref, root_face, ab_edge=None):
     the edge variant ``ab_edge`` is the outer edge ab, and the ears used by
     the first two cases may not carry it: ab lies on ``root_face`` alone.
     B1's vertex is looked up only on the faces read."""
-    cycles, dual, edges = H.cycles, H.dual, H.graph.edges
+    cycles, dual, origin = H.cycles, H.dual, H.graph.origin
 
     if len(faces) == 1:
         # a polygon block: its outer cycle is its one face
@@ -255,7 +259,7 @@ def _evenize(H, faces, B1, ref, root_face, ab_edge=None):
             continue
         e, _g = dual[f][0]
         if ab_edge is None:
-            if ref in cyc and ref not in edges[e]:
+            if ref in cyc and not _has_end(origin, e, ref):
                 continue
         elif f == root_face:
             continue
@@ -267,7 +271,7 @@ def _evenize(H, faces, B1, ref, root_face, ab_edge=None):
         if len(cyc) != 3:
             continue
         e, _g = dual[f][0]
-        u, w = edges[e]
+        u, w = origin[2 * e], origin[2 * e + 1]
         if u not in B1 and w not in B1:
             continue
         (t,) = tuple(x for x in cyc if x != u and x != w)
@@ -302,7 +306,7 @@ def _evenize(H, faces, B1, ref, root_face, ab_edge=None):
             chords_of_F = {c for c, _g in dual[F]}
             cand_edges = [
                 e for e in (d >> 1 for d in H.graph.faces[F])
-                if ref in edges[e] and 1 + len(dual[F]) - (e in chords_of_F) >= 2
+                if _has_end(origin, e, ref) and 1 + len(dual[F]) - (e in chords_of_F) >= 2
             ]
             if not cand_edges:
                 raise BlockingConstructionError("no usable edge at the root face")
@@ -448,13 +452,14 @@ def _good_size(G, faces):
     end b in and its larger end a out.  Sizes 10 and 14 then also take b's
     other neighbour on f."""
     H = _host(G)
-    cycles, dual, edges = H.cycles, H.dual, H.graph.edges
+    cycles, dual, origin = H.cycles, H.dual, G.origin
     if len(faces) == 1:
-        return frozenset(edges[min(H.graph.faces[faces[0]]) // 2])
+        d = min(G.faces[faces[0]])
+        return frozenset((origin[d], origin[d ^ 1]))
 
     f = min(g for g in faces if len(dual[g]) == 1)
     ((chord, g),) = dual[f]
-    a, b = sorted(edges[chord], reverse=True)
+    a, b = sorted(origin[2 * chord : 2 * chord + 2], reverse=True)
     dual[g].remove((chord, f))  # H is this call's own: drop the ear in place
     rest = [h for h in faces if h != f]
     B = set(_even_one_per_face_edge(H, rest, a, b, chord, g))
@@ -500,7 +505,7 @@ def _blocking_graph(G, B, simple):
     hosts = sorted(B)
     local = {x: i for i, x in enumerate(hosts)}
     k, origin = len(hosts), G.origin
-    edges = []
+    ends = []  # the blocking graph's origin list
     corners = []
     outer = []
     pairs = set()  # endpoint pairs u < w with an edge, as u * k + w
@@ -509,7 +514,7 @@ def _blocking_graph(G, B, simple):
         if f is None:
             continue
         walk = [d for d in G.faces[f] if origin[d] in B]
-        first = len(edges)
+        first = len(ends)
         for a, b in zip(walk, walk[1:] + walk[:1]):
             u, w = local[origin[a]], local[origin[b]]
             if simple:
@@ -517,10 +522,11 @@ def _blocking_graph(G, B, simple):
                 if u == w or key in pairs:
                     continue
                 pairs.add(key)
-            edges.append((u, w))
+            ends.append(u)
+            ends.append(w)
             corners.append((a, b))
-        if len(edges) > first:
-            outer.append(2 * first)
-    dart_map = [-1] * (2 * len(G.edges)) + list(range(2 * len(edges)))
+        if len(ends) > first:
+            outer.append(first)
+    dart_map = [-1] * len(origin) + list(range(len(ends)))
     rot = embed._mapped_rotations(G, hosts, dart_map, corners)
-    return BlockingGraph(embed.EmbeddedGraph(k, edges, rot, tuple(outer)), tuple(hosts))
+    return BlockingGraph(embed.EmbeddedGraph(k, ends, rot, tuple(outer)), tuple(hosts))

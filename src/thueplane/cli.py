@@ -116,7 +116,7 @@ def cmd_colour(input_path, mode, output_path):
         "input_digest": digest,
         "mode": mode,
         "n": G.n,
-        "edges": len(G.edges),
+        "edges": len(G.origin) >> 1,
         "colours_used": result.distinct_colours(),
         "palette_max": result.palette_max,
         "verified": result.verified,
@@ -242,7 +242,7 @@ def _svg_layout(G):
 def _write_svg(G, colours, path):
     pos = _svg_layout(G)
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="500" height="500">']
-    for u, v in G.edges:
+    for u, v in zip(G.origin[::2], G.origin[1::2]):
         if u == v:
             continue
         x1, y1 = pos[u]
@@ -265,7 +265,7 @@ def _write_dot(G, colours, path):
         fill = _PALETTE[(colours[v] - 1) % len(_PALETTE)] if colours else "#cccccc"
         label = f"{v}" + (f" c{colours[v]}" if colours else "")
         lines.append(f'  {v} [label="{label}", fillcolor="{fill}"];')
-    for u, v in G.edges:
+    for u, v in zip(G.origin[::2], G.origin[1::2]):
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     _write(path, "\n".join(lines) + "\n")

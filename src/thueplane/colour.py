@@ -361,9 +361,9 @@ def augment_plus(G):
     rotations are G's with the added darts inserted at their corners in one
     sweep, by ``embed._mapped_rotations``."""
     corners = _augmentation(G, *_peel(G), False)
-    edges = G.edges + tuple((G.origin[a], G.origin[b]) for a, b in corners)
-    rot = embed._mapped_rotations(G, range(G.n), range(2 * len(edges)), corners)
-    return embed.EmbeddedGraph(G.n, edges, rot, tuple(G.faces[f][0] for f in G.outer_faces))
+    origin = G.origin + [G.origin[d] for corner in corners for d in corner]
+    rot = embed._mapped_rotations(G, range(G.n), range(len(origin)), corners)
+    return embed.EmbeddedGraph(G.n, origin, rot, tuple(G.faces[f][0] for f in G.outer_faces))
 
 
 def colour_plane(G):

@@ -1,10 +1,11 @@
 """Plane multigraphs as rotation systems.
 
-A graph is stored as a list of edges plus, per vertex, the counterclockwise
-cyclic order of its incident darts (directed half-edges).  Dart 2*i is edge i
-oriented u->v, dart 2*i+1 is its twin.  Faces are the orbits of the
-face-tracing map d -> rotation_next(twin(d)); with counterclockwise
-rotations every face is traced with its region to the right of each dart.
+A graph is stored as one list of dart origins plus, per vertex, the
+counterclockwise cyclic order of its incident darts (directed half-edges).
+Dart 2*i is edge i from ``origin[2*i]`` to ``origin[2*i+1]``, dart 2*i+1 its
+twin.  Faces are the orbits of the face-tracing map d -> rotation_next(twin(d));
+with counterclockwise rotations every face is traced with its region to the
+right of each dart.
 
 Loops and parallel edges are allowed.  The outer face is a designation, not
 a geometric computation: one face per dart-bearing connected component is
@@ -31,17 +32,17 @@ class ClassMismatchError(ValueError):
 
 
 class EmbeddedGraph:
-    """Immutable embedded multigraph.  The constructor does no validation:
-    ``edges`` must be integer pairs and ``rotations`` a valid rotation system
-    on them.  It raises only what stops it building (an outer dart out of
-    range, conflicting outer darts, a face walk that does not close).
-    Outside input goes through :func:`graph_from_json` or :func:`build`."""
+    """Immutable embedded multigraph.  The constructor does no validation
+    and keeps ``origin``, the list of dart origins, as given; ``rotations``
+    must be a valid rotation system on its darts.  It raises only what stops
+    it building (an outer dart out of range, conflicting outer darts, a face
+    walk that does not close).  Outside input goes through
+    :func:`graph_from_json` or :func:`build`."""
 
-    def __init__(self, n, edges, rotations, outer_darts=()):
+    def __init__(self, n, origin, rotations, outer_darts=()):
         self.n = n
-        self.edges = tuple(edges)
+        self.origin = origin
         self.rotations = rotations = tuple(map(tuple, rotations))
-        self.origin = origin = [x for e in self.edges for x in e]
         m = len(origin)
 
         # connected components (isolated vertices are their own), and the
@@ -110,7 +111,7 @@ class EmbeddedGraph:
         vertex with no dart adds 1 to V alone, so one count over the whole
         graph checks every component at once."""
         isolated = sum(1 for rot in self.rotations if not rot)
-        V, E, F = self.n, len(self.edges), len(self.faces)
+        V, E, F = self.n, len(self.origin) >> 1, len(self.faces)
         if V - E + F != 2 * len(self.components) - isolated:
             raise EmbeddingError(
                 f"Euler check failed: V={V} E={E} F={F} over {len(self.components)} components, "
@@ -142,18 +143,15 @@ class EmbeddedGraph:
         return tuple(sorted(self.faces[f][0] for f in self.outer_faces))
 
     def __repr__(self):
-        return f"EmbeddedGraph(n={self.n}, edges={len(self.edges)}, faces={len(self.faces)})"
+        return f"EmbeddedGraph(n={self.n}, edges={len(self.origin) >> 1}, faces={len(self.faces)})"
 
 
 def build(vertex_count, edge_list, rotations, outer_dart=None):
-    """Checked construction from Python values.  ``rotations`` gives, per
-    vertex, the ccw cyclic order of incident darts; ``outer_dart`` designates
-    the outer face of its component (components not containing it fall back
-    to the face of their smallest dart) and is required when there are
-    edges.  The arguments are checked exactly as :func:`graph_from_json`
-    checks a document."""
-    if edge_list and (outer_dart is None or outer_dart == -1):
-        raise EmbeddingError("a graph with edges needs an outer_dart designation")
+    """:func:`graph_from_json` of the document of these values, with
+    ``outer_dart`` -1 when None.  ``rotations`` gives, per vertex, the ccw
+    cyclic order of incident darts; ``outer_dart`` designates the outer face
+    of its component (components not containing it fall back to the face of
+    their smallest dart) and is required when there are edges."""
     od = -1 if outer_dart is None else outer_dart
     doc = {"n": vertex_count, "edges": edge_list, "rotations": rotations, "outer_dart": od}
     return graph_from_json(doc)
@@ -163,10 +161,10 @@ def build(vertex_count, edge_list, rotations, outer_dart=None):
 
 
 def graph_to_json(G):
-    outer = G.canonical_outer_darts()
+    outer, origin = G.canonical_outer_darts(), G.origin
     doc = {
         "n": G.n,
-        "edges": [list(e) for e in G.edges],
+        "edges": [[u, v] for u, v in zip(origin[::2], origin[1::2])],
         "rotations": [list(r) for r in G.rotations],
         "outer_dart": outer[0] if outer else -1,
     }
@@ -178,11 +176,12 @@ def graph_to_json(G):
 def graph_from_json(doc):
     """Graph from its JSON document; the one place outside input is
     checked.  One loop over ``edges`` checks that each is a pair of plain
-    integers, both vertices, and one loop over ``rotations`` that each is a
-    list of plain integer darts, every dart listed once, at its origin.  The
-    outer darts, plain integers, are checked while constructing (face
-    tracing needs a valid rotation system), Euler's formula after.  Any
-    failure raises EmbeddingError, never a silently coerced graph."""
+    integers, both vertices, and appends it to ``origin``, the graph's own
+    list; one loop over ``rotations`` that each is a list of plain integer
+    darts, every dart listed once, at its ``origin``.  Edges need an outer
+    dart; the outer darts, plain integers, are checked while constructing
+    (face tracing needs a valid rotation system), Euler's formula after.
+    Any failure raises EmbeddingError, never a silently coerced graph."""
     if not isinstance(doc, dict):
         raise EmbeddingError("malformed graph document: not a JSON object")
     try:
@@ -193,7 +192,7 @@ def graph_from_json(doc):
         raise EmbeddingError(f"malformed graph document: n {n!r} is not a non-negative integer")
     if not isinstance(edges, (list, tuple)):
         raise EmbeddingError("malformed graph document: edges is not a list")
-    pairs = []
+    origin = []
     for e in edges:
         # type(x) is int: a JSON integer, not a bool, float or string
         if not (isinstance(e, (list, tuple)) and len(e) == 2 and type(e[0]) is type(e[1]) is int):
@@ -201,10 +200,10 @@ def graph_from_json(doc):
         u, v = e
         if not (0 <= u < n and 0 <= v < n):
             raise EmbeddingError(f"edge endpoint out of range: ({u}, {v})")
-        pairs.append((u, v))
+        origin += e
     if not isinstance(rotations, (list, tuple)) or len(rotations) != n:
         raise EmbeddingError(f"malformed graph document: rotations is not a list of {n} rotations")
-    m = 2 * len(pairs)
+    m = len(origin)
     seen = [False] * m
     for v, rot in enumerate(rotations):
         if not isinstance(rot, (list, tuple)):
@@ -215,8 +214,8 @@ def graph_from_json(doc):
             if seen[d]:
                 raise EmbeddingError(f"dart {d} listed twice")
             seen[d] = True
-            if pairs[d >> 1][d & 1] != v:
-                raise EmbeddingError(f"dart {d} listed at vertex {v}, but its origin is {pairs[d >> 1][d & 1]}")
+            if origin[d] != v:
+                raise EmbeddingError(f"dart {d} listed at vertex {v}, but its origin is {origin[d]}")
     if not all(seen):
         raise EmbeddingError("some dart missing from the rotations")
     outer = doc.get("outer_darts")
@@ -227,7 +226,9 @@ def graph_from_json(doc):
         outer = [od] if od >= 0 else []
     elif not (isinstance(outer, (list, tuple)) and all(type(d) is int for d in outer)):
         raise EmbeddingError("malformed graph document: outer_darts is not a list of integer darts")
-    G = EmbeddedGraph(n, pairs, rotations, tuple(outer))
+    if m and not outer:
+        raise EmbeddingError("a graph with edges needs an outer_dart designation")
+    G = EmbeddedGraph(n, origin, rotations, tuple(outer))
     G._validate_euler()
     return G
 
@@ -270,18 +271,17 @@ def outer_walk(G, component=0):
 def _chords(G):
     """Edge ids, ascending, not incident to an outer face, of a graph its
     caller has checked to be outerplane: its chords."""
-    out = []
-    for e in range(len(G.edges)):
-        if not G.is_outer_face(G.face_of[2 * e]) and not G.is_outer_face(G.face_of[2 * e + 1]):
-            out.append(e)
-    return out
+    outer, face_of = G.outer_faces, G.face_of
+    return [e for e in range(len(face_of) >> 1)
+            if face_of[2 * e] not in outer and face_of[2 * e + 1] not in outer]
 
 
 def is_simple(G):
     """True iff G has no loop and no parallel edges: one scan over the edge
     keys u * n + w, u < w, which a loop never enters."""
-    n = G.n
-    return len({u * n + w if u < w else w * n + u for u, w in G.edges if u != w}) == len(G.edges)
+    n, origin = G.n, G.origin
+    keys = {u * n + w if u < w else w * n + u for u, w in zip(origin[::2], origin[1::2]) if u != w}
+    return len(keys) == len(origin) >> 1
 
 
 def _require_simple_outerplane(G):
@@ -364,7 +364,7 @@ def bridges(G):
     """Edge ids, ascending, whose removal disconnects their component.  On
     any plane graph these are the edges with one face on both sides."""
     face_of = G.face_of
-    return [e for e in range(len(G.edges)) if face_of[2 * e] == face_of[2 * e + 1]]
+    return [e for e in range(len(face_of) >> 1) if face_of[2 * e] == face_of[2 * e + 1]]
 
 
 def _levels(G, roots, inside):
@@ -413,13 +413,13 @@ def _union_find(n, pairs):
 def _mapped_rotations(G, vertices, dart_map, corners):
     """The rotations of ``vertices``, in order: G's plus added edges, in
     one sweep mapped through ``dart_map`` (-1 drops a dart).  Added edge j
-    has darts 2(m + j) and 2(m + j) + 1 at its corners ``corners[j]``,
-    m = len(G.edges); a corner's kept darts go just before its anchor dart,
+    has darts m + 2j and m + 2j + 1, m = len(G.origin), at its corners
+    ``corners[j]``; a corner's kept darts go just before its anchor dart,
     the incoming one first."""
-    m, rotations = len(G.edges), G.rotations
-    before = [()] * (2 * m)  # anchor dart -> the mapped darts inserted before it
+    m, rotations = len(G.origin), G.rotations
+    before = [()] * m  # anchor dart -> the mapped darts inserted before it
     for j, (a, b) in enumerate(corners):
-        out, inc = dart_map[2 * (m + j)], dart_map[2 * (m + j) + 1]
+        out, inc = dart_map[m + 2 * j], dart_map[m + 2 * j + 1]
         if out != -1:
             before[a] += (out,)
         if inc != -1:
@@ -460,38 +460,33 @@ def simplify(G):
 def _same_layer_graph(G, layer, corners, level):
     """G plus edges added at ``corners``, as ``_mapped_rotations`` takes
     them, restricted to the edges whose ends share a ``layer``: one loop over
-    G's edges, then one over the added ones, each joining the origins of its
-    corners (a, b), two vertices of one layer.  Loops are dropped and each
-    endpoint pair keeps its first edge.  A kept dart of G is outer when the
-    ``level`` of its face in G is at most its layer; no added dart is."""
-    n, m, origin, face_of = G.n, len(G.edges), G.origin, G.face_of
-    edges = []
+    the ends of G's edges and then of the added ones, each joining the
+    origins of its corners (a, b), two vertices of one layer.  Loops are
+    dropped and each endpoint pair keeps its first edge.  A kept dart of G
+    is outer when the ``level`` of its face in G is at most its layer; no
+    added dart is."""
+    n, origin, face_of = G.n, G.origin, G.face_of
+    ends = origin + [origin[d] for corner in corners for d in corner]
+    kept = []  # the result's origin list
     outer = []
-    dart_map = [-1] * (2 * (m + len(corners)))
+    dart_map = [-1] * len(ends)
     pairs = set()  # endpoint pairs u < w with an edge, as u * n + w
-    for e, (u, w) in enumerate(G.edges):
+    for e, (u, w) in enumerate(zip(ends[::2], ends[1::2])):
         i = layer[u]
         if u != w and layer[w] == i:
             key = u * n + w if u < w else w * n + u
             if key not in pairs:
                 pairs.add(key)
-                d = 2 * len(edges)
+                d = len(kept)
                 dart_map[2 * e] = d
                 dart_map[2 * e + 1] = d + 1
-                edges.append((u, w))
-                if level[face_of[2 * e]] <= i:
-                    outer.append(d)
-                if level[face_of[2 * e + 1]] <= i:
-                    outer.append(d + 1)
-    for e, (a, b) in enumerate(corners, m):
-        u, w = origin[a], origin[b]
-        key = u * n + w if u < w else w * n + u
-        if key not in pairs:
-            pairs.add(key)
-            d = 2 * len(edges)
-            dart_map[2 * e] = d
-            dart_map[2 * e + 1] = d + 1
-            edges.append((u, w))
-    del pairs  # the build below is the peak
+                kept.append(u)
+                kept.append(w)
+                if 2 * e < len(face_of):  # an edge of G
+                    if level[face_of[2 * e]] <= i:
+                        outer.append(d)
+                    if level[face_of[2 * e + 1]] <= i:
+                        outer.append(d + 1)
+    del pairs, ends  # the build below is the peak
     rot = _mapped_rotations(G, range(n), dart_map, corners)
-    return EmbeddedGraph(n, edges, rot, tuple(outer))
+    return EmbeddedGraph(n, kept, rot, tuple(outer))

@@ -54,11 +54,12 @@ def _rng(spec):
 
 
 class _Builder:
-    """Edges plus mutable rotations; features attached at a vertex append
-    their darts as one contiguous run, which keeps the union outerplane."""
+    """Dart origins plus mutable rotations; features attached at a vertex
+    append their darts as one contiguous run, which keeps the union
+    outerplane."""
 
     def __init__(self):
-        self.edges = []
+        self.origin = []
         self.rot = []
 
     def new_vertex(self):
@@ -66,29 +67,30 @@ class _Builder:
         return len(self.rot) - 1
 
     def add_edge(self, u, v):
-        e = len(self.edges)
-        self.edges.append((u, v))
-        self.rot[u].append(2 * e)
-        self.rot[v].append(2 * e + 1)
-        return e
+        d = len(self.origin)
+        self.origin.append(u)
+        self.origin.append(v)
+        self.rot[u].append(d)
+        self.rot[v].append(d + 1)
 
     def add_polygon_block(self, anchor, size, chord_pairs):
         """Polygon of ``size`` vertices using ``anchor`` as local vertex 0;
         chord_pairs are local index pairs.  Returns the local->global ids."""
         ids = [anchor] + [self.new_vertex() for _ in range(size - 1)]
         incident = {i: [] for i in range(size)}
-        base = len(self.edges)
+        origin = self.origin
+
+        def join(a, b):
+            d = len(origin)
+            origin.append(ids[a])
+            origin.append(ids[b])
+            incident[a].append((b, d))
+            incident[b].append((a, d + 1))
+
         for i in range(size):
-            j = (i + 1) % size
-            e = len(self.edges)
-            self.edges.append((ids[i], ids[j]))
-            incident[i].append((j, 2 * e))
-            incident[j].append((i, 2 * e + 1))
+            join(i, (i + 1) % size)
         for a, b in chord_pairs:
-            e = len(self.edges)
-            self.edges.append((ids[a], ids[b]))
-            incident[a].append((b, 2 * e))
-            incident[b].append((a, 2 * e + 1))
+            join(a, b)
         for i in range(size):
             incident[i].sort(key=lambda t: (t[0] - i) % size)
             self.rot[ids[i]].extend(d for _, d in incident[i])
@@ -98,7 +100,7 @@ class _Builder:
         """The graph, with its default outer face: the face of dart 0.  Each
         feature appends its darts after the earlier ones at its anchor, so
         that face runs round the whole graph; ``_check_class`` checks it."""
-        return embed.EmbeddedGraph(len(self.rot), self.edges, self.rot, ())
+        return embed.EmbeddedGraph(len(self.rot), self.origin, self.rot, ())
 
 
 def _triangulation_chords(size, rng):
@@ -298,7 +300,7 @@ def _gen_plane(spec, rng):
         b.add_edge(0, 1)
         return b.finish_outerplane()
     b.add_polygon_block(v0, 3, [])
-    edges, rot = b.edges, b.rot
+    origin, rot = b.origin, b.rot
     size = 1 << (6 * spec.n).bit_length()  # a power of two above 6n - 12 darts
     tree = [0] * size
     walks = {}  # smallest dart -> walk of the inner face from that dart
@@ -327,20 +329,21 @@ def _gen_plane(spec, rng):
         k = rng.randint(2, dv)
         s = rng.randrange(dv)
         corners = sorted((s + t) % dv for t in range(k))
-        base = len(edges)
-        rot.append([2 * (base + t) for t in reversed(range(k))])
+        base = len(origin)  # the first new dart
+        rot.append([base + 2 * t for t in reversed(range(k))])
         for t, p in enumerate(corners):
-            x = edges[walk[p] >> 1][walk[p] & 1]
-            edges.append((z, x))
-            rot[x].insert(rot[x].index(walk[p]), 2 * (base + t) + 1)
+            x = origin[walk[p]]
+            origin.append(z)
+            origin.append(x)
+            rot[x].insert(rot[x].index(walk[p]), base + 2 * t + 1)
         corners.append(corners[0] + dv)
         walk = walk * 2  # the last face wraps round
         for t in range(k):
             face = walk[corners[t] : corners[t + 1]]
-            face += (2 * (base + (t + 1) % k) + 1, 2 * (base + t))
+            face += (base + 2 * ((t + 1) % k) + 1, base + 2 * t)
             j = face.index(min(face))
             add_face(face[j:] + face[:j])
-    return embed.EmbeddedGraph(spec.n, edges, rot, (0,))
+    return embed.EmbeddedGraph(spec.n, origin, rot, (0,))
 
 
 def _gen_nested(spec, rng):
@@ -361,13 +364,13 @@ def _gen_nested(spec, rng):
     # the ring, 2 inner spoke, 3 previous on the ring (counterclockwise
     # order seen from the outward direction)
     slots = [[None] * 4 for _ in range(spec.n)]
-    edges = []
+    origin = []
 
     def add(u, v, du, dv):
-        e = len(edges)
-        edges.append((u, v))
-        slots[u][du] = 2 * e
-        slots[v][dv] = 2 * e + 1
+        slots[u][du] = len(origin)
+        slots[v][dv] = len(origin) + 1
+        origin.append(u)
+        origin.append(v)
 
     for i, size in enumerate(sizes):
         for j in range(size):
@@ -380,7 +383,7 @@ def _gen_nested(spec, rng):
     rotations = [[d for d in slot if d is not None] for slot in slots]
     # dart 0 runs from ring-0 position 0 to position 1; with nothing outside
     # ring 0 its face is the ring-0 walk, the unbounded face
-    return embed.EmbeddedGraph(spec.n, edges, rotations, (0,))
+    return embed.EmbeddedGraph(spec.n, origin, rotations, (0,))
 
 
 # -- public entry points -------------------------------------------------------
@@ -401,7 +404,7 @@ def _check_class(spec, G):
     if not embed.is_outerplane(G):
         raise GenerationError("instance is not outerplane")
     if kind == "tree":
-        if len(G.edges) != spec.n - 1 or len(G.components) != 1:
+        if len(G.origin) != 2 * (spec.n - 1) or len(G.components) != 1:
             raise GenerationError("instance is not a tree")
     elif kind == "cycle":
         if not all(G.degree(v) == 2 for v in range(G.n)) or len(G.components) != 1:
@@ -420,7 +423,7 @@ def _check_class(spec, G):
     elif kind == "flower":
         if len(G.components) != 1:
             raise GenerationError("flower is not connected")
-        find = embed._union_find(G.n, (G.edges[e] for e in embed.bridges(G)))
+        find = embed._union_find(G.n, (G.origin[2 * e : 2 * e + 2] for e in embed.bridges(G)))
         centre = find(0)
         for verts, _fs, _seg in embed._blocks_and_bridges(G):
             if len(verts) >= 3 and all(find(x) != centre for x in verts):

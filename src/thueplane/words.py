@@ -221,7 +221,7 @@ def tree_colouring(T):
     """
     if T.n == 0:
         return ()
-    if len(T.edges) != T.n - 1 or len(T.components) != 1:
+    if len(T.origin) != 2 * (T.n - 1) or len(T.components) != 1:
         raise ValueError("input is not a tree")
     colours = [None] * T.n
     _colour_forest(T, range(T.n), colours)

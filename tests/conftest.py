@@ -8,7 +8,7 @@ import pytest
 from thueplane import embed, gen
 from thueplane.gen import _Builder
 
-from support import _dedup_outer, biconnected_components, dart_of
+from support import _dedup_outer, biconnected_components, dart_of, edge_pairs
 
 
 def polygon(n, chords=()):
@@ -30,17 +30,17 @@ def wheel(k):
     f = G.inner_faces()[0]
     walk = G.faces[f]
     verts = G.face_vertices(f)
-    base = len(G.edges)
-    new_edges = list(G.edges) + [(k, verts[p]) for p in range(k)]
+    base = len(G.origin)  # the first new dart
+    new_origin = G.origin + [x for p in range(k) for x in (k, verts[p])]
     new_rot = [list(r) for r in G.rotations]
-    new_rot.append([2 * (base + t) for t in reversed(range(k))])
+    new_rot.append([base + 2 * t for t in reversed(range(k))])
     for t in range(k):
         anchor = walk[t]
         rot = new_rot[G.origin[anchor]]
         j = rot.index(anchor)
-        rot.insert(j, 2 * (base + t) + 1)
+        rot.insert(j, base + 2 * t + 1)
     outer = [G.faces[g][0] for g in G.outer_faces]
-    return embed.EmbeddedGraph(k + 1, new_edges, new_rot, tuple(outer))
+    return embed.EmbeddedGraph(k + 1, new_origin, new_rot, tuple(outer))
 
 
 def two_triangles_shared_vertex():
@@ -92,31 +92,32 @@ def decorate_multigraph(G, seed=0, parallels=2, loops=1):
     """Add parallel copies (each bounding an empty lens) and empty loops to
     an embedded graph, preserving the embedding and the outer face."""
     rnd = random.Random(seed)
-    edges = list(G.edges)
+    pairs = edge_pairs(G)
+    origin = list(G.origin)
     rot = [list(r) for r in G.rotations]
 
     for _ in range(parallels):
-        if not G.edges:
+        if not pairs:
             break
-        e = rnd.randrange(len(G.edges))
-        u, v = G.edges[e]
+        e = rnd.randrange(len(pairs))
+        u, v = pairs[e]
         if u == v:
             continue
-        ne = len(edges)
-        edges.append((u, v))
+        nd = len(origin)
+        origin += (u, v)
         du, dv = dart_of(G, e, u), dart_of(G, e, v)
-        rot[u].insert(rot[u].index(du) + 1, 2 * ne)
-        rot[v].insert(rot[v].index(dv), 2 * ne + 1)
+        rot[u].insert(rot[u].index(du) + 1, nd)
+        rot[v].insert(rot[v].index(dv), nd + 1)
 
     for _ in range(loops):
         v = rnd.randrange(G.n)
-        ne = len(edges)
-        edges.append((v, v))
+        nd = len(origin)
+        origin += (v, v)
         pos = rnd.randrange(len(rot[v]) + 1)
-        rot[v][pos:pos] = [2 * ne + 1, 2 * ne]
+        rot[v][pos:pos] = [nd + 1, nd]
 
     outer = [G.faces[f][0] for f in G.outer_faces]
-    return embed.EmbeddedGraph(G.n, edges, rot, _dedup_outer(edges, rot, outer))
+    return embed.EmbeddedGraph(G.n, origin, rot, _dedup_outer(origin, rot, outer))
 
 
 def single_block_with_trees(count):
@@ -141,13 +142,13 @@ def nested_triangles():
 def disjoint_union(*graphs):
     """Side-by-side copies of embedded graphs, ids shifted in argument
     order; every copy keeps its embedding and its outer face."""
-    edges, rot, outer = [], [], []
+    origin, rot, outer = [], [], []
     for G in graphs:
-        v0, d0 = len(rot), 2 * len(edges)
-        edges.extend((u + v0, v + v0) for u, v in G.edges)
+        v0, d0 = len(rot), len(origin)
+        origin.extend(u + v0 for u in G.origin)
         rot.extend([d + d0 for d in r] for r in G.rotations)
         outer.extend(d + d0 for d in G.canonical_outer_darts())
-    return embed.EmbeddedGraph(len(rot), edges, rot, tuple(outer))
+    return embed.EmbeddedGraph(len(rot), origin, rot, tuple(outer))
 
 
 def k2k(k):
@@ -178,7 +179,7 @@ def straight_line(points, edges):
     for v, r in enumerate(rot):
         x, y = points[v]
         r.sort(key=lambda d: math.atan2(head(d)[1] - y, head(d)[0] - x))
-    G = embed.EmbeddedGraph(len(points), edges, rot)
+    G = embed.EmbeddedGraph(len(points), [x for e in edges for x in e], rot)
 
     def area(walk):
         ps = [points[G.origin[d]] for d in walk]

@@ -5,7 +5,7 @@ remaining graph, once per layer.  It costs Θ(n · layers); the tests diff
 
 from thueplane import embed
 
-from support import _dedup_outer, induced_embedded_subgraph
+from support import _dedup_outer, edge_pairs, induced_embedded_subgraph
 
 
 def _induced(G, S):
@@ -14,22 +14,22 @@ def _induced(G, S):
     for i, x in enumerate(keep):
         vmap[x] = i
 
-    new_edges = []
-    emap = {}
-    for i, (a, b) in enumerate(G.edges):
+    new_origin = []
+    emap = {}  # edge id -> its first dart in the subgraph
+    for i, (a, b) in enumerate(edge_pairs(G)):
         if vmap[a] != -1 and vmap[b] != -1:
-            emap[i] = len(new_edges)
-            new_edges.append((vmap[a], vmap[b]))
+            emap[i] = len(new_origin)
+            new_origin += (vmap[a], vmap[b])
 
-    dart_map = [-1] * (2 * len(G.edges))
+    dart_map = [-1] * len(G.origin)
     for i, j in emap.items():
-        dart_map[2 * i] = 2 * j
-        dart_map[2 * i + 1] = 2 * j + 1
+        dart_map[2 * i] = j
+        dart_map[2 * i + 1] = j + 1
 
     new_rot = []
     for x in keep:
         new_rot.append([dart_map[d] for d in G.rotations[x] if dart_map[d] != -1])
-    return keep, new_edges, new_rot, tuple(vmap), dart_map
+    return keep, new_origin, new_rot, tuple(vmap), dart_map
 
 
 def peel(G):
@@ -55,14 +55,14 @@ def peel(G):
         rest = [x for x in range(cur.n) if x not in vi]
         if not rest:
             break
-        keep, new_edges, new_rot, _vmap, dart_map = _induced(cur, rest)
+        keep, new_origin, new_rot, _vmap, dart_map = _induced(cur, rest)
         outer_cands = []
         for f in range(len(cur.faces)):
             verts = cur.face_vertices(f)
             if any(x in vi for x in verts):
                 outer_cands.extend(dart_map[d] for d in cur.faces[f] if dart_map[d] != -1)
         nxt = embed.EmbeddedGraph(
-            len(keep), new_edges, new_rot, _dedup_outer(new_edges, new_rot, outer_cands)
+            len(keep), new_origin, new_rot, _dedup_outer(new_origin, new_rot, outer_cands)
         )
         cur_ids = [cur_ids[x] for x in keep]
         cur = nxt

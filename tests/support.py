@@ -44,6 +44,12 @@ from thueplane.words import EXCEPTIONAL_CYCLE_LENGTHS, cycle_colouring, ternary_
 # -- embed ---------------------------------------------------------------------
 
 
+def edge_pairs(G):
+    """The ends of every edge of G by edge id: edge e runs from
+    ``G.origin[2e]`` to ``G.origin[2e + 1]``."""
+    return list(zip(G.origin[::2], G.origin[1::2]))
+
+
 def blocks_and_bridges_dfs(G):
     """Iterative Hopcroft-Tarjan block decomposition, the oracle for
     ``embed._blocks_and_bridges`` (which reads blocks off the outer walks);
@@ -63,7 +69,7 @@ def blocks_and_bridges_dfs(G):
 
     # incident edge ids only: a pair per incidence would be 2m more objects
     # for the garbage collector to trace
-    edges = G.edges
+    edges = edge_pairs(G)
     incident = [[] for _ in range(n)]
     for e, (u, v) in enumerate(edges):
         if u == v:
@@ -114,8 +120,7 @@ def blocks_and_bridges_dfs(G):
                             break
                     verts = set()
                     for e in bedges:
-                        verts.add(G.edges[e][0])
-                        verts.add(G.edges[e][1])
+                        verts.update(edges[e])
                     blocks.append((tuple(sorted(verts)), tuple(sorted(bedges))))
                     if len(bedges) == 1:
                         bridge_list.append(bedges[0])
@@ -151,22 +156,21 @@ def block_edges(G, faces, seg):
 
 def dart_of(G, e, at):
     """The dart of edge e that leaves vertex ``at``."""
-    u, v = G.edges[e]
-    if at == u:
-        return 2 * e
-    if at == v:
-        return 2 * e + 1
+    for d in (2 * e, 2 * e + 1):
+        if G.origin[d] == at:
+            return d
     raise EmbeddingError(f"vertex {at} is not an endpoint of edge {e}")
 
 
-def _dedup_outer(edges, rotations, outer_darts):
-    """Keep at most one designated dart per component (the smallest)."""
+def _dedup_outer(origin, rotations, outer_darts):
+    """Keep at most one designated dart per component (the smallest) of
+    the graph with dart origins ``origin``."""
     if not outer_darts:
         return ()
-    find = _union_find(len(rotations), edges)
+    find = _union_find(len(rotations), zip(origin[::2], origin[1::2]))
     best = {}
     for d in sorted(set(outer_darts)):
-        best.setdefault(find(edges[d >> 1][d & 1]), d)
+        best.setdefault(find(origin[d]), d)
     return tuple(sorted(best.values()))
 
 
@@ -176,25 +180,27 @@ def transform(G, rng, mirror):
     rotation started at a random dart and, with ``mirror``, every rotation
     reversed (the mirror image).  The outer darts are carried along; in the
     mirror image a face is traced through the twins of its darts, in
-    reverse, so an outer dart d carries over as the image of its twin."""
+    reverse, so an outer dart d carries over as the image of its twin.
+    Returns the copy and its vertex map: G's vertex v is the copy's
+    ``vert[v]``."""
     vert = list(range(G.n))
     rng.shuffle(vert)
-    order = list(range(len(G.edges)))
+    m = len(G.origin) >> 1
+    order = list(range(m))
     rng.shuffle(order)
-    dart = [0] * (2 * len(G.edges))
-    edges = [None] * len(G.edges)
-    for e, (u, w) in enumerate(G.edges):
-        flip = rng.randrange(2)
-        dart[2 * e] = 2 * order[e] + flip
-        dart[2 * e + 1] = 2 * order[e] + 1 - flip
-        edges[order[e]] = (vert[w], vert[u]) if flip else (vert[u], vert[w])
+    dart = [0] * (2 * m)
+    origin = [0] * (2 * m)
+    for e, (u, w) in enumerate(edge_pairs(G)):
+        d = 2 * order[e] + rng.randrange(2)  # its low bit reverses the edge
+        dart[2 * e], dart[2 * e + 1] = d, d ^ 1
+        origin[d], origin[d ^ 1] = vert[u], vert[w]
     rot = [None] * G.n
     for v, r in enumerate(G.rotations):
         k = rng.randrange(len(r)) if r else 0
         r = [dart[d] for d in r[k:] + r[:k]]
         rot[vert[v]] = r[::-1] if mirror else r
     outer = tuple(dart[d ^ 1] if mirror else dart[d] for d in G.canonical_outer_darts())
-    return EmbeddedGraph(G.n, edges, rot, outer)
+    return EmbeddedGraph(G.n, origin, rot, outer), vert
 
 
 def _restrict(G, verts, edge_ids):
@@ -207,20 +213,19 @@ def _restrict(G, verts, edge_ids):
     a host -> local vertex dict."""
     keep = sorted(verts)
     local = {x: i for i, x in enumerate(keep)}
-    edges = G.edges
+    origin = G.origin
     dart = {}  # host dart -> local dart
-    new_edges = []
+    new_origin = []
     for e in sorted(edge_ids):
-        u, v = edges[e]
-        j = 2 * len(new_edges)
+        j = len(new_origin)
         dart[2 * e] = j
         dart[2 * e + 1] = j + 1
-        new_edges.append((local[u], local[v]))
+        new_origin += (local[origin[2 * e]], local[origin[2 * e + 1]])
     new_rot = [[nd for nd in map(dart.get, G.rotations[x]) if nd is not None] for x in keep]
     face_of, outer_faces = G.face_of, G.outer_faces
     outer = [nd for d, nd in dart.items() if face_of[d] in outer_faces]
     del dart  # the build below is the peak; for simplify the map spans the host
-    sub = EmbeddedGraph(len(keep), new_edges, new_rot, _dedup_outer(new_edges, new_rot, outer))
+    sub = EmbeddedGraph(len(keep), new_origin, new_rot, _dedup_outer(new_origin, new_rot, outer))
     return sub, local
 
 
@@ -235,7 +240,7 @@ def simplify_by_restriction(G):
     rep = {}  # endpoint pair a < b, as the int a * n + b -> surviving edge id
     kept = []  # host id of each surviving edge
     emap = []
-    for i, (a, b) in enumerate(G.edges):
+    for i, (a, b) in enumerate(edge_pairs(G)):
         if a == b:
             emap.append(-1)
             continue
@@ -245,7 +250,7 @@ def simplify_by_restriction(G):
             j = rep[key] = len(kept)
             kept.append(i)
         emap.append(j)
-    if len(kept) == len(G.edges):
+    if len(kept) == len(emap):
         return G, tuple(emap)
     G2, _ = _restrict(G, range(G.n), kept)
     return G2, tuple(emap)
@@ -350,7 +355,7 @@ def induced_embedded_subgraph(G, S):
     (for a forest component that face is unique).  Returns the subgraph and
     a host -> local vertex map, -1 off S."""
     keep = set(S)
-    edge_ids = [e for e, (a, b) in enumerate(G.edges) if a in keep and b in keep]
+    edge_ids = [e for e, (a, b) in enumerate(edge_pairs(G)) if a in keep and b in keep]
     sub, local = _restrict(G, keep, edge_ids)
     vmap = [-1] * G.n
     for x, i in local.items():
@@ -433,7 +438,7 @@ def block_subgraphs(G):
 def contract_edge(G, e):
     """Contract a non-loop edge, merging rotations in embedding order.
     Returns (new graph, vertex map old->new)."""
-    u, v = G.edges[e]
+    u, v = edge_pairs(G)[e]
     if u == v:
         raise EmbeddingError("cannot contract a loop")
     keep, gone = (u, v) if u < v else (v, u)
@@ -445,13 +450,13 @@ def contract_edge(G, e):
         else:
             vmap[x] = x - 1 if x > gone else x
 
-    new_edges = []
+    new_origin = []
     emap = {}
-    for i, (a, b) in enumerate(G.edges):
+    for i, (a, b) in enumerate(edge_pairs(G)):
         if i == e:
             continue
-        emap[i] = len(new_edges)
-        new_edges.append((vmap[a], vmap[b]))
+        emap[i] = len(new_origin) >> 1
+        new_origin += (vmap[a], vmap[b])
 
     def dmap(d):
         i, side = divmod(d, 2)
@@ -481,7 +486,7 @@ def contract_edge(G, e):
     outer = []
     for f in G.outer_faces:
         outer.extend(dmap(d) for d in G.faces[f] if dmap(d) is not None)
-    G2 = EmbeddedGraph(G.n - 1, new_edges, new_rot, _dedup_outer(new_edges, new_rot, outer))
+    G2 = EmbeddedGraph(G.n - 1, new_origin, new_rot, _dedup_outer(new_origin, new_rot, outer))
     return G2, tuple(vmap)
 
 
@@ -512,9 +517,8 @@ def add_edge_in_face(G, u, w, f, u_pos=None, w_pos=None):
     if iu == iw and u != w:
         raise EmbeddingError("u_pos and w_pos name the same corner")
 
-    m = len(G.edges)
-    du, dw = 2 * m, 2 * m + 1
-    new_edges = list(G.edges) + [(u, w)]
+    du, dw = len(G.origin), len(G.origin) + 1
+    new_origin = G.origin + [u, w]
 
     # corner i of the walk sits just before walk[i] in origin(walk[i])'s rotation
     inserts = {}
@@ -532,7 +536,7 @@ def add_edge_in_face(G, u, w, f, u_pos=None, w_pos=None):
         rot[j:j] = ds
 
     outer = [G.faces[g][0] for g in G.outer_faces]
-    return EmbeddedGraph(G.n, new_edges, new_rot, _dedup_outer(new_edges, new_rot, outer))
+    return EmbeddedGraph(G.n, new_origin, new_rot, _dedup_outer(new_origin, new_rot, outer))
 
 
 # -- gen ---------------------------------------------------------------------
@@ -570,17 +574,17 @@ def gen_plane_rebuild(spec, rng=None):
         corners = sorted(first_occ[(s + t) % dv] for t in range(k))
 
         z = G.n
-        new_edges = list(G.edges) + [(z, verts[p]) for p in corners]
-        base = len(G.edges)
+        base = len(G.origin)  # the first new dart
+        new_origin = G.origin + [x for p in corners for x in (z, verts[p])]
         new_rot = [list(r) for r in G.rotations]
-        new_rot.append([2 * (base + t) for t in reversed(range(k))])
+        new_rot.append([base + 2 * t for t in reversed(range(k))])
         for t, p in enumerate(corners):
             anchor = walk[p]
             rot = new_rot[G.origin[anchor]]
             j = rot.index(anchor)
-            rot.insert(j, 2 * (base + t) + 1)
+            rot.insert(j, base + 2 * t + 1)
         outer = [G.faces[g][0] for g in G.outer_faces]
-        G = embed.EmbeddedGraph(G.n + 1, new_edges, new_rot, tuple(outer))
+        G = embed.EmbeddedGraph(G.n + 1, new_origin, new_rot, tuple(outer))
     return G
 
 
@@ -618,21 +622,21 @@ def layer_graphs(G, layer):
         local[v] = len(ids[i])
         ids[i].append(v)
 
-    edges = [[] for _ in range(k)]
-    dart_map = [-1] * (2 * len(G.edges))
+    ends = [[] for _ in range(k)]  # per layer, its graph's origin list
+    dart_map = [-1] * len(G.origin)
     n = G.n
     pairs = set()  # endpoint pairs u < w with an edge, as u * n + w
-    for e, (u, w) in enumerate(G.edges):
+    for e, (u, w) in enumerate(edge_pairs(G)):
         i = layer[u]
         if layer[w] == i and u != w:
             key = u * n + w if u < w else w * n + u
             if key in pairs:
                 continue
             pairs.add(key)
-            j = len(edges[i])
-            edges[i].append((local[u], local[w]))
-            dart_map[2 * e] = 2 * j
-            dart_map[2 * e + 1] = 2 * j + 1
+            j = len(ends[i])
+            ends[i] += (local[u], local[w])
+            dart_map[2 * e] = j
+            dart_map[2 * e + 1] = j + 1
 
     origin, face_of = G.origin, G.face_of
     face_min = [min(layer[origin[d]] for d in walk) for walk in G.faces]
@@ -648,8 +652,8 @@ def layer_graphs(G, layer):
     out = []
     for i in range(k):
         rot = [[dart_map[d] for d in G.rotations[v] if dart_map[d] != -1] for v in ids[i]]
-        outer_i = _dedup_outer(edges[i], rot, outer[i])
-        out.append((tuple(ids[i]), embed.EmbeddedGraph(len(ids[i]), edges[i], rot, outer_i)))
+        outer_i = _dedup_outer(ends[i], rot, outer[i])
+        out.append((tuple(ids[i]), embed.EmbeddedGraph(len(ids[i]), ends[i], rot, outer_i)))
     return out
 
 
@@ -817,7 +821,7 @@ def is_bridgeless_cactus(G):
     """Outerplane, chordless, and no edge with both darts on one face."""
     if not embed.is_outerplane(G):
         return False
-    for e in range(len(G.edges)):
+    for e in range(len(G.origin) >> 1):
         d0, d1 = 2 * e, 2 * e + 1
         if not G.is_outer_face(G.face_of[d0]) and not G.is_outer_face(G.face_of[d1]):
             return False  # chord
@@ -838,7 +842,7 @@ def good_size_by_copies(G):
         W = embed.outer_walk(G, G.comp_of[0])
         return frozenset({W[0], W[1]})
     f, chord = ears(G)[0]
-    p, q = G.edges[chord]
+    p, q = edge_pairs(G)[chord]
     b_in, a_out = (p, q) if p < q else (q, p)
     interior = [x for x in G.face_vertices(f) if x != p and x != q]
     keep = sorted(set(range(G.n)) - set(interior))

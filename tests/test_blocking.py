@@ -36,6 +36,7 @@ from support import (
     block_edges,
     blocking_graph_from_json,
     blocking_graph_to_json,
+    edge_pairs,
     good_size_by_copies,
     induced_embedded_subgraph,
     is_bridgeless_cactus,
@@ -120,7 +121,7 @@ def test_rejects_non_biconnected():
     constructors = (
         lambda G: blocking_set_biconnected(G, 0, True),
         lambda G: blocking_set_even_biconnected(G, 0, True),
-        lambda G: blocking_set_even_biconnected_edge(G, *G.edges[0]),
+        lambda G: blocking_set_even_biconnected_edge(G, *G.origin[:2]),
         blocking_set_good_size,
     )
     graphs = (
@@ -381,7 +382,7 @@ def test_block_cores_match_the_public_constructors_on_copies():
                 if not (G.is_outer_face(f) or G.is_outer_face(g)):
                     continue
                 root = g if G.is_outer_face(f) else f
-                p, q = G.edges[e]
+                p, q = G.origin[2 * e], G.origin[2 * e + 1]
                 for a, b in ((p, q), (q, p)):
                     got = blocking._even_one_per_face_edge(H, faces, a, b, e, root)
                     B = blocking_set_even_biconnected_edge(sub, local[a], local[b])
@@ -461,8 +462,7 @@ def test_good_size_in_place_matches_the_construction_on_copies():
 def test_blocking_graph_single_vertex_is_loop(triangle):
     B = blocking_set_biconnected(triangle, 0, True)
     bg = blocking_graph(triangle, B)
-    assert bg.graph.n == 1 and len(bg.graph.edges) == 1
-    assert bg.graph.edges[0] == (0, 0)
+    assert bg.graph.n == 1 and edge_pairs(bg.graph) == [(0, 0)]
 
 
 def test_blocking_graph_rejects_invalid(triangle):
@@ -482,7 +482,7 @@ def test_blocking_graph_is_bridgeless_cactus_on_corpus():
 
 
 def _blocking_graph_key(g, host_vertex):
-    return (g.n, g.edges, g.rotations, g.canonical_outer_darts(), host_vertex)
+    return (g.n, g.origin, g.rotations, g.canonical_outer_darts(), host_vertex)
 
 
 def test_pipeline_blocking_graph_is_the_simplified_blocking_graph():
@@ -586,5 +586,5 @@ def test_blocking_graph_json_round_trip():
     doc = blocking_graph_to_json(bg)
     assert doc["host_vertex"] == sorted(SHOWCASE_BLOCKING_SET)
     bg2 = blocking_graph_from_json(doc)
-    assert bg2.graph.edges == bg.graph.edges
+    assert bg2.graph.origin == bg.graph.origin
     assert bg2.host_vertex == bg.host_vertex

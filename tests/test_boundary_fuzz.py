@@ -49,7 +49,7 @@ def reorder_rotation(doc, rnd):
 
 def bad_outer_dart(doc, rnd):
     m = 2 * len(doc["edges"])
-    doc["outer_dart"] = rnd.choice([m, m + rnd.randrange(50), -2 - rnd.randrange(50)])
+    doc["outer_dart"] = rnd.choice([m, m + rnd.randrange(50), -2 - rnd.randrange(50), -1])
     return True
 
 

@@ -87,6 +87,15 @@ def test_colour_rejects_malformed_graph_documents(tmp_path, probe):
     _assert_parse_exit(run(["colour", "--input", str(g)]))
 
 
+@pytest.mark.parametrize("outer", [{}, {"outer_dart": -1}, {"outer_darts": []}])
+def test_colour_rejects_edges_without_an_outer_dart(tmp_path, outer):
+    # each was read with face 0 as the outer face, exit 0
+    doc = {key: value for key, value in PATH_DOC.items() if key != "outer_dart"}
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({**doc, **outer}))
+    _assert_parse_exit(run(["colour", "--input", str(g)]))
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", "[" * 100000 + "]" * 100000])
 def test_colour_rejects_non_object_graph_document(tmp_path, text):
     # the deeply nested array was an uncaught RecursionError

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -24,7 +25,8 @@ from conftest import (
     wheel,
 )
 import support
-from support import interleave_check_decomposition, layer_graphs
+from support import edge_pairs, interleave_check_decomposition, layer_graphs
+from test_golden import golden_corpus
 
 
 def flower_cactus(petals=5):
@@ -281,15 +283,15 @@ def test_augment_outerplane_adds_parallels_only():
     G = gen.generate(gen.GenSpec("outerplane_biconnected", 8, 3))
     Gp = augment_plus(G)
     inner_walk_len = sum(len(G.faces[f]) for f in G.inner_faces())
-    assert len(Gp.edges) == len(G.edges) + inner_walk_len
+    assert len(Gp.origin) == len(G.origin) + 2 * inner_walk_len
     assert peeling_layering(Gp).layer == peeling_layering(G).layer
     pairs = {}
-    for u, v in Gp.edges:
+    for u, v in edge_pairs(Gp):
         pairs[(min(u, v), max(u, v))] = pairs.get((min(u, v), max(u, v)), 0) + 1
     # every added edge duplicates an existing inner-face edge
     for (u, v), k in pairs.items():
         if k > 1:
-            assert (u, v) in {(min(a, b), max(a, b)) for a, b in G.edges}
+            assert (u, v) in {(min(a, b), max(a, b)) for a, b in edge_pairs(G)}
 
 
 def test_augment_wheel_duplicates_rim():
@@ -297,8 +299,8 @@ def test_augment_wheel_duplicates_rim():
     # cyclic pairs both duplicate that rim edge
     W = wheel(5)
     Wp = augment_plus(W)
-    rim = {(min(u, v), max(u, v)) for u, v in W.edges[:5]}
-    added = list(Wp.edges[len(W.edges):])
+    rim = {(min(u, v), max(u, v)) for u, v in edge_pairs(W)[:5]}
+    added = edge_pairs(Wp)[len(W.origin) >> 1:]
     assert len(added) == 10
     assert {(min(u, v), max(u, v)) for u, v in added} == rim
 
@@ -393,6 +395,74 @@ def test_outerplane_disconnected_components():
     assert len(G.components) == 2
     c = colour_outerplane(G)
     assert c.distinct_colours() <= 11
+
+
+# -- relabelled and mirrored copies ------------------------------------------------------
+
+OUTERPLANE_PIPELINES = ((colour_outerplane, 11), (colour_cactus_even, 7), (colour_outerplane_single_block, 7))
+
+
+def _on_a_face(G, path):
+    """True when the vertex sequence ``path`` runs along a face walk of G,
+    either way round."""
+    for f in range(len(G.faces)):
+        verts = G.face_vertices(f)
+        dbl = verts + verts
+        for s in range(len(verts)):
+            if dbl[s : s + len(path)] in (path, path[::-1]):
+                return True
+    return False
+
+
+def test_relabelled_and_mirrored_copies_of_the_outerplane_corpus():
+    # metamorphic, as for the plane corpus: a copy under new vertex and edge
+    # names, with the edges reordered and reversed at random and, in one copy
+    # of two, mirrored, is the same drawing.  Each outerplane pipeline that
+    # takes G certifies the copy within its bound; the verifier gives a
+    # colouring carried to the copy G's verdict, for the certified colouring
+    # and for one with a planted equal pair; and the copy's witness, carried
+    # back, is a square on a facial path of G
+    plant = random.Random(0)
+    verdicts = []
+    for i, G in enumerate(g for g in golden_corpus() if embed.is_outerplane(g)):
+        certified = colour_outerplane(G).colours
+        planted = list(certified)
+        u, w = plant.sample(range(G.n), 2)
+        planted[w] = planted[u]
+        takes = []  # per pipeline, whether G is in its class
+        for pipeline, _bound in OUTERPLANE_PIPELINES:
+            try:
+                pipeline(G)
+            except ClassMismatchError:
+                takes.append(False)
+            else:
+                takes.append(True)
+        for mirror in (False, True):
+            H, vert = support.transform(G, random.Random(i), mirror)
+            back = sorted(range(G.n), key=vert.__getitem__)
+            for (pipeline, bound), took in zip(OUTERPLANE_PIPELINES, takes):
+                if not took:
+                    with pytest.raises(ClassMismatchError):
+                        pipeline(H)
+                    continue
+                colours = pipeline(H).colours
+                assert max(colours) <= bound and verify.verify_facial_nonrepetitive(H, colours) is None
+            for colours in (certified, planted):
+                carried = [0] * G.n
+                for v, c in enumerate(colours):
+                    carried[vert[v]] = c
+                witness = verify.verify_facial_nonrepetitive(H, carried)
+                verdicts.append(witness is None)
+                assert verdicts[-1] == (verify.verify_facial_nonrepetitive(G, colours) is None)
+                if witness is not None:
+                    path = tuple(back[x] for x in witness.vertices)
+                    r = len(path) // 2
+                    assert len(set(path)) == 2 * r
+                    assert [colours[v] for v in path[:r]] == [colours[v] for v in path[r:]]
+                    assert _on_a_face(G, path)
+    # half the verdicts are the certified colourings' accepts; the planted
+    # pairs give both verdicts (82 of 150 rejected)
+    assert 0 < verdicts.count(False) < len(verdicts) // 2
 
 
 # -- one certificate per public call ---------------------------------------------------

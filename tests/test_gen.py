@@ -40,7 +40,7 @@ def test_biconnected_predicates():
 
 def test_plane_euler_holds():
     G = generate(GenSpec("plane", 30, 1))
-    assert G.n - len(G.edges) + len(G.faces) == 2
+    assert G.n - (len(G.origin) >> 1) + len(G.faces) == 2
 
 
 def test_seed_determinism_bytes():

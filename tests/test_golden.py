@@ -13,6 +13,7 @@ from conftest import decorate_multigraph, hexagon_with_inner_star
 from support import (
     _restrict,
     block_edges,
+    edge_pairs,
     induced_embedded_subgraph,
     layer_graphs,
     layers_graph,
@@ -114,19 +115,19 @@ def test_blocking_graph_embedding_golden_digest():
         for simple in (False, True):
             bg = blocking._blocking_graph(Gs, B, simple)
             g = bg.graph
-            rot_next = [0] * (2 * len(g.edges))
+            rot_next = [0] * len(g.origin)
             for rot in g.rotations:
                 for d, e in zip(rot, rot[1:] + rot[:1]):
                     rot_next[d] = e
-            _line(h, [g.n, g.edges, rot_next, sorted(g.outer_faces), bg.host_vertex])
+            _line(h, [g.n, edge_pairs(g), rot_next, sorted(g.outer_faces), bg.host_vertex])
     assert h.hexdigest() == BLOCKING_GRAPH_DIGEST
 
 
 def _passes_boundary(g):
     """``g`` survives the parse-boundary check unchanged."""
     h = embed.graph_from_json(embed.graph_to_json(g))
-    assert (h.edges, h.rotations, h.canonical_outer_darts()) == (
-        g.edges, g.rotations, g.canonical_outer_darts())
+    assert (h.origin, h.rotations, h.canonical_outer_darts()) == (
+        g.origin, g.rotations, g.canonical_outer_darts())
 
 
 def test_internal_builders_pass_the_boundary_check():

@@ -48,13 +48,13 @@ def test_plane_corpus_golden_digest():
 
 
 def _graph_key(G):
-    return (G.n, G.edges, G.rotations, G.canonical_outer_darts())
+    return (G.n, G.origin, G.rotations, G.canonical_outer_darts())
 
 
 def rerooted(G):
     """G with its last inner face designated as the outer face instead."""
     f = G.inner_faces()[-1]
-    return embed.EmbeddedGraph(G.n, G.edges, G.rotations, (G.faces[f][0],))
+    return embed.EmbeddedGraph(G.n, G.origin, G.rotations, (G.faces[f][0],))
 
 
 def test_layering_and_layer_graphs_match_the_peel_oracle():
@@ -106,7 +106,7 @@ def _assert_layers_graph_is_the_layer_graphs_of_g_plus(G):
     L = layers_graph(G)
     want = layer_graphs(colour.augment_plus(G), layer)
     edge_ids = [[] for _ in want]
-    for e, (u, _w) in enumerate(L.edges):
+    for e, u in enumerate(L.origin[::2]):
         edge_ids[layer[u]].append(e)
     for (ids, lg), es in zip(want, edge_ids):
         sub, _local = _restrict(L, ids, es)
@@ -132,7 +132,7 @@ def test_face_levels_are_the_floors_and_the_layers_graph_omits_only_doubled_edge
             assert level[f] - 1 == (-1 if f in G.outer_faces else min(ls))
             assert max(ls) <= level[f]
         every = colour._augmentation(G, layer, level, False)
-        assert len(colour.augment_plus(G).edges) == len(G.edges) + len(every)
+        assert len(colour.augment_plus(G).origin) == len(G.origin) + 2 * len(every)
         chords = colour._augmentation(G, layer, level, True)
         kept = set(chords)
         assert kept <= set(every)
@@ -151,7 +151,7 @@ def test_relabelled_and_mirrored_copies_of_the_plane_corpus():
     # layers graph is the layer graphs of its G plus
     for i, G in enumerate(plane_corpus()):
         for mirror in (False, True):
-            H = transform(G, random.Random(i), mirror)
+            H, _vert = transform(G, random.Random(i), mirror)
             assert embed.dumps_graph(embed.graph_from_json(embed.graph_to_json(H))) == embed.dumps_graph(H)
             assert sorted(colour.peeling_layering(H).layer) == sorted(colour.peeling_layering(G).layer)
             colours = colour.colour_plane(H).colours

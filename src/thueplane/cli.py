@@ -2,11 +2,12 @@
 
 Exit codes for ``colour``: 0 success (output verified), 2 input parse
 failure, 3 graph-class mismatch for the requested mode, 4 internal
-verification failure (a bug).  ``verify`` exits 0 when the colouring checks
-out, 1 with a counterexample otherwise, 2 on a parse failure and 4 on an
-internal verification failure.  Every command exits 2 when an
-output file cannot be written.  Diagnostics go to stderr as JSON lines;
-results go to stdout or the requested output files.
+verification failure (any other error inside the pipeline: a bug).
+``verify`` exits 0 when the colouring checks out, 1 with a counterexample
+otherwise, 2 on a parse failure and 4 on any error inside the check.
+Every command exits 2 when an output file cannot be written.  Diagnostics
+go to stderr as JSON lines; results go to stdout or the requested output
+files.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def cmd_colour(input_path, mode, output_path):
     except ClassMismatchError as exc:
         _diag(error="class-mismatch", mode=mode, detail=str(exc))
         sys.exit(EXIT_CLASS)
-    except RuntimeError as exc:  # VerificationBugError, BlockingConstructionError and kernel bugs
+    except Exception as exc:  # VerificationBugError, BlockingConstructionError and any other bug
         _diag(error="internal-verification-failure", mode=mode, detail=str(exc))
         sys.exit(EXIT_INTERNAL)
     t_colour = time.perf_counter() - t0  # includes the pipeline's certificate
@@ -136,7 +137,7 @@ def cmd_verify(input_path, colouring_path):
     col = _read_colouring(colouring_path, G.n)
     try:
         bad = verify.verify_facial_nonrepetitive(G, col.colours)
-    except RuntimeError as exc:  # the kernel named a witness that is not a square
+    except Exception as exc:  # a witness that is not a square, or any other bug
         _diag(error="internal-verification-failure", detail=str(exc))
         sys.exit(EXIT_INTERNAL)
     if bad is None:
@@ -178,7 +179,7 @@ def cmd_gen(kind, n, seed, chord_p, attach_p, out_path):
 
 
 @main.command("search")
-@click.option("--kind", type=click.Choice(["cycle", "tree", "outerplane_biconnected"]), required=True)
+@click.option("--kind", type=click.Choice(gen.ENUM_KINDS), required=True)
 @click.option("--max-n", type=int, default=8, show_default=True)
 @click.option("--max-colours", type=int, default=4, show_default=True)
 def cmd_search(kind, max_n, max_colours):

@@ -240,7 +240,7 @@ def dumps_graph(G):
 def loads_graph(text):
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an integer past 4,300 digits
         raise EmbeddingError(f"invalid JSON: {exc}") from exc
     return graph_from_json(doc)
 

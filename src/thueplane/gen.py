@@ -452,6 +452,7 @@ def generate(spec):
 
 
 ENUM_GUARD = 9
+ENUM_KINDS = ("tree", "cycle", "outerplane_biconnected")
 
 
 def _noncrossing_chord_subsets(n):
@@ -498,15 +499,36 @@ def _dihedral_canonical(n, chord_set):
     return best
 
 
+def _free_trees(n):
+    """One parent list per free tree on n >= 1 vertices (the root, vertex 0,
+    has parent -1): the level-sequence algorithm of Wright, Richmond,
+    Odlyzko and McKay (SIAM J. Comput. 1986).  From the path rooted at its
+    centre, the Beyer-Hedetniemi successor walks the rooted level
+    sequences; a sequence is kept when the root's first subtree is no
+    higher than the rest and, at equal height, no larger by (size,
+    sequence).  There is no jump step: the walk passes over the others."""
+    level = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        m = next((i for i in range(2, n) if level[i] == 1), n)
+        left, rest = [h - 1 for h in level[1:m]], [0] + level[m:]
+        if (max(left, default=-1), len(left), left) <= (max(rest), len(rest), rest):
+            # a vertex's parent is the latest vertex before it one level up
+            yield [-1] + [max(j for j in range(i) if level[j] == level[i] - 1) for i in range(1, n)]
+        p = max((i for i in range(1, n) if level[i] > 1), default=0)
+        if p == 0:
+            return
+        q = max(i for i in range(p) if level[i] == level[p] - 1)
+        level[p:] = (level[q:p] * n)[: n - p]  # from p on, repeat the run from its parent q
+
+
 def enumerate_small(kind, n):
     """Exhaustive enumeration (deduplicated best-effort up to relabelling)
-    of tiny instances.  Supported kinds: tree, cycle,
-    outerplane_biconnected.  Every instance passes the class check that
-    ``generate``'s outputs pass; a size below the kind's smallest yields
-    none."""
+    of tiny instances of each kind in ``ENUM_KINDS``.  Every instance
+    passes the class check that ``generate``'s outputs pass; a size below
+    the kind's smallest yields none."""
     if n > ENUM_GUARD:
         raise ValueError(f"enumeration guarded to n <= {ENUM_GUARD}")
-    if kind not in ("tree", "cycle", "outerplane_biconnected"):
+    if kind not in ENUM_KINDS:
         raise ValueError(f"exhaustive enumeration not supported for kind {kind!r}")
     if n < _MIN_N.get(kind, 1):
         return
@@ -514,14 +536,11 @@ def enumerate_small(kind, n):
         yield generate(GenSpec("cycle", n))
         return
     if kind == "tree":
-        import networkx as nx
-
-        trees = [()] if n == 1 else (T.edges() for T in nx.nonisomorphic_trees(n))
-        for tree_edges in trees:
+        for parent in _free_trees(n):
             b = _Builder()
             for _ in range(n):
                 b.new_vertex()
-            for u, v in sorted(tuple(sorted(e)) for e in tree_edges):
+            for u, v in sorted((parent[v], v) for v in range(1, n)):
                 b.add_edge(u, v)
             G = b.finish_outerplane()
             _check_class(GenSpec(kind, n), G)

@@ -145,7 +145,10 @@ def _closed_word(word, fixed):
     crosses either of its cuts, ``fixed`` in the word and the seam n in the
     doubled word, by the Main-Lorentz crossing step.  A square of the cycle
     that crosses neither lies in the square-free prefix or in the tail, and
-    one in the tail, of half at most t / 2, was cut where it ends."""
+    one in the tail, of half at most t / 2, was cut where it ends.  Most
+    candidates fail at the seam with a short half, so the seam is first
+    searched on its window of 4h symbols for halves h <= min(t, n // 2):
+    a square found there is one the full step finds, and costs O(t)."""
     n = len(word)
     budget = 200
     choice = [0]  # the symbol tried at positions fixed, fixed + 1, ...
@@ -161,8 +164,10 @@ def _closed_word(word, fixed):
             if i + 1 < n:
                 choice.append(0)
                 continue
-            seam = _crossing_squares(word + word, 0, n, 2 * n, n // 2)
-            if not (seam or _crossing_squares(word, 0, fixed, n, n // 2)):
+            ww, h = word + word, min(n - fixed, n // 2)
+            if not (_crossing_squares(ww, n - 2 * h, n, n + 2 * h, h)
+                    or _crossing_squares(ww, 0, n, 2 * n, n // 2)
+                    or _crossing_squares(word, 0, fixed, n, n // 2)):
                 return tuple(word)
             budget -= 1
             if budget < 0:

@@ -104,6 +104,39 @@ def test_colour_rejects_non_object_graph_document(tmp_path, text):
     _assert_parse_exit(run(["colour", "--input", str(g)]))
 
 
+#: past the 4,300 digits that ``int`` converts by default; ``json.dumps``
+#: cannot write it, so each document is raw text
+BIG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": %s, "edges": [], "rotations": []}' % BIG,
+        '{"n": 2, "edges": [[0, %s]], "rotations": [[0], [1]], "outer_dart": 0}' % BIG,
+        '{"n": 2, "edges": [[0, 1]], "rotations": [[0], [1]], "outer_dart": %s}' % BIG,
+    ],
+    ids=["n", "edge-end", "outer-dart"],
+)
+@pytest.mark.parametrize("command", ["colour", "verify"])
+def test_an_integer_past_the_digit_limit_is_a_parse_failure(tmp_path, text, command):
+    # json.loads raises a plain ValueError for it, which exited 1 with a traceback
+    g = tmp_path / "g.json"
+    g.write_text(text)
+    c = tmp_path / "c.json"
+    c.write_text(json.dumps({"colours": [1, 2], "palette_max": 2}))
+    args = {"colour": ["colour", "--input", str(g)], "verify": ["verify", "--input", str(g), "--colouring", str(c)]}
+    _assert_parse_exit(run(args[command]))
+
+
+def test_a_colour_past_the_digit_limit_is_a_parse_failure(tmp_path):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(PATH_DOC))
+    c = tmp_path / "c.json"
+    c.write_text('{"colours": [1, %s], "palette_max": 2}' % BIG)
+    _assert_parse_exit(run(["verify", "--input", str(g), "--colouring", str(c)]))
+
+
 def test_verify_rejects_deeply_nested_colouring_document(tmp_path):
     g = tmp_path / "g.json"
     g.write_text(json.dumps(PATH_DOC))
@@ -254,17 +287,31 @@ def test_colour_exit_4_when_the_certificate_fails(tmp_path, monkeypatch):
     assert json.loads(r.stderr.strip().splitlines()[-1])["error"] == "internal-verification-failure"
 
 
-@pytest.mark.parametrize("command", ["colour", "verify"])
-def test_a_kernel_naming_a_false_square_exits_4(tmp_path, monkeypatch, command):
+def _kernel_index_error(seq, max_half=0):
+    raise IndexError("list index out of range")
+
+
+@pytest.mark.parametrize(
+    "command, kernel",
+    [
+        ("colour", lambda seq, max_half=0: (0, 1)),
+        ("verify", lambda seq, max_half=0: (0, 1)),
+        ("colour", _kernel_index_error),  # exited 1 with a traceback and no diagnostic
+        ("verify", _kernel_index_error),
+    ],
+    ids=["colour", "verify", "colour-index-error", "verify-index-error"],
+)
+def test_a_kernel_naming_a_false_square_exits_4(tmp_path, monkeypatch, command, kernel):
     # the path's outer walk of 66 darts goes to find_square window by
-    # window, and the verifier's check of the named path raises
+    # window, and the verifier's check of the named path raises; a kernel
+    # that raises anything else is a bug as well
     from thueplane import colour, kernels
 
     G = path_graph(34)
     g = write_graph(tmp_path, G)
     c = tmp_path / "c.json"
     c.write_text(colour.colour_outerplane(G).dumps())
-    monkeypatch.setattr(kernels, "find_square", lambda seq, max_half=0: (0, 1))
+    monkeypatch.setattr(kernels, "find_square", kernel)
     args = {"colour": ["colour", "--input", g], "verify": ["verify", "--input", g, "--colouring", str(c)]}
     r = run(args[command])
     assert r.exit_code == 4

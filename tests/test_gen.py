@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import pytest
 
@@ -69,9 +70,39 @@ def test_bridgeless_rejects_two():
 
 
 def test_enumerate_trees_counts():
-    # free trees on n vertices: 1, 1, 1, 2, 3, 6, 11, 23
-    for n, want in [(1, 1), (2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11), (8, 23)]:
+    # free trees on n vertices (OEIS A000055): 1, 1, 1, 2, 3, 6, 11, 23, 47,
+    # and past the guard, from the level sequences alone, 106, 235, 551
+    for n, want in [(1, 1), (2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11), (8, 23), (9, 47)]:
         assert sum(1 for _ in enumerate_small("tree", n)) == want
+    for n, want in [(10, 106), (11, 235), (12, 551)]:
+        parents = [tuple(p) for p in gen._free_trees(n)]
+        assert len(parents) == len(set(parents)) == want
+        assert all(p[0] == -1 and all(p[v] < v for v in range(1, n)) for p in parents)
+
+
+def test_enumerate_trees_without_networkx(monkeypatch):
+    # the tree enumeration once imported networkx for one call; an entry of
+    # None in sys.modules makes any import of it fail
+    monkeypatch.setitem(sys.modules, "networkx", None)
+    assert sum(1 for _ in enumerate_small("tree", 9)) == 47
+
+
+# SHA-256 over every enumerate_small(kind, n) graph, for trees, cycles and
+# 2-connected outerplane graphs in turn and n = 1..9 in order, one JSON line
+# per graph, recorded while networkx enumerated the trees: it pins the
+# graphs, their order and their darts
+ENUMERATION_DIGEST = "f522a4b7f6afdd9eb39bfcbe27eb33d8374f7f0dc89b6c59a76d1bbedcaafd66"
+
+
+def test_enumeration_golden_digest():
+    h = hashlib.sha256()
+    count = 0
+    for kind in ("tree", "cycle", "outerplane_biconnected"):
+        for n in range(1, gen.ENUM_GUARD + 1):
+            for G in enumerate_small(kind, n):
+                h.update(embed.dumps_graph(G).encode() + b"\n")
+                count += 1
+    assert (h.hexdigest(), count) == (ENUMERATION_DIGEST, 474)
 
 
 def test_enumerate_cycle():

@@ -203,29 +203,32 @@ def test_cycle_word_table_is_the_exact_search_above_58():
 
 
 def test_two_cut_verdicts_match_the_full_cyclic_check(monkeypatch):
-    # _closed_word judges a full candidate at the seam, then, when the seam
-    # holds no square, at the tail's left end; each verdict must be the
-    # whole cycle's
-    judged = []  # [candidate, the cut that found a square or None]
+    # _closed_word judges a full candidate on a short window of the seam,
+    # then, when the window holds no square, on the whole seam and then at
+    # the tail's left end; each verdict must be the whole cycle's
+    judged = []  # [candidate, the last check run, the check that found a square or None]
     real = words._crossing_squares
 
     def recorded(s, lo, mid, hi, max_half):
         hits = real(s, lo, mid, hi, max_half)
-        if len(s) == 2 * mid:
-            judged.append([tuple(s[:mid]), "seam" if hits else None])
+        if len(s) != 2 * mid:
+            assert judged[-1] == [tuple(s), "seam", None]
+            judged[-1][1:] = "tail", "tail" if hits else None
+        elif judged and judged[-1] == [tuple(s[:mid]), "window", None]:
+            assert (lo, hi) == (0, len(s))
+            judged[-1][1:] = "seam", "seam" if hits else None
         else:
-            assert judged[-1] == [tuple(s), None]
-            judged[-1][1] = "tail" if hits else None
+            judged.append([tuple(s[:mid]), "window", "window" if hits else None])
         return hits
 
     monkeypatch.setattr(words, "_crossing_squares", recorded)
     for n in range(65, 701):
         word = cycle_colouring(n)
-        assert judged[-1] == [word, None]  # the candidate accepted
-    for word, cut in judged:
+        assert judged[-1] == [word, "tail", None]  # the candidate accepted
+    for word, _last, cut in judged:
         assert has_cyclic_repetition(word) == (cut is not None), (len(word), cut)
-    cuts = [cut for _word, cut in judged]
-    assert cuts.count("seam") > 1000 and cuts.count("tail") > 10
+    cuts = [cut for _word, _last, cut in judged]
+    assert cuts.count("window") > 8000 and cuts.count("seam") > 100 and cuts.count("tail") > 10
 
 
 def test_long_cycle_words_make_no_square_search(monkeypatch):
@@ -366,7 +369,9 @@ def _judged(monkeypatch, failures):
     judged = []
 
     def crossing(s, lo, mid, hi, max_half):
-        if len(s) == 2 * mid:  # the seam, judged first
+        if lo:  # the seam's short window: the full checks give the verdict
+            return []
+        if len(s) == 2 * mid:  # the whole seam, judged first
             judged.append(tuple(s[:mid]))
         return [(0, 1)] if len(judged) <= failures else []
 

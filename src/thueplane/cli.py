@@ -41,6 +41,13 @@ def _diag(**fields):
     print(json.dumps(fields, sort_keys=True), file=sys.stderr)
 
 
+def _detail(exc):
+    """An internal error's diagnostic detail: its type name, so that an
+    exception raised without a message still says what went wrong."""
+    text = str(exc)
+    return f"{type(exc).__name__}: {text}" if text else type(exc).__name__
+
+
 def _write(path, text):
     """Write ``text`` to ``path``, or exit 2 with an ``output`` diagnostic.
     Empty ``text`` only checks that ``path`` can be written (append mode)."""
@@ -107,7 +114,7 @@ def cmd_colour(input_path, mode, output_path):
         _diag(error="class-mismatch", mode=mode, detail=str(exc))
         sys.exit(EXIT_CLASS)
     except Exception as exc:  # VerificationBugError, BlockingConstructionError and any other bug
-        _diag(error="internal-verification-failure", mode=mode, detail=str(exc))
+        _diag(error="internal-verification-failure", mode=mode, detail=_detail(exc))
         sys.exit(EXIT_INTERNAL)
     t_colour = time.perf_counter() - t0  # includes the pipeline's certificate
 
@@ -138,7 +145,7 @@ def cmd_verify(input_path, colouring_path):
     try:
         bad = verify.verify_facial_nonrepetitive(G, col.colours)
     except Exception as exc:  # a witness that is not a square, or any other bug
-        _diag(error="internal-verification-failure", detail=str(exc))
+        _diag(error="internal-verification-failure", detail=_detail(exc))
         sys.exit(EXIT_INTERNAL)
     if bad is None:
         print(json.dumps({"input_digest": digest, "ok": True}, sort_keys=True))

@@ -53,11 +53,16 @@ class Colouring:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
+#: every colour is below this, so has at most the 4,300 digits ``json``
+#: reads under the interpreter's default limit, whatever the limit is set to
+_COLOUR_BOUND = 10**4300
+
+
 def colouring_from_json(doc):
     """Colouring from its JSON document: ``colours`` a list of plain
-    non-negative integers (the verifier's alphabet), ``palette_max`` a plain
-    integer and the optional ``verified`` a bool.  Anything else raises
-    ValueError, never a coerced value."""
+    non-negative integers below 10**4300 (the verifier's alphabet),
+    ``palette_max`` a plain integer and the optional ``verified`` a bool.
+    Anything else raises ValueError, never a coerced value."""
     if not isinstance(doc, dict):
         raise ValueError("malformed colouring document: not a JSON object")
     try:
@@ -66,9 +71,9 @@ def colouring_from_json(doc):
         raise ValueError(f"malformed colouring document: missing {exc}") from exc
     verified = doc.get("verified", False)
     if not isinstance(colours, (list, tuple)) or not all(
-        type(c) is int and c >= 0 for c in colours
+        type(c) is int and 0 <= c < _COLOUR_BOUND for c in colours
     ):
-        raise ValueError("malformed colouring document: colours are not non-negative integers")
+        raise ValueError("malformed colouring document: colours are not non-negative integers below 10**4300")
     if type(palette_max) is not int:
         raise ValueError(f"malformed colouring document: palette_max {palette_max!r} is not an integer")
     if type(verified) is not bool:
@@ -222,6 +227,7 @@ def _colour_cactus_core(Gs):
     return colours
 
 
+@embed._gc_paused
 def colour_cactus_even(G):
     """Facially nonrepetitive colouring of a cactus whose cycles are all
     even, over at most 7 colours: deepest degree-2 vertices of the cycles
@@ -255,6 +261,7 @@ def _colour_outerplane_core(Gs, B):
     return colours
 
 
+@embed._gc_paused
 def colour_outerplane(G):
     """Facially nonrepetitive colouring of an outerplane multigraph with at
     most 11 colours: an even blocking set's blocking graph is cactus-coloured
@@ -264,6 +271,7 @@ def colour_outerplane(G):
     return _checked(G, _colour_outerplane_core(Gs, blocking._even_blocking_over_blocks(Gs)), 11)
 
 
+@embed._gc_paused
 def colour_outerplane_single_block(G):
     """At most 7 colours for an outerplane graph with at most one
     2-connected component: a blocking set of non-exceptional size makes the
@@ -361,11 +369,12 @@ def augment_plus(G):
     rotations are G's with the added darts inserted at their corners in one
     sweep, by ``embed._mapped_rotations``."""
     corners = _augmentation(G, *_peel(G), False)
-    origin = G.origin + [G.origin[d] for corner in corners for d in corner]
+    origin = G.origin + tuple(G.origin[d] for corner in corners for d in corner)
     rot = embed._mapped_rotations(G, range(G.n), range(len(origin)), corners)
     return embed.EmbeddedGraph(G.n, origin, rot, tuple(G.faces[f][0] for f in G.outer_faces))
 
 
+@embed._gc_paused
 def colour_plane(G):
     """Facially nonrepetitive colouring of any plane graph with at most 22
     colours: augment, split into peeling layers, colour each layer's

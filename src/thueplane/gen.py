@@ -444,6 +444,7 @@ _GENERATORS = {
 KINDS = tuple(_GENERATORS)
 
 
+@embed._gc_paused
 def generate(spec):
     """Deterministic instance of the requested class; same spec, same bytes."""
     G = _GENERATORS[spec.kind](spec, _rng(spec))

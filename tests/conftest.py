@@ -31,7 +31,7 @@ def wheel(k):
     walk = G.faces[f]
     verts = G.face_vertices(f)
     base = len(G.origin)  # the first new dart
-    new_origin = G.origin + [x for p in range(k) for x in (k, verts[p])]
+    new_origin = G.origin + tuple(x for p in range(k) for x in (k, verts[p]))
     new_rot = [list(r) for r in G.rotations]
     new_rot.append([base + 2 * t for t in reversed(range(k))])
     for t in range(k):

@@ -518,7 +518,7 @@ def add_edge_in_face(G, u, w, f, u_pos=None, w_pos=None):
         raise EmbeddingError("u_pos and w_pos name the same corner")
 
     du, dw = len(G.origin), len(G.origin) + 1
-    new_origin = G.origin + [u, w]
+    new_origin = G.origin + (u, w)
 
     # corner i of the walk sits just before walk[i] in origin(walk[i])'s rotation
     inserts = {}
@@ -575,7 +575,7 @@ def gen_plane_rebuild(spec, rng=None):
 
         z = G.n
         base = len(G.origin)  # the first new dart
-        new_origin = G.origin + [x for p in corners for x in (z, verts[p])]
+        new_origin = G.origin + tuple(x for p in corners for x in (z, verts[p]))
         new_rot = [list(r) for r in G.rotations]
         new_rot.append([base + 2 * t for t in reversed(range(k))])
         for t, p in enumerate(corners):

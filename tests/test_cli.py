@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -135,6 +136,13 @@ def test_a_colour_past_the_digit_limit_is_a_parse_failure(tmp_path):
     c = tmp_path / "c.json"
     c.write_text('{"colours": [1, %s], "palette_max": 2}' % BIG)
     _assert_parse_exit(run(["verify", "--input", str(g), "--colouring", str(c)]))
+    # with no digit limit json reads the colour, which verify accepted (exit 0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        _assert_parse_exit(run(["verify", "--input", str(g), "--colouring", str(c)]))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_verify_rejects_deeply_nested_colouring_document(tmp_path):
@@ -291,20 +299,28 @@ def _kernel_index_error(seq, max_half=0):
     raise IndexError("list index out of range")
 
 
+def _kernel_bare_assertion(seq, max_half=0):
+    raise AssertionError()
+
+
 @pytest.mark.parametrize(
-    "command, kernel",
+    "command, kernel, names",
     [
-        ("colour", lambda seq, max_half=0: (0, 1)),
-        ("verify", lambda seq, max_half=0: (0, 1)),
-        ("colour", _kernel_index_error),  # exited 1 with a traceback and no diagnostic
-        ("verify", _kernel_index_error),
+        ("colour", lambda seq, max_half=0: (0, 1), None),
+        ("verify", lambda seq, max_half=0: (0, 1), None),
+        ("colour", _kernel_index_error, "IndexError"),  # exited 1 with a traceback and no diagnostic
+        ("verify", _kernel_index_error, "IndexError"),
+        ("colour", _kernel_bare_assertion, "AssertionError"),  # its detail was ""
+        ("verify", _kernel_bare_assertion, "AssertionError"),
     ],
-    ids=["colour", "verify", "colour-index-error", "verify-index-error"],
+    ids=["colour", "verify", "colour-index-error", "verify-index-error",
+         "colour-bare-assertion", "verify-bare-assertion"],
 )
-def test_a_kernel_naming_a_false_square_exits_4(tmp_path, monkeypatch, command, kernel):
+def test_a_kernel_naming_a_false_square_exits_4(tmp_path, monkeypatch, command, kernel, names):
     # the path's outer walk of 66 darts goes to find_square window by
     # window, and the verifier's check of the named path raises; a kernel
-    # that raises anything else is a bug as well
+    # that raises anything else is a bug as well, and the diagnostic names
+    # the exception's type
     from thueplane import colour, kernels
 
     G = path_graph(34)
@@ -315,7 +331,10 @@ def test_a_kernel_naming_a_false_square_exits_4(tmp_path, monkeypatch, command, 
     args = {"colour": ["colour", "--input", g], "verify": ["verify", "--input", g, "--colouring", str(c)]}
     r = run(args[command])
     assert r.exit_code == 4
-    assert json.loads(r.stderr.strip().splitlines()[-1])["error"] == "internal-verification-failure"
+    diag = json.loads(r.stderr.strip().splitlines()[-1])
+    assert diag["error"] == "internal-verification-failure"
+    if names:
+        assert diag["detail"].startswith(names)
 
 
 @pytest.mark.parametrize("args", [["--corpus", "0"], ["--kind", "cycle", "--corpus", "2"]])

@@ -1,10 +1,11 @@
 import gc
+import json
 import random
 import tracemalloc
 
 import pytest
 
-from thueplane import embed, gen, verify
+from thueplane import colour, embed, gen, verify
 from thueplane.embed import ClassMismatchError, EmbeddingError
 
 from conftest import (
@@ -300,7 +301,7 @@ def test_induced_subgraph_of_fan():
 
 def test_induced_empty():
     sub, _ = support.induced_embedded_subgraph(fan5(), [])
-    assert sub.n == 0 and sub.origin == []
+    assert sub.n == 0 and sub.origin == ()
 
 
 def test_add_edge_splits_face():
@@ -483,3 +484,94 @@ def test_a_graph_keeps_one_copy_of_its_edge_ends():
         tracemalloc.stop()
     assert G.n == n
     assert retained / n <= 400
+
+
+def test_a_graph_does_not_share_the_lists_it_was_built_from():
+    # the graph kept the caller's origin list and handed out face_of and
+    # comp_of as lists, so a caller's edit left the faces stale unnoticed
+    G = gen.generate(gen.GenSpec("outerplane", 30, 1))
+    doc = embed.graph_to_json(G)
+    origin = list(G.origin)
+    H = embed.EmbeddedGraph(G.n, origin, G.rotations, G.canonical_outer_darts())
+    F = embed.graph_from_json(doc)
+    faces, face_of, text = H.faces, H.face_of, embed.dumps_graph(H)
+    origin.reverse()
+    doc["edges"].reverse()
+    doc["edges"][0].append(0)
+    for g in (H, F):
+        assert type(g.origin) is type(g.face_of) is type(g.comp_of) is tuple
+        assert (g.faces, g.face_of, embed.dumps_graph(g)) == (faces, face_of, text)
+
+
+# -- the collector is paused inside parsing, generation and the pipelines ------
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector's state after the test, whatever it does."""
+    was = gc.isenabled()
+    yield
+    gc.enable() if was else gc.disable()
+
+
+_RETURNS = {
+    "loads_graph": lambda: embed.loads_graph(embed.dumps_graph(wheel(5))),
+    "graph_from_json": lambda: embed.graph_from_json(embed.graph_to_json(wheel(5))),
+    "generate": lambda: gen.generate(gen.GenSpec("plane", 30, 2)),
+    "colour_outerplane": lambda: colour.colour_outerplane(fan5()),
+    "colour_plane": lambda: colour.colour_plane(wheel(5)),
+    "colour_cactus_even": lambda: colour.colour_cactus_even(polygon(6)),
+    "colour_outerplane_single_block": lambda: colour.colour_outerplane_single_block(fan5()),
+}
+_RAISES = {
+    "colour_outerplane-class-mismatch": (ClassMismatchError, lambda: colour.colour_outerplane(wheel(5))),
+    "graph_from_json-embedding-error": (EmbeddingError, lambda: embed.graph_from_json({"n": -1})),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("name", list(_RETURNS) + list(_RAISES))
+def test_each_paused_call_leaves_the_collector_as_it_found_it(collector, name, enabled):
+    gc.enable() if enabled else gc.disable()
+    if name in _RETURNS:
+        _RETURNS[name]()
+    else:
+        error, call = _RAISES[name]
+        with pytest.raises(error):
+            call()
+    assert gc.isenabled() is enabled
+
+
+def test_no_collection_runs_inside_generation_parsing_or_a_pipeline(collector):
+    # before the pause, generating this graph made 10-17 collections and
+    # colouring its document 41-48, at the default gen-0 threshold of 700;
+    # the unwrapped calls show that the counter still sees them
+    gc.enable()
+    spec = gen.GenSpec("outerplane", 6000, 0)
+    log = []
+
+    def count(phase, info):
+        if phase == "start":
+            log.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        gc.collect()  # no allocation before a call's pause can reach the threshold
+        del log[:]
+        G = gen.generate(spec)
+        in_generate = len(log)
+        doc = embed.dumps_graph(G)
+        del G
+        gc.collect()
+        del log[:]
+        colour.colour_outerplane(embed.loads_graph(doc))
+        in_pipeline = len(log)
+        gc.collect()
+        del log[:]
+        gen.generate.__wrapped__(spec)
+        colour.colour_outerplane.__wrapped__(embed.graph_from_json.__wrapped__(json.loads(doc)))
+        unpaused = len(log)
+    finally:
+        gc.callbacks.remove(count)
+    assert (in_generate, in_pipeline) == (0, 0)
+    assert unpaused >= 10

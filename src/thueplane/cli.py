@@ -113,7 +113,7 @@ def cmd_colour(input_path, mode, output_path):
     except ClassMismatchError as exc:
         _diag(error="class-mismatch", mode=mode, detail=str(exc))
         sys.exit(EXIT_CLASS)
-    except Exception as exc:  # VerificationBugError, BlockingConstructionError and any other bug
+    except Exception as exc:  # VerificationBugError from the certificate, or any other bug
         _diag(error="internal-verification-failure", mode=mode, detail=_detail(exc))
         sys.exit(EXIT_INTERNAL)
     t_colour = time.perf_counter() - t0  # includes the pipeline's certificate
@@ -174,9 +174,6 @@ def cmd_gen(kind, n, seed, chord_p, attach_p, out_path):
     except ValueError as exc:
         _diag(error="parse", detail=str(exc))
         sys.exit(EXIT_PARSE)
-    except gen.GenerationError as exc:  # pragma: no cover - generator bug
-        _diag(error="internal-verification-failure", detail=str(exc))
-        sys.exit(EXIT_INTERNAL)
     doc = embed.dumps_graph(G)
     if out_path:
         _write(out_path, doc + "\n")

@@ -120,12 +120,9 @@ def _auxiliary_runs(W, H):
     facial path free of other members.  When every link holds (and H has
     at least two members) the runs close into one cycle, 3-coloured by a
     cycle word; otherwise each maximal run of links is a path, coloured by
-    a ternary square-free word from its smaller end."""
+    a ternary square-free word from its smaller end.  Every member has
+    degree 2, so it occurs once on W."""
     occ = [i for i, x in enumerate(W) if x in H]
-    # every vertex of the component is on W, so this says each member
-    # occurs once: a member on two corners would join up to four links
-    if len(occ) != len(H):
-        raise VerificationBugError("auxiliary deepest-vertex graph is not paths/cycle")
     hs = [W[i] for i in occ]
     m = len(hs)
     link = []
@@ -139,8 +136,6 @@ def _auxiliary_runs(W, H):
         # golden digests pin
         s = hs.index(min(hs))
         word = (0, 1) if m == 2 else cycle_colouring(m)
-        if len(set(word)) > 3:
-            raise VerificationBugError("auxiliary cycle needed four symbols")
         return [(hs if s == 0 else hs[s::-1] + hs[:s:-1], word)]
     runs = []
     run = []
@@ -182,13 +177,10 @@ def _colour_cactus_component(G, comp, cid, comp_faces, colours):
             H.add(deepest)
 
     if degs[root] != 1 and len(H) in EXCEPTIONAL_CYCLE_LENGTHS:
-        stars = [
+        fstar = min(
             f for f in comp_faces
             if sum(1 for x in G.face_vertices(f) if degs[x] > 2) == 1
-        ]
-        if not stars:
-            raise VerificationBugError("no single-attachment face in a rooted even cactus")
-        fstar = min(stars)
+        )
         cyc = G.face_vertices(fstar)
         b = max(cyc, key=lambda x: (lam[x], x))
         i = cyc.index(b)

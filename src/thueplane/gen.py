@@ -4,9 +4,9 @@ Every generator is correct by construction (no planarity testing): polygons
 with non-crossing chords, feature gluing along the outer face,
 face-interior vertex insertion and concentric rings joined by spokes all
 maintain an explicit rotation system, and each graph is built once.
-Every output, enumerated ones included, is validated against its class
-predicate before being returned; a predicate failure is a generator bug,
-not a caller error.
+No output is checked against its class predicate here: the tests check
+each kind's predicate on seeded and enumerated outputs, and the colouring
+pipelines check their own input class.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ import random
 from dataclasses import dataclass
 
 from thueplane import embed
-
-
-class GenerationError(RuntimeError):
-    """A generated instance failed its own class predicate (a bug)."""
 
 
 #: smallest n of the kinds that need more than one vertex
@@ -99,7 +95,7 @@ class _Builder:
     def finish_outerplane(self):
         """The graph, with its default outer face: the face of dart 0.  Each
         feature appends its darts after the earlier ones at its anchor, so
-        that face runs round the whole graph; ``_check_class`` checks it."""
+        that face runs round the whole graph."""
         return embed.EmbeddedGraph(len(self.rot), self.origin, self.rot, ())
 
 
@@ -205,8 +201,6 @@ def _gen_outerplane_bridgeless(spec, rng):
     budget = spec.n - first
     while budget > 0:
         m = _block_size(rng, budget, avoid_remainder_one=True)
-        if m is None:
-            raise GenerationError("block budgeting failed")
         anchor = rng.randrange(len(b.rot))
         b.add_polygon_block(anchor, m, _thinned_block_chords(m, rng, spec.chord_probability))
         budget -= m - 1
@@ -389,47 +383,6 @@ def _gen_nested(spec, rng):
 # -- public entry points -------------------------------------------------------
 
 
-def _check_class(spec, G):
-    kind = spec.kind
-    if G.n != spec.n:
-        raise GenerationError(f"generated {G.n} vertices instead of {spec.n}")
-    if not embed.is_simple(G):
-        raise GenerationError("generator emitted loops or parallel edges")
-    if kind == "plane":
-        return
-    if kind == "nested":
-        if len(G.components) != 1:
-            raise GenerationError("nested rings are not connected")
-        return
-    if not embed.is_outerplane(G):
-        raise GenerationError("instance is not outerplane")
-    if kind == "tree":
-        if len(G.origin) != 2 * (spec.n - 1) or len(G.components) != 1:
-            raise GenerationError("instance is not a tree")
-    elif kind == "cycle":
-        if not all(G.degree(v) == 2 for v in range(G.n)) or len(G.components) != 1:
-            raise GenerationError("instance is not a cycle")
-    elif kind == "cactus_even":
-        if embed._chords(G):
-            raise GenerationError("cactus has chords")
-        if any(len(G.faces[f]) % 2 for f in G.inner_faces()):
-            raise GenerationError("cactus has an odd cycle")
-    elif kind == "outerplane_biconnected":
-        if not embed.is_biconnected(G):
-            raise GenerationError("instance is not biconnected")
-    elif kind == "outerplane_bridgeless":
-        if embed.bridges(G):
-            raise GenerationError("instance has a bridge")
-    elif kind == "flower":
-        if len(G.components) != 1:
-            raise GenerationError("flower is not connected")
-        find = embed._union_find(G.n, (G.origin[2 * e : 2 * e + 2] for e in embed.bridges(G)))
-        centre = find(0)
-        for verts, _fs, _seg in embed._blocks_and_bridges(G):
-            if len(verts) >= 3 and all(find(x) != centre for x in verts):
-                raise GenerationError("a flower block misses the bridge class of vertex 0")
-
-
 _GENERATORS = {
     "tree": _gen_tree,
     "cycle": _gen_cycle,
@@ -447,9 +400,7 @@ KINDS = tuple(_GENERATORS)
 @embed._gc_paused
 def generate(spec):
     """Deterministic instance of the requested class; same spec, same bytes."""
-    G = _GENERATORS[spec.kind](spec, _rng(spec))
-    _check_class(spec, G)
-    return G
+    return _GENERATORS[spec.kind](spec, _rng(spec))
 
 
 ENUM_GUARD = 9
@@ -524,9 +475,9 @@ def _free_trees(n):
 
 def enumerate_small(kind, n):
     """Exhaustive enumeration (deduplicated best-effort up to relabelling)
-    of tiny instances of each kind in ``ENUM_KINDS``.  Every instance
-    passes the class check that ``generate``'s outputs pass; a size below
-    the kind's smallest yields none."""
+    of tiny instances of each kind in ``ENUM_KINDS``.  Every instance is
+    of its kind's class, as ``generate``'s outputs are; a size below the
+    kind's smallest yields none."""
     if n > ENUM_GUARD:
         raise ValueError(f"enumeration guarded to n <= {ENUM_GUARD}")
     if kind not in ENUM_KINDS:
@@ -543,9 +494,7 @@ def enumerate_small(kind, n):
                 b.new_vertex()
             for u, v in sorted((parent[v], v) for v in range(1, n)):
                 b.add_edge(u, v)
-            G = b.finish_outerplane()
-            _check_class(GenSpec(kind, n), G)
-            yield G
+            yield b.finish_outerplane()
         return
     seen = set()  # outerplane_biconnected: one polygon per chord set up to symmetry
     for subset in _noncrossing_chord_subsets(n):
@@ -556,6 +505,4 @@ def enumerate_small(kind, n):
         b = _Builder()
         v0 = b.new_vertex()
         b.add_polygon_block(v0, n, sorted(subset))
-        G = b.finish_outerplane()
-        _check_class(GenSpec(kind, n), G)
-        yield G
+        yield b.finish_outerplane()

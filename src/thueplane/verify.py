@@ -91,8 +91,11 @@ def verify_facial_nonrepetitive(G, colours):
     else the counterexample FacialPath that is smallest by (face id, start
     position on the walk, half length).  Raises RuntimeError when the
     kernel names a path that repeats a vertex or does not read XX: a raise,
-    not an assert, so the check holds under ``python -O`` too."""
-    colours = list(colours)
+    not an assert, so the check holds under ``python -O`` too.  ``colours``
+    is a list or tuple indexed by vertex id; a dict or a set would be read
+    in its iteration order, so any other type is a ValueError."""
+    if not isinstance(colours, (list, tuple)):
+        raise ValueError(f"colouring must be a list or tuple, not {type(colours).__name__}")
     odd = [c for c in colours if type(c) is not int or c < 0]
     if len(colours) != G.n or None in odd:
         raise ValueError("colouring must assign a colour to every vertex")

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from thueplane import colour, embed
 from thueplane.blocking import (
-    BlockingConstructionError,
     BlockingGraph,
     _face_neighbours_of,
     _require_biconnected_outerplane,
@@ -853,7 +852,7 @@ def good_size_by_copies(G):
         nb1, nb2 = _face_neighbours_of(G.face_vertices(f), b_in)
         B.add(nb1 if nb1 != a_out else nb2)
     if len(B) in EXCEPTIONAL_CYCLE_LENGTHS:
-        raise BlockingConstructionError("good-size construction hit an exceptional size")
+        raise AssertionError("good-size construction hit an exceptional size")
     return frozenset(B)
 
 

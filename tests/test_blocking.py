@@ -411,6 +411,39 @@ def test_excluding_a_cut_vertex_reads_its_neighbours_on_each_block():
 # -- size control ----------------------------------------------------------------------
 
 
+def test_postconditions_on_every_small_biconnected_graph():
+    # bounded-exhaustive: the constructors do not check their own output,
+    # so every 2-connected outerplane graph on 3..9 vertices checks the
+    # lemmas' promises, with every vertex included and excluded and every
+    # outer edge in both orientations; each distinct set is then validated.
+    # Failures are collected, as an assert per call doubles the test's time
+    wrong = []
+    graphs = 0
+    for n in range(3, gen.ENUM_GUARD + 1):
+        for G in gen.enumerate_small("outerplane_biconnected", n):
+            graphs += 1
+            sets = set()
+            for v in range(n):
+                for include in (True, False):
+                    B = blocking_set_biconnected(G, v, include)
+                    E = blocking_set_even_biconnected(G, v, include)
+                    if (v in B) != include or (v in E) != include or len(E) % 2:
+                        wrong.append(("vertex", n, v, include, sorted(B), sorted(E)))
+                    sets |= {B, E}
+            for d in G.faces[G.outer_face]:
+                for a, b in ((G.origin[d], G.origin[d ^ 1]), (G.origin[d ^ 1], G.origin[d])):
+                    B = blocking_set_even_biconnected_edge(G, a, b)
+                    if a in B or b not in B or len(B) % 2:
+                        wrong.append(("edge", n, a, b, sorted(B)))
+                    sets.add(B)
+            B = blocking_set_good_size(G)
+            if len(B) in EXCEPTIONAL_CYCLE_LENGTHS:
+                wrong.append(("good size", n, sorted(B)))
+            sets.add(B)
+            wrong += [("invalid", n, sorted(B)) for B in sets if not validate_blocking_set(G, B)[0]]
+    assert (graphs, wrong) == (372, [])
+
+
 def test_good_size_cycle():
     c9 = polygon(9)
     B = blocking_set_good_size(c9)

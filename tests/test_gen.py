@@ -6,7 +6,7 @@ import pytest
 from thueplane import embed, gen
 from thueplane.gen import GenSpec, enumerate_small, generate
 
-from support import biconnected_components, chords
+from support import biconnected_components, blocks_and_bridges_dfs, chords, edge_pairs
 
 
 def test_spec_validation():
@@ -23,13 +23,53 @@ def test_cycle_is_cycle():
     assert G.n == 5 and all(G.degree(v) == 2 for v in range(5))
 
 
+def class_failures(kind, n, G):
+    """The parts of kind's class predicate that G fails, computed here:
+    n vertices, simple, and for every kind but plane and nested graphs
+    outerplane, then the kind's own shape.  Blocks and bridges come from
+    the Hopcroft-Tarjan oracle."""
+    blocks, bridge_ids = blocks_and_bridges_dfs(G)
+    connected = len(G.components) == 1
+    failed = [name for name, ok in (("n", G.n == n), ("simple", embed.is_simple(G))) if not ok]
+    if kind == "nested" and not connected:
+        failed.append("connected")
+    if kind in ("plane", "nested"):
+        return failed
+    if not embed.is_outerplane(G):
+        return failed + ["outerplane"]
+    if kind == "tree":
+        ok = connected and len(G.origin) == 2 * (n - 1)
+    elif kind == "cycle":
+        ok = connected and all(G.degree(v) == 2 for v in range(G.n))
+    elif kind == "cactus_even":
+        ok = not chords(G) and all(len(G.faces[f]) % 2 == 0 for f in G.inner_faces())
+    elif kind == "outerplane_biconnected":
+        ok = len(blocks) == 1 and len(blocks[0][0]) == n
+    elif kind == "outerplane_bridgeless":
+        ok = not bridge_ids
+    elif kind == "flower":
+        # every block meets vertex 0's bridge class, the vertices that
+        # bridges join to it
+        ends = [set(edge_pairs(G)[e]) for e in bridge_ids]
+        stem = {0}
+        while grown := stem.union(*(pair for pair in ends if stem & pair)) - stem:
+            stem |= grown
+        ok = connected and all(stem & set(vs) for vs, _es in blocks if len(vs) >= 3)
+    else:
+        ok = kind == "outerplane"
+    return failed + ([] if ok else [kind])
+
+
 def test_every_kind_meets_its_predicate():
-    # generate() runs the class predicate internally; survival is the test
     for kind in gen.KINDS:
-        for seed in (0, 1, 2):
-            n = {"cycle": 9, "outerplane_biconnected": 12, "plane": 30}.get(kind, 17)
-            G = generate(GenSpec(kind, n, seed))
-            assert G.n == n
+        small = {"cycle": 9, "outerplane_biconnected": 12, "plane": 30}.get(kind, 17)
+        for n in (small, 200):
+            for seed in (0, 1, 2):
+                assert class_failures(kind, n, generate(GenSpec(kind, n, seed))) == [], (kind, n, seed)
+    for kind in gen.ENUM_KINDS:
+        for n in range(1, gen.ENUM_GUARD + 1):
+            for G in enumerate_small(kind, n):
+                assert class_failures(kind, n, G) == [], (kind, n, embed.dumps_graph(G))
 
 
 def test_biconnected_predicates():

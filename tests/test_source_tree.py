@@ -3,10 +3,13 @@ package is used by the package or exported, and every method of a package
 class is read by the package, so helpers that only tests use live in
 ``tests/``; every exported name has its line in the README's Public API
 table; every attribute a package class sets on ``self`` is read by the
-package; and every import in the package and its tests is used by its
-module."""
+package; every import in the package and its tests is used by its
+module; and only the functions listed here raise ``RuntimeError``, the
+package's signal of a bug in itself."""
 
 import ast
+import builtins
+import importlib
 import pathlib
 import re
 
@@ -164,3 +167,42 @@ def test_every_import_is_used():
                 if bound not in read and "# noqa" not in lines[alias.lineno - 1]:
                     unused.append(f"{module}:{alias.lineno}:{bound}")
     assert unused == []
+
+
+#: every function that raises RuntimeError or a subclass, with its reason.
+#: The constructions do not re-check what they build: ``colour._checked``
+#: certifies every pipeline's output once, so a new internal check belongs
+#: here only with a reason why it costs less than the bug it catches.
+RAISES_A_BUG = {
+    # the certificate: the verifier and the palette bound, once per call
+    "colour._checked",
+    # O(n): the blocking cores trust that the layers graph is outerplane
+    "colour.colour_plane",
+    # the kernel's witness is read back as a square before it is returned
+    "verify.verify_facial_nonrepetitive",
+    # the search for a cycle word can be exhausted; nothing else would say so
+    "words.cycle_colouring",
+}
+
+
+def test_only_the_listed_functions_raise_runtime_errors():
+    found = set()
+    for name in _modules():
+        module = importlib.import_module(f"thueplane.{name[:-3]}")
+        tree = ast.parse((SRC / name).read_text())
+        for node in tree.body:
+            for fn in [node] + (node.body if isinstance(node, ast.ClassDef) else []):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for sub in ast.walk(fn):
+                    exc = sub.exc if isinstance(sub, ast.Raise) else None
+                    exc = exc.func if isinstance(exc, ast.Call) else exc
+                    if isinstance(exc, ast.Name):
+                        cls = getattr(module, exc.id, getattr(builtins, exc.id, None))
+                    elif isinstance(exc, ast.Attribute) and isinstance(exc.value, ast.Name):
+                        cls = getattr(getattr(module, exc.value.id, None), exc.attr, None)
+                    else:
+                        continue
+                    if isinstance(cls, type) and issubclass(cls, RuntimeError):
+                        found.add(f"{name[:-3]}.{fn.name}")
+    assert found == RAISES_A_BUG

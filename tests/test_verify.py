@@ -85,6 +85,18 @@ def test_bool_colours_rejected(triangle):
         verify_facial_nonrepetitive(triangle, [1, -2, 3])
 
 
+def test_dict_and_set_colourings_rejected():
+    # read as a sequence, the dict {v: 1} would be its keys 0..5, which
+    # pass, though its colours 1 1 are a square; a set has no vertex order
+    G = gen.generate(gen.GenSpec("cycle", 6))
+    assert verify_facial_nonrepetitive(G, [1] * 6) == verify.FacialPath(0, (0, 1), True)
+    with pytest.raises(ValueError, match="list or tuple, not dict"):
+        verify_facial_nonrepetitive(G, {v: 1 for v in range(6)})
+    with pytest.raises(ValueError, match="list or tuple, not set"):
+        verify_facial_nonrepetitive(G, {1, 2, 3, 4, 5, 6})
+    assert verify_facial_nonrepetitive(G, (1, 2, 3, 1, 2, 3)) is not None
+
+
 def test_counterexample_is_earliest():
     # the reported face is the smallest failing face id and the block the
     # earliest, shortest repetition on its walk

@@ -127,7 +127,6 @@ def cmd_colour(input_path, mode, output_path):
         "edges": len(G.origin) >> 1,
         "colours_used": result.distinct_colours(),
         "palette_max": result.palette_max,
-        "verified": result.verified,
         "seconds": round(t_parse + t_colour, 6),
         "phases": {"parse": round(t_parse, 6), "colour": round(t_colour, 6)},
     }

@@ -37,17 +37,12 @@ class VerificationBugError(RuntimeError):
 class Colouring:
     colours: tuple  # vertex id -> colour in 1..palette_max
     palette_max: int
-    verified: bool = True
 
     def distinct_colours(self):
         return len(set(self.colours))
 
     def to_json(self):
-        return {
-            "colours": list(self.colours),
-            "palette_max": self.palette_max,
-            "verified": self.verified,
-        }
+        return {"colours": list(self.colours), "palette_max": self.palette_max}
 
     def dumps(self):
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
@@ -61,24 +56,21 @@ _COLOUR_BOUND = 10**4300
 def colouring_from_json(doc):
     """Colouring from its JSON document: ``colours`` a list of plain
     non-negative integers below 10**4300 (the verifier's alphabet),
-    ``palette_max`` a plain integer and the optional ``verified`` a bool.
-    Anything else raises ValueError, never a coerced value."""
+    ``palette_max`` a plain integer; other keys are ignored.  Anything
+    else raises ValueError, never a coerced value."""
     if not isinstance(doc, dict):
         raise ValueError("malformed colouring document: not a JSON object")
     try:
         colours, palette_max = doc["colours"], doc["palette_max"]
     except KeyError as exc:
         raise ValueError(f"malformed colouring document: missing {exc}") from exc
-    verified = doc.get("verified", False)
     if not isinstance(colours, (list, tuple)) or not all(
         type(c) is int and 0 <= c < _COLOUR_BOUND for c in colours
     ):
         raise ValueError("malformed colouring document: colours are not non-negative integers below 10**4300")
     if type(palette_max) is not int:
         raise ValueError(f"malformed colouring document: palette_max {palette_max!r} is not an integer")
-    if type(verified) is not bool:
-        raise ValueError(f"malformed colouring document: verified {verified!r} is not a boolean")
-    return Colouring(tuple(colours), palette_max, verified)
+    return Colouring(tuple(colours), palette_max)
 
 
 @dataclass(frozen=True)

@@ -206,9 +206,10 @@ def graph_from_json(doc):
     checked.  One loop over ``edges`` checks that each is a pair of plain
     integers, both vertices, and appends it to ``origin``; one loop over
     ``rotations`` that each is a list of plain integer darts, every dart
-    listed once, at its ``origin``.  Edges need an outer
-    dart; the outer darts, plain integers, are checked while constructing
-    (face tracing needs a valid rotation system), Euler's formula after.
+    listed once, at its ``origin``.  Edges need an outer dart;
+    ``outer_dart`` is a dart or -1, and one of ``outer_darts`` beside them;
+    the outer darts, plain integers, are checked while constructing (face
+    tracing needs a valid rotation system), Euler's formula after.
     Any failure raises EmbeddingError, never a silently coerced graph."""
     if not isinstance(doc, dict):
         raise EmbeddingError("malformed graph document: not a JSON object")
@@ -246,14 +247,16 @@ def graph_from_json(doc):
                 raise EmbeddingError(f"dart {d} listed at vertex {v}, but its origin is {origin[d]}")
     if not all(seen):
         raise EmbeddingError("some dart missing from the rotations")
+    od = doc.get("outer_dart", -1)
+    if type(od) is not int or od < -1:
+        raise EmbeddingError(f"malformed graph document: outer_dart {od!r} is not a dart or -1")
     outer = doc.get("outer_darts")
     if outer is None:
-        od = doc.get("outer_dart", -1)
-        if type(od) is not int or od < -1:
-            raise EmbeddingError(f"malformed graph document: outer_dart {od!r} is not a dart or -1")
         outer = [od] if od >= 0 else []
     elif not (isinstance(outer, (list, tuple)) and all(type(d) is int for d in outer)):
         raise EmbeddingError("malformed graph document: outer_darts is not a list of integer darts")
+    elif "outer_dart" in doc and od not in outer:
+        raise EmbeddingError(f"malformed graph document: outer_dart {od} is not one of outer_darts")
     if m and not outer:
         raise EmbeddingError("a graph with edges needs an outer_dart designation")
     G = EmbeddedGraph(n, origin, rotations, tuple(outer))
@@ -261,6 +264,7 @@ def graph_from_json(doc):
     return G
 
 
+@_gc_paused
 def dumps_graph(G):
     return json.dumps(graph_to_json(G), sort_keys=True, separators=(",", ":"))
 

@@ -54,8 +54,10 @@ def bad_outer_dart(doc, rnd):
 
 
 def bad_outer_darts(doc, rnd):
+    # outer_dart stays one of outer_darts, so only the out-of-range dart breaks it
     m = 2 * len(doc["edges"])
-    doc["outer_darts"] = [rnd.randrange(m), rnd.choice([m + rnd.randrange(50), -1])]
+    doc["outer_dart"] = rnd.randrange(m)
+    doc["outer_darts"] = [doc["outer_dart"], rnd.choice([m + rnd.randrange(50), -1])]
     return True
 
 

@@ -28,7 +28,7 @@ def test_gen_colour_verify_round_trip(tmp_path):
     r = run(["colour", "--input", str(g), "--mode", "outerplane", "--output", str(c)])
     assert r.exit_code == 0
     report = json.loads(r.stdout.strip().splitlines()[-1])
-    assert report["verified"] is True and report["colours_used"] <= 11
+    assert "verified" not in report and report["colours_used"] <= 11
     r = run(["verify", "--input", str(g), "--colouring", str(c)])
     assert r.exit_code == 0
     assert json.loads(r.stdout)["ok"] is True
@@ -97,6 +97,19 @@ def test_colour_rejects_edges_without_an_outer_dart(tmp_path, outer):
     _assert_parse_exit(run(["colour", "--input", str(g)]))
 
 
+@pytest.mark.parametrize("outer_dart", ["x", 3.5, True, -7, 1000000, 1])
+def test_outer_dart_is_checked_beside_outer_darts(tmp_path, outer_dart):
+    # each exited 0, outer_dart unread; dart 1 lies on the face that dart 0
+    # does not, so the two keys named different outer faces
+    G = polygon(4)
+    assert G.face_of[0] != G.face_of[1]
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({**embed.graph_to_json(G), "outer_darts": [0], "outer_dart": outer_dart}))
+    _assert_parse_exit(run(["colour", "--input", str(g)]))
+    g.write_text(json.dumps({**embed.graph_to_json(G), "outer_darts": [0], "outer_dart": 0}))
+    assert run(["colour", "--input", str(g)]).exit_code == 0
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", "[" * 100000 + "]" * 100000])
 def test_colour_rejects_non_object_graph_document(tmp_path, text):
     # the deeply nested array was an uncaught RecursionError
@@ -160,7 +173,7 @@ def test_verify_rejects_deeply_nested_colouring_document(tmp_path):
         {"colours": [1, "2"], "palette_max": 2},
         {"colours": [1, 2], "palette_max": "2"},
         {"colours": [1, 2], "palette_max": 2.0},
-        {"colours": [1, 2], "palette_max": 2, "verified": "yes"},
+        {"colours": [1, True], "palette_max": 2},
         {"colours": [1, -2], "palette_max": 2},  # was a ValueError traceback in verify
         {"colours": 12, "palette_max": 2},
         [1, 2],
@@ -196,6 +209,18 @@ def test_verify_counterexample_exit(tmp_path):
     assert r.exit_code == 1
     doc = json.loads(r.stdout)
     assert doc["ok"] is False and "counterexample" in doc
+
+
+@pytest.mark.parametrize("flag", [{}, {"verified": True}, {"verified": False}, {"verified": "yes"}])
+@pytest.mark.parametrize("colours, verdict", [([1, 2, 1, 3], 0), ([1, 2, 1, 2], 1)])
+def test_verify_verdict_ignores_a_verified_key(tmp_path, flag, colours, verdict):
+    # colourings no longer carry the key; an old file's is read like any extra key
+    g = write_graph(tmp_path, polygon(4))
+    c = tmp_path / "c.json"
+    c.write_text(json.dumps({"colours": colours, "palette_max": 3, **flag}))
+    r = run(["verify", "--input", g, "--colouring", str(c)])
+    assert r.exit_code == verdict
+    assert json.loads(r.stdout)["ok"] is (verdict == 0)
 
 
 def test_gen_deterministic_stdout():

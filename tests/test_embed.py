@@ -441,13 +441,17 @@ def test_simplify_requires_outerplane():
 
 
 def test_json_round_trip():
-    for seed in range(5):
-        G = gen.generate(gen.GenSpec("outerplane", 15, seed))
+    graphs = [gen.generate(gen.GenSpec("outerplane", 15, seed)) for seed in range(5)]
+    graphs += [gen.generate(gen.GenSpec(kind, 30, 1)) for kind in gen.KINDS]
+    # two outer faces, so the document lists outer_darts beside outer_dart
+    graphs.append(disjoint_union(polygon(5), wheel(4)))
+    for G in graphs:
         doc = embed.graph_to_json(G)
         assert set(doc) >= {"n", "edges", "rotations", "outer_dart"}
         G2 = embed.graph_from_json(doc)
         assert G2.origin == G.origin and G2.rotations == G.rotations
         assert G2.outer_faces == G.outer_faces
+    assert doc["outer_dart"] == doc["outer_darts"][0]
 
 
 def test_json_rejects_garbage():
@@ -503,7 +507,7 @@ def test_a_graph_does_not_share_the_lists_it_was_built_from():
         assert (g.faces, g.face_of, embed.dumps_graph(g)) == (faces, face_of, text)
 
 
-# -- the collector is paused inside parsing, generation and the pipelines ------
+# -- the collector is paused inside (de)serialization, generation and the pipelines
 
 
 @pytest.fixture
@@ -516,6 +520,7 @@ def collector():
 
 _RETURNS = {
     "loads_graph": lambda: embed.loads_graph(embed.dumps_graph(wheel(5))),
+    "dumps_graph": lambda: embed.dumps_graph(wheel(5)),
     "graph_from_json": lambda: embed.graph_from_json(embed.graph_to_json(wheel(5))),
     "generate": lambda: gen.generate(gen.GenSpec("plane", 30, 2)),
     "colour_outerplane": lambda: colour.colour_outerplane(fan5()),
@@ -560,7 +565,11 @@ def test_no_collection_runs_inside_generation_parsing_or_a_pipeline(collector):
         del log[:]
         G = gen.generate(spec)
         in_generate = len(log)
+        del log[:]
         doc = embed.dumps_graph(G)
+        in_dumps = len(log)
+        embed.dumps_graph.__wrapped__(G)
+        dumps_unpaused = len(log)
         del G
         gc.collect()
         del log[:]
@@ -573,5 +582,6 @@ def test_no_collection_runs_inside_generation_parsing_or_a_pipeline(collector):
         unpaused = len(log)
     finally:
         gc.callbacks.remove(count)
-    assert (in_generate, in_pipeline) == (0, 0)
+    assert (in_generate, in_dumps, in_pipeline) == (0, 0, 0)
+    assert dumps_unpaused > 0
     assert unpaused >= 10

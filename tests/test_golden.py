@@ -51,7 +51,9 @@ def _line(h, doc):
 
 # SHA-256 digests recorded before the pipelines were reshaped to certify
 # once at the public boundary and before the subgraph builders were merged.
-PIPELINE_DIGEST = "c8a69fab74efcef5ca49795eb62d75c1b38a8a030cc02f1a65e42a2ac7538cfc"
+# PIPELINE_DIGEST was re-pinned when colouring documents lost their
+# "verified" key: the earlier code's documents with that key stripped.
+PIPELINE_DIGEST = "43842c26362c3b2bd9b6b69487e683a9962ff29d9dc9c432bd0a01951363d2d0"
 SUBGRAPH_DIGEST = "b78dd4fc33d3bb3711b92519029f5a16ea112797aedaed9fbf765bf59e3217ac"
 # SHA-256 digest recorded before the blocking cores moved from per-block
 # views to per-face arrays built once per graph.

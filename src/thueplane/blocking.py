@@ -12,10 +12,10 @@ need.
 All constructors require simple inputs; multigraphs are normalized with
 ``embed.simplify`` by the callers and colourings lift back.
 
-The constructions read each block in place: ``_host`` builds the vertex
-cycle of every inner face and the weak dual by face id once per graph, and
-a block is its inner face ids plus its outer-cycle darts, as the one block
-pass returns them; size control drops an ear from the dual in place.  A
+The constructions read each block in place: ``_host`` is the one block
+pass, which also gives the vertex cycle of every face and the weak dual by
+face id, and a block is its inner face ids plus its outer-cycle darts, as
+that pass returns them; size control drops an ear from the dual in place.  A
 public constructor checks its input class, then reads its own graph as
 one block with the unchecked cores the pipelines call on their blocks.
 No construction checks what it builds: the tests check the lemmas'
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import NamedTuple
 
 from thueplane import embed
@@ -54,7 +55,7 @@ def validate_blocking_set(G, B):
 
     violations = []
     origin = G.origin
-    for verts, faces, _seg in embed._blocks_and_bridges(G):
+    for verts, faces, _seg in embed._blocks_and_bridges(G)[0]:
         if len(verts) < 3:
             continue
         rest = [x for x in verts if x not in B]
@@ -112,26 +113,21 @@ def _require_biconnected_outerplane(G):
 
 
 class _Host(NamedTuple):
-    """A simple outerplane graph read face by face, built once per graph.
-    A block is read in place through it: as its inner face ids, which are
-    host face ids, and the darts of its outer cycle.  The chords between
-    its faces span its weak dual, a tree."""
+    """A simple outerplane graph read face by face, built once per graph
+    from its one block pass.  A block is read in place through it: as its
+    inner face ids, which are host face ids, and the darts of its outer
+    cycle.  The chords between its faces span its weak dual, a tree."""
 
     graph: embed.EmbeddedGraph
-    cycles: list  # face id -> vertex cycle (tuple), None for an outer face
+    blocks: list  # as ``embed._blocks_and_bridges`` returns them
+    cycles: list  # face id -> vertex cycle (tuple)
     dual: list  # face id -> (chord, face across it) pairs, by chord id
+    alive: list  # face id -> its live degree while its block peels, else 0
 
 
 def _host(G):
     """``_Host`` of the simple outerplane graph G; a chord has inner faces on both sides."""
-    tail, outer, face_of = G.origin.__getitem__, G.outer_faces, G.face_of
-    cycles = [None if f in outer else tuple(map(tail, w)) for f, w in enumerate(G.faces)]
-    dual = [[] for _ in cycles]
-    for e, (f, g) in enumerate(zip(face_of[::2], face_of[1::2])):
-        if f not in outer and g not in outer:
-            dual[f].append((e, g))
-            dual[g].append((e, f))
-    return _Host(G, cycles, dual)
+    return _Host(G, *embed._blocks_and_bridges(G), [0] * len(G.faces))
 
 
 def _has_end(origin, e, v):
@@ -150,30 +146,30 @@ def _one_per_face(H, faces, seg, v, include):
 
     if len(faces) == 1:
         return frozenset({v})
-    cycles, dual, origin = H.cycles, H.dual, H.graph.origin
+    cycles, dual, alive_deg, origin = H.cycles, H.dual, H.alive, H.graph.origin
 
-    # a leaf is valid when v is off it or on its live chord
-    alive_deg = {}
+    # a leaf is valid when v is off it or on its live chord.  The heap holds
+    # (leaf, live chord, face across it): in a tree a face enters once and
+    # keeps that chord until peeled, and the peels leave every degree 0
     heap = []
     for f in faces:
         nbs = dual[f]
         alive_deg[f] = len(nbs)
         if len(nbs) == 1 and (v not in cycles[f] or _has_end(origin, nbs[0][0], v)):
-            heap.append(f)
+            heap.append((f,) + nbs[0])
     heapq.heapify(heap)
     peels = []  # (chord, face) in peeling order
     for remaining in range(len(faces), 1, -1):
-        f = -1
-        while alive_deg.get(f) != 1:  # skip peeled faces, which have degree 0
-            f = heapq.heappop(heap)
-        e, g = _live_chord(dual[f], alive_deg)
+        f, e, g = heapq.heappop(heap)
         peels.append((e, f))
         alive_deg[f] = 0
         alive_deg[g] -= 1
         if alive_deg[g] == 1 and remaining > 2:
-            c, _h = _live_chord(dual[g], alive_deg)
+            for c, h in dual[g]:  # g's live chord
+                if alive_deg[h]:
+                    break
             if v not in cycles[g] or _has_end(origin, c, v):
-                heapq.heappush(heap, g)
+                heapq.heappush(heap, (g, c, h))
 
     B = {v}
     for e, f in reversed(peels):
@@ -181,14 +177,6 @@ def _one_per_face(H, faces, seg, v, include):
         if u not in B and w not in B:
             B.add(min(x for x in cycles[f] if x != u and x != w))
     return frozenset(B)
-
-
-def _live_chord(nbs, alive_deg):
-    """The first (chord, face) of ``nbs`` whose face is alive; a leaf face
-    has one.  A loop, since ``next`` over a generator costs 4x as much."""
-    for e, g in nbs:
-        if alive_deg[g]:
-            return e, g
 
 
 def blocking_set_biconnected(G, v, include=True):
@@ -342,53 +330,49 @@ def _even_blocking_over_blocks(G):
     """Process the block-cut forest once: every 2-connected component gets
     an even-cycle blocking set whose shared cut class is included exactly
     when an earlier block (or bridge-tree inflation) selected it."""
-    blocks = embed._blocks_and_bridges(G)
     H = _host(G)
     # bridge-connected vertices form one class, named by its union-find
     # root; a vertex on no bridge is its own class.  A bridge is a block
     # without an inner face, and its vertex tuple is its two ends.
     cls = list(range(G.n))
-    bridge_ends = [verts for verts, faces, _seg in blocks if not faces]
-    ends = {x for verts in bridge_ends for x in verts}
+    bridge_ends = [verts for verts, faces, _seg in H.blocks if not faces]
     find = embed._union_find(G.n, bridge_ends)
-    for x in ends:
+    for x in chain.from_iterable(bridge_ends):
         cls[x] = find(x)
-    big = [block for block in blocks if len(block[0]) >= 3]
+    big = [block for block in H.blocks if len(block[0]) >= 3]
     first = [-1] * G.n  # class -> the first block on it
     class_blocks = {}  # class on two or more blocks -> its blocks
     for bid, (verts, _fs, _seg) in enumerate(big):
-        for x in verts:
-            c = cls[x]
+        for c in map(cls.__getitem__, verts):
             if first[c] == -1:
                 first[c] = bid
             else:
                 class_blocks.setdefault(c, [first[c]]).append(bid)
 
-    selected = set()
-    seen_block = [False] * len(big)
+    selected = bytearray(G.n)  # class -> 1 once selected
+    seen_block = bytearray(len(big))
     for start in range(len(big)):
         if seen_block[start]:
             continue
-        seen_block[start] = True
+        seen_block[start] = 1
         a = big[start][0][0]
-        selected.add(cls[a])  # a root block includes its first vertex
+        selected[cls[a]] = 1  # a root block includes its first vertex
         queue = [(start, a)]
         for bid, a in queue:  # grows while it is read
             verts, faces, seg = big[bid]
-            B = _even_one_per_face(H, faces, seg, a, cls[a] in selected)
-            selected.update(map(cls.__getitem__, B))
-            for x in verts:
-                c = cls[x]
+            for x in _even_one_per_face(H, faces, seg, a, selected[cls[a]]):
+                selected[cls[x]] = 1
+            for c in filter(class_blocks.__contains__, map(cls.__getitem__, verts)):
                 # a class is expanded once: its first expansion marks every
                 # block of it seen, so a later scan would add nothing
-                for nb in class_blocks.pop(c, ()):
+                for nb in class_blocks.pop(c):
                     if not seen_block[nb]:
-                        seen_block[nb] = True
+                        seen_block[nb] = 1
                         # its one vertex in class c: c unless c joins bridges
                         nv = big[nb][0]
                         queue.append((nb, c if c in nv else next(y for y in nv if cls[y] == c)))
 
-    return frozenset(selected.union(x for x in ends if cls[x] in selected))
+    return frozenset(compress(range(G.n), map(selected.__getitem__, cls)))
 
 
 def blocking_set_even_bridgeless(G):
@@ -413,28 +397,26 @@ def blocking_set_good_size(G):
     """Blocking set of a biconnected outerplane graph whose size avoids the
     exceptional cycle lengths (so its blocking cycle is 3-colourable)."""
     _require_biconnected_outerplane(G)
-    return _good_size(G, G.inner_faces())
+    return _good_size(_host(G), G.inner_faces())
 
 
-def _good_size(G, faces):
-    """``blocking_set_good_size`` on the block of the simple outerplane
-    graph G with inner faces ``faces``.  A polygon takes the ends of its
-    lowest-id edge, the first two vertices of its outer walk (that walk
-    holds one dart of every edge and starts at its lowest).  Otherwise the
-    smallest-id ear f is dropped from the block, so that its chord becomes
-    an outer edge, and the rest gets an even set with the chord's smaller
-    end b in and its larger end a out.  Sizes 10 and 14 then also take b's
-    other neighbour on f."""
-    H = _host(G)
-    cycles, dual, origin = H.cycles, H.dual, G.origin
+def _good_size(H, faces):
+    """``blocking_set_good_size`` on the block of H with inner faces
+    ``faces``.  A polygon takes the ends of its lowest-id edge, the first
+    two vertices of its outer walk (that walk holds one dart of every edge
+    and starts at its lowest).  Otherwise the smallest-id ear f is dropped
+    from the block, so that its chord becomes an outer edge, and the rest
+    gets an even set with the chord's smaller end b in and its larger end
+    a out.  Sizes 10 and 14 then also take b's other neighbour on f."""
+    cycles, dual, origin = H.cycles, H.dual, H.graph.origin
     if len(faces) == 1:
-        d = min(G.faces[faces[0]])
+        d = min(H.graph.faces[faces[0]])
         return frozenset((origin[d], origin[d ^ 1]))
 
     f = min(g for g in faces if len(dual[g]) == 1)
     ((chord, g),) = dual[f]
     a, b = sorted(origin[2 * chord : 2 * chord + 2], reverse=True)
-    dual[g].remove((chord, f))  # H is this call's own: drop the ear in place
+    dual[g].remove((chord, f))  # H is built for this call: drop the ear in place
     rest = [h for h in faces if h != f]
     B = set(_even_one_per_face_edge(H, rest, a, b, chord, g))
     if len(B) in (10, 14):
@@ -473,9 +455,10 @@ def _blocking_graph(G, B, simple):
     2 gives a parallel pair, and a step between two occurrences of one
     B-vertex gives a loop.  Such a step gets no edge, so the first edge of
     each endpoint pair is the one kept, as in ``simplify``."""
-    B = set(B)
-    hosts = sorted(B)
-    local = {x: i for i, x in enumerate(hosts)}
+    hosts = sorted(set(B))
+    local = [-1] * G.n  # vertex -> its id in the blocking graph, -1 off B
+    for i, x in enumerate(hosts):
+        local[x] = i
     k, origin = len(hosts), G.origin
     ends = []  # the blocking graph's origin list
     corners = []
@@ -485,7 +468,7 @@ def _blocking_graph(G, B, simple):
         f = G.outer_face_of_component(cid)
         if f is None:
             continue
-        walk = [d for d in G.faces[f] if origin[d] in B]
+        walk = [d for d in G.faces[f] if local[origin[d]] != -1]
         first = len(ends)
         for a, b in zip(walk, walk[1:] + walk[:1]):
             u, w = local[origin[a]], local[origin[b]]

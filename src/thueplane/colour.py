@@ -55,9 +55,9 @@ _COLOUR_BOUND = 10**4300
 
 def colouring_from_json(doc):
     """Colouring from its JSON document: ``colours`` a list of plain
-    non-negative integers below 10**4300 (the verifier's alphabet),
-    ``palette_max`` a plain integer; other keys are ignored.  Anything
-    else raises ValueError, never a coerced value."""
+    non-negative integers below 10**4300 (the verifier's alphabet), none
+    above ``palette_max``, a plain non-negative integer; other keys are
+    ignored.  Anything else raises ValueError, never a coerced value."""
     if not isinstance(doc, dict):
         raise ValueError("malformed colouring document: not a JSON object")
     try:
@@ -68,8 +68,10 @@ def colouring_from_json(doc):
         type(c) is int and 0 <= c < _COLOUR_BOUND for c in colours
     ):
         raise ValueError("malformed colouring document: colours are not non-negative integers below 10**4300")
-    if type(palette_max) is not int:
-        raise ValueError(f"malformed colouring document: palette_max {palette_max!r} is not an integer")
+    if type(palette_max) is not int or palette_max < 0:
+        raise ValueError(f"malformed colouring document: palette_max {palette_max!r} is not a non-negative integer")
+    if max(colours, default=0) > palette_max:
+        raise ValueError(f"malformed colouring document: a colour is above palette_max {palette_max}")
     return Colouring(tuple(colours), palette_max)
 
 
@@ -142,23 +144,23 @@ def _auxiliary_runs(W, H):
     return runs
 
 
-def _colour_cactus_component(G, comp, cid, comp_faces, colours):
+def _colour_cactus_component(G, comp, comp_faces, lam, colours):
     """Colour one cactus component with at least one inner face, its inner
-    faces ``comp_faces``; returns the deepest-vertex set and levelling so
-    tests can probe the construction."""
+    faces ``comp_faces``, with its levels written into the per-vertex list
+    ``lam``; returns the deepest-vertex set and ``lam`` (None on a cycle)."""
     degs = {x: G.degree(x) for x in comp}
 
     if all(d == 2 for d in degs.values()):
-        W = embed.outer_walk(G, cid)
+        W = embed.outer_walk(G, G.comp_of[comp[0]])
         for x, c in zip(W, cycle_colouring(len(W))):
             colours[x] = c + 1
-        return set(), {}
+        return set(), None
 
     # root: a degree-1 vertex if any, else a vertex of degree >= 3
     deg1 = [x for x in comp if degs[x] == 1]
     root = min(deg1) if deg1 else min(x for x in comp if degs[x] >= 3)
 
-    lam = embed._levels(G, [root], None)
+    embed._levels(G, [root], lam)
 
     H = set()
     for f in comp_faces:
@@ -183,11 +185,11 @@ def _colour_cactus_component(G, comp, cid, comp_faces, colours):
             H.add(max(nb1, nb2))
 
     if H:
-        for order, word in _auxiliary_runs(embed.outer_walk(G, cid), H):
+        for order, word in _auxiliary_runs(embed.outer_walk(G, G.comp_of[comp[0]]), H):
             for i, x in enumerate(order):
                 colours[x] = word[i] + 1
 
-    word = palindrome_free_nonrepetitive(max(lam.values()) + 1)
+    word = palindrome_free_nonrepetitive(max(map(lam.__getitem__, comp)) + 1)
     for x in comp:
         if x not in H:
             colours[x] = 4 + word[lam[x]]
@@ -202,9 +204,10 @@ def _colour_cactus_core(Gs):
     for f in Gs.inner_faces():
         faces[Gs.comp_of[Gs.origin[Gs.faces[f][0]]]].append(f)
     trees = []  # the components without an inner face, coloured in one pass
+    lam = [-1] * Gs.n  # one level list for every component
     for cid, comp in enumerate(Gs.components):
         if faces[cid]:
-            _colour_cactus_component(Gs, comp, cid, faces[cid], colours)
+            _colour_cactus_component(Gs, comp, faces[cid], lam, colours)
         else:
             trees += comp
     _colour_forest(Gs, trees, colours)
@@ -262,10 +265,11 @@ def colour_outerplane_single_block(G):
     blocking graph one cycle, 3-coloured over {5,6,7}, or one edge; trees
     take {1,2,3,4}.  ``simplify`` checks that G is outerplane."""
     Gs = embed.simplify(G)
-    faces = [fs for vs, fs, _seg in embed._blocks_and_bridges(Gs) if len(vs) >= 3]
+    H = blocking._host(Gs)
+    faces = [fs for vs, fs, _seg in H.blocks if len(vs) >= 3]
     if len(faces) > 1:
         raise ClassMismatchError("graph has more than one 2-connected component")
-    B = blocking._good_size(Gs, faces[0]) if faces else frozenset()
+    B = blocking._good_size(H, faces[0]) if faces else frozenset()
     return _checked(G, _colour_outerplane_core(Gs, B), 7)
 
 

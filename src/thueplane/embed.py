@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import gc
 import json
+from operator import itemgetter
 
 
 # The constructions build large acyclic structures that reference counting
@@ -331,30 +332,40 @@ def _blocks_and_bridges(G):
     """Blocks of an outerplane multigraph, bridges included, read off its
     outer walks.  The input is trusted to be outerplane.
 
-    Each outer walk is pushed dart by dart.  When it reaches a vertex
-    already on the stack, the darts above that vertex close: two twin darts
-    are a bridge walked out and back, any other segment is the outer cycle
-    of one block.  The block's inner faces are those reached from the twin
-    of the segment's last dart, crossing only edges with inner faces on
-    both sides.  A loop step closes nothing.
+    One sweep writes each face's vertex cycle, in C by ``itemgetter``; one
+    gives each face its (edge, face across) pairs, by edge id, for the
+    edges with inner faces on both sides: on a simple graph its chords, the
+    weak dual.  Each outer walk is pushed dart by dart.  When it reaches a
+    vertex already on the stack, the darts above it close: two twin darts
+    are a bridge walked out and back, any other segment the outer cycle of
+    one block, whose inner faces are those reached across those edges from
+    the twin of the segment's last dart.  A loop step closes nothing.
 
-    Returns one list of blocks, sorted by vertex tuple, each as (ascending
-    vertex tuple, inner face ids, the darts of its outer cycle in outer-walk
-    order).  A bridge is the block with no inner face; its edge is
-    ``seg[0] >> 1``.  The edges of any other block are the non-loop edges
-    of its inner faces.
+    Returns (blocks, cycles, dual), the last two by face id.  Each block is
+    (ascending vertex tuple, inner face ids, the darts of its outer cycle
+    in outer-walk order), sorted by the integer key of its two smallest
+    vertices, as two blocks share at most one.  A bridge is the block with
+    no inner face; its edge is ``seg[0] >> 1``.  The edges of any other
+    block are the non-loop edges of its inner faces.
     """
-    origin, face_of, faces = G.origin, G.face_of, G.faces
-    at = [-1] * G.n  # stack height when the walk reached v, while v is open
-    seen = [f in G.outer_faces for f in range(len(faces))]
-    found = []
+    n, origin, face_of, faces = G.n, G.origin, G.face_of, G.faces
+    seen = bytearray(len(faces))  # the outer faces, then those of each block found
     for f in G.outer_faces:
-        walk = faces[f]
-        at[origin[walk[0]]] = 0
+        seen[f] = 1
+    cycles = [itemgetter(*w)(origin) if len(w) > 1 else (origin[w[0]],) for w in faces]
+    dual = [[] for _ in faces]
+    for e, f, g in zip(range(len(face_of) >> 1), face_of[::2], face_of[1::2]):
+        if not (seen[f] or seen[g]):
+            dual[f].append((e, g))
+            dual[g].append((e, f))
+    at = [-1] * n  # stack height when the walk reached v, while v is open
+    found = {}  # block key v0 * n + v1 -> block
+    for f in G.outer_faces:
+        walk, wv = faces[f], cycles[f]
+        at[wv[0]] = 0
         stack = []  # darts walked and not yet closed
-        for d in walk:
-            w = origin[d ^ 1]
-            if w == origin[d]:
+        for d, u, w in zip(walk, wv, wv[1:] + wv[:1]):
+            if w == u:
                 continue
             stack.append(d)
             j = at[w]
@@ -364,22 +375,22 @@ def _blocks_and_bridges(G):
             seg = tuple(stack[j:])
             del stack[j:]
             if seg[0] == d ^ 1:  # a bridge, walked out and back
-                u = origin[d]
                 at[u] = -1
-                found.append(((u, w) if u < w else (w, u), (), seg))
+                found[u * n + w if u < w else w * n + u] = ((u, w) if u < w else (w, u), (), seg)
                 continue
-            for x in seg[1:]:
-                at[origin[x]] = -1
-            fs = []
-            todo = [face_of[d ^ 1]]
-            for g in todo:  # grows while it is read
-                if not seen[g]:
-                    seen[g] = True
-                    fs.append(g)
-                    todo += [face_of[x ^ 1] for x in faces[g]]
-            found.append((tuple(sorted(origin[x] for x in seg)), tuple(fs), seg))
-    found.sort()  # by vertex tuple: no two blocks have the same one
-    return found
+            ring = itemgetter(*seg)(origin)
+            for x in ring[1:]:
+                at[x] = -1
+            fs = [face_of[d ^ 1]]
+            seen[fs[0]] = 1
+            for g in fs:  # grows while it is read
+                for _e, h in dual[g]:
+                    if not seen[h]:
+                        seen[h] = 1
+                        fs.append(h)
+            verts = tuple(sorted(ring))
+            found[verts[0] * n + verts[1]] = (verts, tuple(fs), seg)
+    return [found[k] for k in sorted(found)], cycles, dual
 
 
 def is_biconnected(G):
@@ -400,15 +411,15 @@ def bridges(G):
     return [e for e in range(len(face_of) >> 1) if face_of[2 * e] == face_of[2 * e + 1]]
 
 
-def _levels(G, roots, inside):
-    """Breadth-first level of every vertex reached from ``roots`` in
-    G[inside] (G if None); each root not yet reached starts a new tree."""
+def _levels(G, roots, level):
+    """The per-vertex list ``level`` with the breadth-first level of every
+    vertex reached from ``roots`` written in, through the vertices whose
+    entry is -1; each root not yet reached starts a new tree."""
     rotations, origin = G.rotations, G.origin
-    level = {}
     for x0 in roots:
-        if x0 in level:
+        if level[x0] != -1:
             continue
-        k = level[x0] = 0
+        level[x0] = k = 0
         frontier = [x0]
         while frontier:
             k += 1
@@ -416,7 +427,7 @@ def _levels(G, roots, inside):
             for x in frontier:
                 for d in rotations[x]:
                     w = origin[d ^ 1]
-                    if w not in level and (inside is None or w in inside):
+                    if level[w] == -1:
                         level[w] = k
                         nxt.append(w)
             frontier = nxt

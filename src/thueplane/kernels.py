@@ -51,6 +51,8 @@ more comes only from outside input (no pipeline colours with more than
 """
 
 import re
+from itertools import compress
+from operator import gt
 
 #: read by perfbench's context line and by the report of ``thueplane bench``
 BACKEND = "python"
@@ -241,11 +243,10 @@ def window_square(codes, ends):
     covers it would name its squares L starts late."""
     dbl = codes + codes
     best = None
-    for s, end in enumerate(ends):
+    for s in [0, *compress(range(1, len(ends)), map(gt, ends[1:], ends))]:  # the maximal windows
         if best is not None and s >= best[0]:
             break
-        if s == 0 or end > ends[s - 1]:
-            hit = find_square(dbl[s:end])
-            if hit is not None and (best is None or (s + hit[0], hit[1]) < best):
-                best = (s + hit[0], hit[1])
+        hit = find_square(dbl[s : ends[s]])
+        if hit is not None and (best is None or (s + hit[0], hit[1]) < best):
+            best = (s + hit[0], hit[1])
     return best

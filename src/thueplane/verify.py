@@ -5,17 +5,20 @@ are all distinct.  A colouring is facially nonrepetitive when no facial
 path's colour sequence contains a repetition.  Because a repetition inside
 any facial path is also a repetition inside the maximal distinct-vertex
 window containing it (and such windows are themselves facial paths), the
-checker asks the kernel once per face: a short walk that one regex search
-of its doubled colours clears is done; on any other, ``cyclic_square`` (a
-simple cycle) or ``window_square`` gives the verdict and the witness.  The
-witness is checked before it is returned, whichever search named it.  A
-cycle component is searched once, on its lower-id face: its two faces read
-one cyclic word in opposite directions.
+checker asks the kernel once per face.  At the first walk of at most 3
+darts, one pass over the edges clears every such walk when no edge joins
+two distinct vertices of one colour, the only squares those walks can
+hold; a short walk that one regex search of its doubled colours clears
+is done; on any other, ``cyclic_square`` (a simple cycle) or
+``window_square`` gives the verdict and the witness, which is checked
+before it is returned.  A cycle component is searched once, on its lower-id
+face: its two faces read one cyclic word in opposite directions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq, itemgetter
 
 from thueplane.kernels import _short_walk_square_free, cyclic_square, find_square, window_square
 
@@ -104,8 +107,15 @@ def verify_facial_nonrepetitive(G, colours):
 
     origin, rotations = G.origin, G.rotations
     twins = set()  # faces whose twin face has passed
+    short_clear = None  # set at the first walk of at most 3 darts
     for f, walk in enumerate(G.faces):
-        if f in twins or _short_walk_square_free(walk, origin, colours):
+        if short_clear is None and len(walk) <= 3:
+            # such a walk holds only squares of half 1: edges joining two
+            # distinct vertices of one colour (a loop's ends always share one)
+            ends = itemgetter(*origin)(colours)
+            same = sum(map(eq, ends[::2], ends[1::2]))
+            short_clear = not same or same == sum(map(eq, origin[::2], origin[1::2]))
+        if f in twins or short_clear and len(walk) <= 3 or _short_walk_square_free(walk, origin, colours):
             continue
         verts = G.face_vertices(f)
         hit = _first_square_in_face(verts, colours)

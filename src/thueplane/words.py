@@ -204,11 +204,13 @@ def _colour_forest(G, rest, colours):
     word.  The word of a shallower tree is a prefix of the word made here
     for the deepest level, so each component gets the colours
     ``tree_colouring`` gives it alone."""
-    level = embed._levels(G, sorted(rest), set(rest))
-    if level:
-        word = palindrome_free_nonrepetitive(max(level.values()) + 1)
-        for x, k in level.items():
-            colours[x] = 1 + word[k]
+    level = [-2] * G.n  # -2 keeps a vertex outside ``rest`` out of the search
+    for x in rest:
+        level[x] = -1
+    if rest:
+        word = palindrome_free_nonrepetitive(max(embed._levels(G, sorted(rest), level)) + 1)
+        for x in rest:
+            colours[x] = 1 + word[level[x]]
 
 
 def tree_colouring(T):

@@ -140,7 +140,7 @@ def biconnected_components(G):
     graph."""
     if not is_outerplane(G):
         raise ClassMismatchError("biconnected components are read off outerplane graphs")
-    return [vs for vs, _fs, _seg in _blocks_and_bridges(G) if len(vs) >= 3]
+    return [vs for vs, _fs, _seg in _blocks_and_bridges(G)[0] if len(vs) >= 3]
 
 
 def block_edges(G, faces, seg):

@@ -177,6 +177,8 @@ def test_verify_rejects_deeply_nested_colouring_document(tmp_path):
         {"colours": [1, -2], "palette_max": 2},  # was a ValueError traceback in verify
         {"colours": 12, "palette_max": 2},
         [1, 2],
+        {"colours": [1, 2], "palette_max": -5},  # verified with exit 0 on a path
+        {"colours": [1, 3], "palette_max": 2},
     ],
 )
 def test_verify_rejects_malformed_colouring_documents(tmp_path, doc):
@@ -198,6 +200,22 @@ def test_colouring_of_the_wrong_length_is_a_parse_failure(tmp_path, monkeypatch,
     c = tmp_path / "c.json"
     c.write_text(json.dumps({"colours": colours, "palette_max": 3}))
     _assert_parse_exit(run([command[0], "--input", g, "--colouring", str(c), *command[1:]]))
+    assert not (tmp_path / "g.svg").exists() and not (tmp_path / "g.dot").exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["verify"], ["export", "--svg", "g.svg"], ["export", "--dot", "g.dot"]]
+)
+@pytest.mark.parametrize("palette_max", [-5, 2])
+def test_palette_max_below_a_colour_is_a_parse_failure(tmp_path, monkeypatch, command, palette_max):
+    # {"colours": [1, 2, 1, 3], "palette_max": -5} on a 4-cycle verified with exit 0
+    monkeypatch.chdir(tmp_path)
+    g = write_graph(tmp_path, polygon(4))
+    c = tmp_path / "c.json"
+    c.write_text(json.dumps({"colours": [1, 2, 1, 3], "palette_max": palette_max}))
+    r = run([command[0], "--input", g, "--colouring", str(c), *command[1:]])
+    _assert_parse_exit(r)
+    assert len(r.stderr.strip().splitlines()) == 1 and "Traceback" not in r.stderr
     assert not (tmp_path / "g.svg").exists() and not (tmp_path / "g.dot").exists()
 
 

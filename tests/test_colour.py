@@ -71,7 +71,7 @@ def test_flower_patch_engages():
     Gs = embed.simplify(G)
     colours = [None] * Gs.n
     faces = _component_faces(Gs, 0)
-    H, lam = colour._colour_cactus_component(Gs, Gs.components[0], 0, faces, colours)
+    H, lam = colour._colour_cactus_component(Gs, Gs.components[0], faces, [-1] * Gs.n, colours)
     assert len(H) == 6  # five deepest vertices plus the patched neighbour
     c = colour_cactus_even(G)
     assert c.distinct_colours() <= 7
@@ -82,7 +82,7 @@ def test_flower_patch_nine():
     Gs = embed.simplify(G)
     colours = [None] * Gs.n
     faces = _component_faces(Gs, 0)
-    H, _ = colour._colour_cactus_component(Gs, Gs.components[0], 0, faces, colours)
+    H, _ = colour._colour_cactus_component(Gs, Gs.components[0], faces, [-1] * Gs.n, colours)
     assert len(H) == 11
     assert colour_cactus_even(G).distinct_colours() <= 7
 
@@ -146,7 +146,7 @@ def test_monotone_level_runs_outside_deepest_set():
         for cid, comp in enumerate(Gs.components):
             colours = [None] * Gs.n
             faces = _component_faces(Gs, cid)
-            H, lam = colour._colour_cactus_component(Gs, comp, cid, faces, colours)
+            H, lam = colour._colour_cactus_component(Gs, comp, faces, [-1] * Gs.n, colours)
             if not lam:
                 continue
             f = Gs.outer_face_of_component(cid)
@@ -413,21 +413,23 @@ def _on_a_face(G, path):
     return False
 
 
-def test_relabelled_and_mirrored_copies_of_the_outerplane_corpus():
-    # metamorphic, as for the plane corpus: a copy under new vertex and edge
-    # names, with the edges reordered and reversed at random and, in one copy
-    # of two, mirrored, is the same drawing.  Each outerplane pipeline that
-    # takes G certifies the copy within its bound; the verifier gives a
-    # colouring carried to the copy G's verdict, for the certified colouring
-    # and for one with a planted equal pair; and the copy's witness, carried
-    # back, is a square on a facial path of G
+def _copy_verdicts(graphs):
+    """Metamorphic, as for the plane corpus: a copy under new vertex and
+    edge names, with the edges reordered and reversed at random and, in one
+    copy of two, mirrored, is the same drawing.  Each outerplane pipeline
+    that takes G certifies the copy within its bound; the verifier gives a
+    colouring carried to the copy G's verdict, for the certified colouring
+    and for one with a planted equal pair; and the copy's witness, carried
+    back, is a square on a facial path of G.  Returns the verdicts, True
+    for an accept."""
     plant = random.Random(0)
     verdicts = []
-    for i, G in enumerate(g for g in golden_corpus() if embed.is_outerplane(g)):
+    for i, G in enumerate(graphs):
         certified = colour_outerplane(G).colours
         planted = list(certified)
-        u, w = plant.sample(range(G.n), 2)
-        planted[w] = planted[u]
+        if G.n >= 2:
+            u, w = plant.sample(range(G.n), 2)
+            planted[w] = planted[u]
         takes = []  # per pipeline, whether G is in its class
         for pipeline, _bound in OUTERPLANE_PIPELINES:
             try:
@@ -445,7 +447,7 @@ def test_relabelled_and_mirrored_copies_of_the_outerplane_corpus():
                         pipeline(H)
                     continue
                 colours = pipeline(H).colours
-                assert max(colours) <= bound and verify.verify_facial_nonrepetitive(H, colours) is None
+                assert max(colours, default=0) <= bound and verify.verify_facial_nonrepetitive(H, colours) is None
             for colours in (certified, planted):
                 carried = [0] * G.n
                 for v, c in enumerate(colours):
@@ -459,9 +461,21 @@ def test_relabelled_and_mirrored_copies_of_the_outerplane_corpus():
                     assert len(set(path)) == 2 * r
                     assert [colours[v] for v in path[:r]] == [colours[v] for v in path[r:]]
                     assert _on_a_face(G, path)
+    return verdicts
+
+
+def test_relabelled_and_mirrored_copies_of_the_outerplane_corpus():
+    verdicts = _copy_verdicts([g for g in golden_corpus() if embed.is_outerplane(g)])
     # half the verdicts are the certified colourings' accepts; the planted
     # pairs give both verdicts (82 of 150 rejected)
     assert 0 < verdicts.count(False) < len(verdicts) // 2
+
+
+def test_relabelled_and_mirrored_copies_of_every_small_graph():
+    # the same relations on every graph gen enumerates up to 8 vertices
+    graphs = [G for kind in gen.ENUM_KINDS for n in range(1, 9) for G in gen.enumerate_small(kind, n)]
+    verdicts = _copy_verdicts(graphs)
+    assert len(graphs) > 150 and 0 < verdicts.count(False) < len(verdicts) // 2
 
 
 # -- one certificate per public call ---------------------------------------------------

@@ -184,6 +184,23 @@ def test_blocks_and_bridges_examples():
         support.biconnected_components(wheel(5))
 
 
+def test_block_pass_reads_each_face_cycle_and_its_chords():
+    # the cycles and the dual the blocking constructions read in place,
+    # against a direct reading of the faces and of the face across each dart
+    graphs = [G for n in range(1, 10) for G in gen.enumerate_small("outerplane_biconnected", n)]
+    graphs += [gen.generate(gen.GenSpec("outerplane", n, seed)) for n in (40, 300) for seed in range(6)]
+    chords = 0
+    for G in graphs:
+        _blocks, cycles, dual = embed._blocks_and_bridges(G)
+        origin, face_of, outer = G.origin, G.face_of, G.outer_faces
+        assert cycles == [tuple(origin[d] for d in walk) for walk in G.faces]
+        for f, walk in enumerate(G.faces):
+            want = set() if f in outer else {(d >> 1, face_of[d ^ 1]) for d in walk if face_of[d ^ 1] not in outer}
+            assert set(dual[f]) == want and len(dual[f]) == len(want)
+            chords += len(want)
+    assert len(graphs) > 350 and chords > 3000
+
+
 def test_showcase_hand_counts():
     G = showcase_graph()
     assert len(G.inner_faces()) == 3
@@ -220,7 +237,7 @@ def test_blocks_and_bridges_match_the_dfs_oracle():
     assert len(graphs) >= 3000
     multigraphs = 0
     for G in graphs:
-        found = embed._blocks_and_bridges(G)
+        found = embed._blocks_and_bridges(G)[0]
         blocks = [(vs, support.block_edges(G, fs, seg)) for vs, fs, seg in found]
         dfs_blocks, dfs_br = support.blocks_and_bridges_dfs(G)
         assert blocks == sorted(dfs_blocks)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thueplane import kernels
+from thueplane import kernels, words
 from thueplane.kernels import z_array
 from thueplane.verify import _window_ends
 
@@ -171,3 +171,36 @@ def test_every_short_walk_with_a_repeated_vertex_agrees_with_the_oracle():
 def test_every_word_and_walk_agrees_with_the_oracle_on_every_route():
     check_words(every_word(13, 10), (NARROW, BYTE_WIDE, PAST_CHR))
     check_walks(walks(9), (NARROW, PAST_CHR))
+
+
+def _long_window_walks():
+    """(walk, colours): walks whose maximal windows are longer than the
+    regex screen decides alone, so ``find_square`` splits them: a path's
+    outer walk, a walk that turns back twice and random walks, coloured
+    at random over 2, 3 and 1,000 colours and by a square-free word with
+    one square planted late on the walk."""
+    rnd = random.Random(34)
+    paths = [list(range(n)) + list(range(n - 2, 0, -1)) for n in (kernels._SHORT + 2, 150)]
+    turns = list(range(140)) + list(range(138, 69, -1)) + list(range(140, 200)) + list(range(198, 69, -1))
+    randoms = [[rnd.randrange(20000) for _ in range(260)] for _ in range(3)]
+    for walk in [*paths, turns, *randoms]:
+        V = max(walk) + 1
+        for palette in (2, 3, 1000):
+            yield walk, [rnd.randrange(palette) for _ in range(V)]
+        word = list(words.ternary_nonrepetitive(V))
+        yield walk, word
+        s, half = rnd.randrange(len(walk) // 2, len(walk) - 8), rnd.randint(1, 4)
+        if len(set(walk[s : s + 2 * half])) == 2 * half:
+            planted = list(word)
+            for t in range(half):
+                planted[walk[s + half + t]] = planted[walk[s + t]]
+            yield walk, planted
+
+
+def test_window_square_on_windows_longer_than_the_screen():
+    cases = list(_long_window_walks())
+    longest = [max(e - s for s, e in enumerate(_window_ends(walk))) for walk, _col in cases]
+    assert min(longest) > kernels._SHORT
+    hits = [first_square_in_face(walk, col, len(walk)) for walk, col in cases]
+    assert any(h is None for h in hits) and sum(h is not None and h[0] > 100 for h in hits) >= 3
+    check_walks(cases, (NARROW, PAST_CHR))

@@ -6,7 +6,8 @@ import pytest
 from thueplane import colour, embed, gen, kernels, verify, words
 from thueplane.verify import exact_pi_f, facial_paths, verify_facial_nonrepetitive
 
-from conftest import path_graph, polygon
+from conftest import decorate_multigraph, path_graph, polygon
+from square_oracle import first_square_in_face
 from support import all_tree_paths, naive_facial_paths
 from test_golden import golden_corpus
 
@@ -249,6 +250,57 @@ def test_screen_gives_the_unscreened_verdict_and_witness():
         assert verify_facial_nonrepetitive(G, colours) == want, name
         rejected += want is not None
     assert rejected > 1000
+
+
+def _face_scan(G, colours):
+    """The verdict face by face in id order, by the oracle's per-start scan."""
+    for f in range(len(G.faces)):
+        verts = G.face_vertices(f)
+        hit = first_square_in_face(verts, colours, len(verts))
+        if hit is not None:
+            s, r = hit
+            return verify.FacialPath(f, tuple(verts[(s + k) % len(verts)] for k in range(2 * r)), G.is_outer_face(f))
+    return None
+
+
+def _short_walk_plants():
+    """(name, graph, colouring): seeded gen outerplane and plane graphs of
+    200 vertices and a multigraph with loops and digons, each with its
+    certified colouring and with one edge of a walk of at most 3 darts
+    given one colour at both ends: on the first such walk, the last and
+    a random one, each also after a square of half 2 planted on an
+    earlier, longer face."""
+    rnd = random.Random(34)
+    base = gen.generate(gen.GenSpec("outerplane", 60, 1))
+    graphs = [gen.generate(gen.GenSpec(kind, 200, seed)) for kind in ("outerplane", "plane") for seed in range(3)]
+    graphs.append(decorate_multigraph(base, seed=2, parallels=3, loops=3))
+    assert {1, 2} <= {len(walk) for walk in graphs[-1].faces}  # a loop and a digon
+    for i, G in enumerate(graphs):
+        good = colour.colour_plane(G).colours
+        yield f"graph {i}", G, good
+        origin = G.origin
+        short = [f for f, walk in enumerate(G.faces) if len(walk) <= 3 and any(origin[d] != origin[d ^ 1] for d in walk)]
+        for f in (short[0], short[-1], rnd.choice(short)):
+            d = next(d for d in G.faces[f] if origin[d] != origin[d ^ 1])
+            bad = list(good)
+            bad[origin[d ^ 1]] = bad[origin[d]]
+            yield f"graph {i} face {f}", G, bad
+            longer = [g for g in range(f) if len(G.faces[g]) >= 4]
+            if longer:
+                yield f"graph {i} face {f} after a longer face", G, _planted(G, bad, rnd.choice(longer), 0, 2)
+
+
+def test_an_equal_coloured_edge_on_a_short_walk_is_found_in_face_order():
+    # the first walk of at most 3 darts starts one pass over the edges; only
+    # when it finds an edge whose two distinct ends share a colour do the
+    # short walks get searched one by one
+    faces = []
+    for name, G, colours in _short_walk_plants():
+        want = _face_scan(G, colours)
+        assert verify_facial_nonrepetitive(G, colours) == want, name
+        faces.append(None if want is None else len(G.faces[want.face]))
+    assert faces.count(None) == 7
+    assert any(L is not None and L <= 3 for L in faces) and any(L is not None and L >= 4 for L in faces)
 
 
 #: one range of names per kernel route: with bytes a cycle takes the per-half

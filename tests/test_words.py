@@ -181,6 +181,21 @@ def test_cycle_colouring_large_seam():
         assert not has_cyclic_repetition(w)
 
 
+#: the sweep's lengths: every n of the per-half pass's band above the
+#: pinned table, then every 10th n up to 10**4
+SWEEP = [*range(65, kernels._BAND + 1), *range(kernels._BAND + 4, 10**4 + 1, 10)]
+
+
+@pytest.mark.slow
+def test_every_cycle_word_up_to_ten_thousand_is_ternary_and_square_free():
+    bad = []
+    for n in SWEEP:
+        w = list(cycle_colouring(n))
+        if len(w) != n or not set(w) <= {0, 1, 2} or kernels.cyclic_square(w) is not None:
+            bad.append(n)
+    assert not bad, bad
+
+
 def test_cycle_colouring_rejects_small():
     with pytest.raises(ValueError):
         cycle_colouring(2)
@@ -260,7 +275,7 @@ def test_level_pattern_of_repetitions_matches():
         n = rnd.randrange(4, 11)
         G = gen.generate(gen.GenSpec("outerplane", n, trial))
         adj = adjacency(G)
-        levels = embed._levels(G, [0], None)
+        levels = embed._levels(G, [0], [-1] * G.n)
         colours = [word[levels[v]] for v in range(n)]
 
         def paths(prefix, used):
@@ -340,7 +355,7 @@ def test_forest_colouring_gives_each_tree_its_own_colouring():
     # over trees of different depths colours each as it is coloured alone
     trees = [gen.generate(gen.GenSpec("tree", n, seed)) for seed, n in enumerate((1, 2, 40, 3, 9, 60, 5))]
     trees.append(path_graph(30))
-    depths = {max(embed._levels(T, [0], None).values()) for T in trees}
+    depths = {max(embed._levels(T, [0], [-1] * T.n)) for T in trees}
     assert len(depths) >= 5
     F = disjoint_union(*trees)
     colours = [None] * F.n

@@ -159,7 +159,8 @@ class EmbeddedGraph:
         return self._outer_by_comp[cid]
 
     def face_vertices(self, f):
-        return tuple(self.origin[d] for d in self.faces[f])
+        walk = self.faces[f]
+        return itemgetter(*walk)(self.origin) if len(walk) > 1 else (self.origin[walk[0]],)
 
     def inner_faces(self):
         return [f for f in range(len(self.faces)) if f not in self.outer_faces]

@@ -34,20 +34,20 @@ three functions alone choose which search runs:
 - ``_short_walk_square_free`` clears a walk of L <= ``_SHORT // 2`` darts if
   one search of its doubled colours finds no square of half <= L // 2.
 - ``cyclic_square`` decides a cycle of L labels.  A cycle of at most
-  ``_BAND`` labels, each below 256, goes to the per-half pass: one XOR pass
-  per half length over the doubled word written as bytes, finished by one
-  lazy match per start once a square is known early enough.  Every other
-  cycle is ``find_square`` on the doubled word with halves up to L // 2.
+  ``_BAND`` labels, each below 256, goes to the per-half pass over the
+  doubled word as bit planes.  Every other cycle is the smaller of
+  ``find_square`` on the word and one ``_crossing_squares`` step at its
+  seam, since a square from start L on recurs L earlier.
 - ``window_square`` is ``find_square`` on each maximal window, in start
   order, keeping the smallest hit.
 
-The pass costs Θ(L²) bytes, quadratic but capped by the band, like the
-screen below ``_SHORT``.  On square-free cycles it beat ``find_square`` on
-the doubled word up to 4,000 labels (31-47 against 43-53 ms), drew level at
-4,500 and lost from 5,000 on (167-177 against 109-123 ms at 8,000; best of
-5, 2-CPU VM, Python 3.11), so the band is 4,096 labels.  A label of 256 or
-more comes only from outside input (no pipeline colours with more than
-22), and ``find_square`` decides it exactly.
+The pass compares one label bit at 30 positions per CPython int digit
+(Baeza-Yates & Gonnet, CACM 1992): Θ(L²) bit operations, capped by the band.
+On square-free words it beat the seam route over 3 labels up to 8,192 (7
+against 19 ms at 4,096) but lost over 7 at 8,000 (51 against 41 ms), and a
+band of 32,768 slowed verifying ``gen`` ``outerplane_biconnected`` 3*10**4
+(0.35 against 0.22 s; best of 3, 2-CPU VM, Python 3.11), so the band is
+4,096 labels.  Labels of 256 or more come only from outside input.
 """
 
 import re
@@ -196,37 +196,51 @@ def cyclic_square(codes):
     L = len(codes)
     if L < 2:
         return None
-    if L > _BAND or max(codes) > 255:
-        # a square from start L or later recurs L earlier, so the leftmost starts before L
-        return find_square(codes + codes, max_half=L // 2)
-    return _cyclic_pass(codes)
+    top = max(codes)
+    if L > _BAND or top > 255:
+        # a square from start L on recurs L earlier: the leftmost lies in the word or across its seam
+        seam = _crossing_squares(codes + codes, 0, L, 2 * L, L // 2)
+        return min(filter(None, [find_square(codes, max_half=L // 2), *seam]), default=None)
+    return _cyclic_pass(codes, top.bit_length())
 
 
-def _cyclic_pass(codes):
-    """``cyclic_square`` by the per-half pass, on labels below 256.
+#: _PLANES[b] maps a label to the digit "1" when its bit b is set, else "0"
+_PLANES = tuple(bytes(48 + (c >> b & 1) for c in range(256)) for b in range(8))
 
-    One pass per half h: with the doubled walk read as an int T, one byte
-    a label, the squares of half h are the runs of h zero bytes in
-    T ^ (T >> 8h), searched among the starts before the best so far, so
-    ties keep the smaller half.  Once a square is known early enough, one
+
+def _cyclic_pass(codes, width):
+    """``cyclic_square`` by the per-half pass, on labels below 2**width <= 256.
+
+    Plane b of the doubled walk is an int P whose bit i is bit b of label i,
+    built in C from the reversed walk.  Per half h, the planes' P ^ (P >> h)
+    OR to the positions whose label differs from the one h later; their
+    complement, cut to runs from starts before the best so far (ties keep
+    the smaller half) and AND-doubled, marks the starts of runs of h equal
+    positions: the lowest is a square.  Once one is known early enough, one
     lazy match per start finishes.
     """
     L = len(codes)
-    data = bytes(codes)
-    D = int.from_bytes(data + data, "little")
+    rev = bytes(codes[::-1]) * 2
+    planes = [int(rev.translate(t), 2) for t in _PLANES[:width]]
     best, best_s = None, L
     for h in range(1, L // 2 + 1):
-        k = best_s - 1 + 2 * h
-        T = D & ((1 << 8 * k) - 1)
-        X = (T ^ (T >> 8 * h)).to_bytes(k, "little")
-        i = X.find(bytes(h), 0, best_s - 1 + h)
-        if i >= 0:
-            best_s, best = i, (i, h)
+        diff = 0
+        for P in planes:
+            diff |= P ^ (P >> h)
+        run = ~diff & ((1 << (best_s - 1 + h)) - 1)
+        n = 1
+        while run and 2 * n < h:
+            run &= run >> n
+            n *= 2
+        run &= run >> (h - n)
+        if run:
+            best_s = (run & -run).bit_length() - 1
+            best = (best_s, h)
             if _FINISH * (best_s + 1) <= L // 2 - h:
                 break
     else:
         return best
-    text = data.decode("latin-1") * 2
+    text = bytes(codes).decode("latin-1") * 2
     for s in range(best_s):
         m = _FIRST_SQUARE.match(text, s, s + L)
         if m is not None:

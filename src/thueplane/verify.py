@@ -7,12 +7,13 @@ any facial path is also a repetition inside the maximal distinct-vertex
 window containing it (and such windows are themselves facial paths), the
 checker asks the kernel once per face.  At the first walk of at most 3
 darts, one pass over the edges clears every such walk when no edge joins
-two distinct vertices of one colour, the only squares those walks can
-hold; a short walk that one regex search of its doubled colours clears
-is done; on any other, ``cyclic_square`` (a simple cycle) or
-``window_square`` gives the verdict and the witness, which is checked
-before it is returned.  A cycle component is searched once, on its lower-id
-face: its two faces read one cyclic word in opposite directions.
+two distinct vertices of one colour, the only squares those walks can hold;
+a short walk that one regex search of its doubled colours clears is done;
+on any other, ``cyclic_square`` (a simple cycle: a bit-plane pass, or the
+linear word and its seam) or ``window_square`` gives the verdict and the
+witness, which is checked before it is returned.  A cycle component is
+searched once, on its lower-id face: its two faces read one cyclic word in
+opposite directions.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _first_square_in_face(verts, colours):
     """Smallest (start, half) repetition over the facial paths of a cyclic
     walk, or None: by ``kernels.cyclic_square`` on a simple cycle, by
     ``kernels.window_square`` on another walk."""
-    seq = [colours[v] for v in verts]
+    seq = list(itemgetter(*verts)(colours)) if len(verts) > 1 else []  # one dart: no square
     if len(set(verts)) == len(verts):
         return cyclic_square(seq)
     return window_square(seq, _window_ends(verts))

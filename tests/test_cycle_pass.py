@@ -4,7 +4,9 @@
 give what a ``find_square(seq + seq, max_half=L // 2)`` decision gives, and
 the verifier must name the counterexample ``square_oracle`` names.  The
 band is patched down to ``BAND`` labels so that its edges are cheap to
-reach.  Labels of 256 or more go to ``find_square`` at any length."""
+reach; one test restores it.  A cycle above the band, or with a label of
+256 or more at any length, goes to ``find_square`` on the linear word plus
+one crossing step at the seam."""
 
 import random
 
@@ -16,9 +18,11 @@ import square_oracle
 from conftest import decorate_multigraph, disjoint_union
 from support import has_cyclic_repetition
 
+#: the band as the package sets it, read before any test patches it
+REAL_BAND = kernels._BAND
 BAND = 600
 ONE_BYTE = (64, 65, 127, 128, 129, BAND, BAND + 1)
-#: in-band lengths with more than 256 distinct labels, which the pass leaves to find_square
+#: in-band lengths whose words hold a label past a byte, which the pass leaves to the seam route
 WIDE_LABELS = (BAND // 2, BAND // 2 + 1)
 
 
@@ -46,8 +50,19 @@ def _one_byte_words(L, rnd):
     for start in {0, 1, L // 2, L - 1, rnd.randrange(L)}:
         for half in {1, 2, L // 4, L // 2, rnd.randint(1, L // 2)}:
             yield f"plant {start} {half}", _planted(free, start, half)
+    for half in {1, 2, 3, L // 3, L // 2}:  # across the seam: start L - 1 above, L - h here
+        yield f"plant {L - half} {half}", _planted(free, L - half, half)
     # the earlier start holds the larger half
     yield "two plants", _planted(_planted(free, L - 3, 1), L // 3, L // 5)
+    # no bit set, labels apart in bit 7 alone (over zeros, then over ones), any byte
+    for labels in ((0,), (0, 128), (127, 255), range(256)):
+        word = [rnd.choice(labels) for _ in range(L)]
+        yield f"labels {labels}", word
+        yield f"labels {labels}, plant", _planted(word, rnd.randrange(L), rnd.randint(1, L // 2))
+    for b in range(8):  # the square-free word with its three labels apart in bits b and b + 1
+        word = [(0, 1 << b, 1 << (b + 1) % 8)[c] for c in free]
+        yield f"bit {b}", word
+        yield f"bit {b}, plant", _planted(word, rnd.randrange(L), rnd.randint(1, L // 2))
 
 
 def _wide_words(L, rnd):
@@ -58,10 +73,17 @@ def _wide_words(L, rnd):
     for start in {0, 1, L // 2, L - 1}:
         for half in {1, 3, L - 257}:  # a plant of half h leaves L - h labels
             yield f"plant {start} {half}", _planted(free, start, half)
+    for half in (1, 3, L - 257):
+        yield f"plant {L - half} {half}", _planted(free, L - half, half)
     many = list(free)
     for _ in range(6):
         many = _planted(many, rnd.randrange(L), rnd.randint(1, 7))
     yield "six plants", many
+    # the square-free ternary word with one label past a byte
+    ternary = [256 if c == 2 else c for c in words.cycle_colouring(L)]
+    yield "one label of 256", ternary
+    for start, half in ((0, 1), (L // 2, 5), (L - 1, 2), (L - 4, 4), (L - L // 2, L // 2)):
+        yield f"one label of 256, plant {start} {half}", _planted(ternary, start, half)
 
 
 def _words():
@@ -71,7 +93,7 @@ def _words():
             yield L, 1, name, codes
     for L in WIDE_LABELS:
         for name, codes in _wide_words(L, rnd):
-            assert len(set(codes)) > 256
+            assert max(codes) > 255
             yield L, 2, name, codes
 
 
@@ -132,6 +154,27 @@ def test_interleaved_search_above_the_band(monkeypatch):
         assert verify._first_square_in_face(verts, colours) == want, (L, width, name)
 
 
+@pytest.mark.parametrize("L", [REAL_BAND, REAL_BAND + 1])
+def test_a_late_plant_at_the_unpatched_band_edge(monkeypatch, L):
+    # the last length the pass decides, and the first the seam route does
+    monkeypatch.setattr(kernels, "_BAND", REAL_BAND)
+    G = gen.generate(gen.GenSpec("cycle", L))
+    colours = [None] * L
+    for v, c in zip(G.face_vertices(G.outer_face), _planted(words.cycle_colouring(L), L - 10, 4)):
+        colours[v] = c
+    want = _reference(G, colours)
+    assert want is not None
+    assert verify.verify_facial_nonrepetitive(G, colours) == want
+
+
+@pytest.mark.slow
+def test_the_seam_route_gives_the_doubled_word_witness_above_the_band():
+    rnd = random.Random(97)
+    for n in range(REAL_BAND + 1, 3 * 10**4 + 1, 97):
+        codes = _planted(words.cycle_colouring(n), rnd.randrange(n), rnd.randint(1, n // 2))
+        assert kernels.cyclic_square(codes) == kernels.find_square(codes + codes, max_half=n // 2), n
+
+
 def _counting(monkeypatch):
     calls = []
     real = kernels.find_square
@@ -160,19 +203,19 @@ def test_band_faces_make_no_find_square_call(monkeypatch):
         in_band = L <= BAND
         del calls[:]
         assert verify.verify_facial_nonrepetitive(G, good) is None
-        assert calls == ([] if in_band else [2 * L]), L  # the second face is the first reversed
+        assert calls == ([] if in_band else [L]), L  # the second face is the first reversed
         del calls[:]
         assert verify.verify_facial_nonrepetitive(G, bad) is not None
-        assert calls == ([] if in_band else [2 * L]), L
+        assert calls == ([] if in_band else [L]), L
     for L, G, good, _ in cases[1:3]:
         # labels of 256 or more go to find_square inside the band too
         del calls[:]
         assert verify.verify_facial_nonrepetitive(G, [c + 256 for c in good]) is None
-        assert calls == [2 * L], L
+        assert calls == [L], L
     for L in (64, BAND, BAND + 1):
         del calls[:]
         assert not has_cyclic_repetition(words.cycle_colouring(L))
-        assert calls == ([] if L <= BAND else [2 * L]), L
+        assert calls == ([] if L <= BAND else [L]), L
 
 
 def _cycle_words(G):
@@ -212,7 +255,7 @@ def test_two_cycle_components_give_the_reference_witness(monkeypatch, a, b):
     calls = _counting(monkeypatch)
     assert verify.verify_facial_nonrepetitive(G, good) is None
     # one search per component above the band
-    assert calls == ([] if b <= BAND else [2 * a, 2 * b])
+    assert calls == ([] if b <= BAND else [a, b])
 
 
 def test_a_cycle_with_a_doubled_edge_gives_the_reference_witness(monkeypatch):
@@ -226,7 +269,7 @@ def test_a_cycle_with_a_doubled_edge_gives_the_reference_witness(monkeypatch):
     calls = _counting(monkeypatch)
     assert verify.verify_facial_nonrepetitive(G, good) is None
     # two vertices of degree 3: the long faces are not a cycle component's, each is searched
-    assert calls == [2 * L, 2 * L]
+    assert calls == [L, L]
 
 
 #: colours from 2**48 on reach far past the range of chr

@@ -143,8 +143,8 @@ def test_has_cyclic_repetition_matches_main_lorentz():
 
 
 def test_interleaved_search_above_the_band(monkeypatch):
-    # every word lies above a band of 32 labels, so find_square on the
-    # doubled word names the witness
+    # every word lies above a band of 32 labels, so the linear word and its
+    # seam name the witness
     monkeypatch.setattr(kernels, "_BAND", 32)
     rnd = random.Random(43)
     for L, width, name, codes in WORDS:
@@ -208,7 +208,7 @@ def test_band_faces_make_no_find_square_call(monkeypatch):
         assert verify.verify_facial_nonrepetitive(G, bad) is not None
         assert calls == ([] if in_band else [L]), L
     for L, G, good, _ in cases[1:3]:
-        # labels of 256 or more go to find_square inside the band too
+        # labels of 256 or more go to the linear word and its seam inside the band too
         del calls[:]
         assert verify.verify_facial_nonrepetitive(G, [c + 256 for c in good]) is None
         assert calls == [L], L

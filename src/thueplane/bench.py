@@ -5,21 +5,20 @@ from __future__ import annotations
 
 import gc
 import math
+import statistics
 import time
 
 from thueplane import colour, gen, kernels
 
 
 def _fit_exponent(points):
-    """Least-squares slope of log(t) against log(n)."""
+    """Least-squares slope of log(t) against log(n), 0.0 when every n is equal."""
     xs = [math.log(n) for n, _ in points]
     ys = [math.log(max(t, 1e-9)) for _, t in points]
-    k = len(xs)
-    mx = sum(xs) / k
-    my = sum(ys) / k
-    var = sum((x - mx) ** 2 for x in xs)
-    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return cov / var if var > 0 else 0.0
+    try:
+        return statistics.linear_regression(xs, ys).slope
+    except statistics.StatisticsError:
+        return 0.0
 
 
 #: generator kinds coloured by ``colour_plane``; every other kind is

@@ -5,19 +5,18 @@ failure, 3 graph-class mismatch for the requested mode, 4 internal
 verification failure (any other error inside the pipeline: a bug).
 ``verify`` exits 0 when the colouring checks out, 1 with a counterexample
 otherwise, 2 on a parse failure and 4 on any error inside the check.
-Every command exits 2 when an output file cannot be written.  Diagnostics
-go to stderr as JSON lines; results go to stdout or the requested output
-files.
+Every command exits 2 when a file cannot be read or written.  Diagnostics
+go to stderr as JSON lines, a usage error as argparse's usage (exit 2);
+results go to stdout or the requested output files.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
 import time
-
-import click
 
 from thueplane import bench as bench_mod
 from thueplane import colour, embed, gen, verify
@@ -82,20 +81,6 @@ def _read_colouring(path, n):
         sys.exit(EXIT_PARSE)
 
 
-@click.group()
-def main():
-    """Facial nonrepetitive colouring of embedded graphs."""
-
-
-@main.command("colour")
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option(
-    "--mode",
-    type=click.Choice(["outerplane", "plane", "cactus", "single-block"]),
-    default="outerplane",
-    show_default=True,
-)
-@click.option("--output", "output_path", type=click.Path(), default=None)
 def cmd_colour(input_path, mode, output_path):
     """Colour a graph facially nonrepetitively and verify the result."""
     t_parse0 = time.perf_counter()
@@ -131,12 +116,8 @@ def cmd_colour(input_path, mode, output_path):
         "phases": {"parse": round(t_parse, 6), "colour": round(t_colour, 6)},
     }
     print(json.dumps(report, sort_keys=True))
-    sys.exit(EXIT_OK)
 
 
-@main.command("verify")
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--colouring", "colouring_path", required=True, type=click.Path(exists=True))
 def cmd_verify(input_path, colouring_path):
     """Check a colouring against every facial path of the graph."""
     G, digest = _read_graph(input_path)
@@ -159,13 +140,6 @@ def cmd_verify(input_path, colouring_path):
     sys.exit(EXIT_COUNTEREXAMPLE)
 
 
-@main.command("gen")
-@click.option("--kind", type=click.Choice(gen.KINDS), required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--chord-p", type=float, default=0.5, show_default=True)
-@click.option("--attach-p", type=float, default=0.35, show_default=True)
-@click.option("--out", "out_path", type=click.Path(), default=None)
 def cmd_gen(kind, n, seed, chord_p, attach_p, out_path):
     """Generate a seeded instance of a graph class."""
     try:
@@ -178,13 +152,8 @@ def cmd_gen(kind, n, seed, chord_p, attach_p, out_path):
         _write(out_path, doc + "\n")
     else:
         print(doc)
-    sys.exit(EXIT_OK)
 
 
-@main.command("search")
-@click.option("--kind", type=click.Choice(gen.ENUM_KINDS), required=True)
-@click.option("--max-n", type=int, default=8, show_default=True)
-@click.option("--max-colours", type=int, default=4, show_default=True)
 def cmd_search(kind, max_n, max_colours):
     """Exact facial chromatic numbers over exhaustively enumerated tiny
     instances (one JSON line per size)."""
@@ -212,7 +181,6 @@ def cmd_search(kind, max_n, max_colours):
                 sort_keys=True,
             )
         )
-    sys.exit(EXIT_OK)
 
 
 def _svg_layout(G):
@@ -275,11 +243,6 @@ def _write_dot(G, colours, path):
     _write(path, "\n".join(lines) + "\n")
 
 
-@main.command("export")
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--colouring", "colouring_path", type=click.Path(exists=True), default=None)
-@click.option("--svg", "svg_path", type=click.Path(), default=None)
-@click.option("--dot", "dot_path", type=click.Path(), default=None)
 def cmd_export(input_path, colouring_path, svg_path, dot_path):
     """Render a (coloured) graph to SVG (schematic layout) and/or DOT."""
     G, _ = _read_graph(input_path)
@@ -291,7 +254,6 @@ def cmd_export(input_path, colouring_path, svg_path, dot_path):
         _write_svg(G, colours, svg_path)
     if dot_path:
         _write_dot(G, colours, dot_path)
-    sys.exit(EXIT_OK)
 
 
 def _write_scaling_plot(report, path):
@@ -323,15 +285,6 @@ def _write_scaling_plot(report, path):
     _write(path, "\n".join(parts) + "\n")
 
 
-@main.command("bench")
-@click.option("--corpus", default="1000,3200,10000,32000,100000", show_default=True,
-              help="comma-separated instance sizes")
-@click.option("--kind", type=click.Choice(gen.KINDS), default="outerplane", show_default=True)
-@click.option("--repeat", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_path", type=click.Path(), default=None)
-@click.option("--plot", "plot_path", type=click.Path(), default=None,
-              help="write a log-log scaling plot (SVG)")
 def cmd_bench(corpus, kind, repeat, seed, out_path, plot_path):
     """Time colour+verify over a seeded corpus and fit the scaling exponent."""
     if repeat < 1:  # checked before anything is timed
@@ -356,7 +309,56 @@ def cmd_bench(corpus, kind, repeat, seed, out_path, plot_path):
     if plot_path:
         _write_scaling_plot(report, plot_path)
     print(doc)
-    sys.exit(EXIT_OK)
+
+
+_DEFAULT = "(default: %(default)s)"
+
+
+def main(argv=None):
+    """Facial nonrepetitive colouring of embedded graphs."""
+    parser = argparse.ArgumentParser(prog="thueplane", description=main.__doc__, allow_abbrev=False, add_help=False)
+    # --help alone, and no abbreviations: an option has one spelling
+    parser.add_argument("--help", action="help", help="show this message and exit")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, run):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__, allow_abbrev=False, add_help=False)
+        sub.add_argument("--help", action="help", help="show this message and exit")
+        sub.set_defaults(run=run)
+        return sub.add_argument
+
+    arg = command("colour", cmd_colour)
+    arg("--input", dest="input_path", required=True)
+    arg("--mode", choices=["outerplane", "plane", "cactus", "single-block"], default="outerplane", help=_DEFAULT)
+    arg("--output", dest="output_path")
+    arg = command("verify", cmd_verify)
+    arg("--input", dest="input_path", required=True)
+    arg("--colouring", dest="colouring_path", required=True)
+    arg = command("gen", cmd_gen)
+    arg("--kind", choices=gen.KINDS, required=True)
+    arg("--n", type=int, required=True)
+    arg("--seed", type=int, default=0, help=_DEFAULT)
+    arg("--chord-p", type=float, default=0.5, help=_DEFAULT)
+    arg("--attach-p", type=float, default=0.35, help=_DEFAULT)
+    arg("--out", dest="out_path")
+    arg = command("search", cmd_search)
+    arg("--kind", choices=gen.ENUM_KINDS, required=True)
+    arg("--max-n", type=int, default=8, help=_DEFAULT)
+    arg("--max-colours", type=int, default=4, help=_DEFAULT)
+    arg = command("export", cmd_export)
+    arg("--input", dest="input_path", required=True)
+    arg("--colouring", dest="colouring_path")
+    arg("--svg", dest="svg_path")
+    arg("--dot", dest="dot_path")
+    arg = command("bench", cmd_bench)
+    arg("--corpus", default="1000,3200,10000,32000,100000", help="comma-separated instance sizes " + _DEFAULT)
+    arg("--kind", choices=gen.KINDS, default="outerplane", help=_DEFAULT)
+    arg("--repeat", type=int, default=1, help=_DEFAULT)
+    arg("--seed", type=int, default=0, help=_DEFAULT)
+    arg("--out", dest="out_path")
+    arg("--plot", dest="plot_path", help="write a log-log scaling plot (SVG)")
+    args = vars(parser.parse_args(argv))
+    args.pop("run")(**args)  # a command that returns has succeeded: exit 0
 
 
 if __name__ == "__main__":

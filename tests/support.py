@@ -12,12 +12,15 @@ the weak dual, the per-layer graphs of an augmented plane graph, the
 alternating-block decomposition of the outerplane proof, levelling
 predicates, the palindrome check, every path of a tree, the brute-force
 facial-path oracle, the good-size blocking set
-built on copies, and blocking-graph predicates and parsing."""
+built on copies, blocking-graph predicates and parsing, and the command
+line run in process."""
 
+import contextlib
+import io
 import re
 from dataclasses import dataclass
 
-from thueplane import colour, embed
+from thueplane import cli, colour, embed
 from thueplane.blocking import (
     BlockingGraph,
     _face_neighbours_of,
@@ -865,3 +868,26 @@ def blocking_graph_to_json(bg):
 def blocking_graph_from_json(doc):
     host = tuple(doc["host_vertex"])
     return BlockingGraph(embed.graph_from_json(doc), host)
+
+
+# -- cli -----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(args):
+    """Run ``thueplane ARGS`` in process: its exit code and what it wrote
+    to stdout and stderr.  An exception that escapes the command is raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main(args)
+            code = 0
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return CliResult(code, out.getvalue(), err.getvalue())

@@ -6,13 +6,13 @@ import json
 import random
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thueplane import embed, gen
-from thueplane.cli import main
 from thueplane.embed import EmbeddingError
+
+from support import run_cli
 
 KINDS = ("tree", "cycle", "cactus_even", "outerplane", "plane", "nested")
 
@@ -118,6 +118,6 @@ def test_colour_exits_2_on_mutated_documents(tmp_path, mutation):
     assert breaks
     g = tmp_path / "g.json"
     g.write_text(json.dumps(doc))
-    r = CliRunner().invoke(main, ["colour", "--input", str(g)], catch_exceptions=False)
+    r = run_cli(["colour", "--input", str(g)])
     assert r.exit_code == 2
     assert json.loads(r.stderr.strip().splitlines()[-1])["error"] == "parse"

@@ -2,16 +2,11 @@ import json
 import sys
 
 import pytest
-from click.testing import CliRunner
 
 from thueplane import embed, gen, verify
-from thueplane.cli import main
 
 from conftest import path_graph, polygon, wheel
-
-
-def run(args):
-    return CliRunner().invoke(main, args, catch_exceptions=False)
+from support import run_cli as run
 
 
 def write_graph(tmp_path, G, name="g.json"):
@@ -383,13 +378,13 @@ def test_a_kernel_naming_a_false_square_exits_4(tmp_path, monkeypatch, command, 
 @pytest.mark.parametrize("args", [["--corpus", "0"], ["--kind", "cycle", "--corpus", "2"]])
 def test_bench_rejects_sizes_the_generator_rejects(args):
     # both exited 1 with a ValueError traceback
-    r = CliRunner().invoke(main, ["bench", *args])
+    r = run(["bench", *args])
     _assert_parse_exit(r)
 
 
 def test_search_rejects_sizes_past_the_enumeration_guard():
     # exited 1 with a ValueError traceback after printing the smaller sizes
-    r = CliRunner().invoke(main, ["search", "--kind", "tree", "--max-n", str(gen.ENUM_GUARD + 1)])
+    r = run(["search", "--kind", "tree", "--max-n", str(gen.ENUM_GUARD + 1)])
     _assert_parse_exit(r)
     assert r.stdout == ""
 
@@ -397,7 +392,7 @@ def test_search_rejects_sizes_past_the_enumeration_guard():
 @pytest.mark.parametrize("kind, max_n", [("cycle", "2"), ("tree", "0"), ("tree", "-5")])
 def test_search_rejects_a_max_n_below_the_smallest_size(kind, max_n):
     # exited 0 without printing a size
-    r = CliRunner().invoke(main, ["search", "--kind", kind, "--max-n", max_n])
+    r = run(["search", "--kind", kind, "--max-n", max_n])
     _assert_parse_exit(r)
     assert r.stdout == ""
 
@@ -415,7 +410,7 @@ def _forbid_timing(monkeypatch):
 def test_bench_rejects_a_repeat_below_one(monkeypatch, repeat):
     # ran once and reported the repeat as given
     _forbid_timing(monkeypatch)
-    r = CliRunner().invoke(main, ["bench", "--corpus", "60", "--repeat", repeat])
+    r = run(["bench", "--corpus", "60", "--repeat", repeat])
     _assert_parse_exit(r)
     assert r.stdout == ""
 
@@ -425,7 +420,7 @@ def test_bench_rejects_a_plot_of_one_size_before_timing(tmp_path, monkeypatch, c
     # timed the corpus, then exited 0 without writing the plot
     _forbid_timing(monkeypatch)
     plot = tmp_path / "one.svg"
-    r = CliRunner().invoke(main, ["bench", "--corpus", corpus, "--plot", str(plot)])
+    r = run(["bench", "--corpus", corpus, "--plot", str(plot)])
     _assert_parse_exit(r)
     assert r.stdout == "" and not plot.exists()
 
@@ -435,7 +430,7 @@ def test_bench_finds_an_unwritable_output_before_timing(tmp_path, monkeypatch, o
     # timed the whole corpus before finding the path unwritable
     _forbid_timing(monkeypatch)
     out = str(tmp_path / "missing" / "x.json")
-    r = CliRunner().invoke(main, ["bench", "--corpus", "30,60", option, out])
+    r = run(["bench", "--corpus", "30,60", option, out])
     assert r.exit_code == 2 and r.stdout == ""
     diag = json.loads(r.stderr.strip().splitlines()[-1])
     assert (diag["error"], diag["path"]) == ("output", out)
@@ -453,7 +448,7 @@ def test_run_bench_rejects_a_repeat_below_one(repeat):
 @pytest.mark.parametrize("max_colours", ["0", "-1"])
 def test_search_rejects_max_colours_below_one(max_colours):
     # printed "exceeds -1" for every size and exited 0
-    r = CliRunner().invoke(main, ["search", "--kind", "cycle", "--max-colours", max_colours])
+    r = run(["search", "--kind", "cycle", "--max-colours", max_colours])
     _assert_parse_exit(r)
     assert r.stdout == ""
 
@@ -479,3 +474,79 @@ def test_an_unwritable_output_exits_2(tmp_path, command, target):
     assert r.exit_code == 2
     diag = json.loads(r.stderr.strip().splitlines()[-1])
     assert (diag["error"], diag["path"]) == ("output", out) and diag["detail"]
+
+
+#: every option that reads a file, each in a command line whose other files are good
+FILE_OPTIONS = {
+    "colour-input": ["colour", "--input", "{bad}"],
+    "verify-input": ["verify", "--input", "{bad}", "--colouring", "{c}"],
+    "verify-colouring": ["verify", "--input", "{g}", "--colouring", "{bad}"],
+    "export-input": ["export", "--input", "{bad}", "--colouring", "{c}", "--svg", "{svg}"],
+    "export-colouring": ["export", "--input", "{g}", "--colouring", "{bad}", "--svg", "{svg}"],
+}
+BAD_FILES = {
+    "missing": lambda path: None,
+    "directory": lambda path: path.mkdir(),
+    "non-utf-8": lambda path: path.write_bytes(b'{"n": "\xff"}'),
+    "empty": lambda path: path.write_bytes(b""),
+}
+
+
+@pytest.mark.parametrize("bad_file", list(BAD_FILES))
+@pytest.mark.parametrize("option", list(FILE_OPTIONS))
+def test_an_unreadable_input_file_is_one_parse_line(tmp_path, option, bad_file):
+    # a missing path exited 2 with a four-line plain-text usage error; the
+    # other three were already one parse line
+    g = write_graph(tmp_path, polygon(4))
+    c = tmp_path / "c.json"
+    c.write_text(json.dumps({"colours": [1, 2, 1, 3], "palette_max": 3}))
+    bad = tmp_path / "bad.json"
+    BAD_FILES[bad_file](bad)
+    r = run([arg.format(g=g, c=c, bad=bad, svg=tmp_path / "g.svg") for arg in FILE_OPTIONS[option]])
+    assert r.exit_code == 2 and r.stdout == "" and "Traceback" not in r.stderr
+    [line] = r.stderr.splitlines()
+    diag = json.loads(line)
+    assert (diag["error"], diag["path"]) == ("parse", str(bad)) and diag["detail"]
+    assert not (tmp_path / "g.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["colour", "--input", "g.json", "--mode", "nope"],
+        ["verify", "--colouring", "c.json"],
+        ["gen", "--kind", "cycle", "--n", "x"],
+        ["search", "--kind", "tree", "--max-c", "3"],  # a prefix of --max-colours
+        ["export", "--svg", "g.svg"],
+        ["bench", "--corpus", "30", "--nope"],
+        ["colour", "--input", "g.json", "-h"],
+        [],
+    ],
+    ids=["colour-bad-choice", "verify-no-input", "gen-bad-int", "search-abbreviation",
+         "export-no-input", "bench-unknown-option", "colour-short-help", "no-command"],
+)
+def test_a_usage_error_exits_2_with_the_usage(tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    r = run(args)
+    assert r.exit_code == 2 and r.stdout == "" and "Traceback" not in r.stderr
+    assert r.stderr.startswith("usage: thueplane") and "error: " in r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, shown",
+    [
+        ("colour", "--mode {outerplane,plane,cactus,single-block} (default: outerplane)"),
+        ("verify", "--colouring"),
+        ("gen", "--attach-p ATTACH_P (default: 0.35)"),
+        ("search", "--max-n MAX_N (default: 8)"),
+        ("export", "--dot"),
+        ("bench", "(default: 1000,3200,10000,32000,100000)"),
+    ],
+    ids=["colour", "verify", "gen", "search", "export", "bench"],
+)
+def test_help_shows_each_option_with_its_choices_and_default(command, shown):
+    r = run([command, "--help"])
+    assert r.exit_code == 0 and r.stderr == ""
+    assert r.stdout.startswith(f"usage: thueplane {command}")
+    assert shown in " ".join(r.stdout.split())

@@ -8,6 +8,8 @@ reach; one test restores it.  A cycle above the band, or with a label of
 256 or more at any length, goes to ``find_square`` on the linear word plus
 one crossing step at the seam."""
 
+import contextlib
+import functools
 import random
 
 import pytest
@@ -39,9 +41,19 @@ def _planted(codes, start, half):
     return out
 
 
+@contextlib.contextmanager
+def _naming(word):
+    """An error raised inside the block names the word."""
+    try:
+        yield
+    except Exception as exc:
+        raise AssertionError(f"{word}: {exc}") from exc
+
+
 def _one_byte_words(L, rnd):
     G = gen.generate(gen.GenSpec("cycle", L))
-    certified = colour.colour_outerplane(G).colours
+    with _naming((L, 1, "certified")):
+        certified = colour.colour_outerplane(G).colours
     yield "certified", [certified[v] for v in G.face_vertices(G.outer_face)]
     free = list(words.cycle_colouring(L))
     yield "square-free", free
@@ -86,18 +98,26 @@ def _wide_words(L, rnd):
         yield f"one label of 256, plant {start} {half}", _planted(ternary, start, half)
 
 
-def _words():
-    rnd = random.Random(37)
-    for L in ONE_BYTE:
-        for name, codes in _one_byte_words(L, rnd):
-            yield L, 1, name, codes
-    for L in WIDE_LABELS:
-        for name, codes in _wide_words(L, rnd):
-            assert max(codes) > 255
-            yield L, 2, name, codes
+@functools.cache
+def _words(L):
+    """(width, name, codes) of every word of length L, built on first use:
+    the certified words run the kernel under test, so a fault in it fails
+    the cases that reach them, not the collection of this module."""
+    rnd = random.Random(L)
+    if L in ONE_BYTE:
+        return [(1, name, codes) for name, codes in _one_byte_words(L, rnd)]
+    wide = [(2, name, codes) for name, codes in _wide_words(L, rnd)]
+    assert all(max(codes) > 255 for _, _, codes in wide)
+    return wide
 
 
-WORDS = list(_words())
+LENGTHS = sorted(ONE_BYTE + WIDE_LABELS)
+
+
+def _all_words():
+    for L in LENGTHS:
+        for width, name, codes in _words(L):
+            yield L, width, name, codes
 
 
 def _reference(G, colours):
@@ -116,30 +136,33 @@ def _reference(G, colours):
     return None
 
 
-@pytest.mark.parametrize("L", sorted({L for L, *_ in WORDS}))
+@pytest.mark.parametrize("L", LENGTHS)
 def test_verify_verdicts_and_witnesses_on_cycles(L):
     G = gen.generate(gen.GenSpec("cycle", L))
     outer = G.face_vertices(G.outer_face)
     rejected = 0
-    for _, width, name, codes in (w for w in WORDS if w[0] == L):
+    for width, name, codes in _words(L):
         colours = [None] * L
         for v, c in zip(outer, codes):
             colours[v] = c
         want = _reference(G, colours)
-        assert verify.verify_facial_nonrepetitive(G, colours) == want, (L, width, name)
-        rejected += want is not None
         # far-apart colour values relabel to the same witness
         spread = [10**9 + 7919 * c for c in colours]
-        assert verify.verify_facial_nonrepetitive(G, spread) == want, (L, width, name)
+        with _naming((L, width, name)):
+            verdicts = [verify.verify_facial_nonrepetitive(G, c) for c in (colours, spread)]
+        assert verdicts == [want, want], (L, width, name)
+        rejected += want is not None
     assert rejected
 
 
 def test_has_cyclic_repetition_matches_main_lorentz():
-    for L, width, name, codes in WORDS:
+    for L, width, name, codes in _all_words():
         variants = [codes] if width == 2 else [codes, [c + 256 for c in codes]]
         for seq in variants:
             want = kernels.find_square(seq + seq, max_half=L // 2) is not None
-            assert has_cyclic_repetition(seq) == want, (L, width, name)
+            with _naming((L, width, name)):
+                got = has_cyclic_repetition(seq)
+            assert got == want, (L, width, name)
 
 
 def test_interleaved_search_above_the_band(monkeypatch):
@@ -147,7 +170,7 @@ def test_interleaved_search_above_the_band(monkeypatch):
     # seam name the witness
     monkeypatch.setattr(kernels, "_BAND", 32)
     rnd = random.Random(43)
-    for L, width, name, codes in WORDS:
+    for L, width, name, codes in _all_words():
         verts = rnd.sample(range(2 * L), L)
         colours = dict(zip(verts, codes))
         want = square_oracle.first_square_on_cycle(verts, colours)
@@ -286,15 +309,16 @@ def _two_cycles(a, b):
 
 
 @pytest.mark.parametrize(
-    "G",
+    "make",
     [
-        gen.generate(gen.GenSpec("cycle", 80)),  # in the band by length, not by label
-        gen.generate(gen.GenSpec("cycle", 120)),  # 120 do not
-        _two_cycles(40, 41),
+        lambda: gen.generate(gen.GenSpec("cycle", 80)),  # in the band by length, not by label
+        lambda: gen.generate(gen.GenSpec("cycle", 120)),  # 120 do not
+        lambda: _two_cycles(40, 41),
     ],
     ids=["in band", "above band", "repeated vertex"],
 )
-def test_wide_colours_give_the_witness_of_their_relabelling(G):
+def test_wide_colours_give_the_witness_of_their_relabelling(make):
+    G = make()
     rnd = random.Random(47)
     good = colour.colour_outerplane(G).colours
     outer = G.face_vertices(G.outer_face)

@@ -4,8 +4,10 @@ class is read by the package, so helpers that only tests use live in
 ``tests/``; every exported name has its line in the README's Public API
 table; every attribute a package class sets on ``self`` is read by the
 package; every import in the package and its tests is used by its
-module; and only the functions listed here raise ``RuntimeError``, the
-package's signal of a bug in itself."""
+module; only the functions listed here raise ``RuntimeError``, the
+package's signal of a bug in itself; and only the sites listed here call
+``.index``, ``.count``, ``.remove`` or ``.insert`` or ``+=`` a tuple
+inside a loop."""
 
 import ast
 import builtins
@@ -18,15 +20,6 @@ import thueplane
 SRC = pathlib.Path(thueplane.__file__).parent
 TESTS = pathlib.Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
-
-
-def _is_click_command(node):
-    # @main.command(...), @click.group(), ...: click registers these
-    for dec in node.decorator_list:
-        fn = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(fn, ast.Attribute) and fn.attr in ("command", "group"):
-            return True
-    return False
 
 
 def _names_used(node):
@@ -64,7 +57,7 @@ def test_every_top_level_definition_is_used_or_exported():
     defs = []  # (module, name, node)
     for name, tree in modules.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _is_click_command(node):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append((name, node.name, node))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -206,3 +199,55 @@ def test_only_the_listed_functions_raise_runtime_errors():
                     if isinstance(cls, type) and issubclass(cls, RuntimeError):
                         found.add(f"{name[:-3]}.{fn.name}")
     assert found == RAISES_A_BUG
+
+
+#: every call of ``.index``, ``.count``, ``.remove`` or ``.insert`` and
+#: every ``+=`` of a tuple display that runs once per iteration of a loop
+#: in the package, with the bound on the length it reads or copies.  Line
+#: events do not see this work, which runs in C, so a scan of a growing
+#: list inside a loop shows in no line count; a new site belongs here only
+#: with its bound.
+LINEAR_IN_A_LOOP = {
+    # each dart anchors at most one added edge's outgoing dart, so the
+    # tuple before a dart holds at most one dart when it grows
+    "embed._mapped_rotations: += tuple",
+    # the generator only: a rotation of deg(x) darts, once per added edge,
+    # and the new face, which the slice beside the tuple ``+=`` copies anyway
+    "gen._gen_plane: .index",
+    "gen._gen_plane: .insert",
+    "gen._gen_plane: += tuple",
+    # onto a list, not a tuple: an append of two, O(1) amortized
+    "gen._triangulation_chords: += tuple",
+    # on a set, not a list: O(1)
+    "verify._window_ends: .remove",
+}
+
+
+def _per_iteration(fn):
+    """The nodes of ``fn`` that run once per iteration of a loop in it: a
+    loop's body, a ``while`` test, and a comprehension but its first iterable."""
+    for loop in ast.walk(fn):
+        if isinstance(loop, (ast.For, ast.While)):
+            parts = loop.body + ([loop.test] if isinstance(loop, ast.While) else [])
+            yield from (node for part in parts for node in ast.walk(part))
+        elif isinstance(loop, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            once = set(map(id, ast.walk(loop.generators[0].iter)))
+            yield from (node for node in ast.walk(loop) if id(node) not in once)
+
+
+def test_only_the_listed_sites_scan_or_copy_inside_a_loop():
+    found = set()
+    for name, text in _modules().items():
+        tree = ast.parse(text)
+        for node in tree.body:
+            for fn in [node] + (node.body if isinstance(node, ast.ClassDef) else []):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                site = f"{name[:-3]}.{fn.name}"
+                for sub in _per_iteration(fn):
+                    if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                            and sub.func.attr in ("index", "count", "remove", "insert")):
+                        found.add(f"{site}: .{sub.func.attr}")
+                    elif isinstance(sub, ast.AugAssign) and isinstance(sub.op, ast.Add) and isinstance(sub.value, ast.Tuple):
+                        found.add(f"{site}: += tuple")
+    assert found == LINEAR_IN_A_LOOP

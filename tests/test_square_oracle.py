@@ -259,9 +259,11 @@ def test_counterexample_search_with_three_byte_labels():
 
 
 def test_counterexample_search_on_a_long_cycle_whose_only_square_is_the_walk():
-    # distinct labels written twice: the only square has half L // 2, so
-    # the pass alone would run every half over 2 * L bytes; the start
-    # matches interleaved with it find the square at start 0 at once
+    # distinct labels written twice: the only square is the whole walk, of
+    # half L // 2.  The cycle lies above the band, so it takes the seam
+    # route: find_square on the linear word of L labels, which is that
+    # square, and one crossing step at the seam, not a search of the
+    # doubled word
     import time
 
     L = 65540

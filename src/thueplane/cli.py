@@ -1,13 +1,12 @@
 """Command-line surface.
 
-Exit codes for ``colour``: 0 success (output verified), 2 input parse
-failure, 3 graph-class mismatch for the requested mode, 4 internal
-verification failure (any other error inside the pipeline: a bug).
-``verify`` exits 0 when the colouring checks out, 1 with a counterexample
-otherwise, 2 on a parse failure and 4 on any error inside the check.
-Every command exits 2 when a file cannot be read or written.  Diagnostics
-go to stderr as JSON lines, a usage error as argparse's usage (exit 2);
-results go to stdout or the requested output files.
+Every command exits 0 on success; 1 only when ``verify`` finds a
+counterexample; 2 when an input does not parse, an option value is out of
+range or a file cannot be read or written; 3 when ``colour``'s input is not
+in the class its mode needs; and 4 on any other error, a bug.  Each failure
+is one JSON line on stderr, never a traceback; only a usage error prints
+argparse's usage instead (exit 2).  Results go to stdout or the requested
+output files.
 """
 
 from __future__ import annotations
@@ -18,15 +17,21 @@ import json
 import sys
 import time
 
-from thueplane import bench as bench_mod
 from thueplane import colour, embed, gen, verify
 from thueplane.embed import ClassMismatchError, EmbeddingError
 
-EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_PARSE = 2
 EXIT_CLASS = 3
 EXIT_INTERNAL = 4
+
+#: the pipeline each ``colour --mode`` runs
+_MODES = {
+    "outerplane": colour.colour_outerplane,
+    "plane": colour.colour_plane,
+    "cactus": colour.colour_cactus_even,
+    "single-block": colour.colour_outerplane_single_block,
+}
 
 _PALETTE = [
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
@@ -36,15 +41,10 @@ _PALETTE = [
 ]
 
 
-def _diag(**fields):
+def _fail(code, **fields):
+    """Write one JSON diagnostic line to stderr and exit with ``code``."""
     print(json.dumps(fields, sort_keys=True), file=sys.stderr)
-
-
-def _detail(exc):
-    """An internal error's diagnostic detail: its type name, so that an
-    exception raised without a message still says what went wrong."""
-    text = str(exc)
-    return f"{type(exc).__name__}: {text}" if text else type(exc).__name__
+    sys.exit(code)
 
 
 def _write(path, text):
@@ -54,8 +54,7 @@ def _write(path, text):
         with open(path, "w" if text else "a", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        _diag(error="output", path=str(path), detail=str(exc))
-        sys.exit(EXIT_PARSE)
+        _fail(EXIT_PARSE, error="output", path=str(path), detail=str(exc))
 
 
 def _read_graph(path):
@@ -64,8 +63,7 @@ def _read_graph(path):
             raw = fh.read()
         return embed.loads_graph(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
     except (OSError, UnicodeDecodeError, EmbeddingError) as exc:
-        _diag(error="parse", path=str(path), detail=str(exc))
-        sys.exit(EXIT_PARSE)
+        _fail(EXIT_PARSE, error="parse", path=str(path), detail=str(exc))
 
 
 def _read_colouring(path, n):
@@ -77,8 +75,7 @@ def _read_colouring(path, n):
             raise ValueError(f"{len(col.colours)} colours for a graph on {n} vertices")
         return col
     except (OSError, ValueError, RecursionError) as exc:
-        _diag(error="parse", path=str(path), detail=str(exc))
-        sys.exit(EXIT_PARSE)
+        _fail(EXIT_PARSE, error="parse", path=str(path), detail=str(exc))
 
 
 def cmd_colour(input_path, mode, output_path):
@@ -86,21 +83,11 @@ def cmd_colour(input_path, mode, output_path):
     t_parse0 = time.perf_counter()
     G, digest = _read_graph(input_path)
     t_parse = time.perf_counter() - t_parse0
-    dispatch = {
-        "outerplane": colour.colour_outerplane,
-        "plane": colour.colour_plane,
-        "cactus": colour.colour_cactus_even,
-        "single-block": colour.colour_outerplane_single_block,
-    }
     t0 = time.perf_counter()
     try:
-        result = dispatch[mode](G)
+        result = _MODES[mode](G)
     except ClassMismatchError as exc:
-        _diag(error="class-mismatch", mode=mode, detail=str(exc))
-        sys.exit(EXIT_CLASS)
-    except Exception as exc:  # VerificationBugError from the certificate, or any other bug
-        _diag(error="internal-verification-failure", mode=mode, detail=_detail(exc))
-        sys.exit(EXIT_INTERNAL)
+        _fail(EXIT_CLASS, error="class-mismatch", mode=mode, detail=str(exc))
     t_colour = time.perf_counter() - t0  # includes the pipeline's certificate
 
     if output_path:
@@ -122,14 +109,10 @@ def cmd_verify(input_path, colouring_path):
     """Check a colouring against every facial path of the graph."""
     G, digest = _read_graph(input_path)
     col = _read_colouring(colouring_path, G.n)
-    try:
-        bad = verify.verify_facial_nonrepetitive(G, col.colours)
-    except Exception as exc:  # a witness that is not a square, or any other bug
-        _diag(error="internal-verification-failure", detail=_detail(exc))
-        sys.exit(EXIT_INTERNAL)
+    bad = verify.verify_facial_nonrepetitive(G, col.colours)
     if bad is None:
         print(json.dumps({"input_digest": digest, "ok": True}, sort_keys=True))
-        sys.exit(EXIT_OK)
+        return
     print(
         json.dumps(
             {"input_digest": digest, "ok": False,
@@ -145,8 +128,7 @@ def cmd_gen(kind, n, seed, chord_p, attach_p, out_path):
     try:
         G = gen.generate(gen.GenSpec(kind, n, seed, chord_p, attach_p))
     except ValueError as exc:
-        _diag(error="parse", detail=str(exc))
-        sys.exit(EXIT_PARSE)
+        _fail(EXIT_PARSE, error="parse", detail=str(exc))
     doc = embed.dumps_graph(G)
     if out_path:
         _write(out_path, doc + "\n")
@@ -159,11 +141,9 @@ def cmd_search(kind, max_n, max_colours):
     instances (one JSON line per size)."""
     lo = gen._MIN_N.get(kind, 1)
     if not lo <= max_n <= gen.ENUM_GUARD:  # checked before any size is printed
-        _diag(error="parse", option="--max-n", detail=f"{kind} enumeration runs over {lo} <= n <= {gen.ENUM_GUARD}")
-        sys.exit(EXIT_PARSE)
+        _fail(EXIT_PARSE, error="parse", option="--max-n", detail=f"{kind} enumeration runs over {lo} <= n <= {gen.ENUM_GUARD}")
     if max_colours < 1:
-        _diag(error="parse", option="--max-colours", detail=f"max colours must be at least 1, not {max_colours}")
-        sys.exit(EXIT_PARSE)
+        _fail(EXIT_PARSE, error="parse", option="--max-colours", detail=f"max colours must be at least 1, not {max_colours}")
     for n in range(lo, max_n + 1):
         worst = 0
         count = 0
@@ -248,8 +228,7 @@ def cmd_export(input_path, colouring_path, svg_path, dot_path):
     G, _ = _read_graph(input_path)
     colours = list(_read_colouring(colouring_path, G.n).colours) if colouring_path else None
     if not svg_path and not dot_path:
-        _diag(error="parse", detail="nothing to export: pass --svg and/or --dot")
-        sys.exit(EXIT_PARSE)
+        _fail(EXIT_PARSE, error="parse", detail="nothing to export: pass --svg and/or --dot")
     if svg_path:
         _write_svg(G, colours, svg_path)
     if dot_path:
@@ -288,21 +267,22 @@ def _write_scaling_plot(report, path):
 def cmd_bench(corpus, kind, repeat, seed, out_path, plot_path):
     """Time colour+verify over a seeded corpus and fit the scaling exponent."""
     if repeat < 1:  # checked before anything is timed
-        _diag(error="parse", option="--repeat", detail=f"repeat must be at least 1, not {repeat}")
-        sys.exit(EXIT_PARSE)
+        _fail(EXIT_PARSE, error="parse", option="--repeat", detail=f"repeat must be at least 1, not {repeat}")
     try:
         sizes = [int(s) for s in corpus.replace(";", ",").split(",") if s.strip()]
+        if not sizes:
+            raise ValueError("no sizes")
         for n in sizes:  # a size the generator rejects fails here, before any timing
             gen.GenSpec(kind, n, seed)
     except ValueError as exc:
-        _diag(error="parse", detail=f"bad corpus spec {corpus!r}: {exc}")
-        sys.exit(EXIT_PARSE)
+        _fail(EXIT_PARSE, error="parse", detail=f"bad corpus spec {corpus!r}: {exc}")
     if plot_path and len(set(sizes)) < 2:
-        _diag(error="parse", option="--plot", detail="a scaling plot needs at least two distinct sizes")
-        sys.exit(EXIT_PARSE)
+        _fail(EXIT_PARSE, error="parse", option="--plot", detail="a scaling plot needs at least two distinct sizes")
     for path in filter(None, (out_path, plot_path)):  # an unwritable path fails before any timing
         _write(path, "")
-    report = bench_mod.run_bench(sizes, kind=kind, seed=seed, repeat=repeat)
+    from thueplane import bench  # here, so that no other command loads it and statistics
+
+    report = bench.run_bench(sizes, kind=kind, seed=seed, repeat=repeat)
     doc = json.dumps(report, sort_keys=True, indent=2)
     if out_path:
         _write(out_path, doc + "\n")
@@ -329,7 +309,7 @@ def main(argv=None):
 
     arg = command("colour", cmd_colour)
     arg("--input", dest="input_path", required=True)
-    arg("--mode", choices=["outerplane", "plane", "cactus", "single-block"], default="outerplane", help=_DEFAULT)
+    arg("--mode", choices=_MODES, default="outerplane", help=_DEFAULT)
     arg("--output", dest="output_path")
     arg = command("verify", cmd_verify)
     arg("--input", dest="input_path", required=True)
@@ -358,7 +338,13 @@ def main(argv=None):
     arg("--out", dest="out_path")
     arg("--plot", dest="plot_path", help="write a log-log scaling plot (SVG)")
     args = vars(parser.parse_args(argv))
-    args.pop("run")(**args)  # a command that returns has succeeded: exit 0
+    try:
+        args.pop("run")(**args)  # a command that returns has succeeded: exit 0
+    except Exception as exc:  # any error a command does not report itself is a bug
+        text = str(exc)  # led by the type name: an exception may have no message
+        detail = f"{type(exc).__name__}: {text}" if text else type(exc).__name__
+        where = {"mode": args["mode"]} if "mode" in args else {}
+        _fail(EXIT_INTERNAL, error="internal-verification-failure", detail=detail, **where)
 
 
 if __name__ == "__main__":

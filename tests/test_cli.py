@@ -1,9 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
 
-from thueplane import embed, gen, verify
+from thueplane import bench, cli, colour, embed, gen, verify
 
 from conftest import path_graph, polygon, wheel
 from support import run_cli as run
@@ -375,11 +378,62 @@ def test_a_kernel_naming_a_false_square_exits_4(tmp_path, monkeypatch, command, 
         assert diag["detail"].startswith(names)
 
 
-@pytest.mark.parametrize("args", [["--corpus", "0"], ["--kind", "cycle", "--corpus", "2"]])
+@pytest.mark.parametrize(
+    "args",
+    [["--corpus", "0"], ["--kind", "cycle", "--corpus", "2"], ["--corpus", ""], ["--corpus", ","], ["--corpus", " ; "]],
+)
 def test_bench_rejects_sizes_the_generator_rejects(args):
-    # both exited 1 with a ValueError traceback
+    # the first two exited 1 with a ValueError traceback; a corpus of no
+    # sizes timed nothing and exited 0 with "rows": []
     r = run(["bench", *args])
     _assert_parse_exit(r)
+
+
+class Planted(Exception):
+    """The error a test plants in one call a command makes."""
+
+
+def _raise_planted(*args, **kwargs):
+    raise Planted("planted")
+
+
+#: per command: a command line, and the owner and name of one call it makes
+INTERNAL_CALLS = {
+    "colour": (["colour", "--input", "{g}", "--mode", "plane"], cli._MODES, "plane"),  # the mode's pipeline
+    "verify": (["verify", "--input", "{g}", "--colouring", "{c}"], verify, "verify_facial_nonrepetitive"),
+    "gen": (["gen", "--kind", "cycle", "--n", "5"], gen, "generate"),
+    "search": (["search", "--kind", "cycle", "--max-n", "4"], verify, "exact_pi_f"),
+    "export": (["export", "--input", "{g}", "--svg", "{svg}"], colour, "peeling_layering"),
+    "bench": (["bench", "--corpus", "30,60"], bench, "run_bench"),
+}
+
+
+@pytest.mark.parametrize("command", list(INTERNAL_CALLS))
+def test_an_error_inside_any_command_exits_4_with_one_line(tmp_path, monkeypatch, command):
+    # gen, search, export and bench exited 1 with a traceback
+    args, owner, name = INTERNAL_CALLS[command]
+    if isinstance(owner, dict):
+        monkeypatch.setitem(owner, name, _raise_planted)
+    else:
+        monkeypatch.setattr(owner, name, _raise_planted)
+    g = write_graph(tmp_path, wheel(5))  # not outerplane: export lays it out by its peeling layers
+    c = tmp_path / "c.json"
+    c.write_text(json.dumps({"colours": [1, 2, 1, 2, 3, 4], "palette_max": 4}))
+    r = run([arg.format(g=g, c=c, svg=tmp_path / "g.svg") for arg in args])
+    assert r.exit_code == 4 and "Traceback" not in r.stderr
+    [line] = r.stderr.splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "internal-verification-failure"
+    assert diag["detail"] == "Planted: planted"
+    assert diag.get("mode") == ("plane" if command == "colour" else None)
+
+
+def test_importing_the_cli_does_not_load_bench():
+    # bench, and statistics with it, load only when the bench command runs
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}  # the package under test
+    code = "import sys, thueplane.cli; print(sorted({'thueplane.bench', 'statistics'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_search_rejects_sizes_past_the_enumeration_guard():

@@ -398,7 +398,10 @@ def test_outerplane_disconnected_components():
 
 # -- relabelled and mirrored copies ------------------------------------------------------
 
-OUTERPLANE_PIPELINES = ((colour_outerplane, 11), (colour_cactus_even, 7), (colour_outerplane_single_block, 7))
+#: each pipeline with its bound; colour_plane takes every graph
+BOUNDED_PIPELINES = (
+    (colour_outerplane, 11), (colour_cactus_even, 7), (colour_outerplane_single_block, 7), (colour_plane, 22),
+)
 
 
 def _on_a_face(G, path):
@@ -416,12 +419,12 @@ def _on_a_face(G, path):
 def _copy_verdicts(graphs):
     """Metamorphic, as for the plane corpus: a copy under new vertex and
     edge names, with the edges reordered and reversed at random and, in one
-    copy of two, mirrored, is the same drawing.  Each outerplane pipeline
-    that takes G certifies the copy within its bound; the verifier gives a
-    colouring carried to the copy G's verdict, for the certified colouring
-    and for one with a planted equal pair; and the copy's witness, carried
-    back, is a square on a facial path of G.  Returns the verdicts, True
-    for an accept."""
+    copy of two, mirrored, is the same drawing.  Each pipeline that takes
+    G, colour_plane always, certifies the copy within its bound; the
+    verifier gives a colouring carried to the copy G's verdict, for the
+    certified colouring and for one with a planted equal pair; and the
+    copy's witness, carried back, is a square on a facial path of G.
+    Returns the verdicts, True for an accept."""
     plant = random.Random(0)
     verdicts = []
     for i, G in enumerate(graphs):
@@ -431,17 +434,18 @@ def _copy_verdicts(graphs):
             u, w = plant.sample(range(G.n), 2)
             planted[w] = planted[u]
         takes = []  # per pipeline, whether G is in its class
-        for pipeline, _bound in OUTERPLANE_PIPELINES:
+        for pipeline, _bound in BOUNDED_PIPELINES:
             try:
                 pipeline(G)
             except ClassMismatchError:
                 takes.append(False)
             else:
                 takes.append(True)
+        assert takes[-1]  # colour_plane
         for mirror in (False, True):
             H, vert = support.transform(G, random.Random(i), mirror)
             back = sorted(range(G.n), key=vert.__getitem__)
-            for (pipeline, bound), took in zip(OUTERPLANE_PIPELINES, takes):
+            for (pipeline, bound), took in zip(BOUNDED_PIPELINES, takes):
                 if not took:
                     with pytest.raises(ClassMismatchError):
                         pipeline(H)

@@ -210,35 +210,30 @@ def _counting(monkeypatch):
     return calls
 
 
-def test_band_faces_make_no_find_square_call(monkeypatch):
-    cases = []
-    for L in (64, 65, BAND, BAND + 1):
-        G = gen.generate(gen.GenSpec("cycle", L))
-        good = colour.colour_outerplane(G).colours
-        outer = G.face_vertices(G.outer_face)
-        bad = list(good)
-        bad[outer[L // 2 + 1]] = bad[outer[L // 2]]
-        cases.append((L, G, good, bad))
+@pytest.mark.parametrize("L", [64, 65, BAND, BAND + 1])
+def test_band_faces_make_no_find_square_call(monkeypatch, L):
+    G = gen.generate(gen.GenSpec("cycle", L))
+    good = colour.colour_outerplane(G).colours
+    outer = G.face_vertices(G.outer_face)
+    bad = list(good)
+    bad[outer[L // 2 + 1]] = bad[outer[L // 2]]
     calls = _counting(monkeypatch)
-    for L, G, good, bad in cases:
-        # a band face never goes to find_square, and a short face that the
-        # short-face screen flags goes to the per-half pass as well
-        in_band = L <= BAND
-        del calls[:]
-        assert verify.verify_facial_nonrepetitive(G, good) is None
-        assert calls == ([] if in_band else [L]), L  # the second face is the first reversed
-        del calls[:]
-        assert verify.verify_facial_nonrepetitive(G, bad) is not None
-        assert calls == ([] if in_band else [L]), L
-    for L, G, good, _ in cases[1:3]:
+    # a band face never goes to find_square, and a short face that the
+    # short-face screen flags goes to the per-half pass as well
+    searched = [] if L <= BAND else [L]  # the second face is the first reversed
+    assert verify.verify_facial_nonrepetitive(G, good) is None
+    assert calls == searched
+    del calls[:]
+    assert verify.verify_facial_nonrepetitive(G, bad) is not None
+    assert calls == searched
+    if 64 < L <= BAND:
         # labels of 256 or more go to the linear word and its seam inside the band too
         del calls[:]
         assert verify.verify_facial_nonrepetitive(G, [c + 256 for c in good]) is None
-        assert calls == [L], L
-    for L in (64, BAND, BAND + 1):
-        del calls[:]
-        assert not has_cyclic_repetition(words.cycle_colouring(L))
-        assert calls == ([] if L <= BAND else [L]), L
+        assert calls == [L]
+    del calls[:]
+    assert not has_cyclic_repetition(words.cycle_colouring(L))
+    assert calls == searched
 
 
 def _cycle_words(G):
@@ -261,24 +256,28 @@ def _plant(colours, walk, start, half):
     return out
 
 
-@pytest.mark.parametrize("a, b", [(65, 90), (BAND + 1, BAND + 40)])
-def test_two_cycle_components_give_the_reference_witness(monkeypatch, a, b):
+def _two_cycle_cases():
+    """(a, b, plant) for two cycles of a and b vertices: no plant, then a
+    square (component, start, half) in each component in turn."""
+    for a, b in ((65, 90), (BAND + 1, BAND + 40)):
+        yield pytest.param(a, b, None, id=f"{a}-{b}")
+        for comp, L in enumerate((a, b)):
+            for start, half in ((0, 1), (3, 2), (L // 2, 9), (L - 1, L // 2)):
+                yield pytest.param(a, b, (comp, start, half), id=f"{a}-{b}-plant-{comp}-{start}-{half}")
+
+
+@pytest.mark.parametrize("a, b, plant", list(_two_cycle_cases()))
+def test_two_cycle_components_give_the_reference_witness(monkeypatch, a, b, plant):
     G = disjoint_union(gen.generate(gen.GenSpec("cycle", a)), gen.generate(gen.GenSpec("cycle", b)))
     good, walks = _cycle_words(G)
-    colourings = [good]
-    for walk in walks:  # a square in each component in turn
-        for start, half in ((0, 1), (3, 2), (len(walk) // 2, 9), (len(walk) - 1, len(walk) // 2)):
-            colourings.append(_plant(good, walk, start, half))
-    rejected = 0
-    for colours in colourings:
-        want = _reference(G, colours)
-        assert verify.verify_facial_nonrepetitive(G, colours) == want
-        rejected += want is not None
-    assert rejected == len(colourings) - 1
+    colours = good if plant is None else _plant(good, walks[plant[0]], *plant[1:])
+    want = _reference(G, colours)
+    assert (want is None) == (plant is None)
     calls = _counting(monkeypatch)
-    assert verify.verify_facial_nonrepetitive(G, good) is None
-    # one search per component above the band
-    assert calls == ([] if b <= BAND else [a, b])
+    assert verify.verify_facial_nonrepetitive(G, colours) == want
+    if plant is None:
+        # one search per component above the band
+        assert calls == ([] if b <= BAND else [a, b])
 
 
 def test_a_cycle_with_a_doubled_edge_gives_the_reference_witness(monkeypatch):

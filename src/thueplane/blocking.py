@@ -24,7 +24,6 @@ postconditions, and the pipelines' verifier certifies every colouring.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import chain, compress
 from typing import NamedTuple
@@ -33,7 +32,7 @@ from thueplane import embed
 from thueplane.embed import ClassMismatchError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockingGraph:
     graph: embed.EmbeddedGraph
     host_vertex: tuple  # blocking-graph vertex id -> host vertex id
@@ -50,12 +49,12 @@ def validate_blocking_set(G, B):
         return False, ["graph is not outerplane"]
     B = set(B)
     for x in B:
-        if not (0 <= x < G.n):
-            return False, [f"vertex {x} out of range"]
+        if type(x) is not int or not 0 <= x < G.n:  # as _check_vertex
+            return False, [f"{x!r} is not a vertex id of the graph"]
 
     violations = []
     origin = G.origin
-    for verts, faces, _seg in embed._blocks_and_bridges(G)[0]:
+    for verts, faces in embed._blocks_and_bridges(G)[0]:
         if len(verts) < 3:
             continue
         rest = [x for x in verts if x not in B]
@@ -115,68 +114,101 @@ def _require_biconnected_outerplane(G):
 class _Host(NamedTuple):
     """A simple outerplane graph read face by face, built once per graph
     from its one block pass.  A block is read in place through it: as its
-    inner face ids, which are host face ids, and the darts of its outer
-    cycle.  The chords between its faces span its weak dual, a tree."""
+    inner face ids, ascending, which are host face ids.  The chords between
+    its faces span its weak dual, a tree."""
 
     graph: embed.EmbeddedGraph
     blocks: list  # as ``embed._blocks_and_bridges`` returns them
+    bridges: list  # edge ids, ascending
     cycles: list  # face id -> vertex cycle (tuple)
     dual: list  # face id -> (chord, face across it) pairs, by chord id
-    alive: list  # face id -> its live degree while its block peels, else 0
 
 
 def _host(G):
     """``_Host`` of the simple outerplane graph G; a chord has inner faces on both sides."""
-    return _Host(G, *embed._blocks_and_bridges(G), [0] * len(G.faces))
+    return _Host(G, *embed._blocks_and_bridges(G))
 
 
-def _has_end(origin, e, v):
-    """True when v is an end of edge e."""
-    return origin[2 * e] == v or origin[2 * e + 1] == v
+def _check_vertex(G, v):
+    """ValueError unless v is a vertex id of G: a plain int, as
+    ``embed.graph_from_json`` reads ids, not a bool or float, in range."""
+    if type(v) is not int or not 0 <= v < G.n:
+        raise ValueError(f"{v!r} is not a vertex id of the graph")
 
 
-def _one_per_face(H, faces, seg, v, include):
+def _faces_on(H, faces, v):
+    """The faces among ``faces`` whose cycle holds v."""
+    cycles = H.cycles
+    return [f for f in faces if v in cycles[f]]
+
+
+def _off(cyc, u, w):
+    """The smallest vertex of the cycle ``cyc`` other than u and w."""
+    if len(cyc) == 3:
+        return sum(cyc) - u - w
+    s = sorted(cyc)
+    return s[0] if s[0] != u and s[0] != w else s[1] if s[1] != u and s[1] != w else s[2]
+
+
+def _one_per_face(H, faces, v, include, at_v):
     """``blocking_set_biconnected`` on the block of H with inner faces
-    ``faces``; exclusion reads v's neighbours off ``seg``, the darts of the
-    block's outer cycle."""
+    ``faces``, as a set; ``at_v`` lists those on v.  Exclusion takes v's
+    smaller neighbour on the block's outer cycle: v's neighbours on its
+    faces, less the ends of the chords between those faces, each of which
+    is found twice.
+
+    The peel takes the smallest-id valid leaf first, where a leaf is valid
+    when v is off it or on its live chord, so the face that survives holds
+    v.  The set is then read top-down from that face: a face whose chord to
+    its parent has neither end in the set adds its smallest vertex off that
+    chord.  Only the face nearest the root among those on a vertex can add
+    it, so the set depends on the root alone and not on the peel order."""
+    cycles, dual, origin = H.cycles, H.dual, H.graph.origin
     if not include:
-        ring = list(map(H.graph.origin.__getitem__, seg))
-        i = ring.index(v)
-        return _one_per_face(H, faces, seg, min(ring[i - 1], ring[(i + 1) % len(ring)]), True)
-
+        if len(at_v) == 1:
+            v = min(_face_neighbours_of(cycles[at_v[0]], v))
+        else:
+            ends = set()
+            for f in at_v:
+                ends.symmetric_difference_update(_face_neighbours_of(cycles[f], v))
+            v = min(ends)
+        if len(faces) > 1:
+            at_v = [f for f in faces if v in cycles[f]]
     if len(faces) == 1:
-        return frozenset({v})
-    cycles, dual, alive_deg, origin = H.cycles, H.dual, H.alive, H.graph.origin
-
-    # a leaf is valid when v is off it or on its live chord.  The heap holds
-    # (leaf, live chord, face across it): in a tree a face enters once and
-    # keeps that chord until peeled, and the peels leave every degree 0
-    heap = []
-    for f in faces:
-        nbs = dual[f]
-        alive_deg[f] = len(nbs)
-        if len(nbs) == 1 and (v not in cycles[f] or _has_end(origin, nbs[0][0], v)):
-            heap.append((f,) + nbs[0])
-    heapq.heapify(heap)
-    peels = []  # (chord, face) in peeling order
-    for remaining in range(len(faces), 1, -1):
-        f, e, g = heapq.heappop(heap)
-        peels.append((e, f))
-        alive_deg[f] = 0
-        alive_deg[g] -= 1
-        if alive_deg[g] == 1 and remaining > 2:
-            for c, h in dual[g]:  # g's live chord
-                if alive_deg[h]:
-                    break
-            if v not in cycles[g] or _has_end(origin, c, v):
-                heapq.heappush(heap, (g, c, h))
+        return {v}
 
     B = {v}
-    for e, f in reversed(peels):
-        u, w = origin[2 * e], origin[2 * e + 1]
-        if u not in B and w not in B:
-            B.add(min(x for x in cycles[f] if x != u and x != w))
-    return frozenset(B)
+    todo = [(at_v[0] if len(at_v) == 1 else _root_face(dual, faces, at_v), -1)]
+    for f, up in todo:  # (face, chord to its parent); grows while it is read
+        for e, g in dual[f]:
+            if e != up:
+                todo.append((g, e))
+                u, w = origin[2 * e], origin[2 * e + 1]
+                if u not in B and w not in B:
+                    B.add(_off(cycles[g], u, w))
+    return B
+
+
+def _root_face(dual, faces, at_v):
+    """The face of ``at_v``, the faces on v, nearest in the weak dual on
+    ``faces`` to the largest of them, which ``faces`` lists last.
+
+    It is the face left when the valid leaves are peeled smallest id first,
+    a leaf being valid when v is off it or on its live chord.  Until one
+    face on v is left every leaf is valid, as the faces on v form a path,
+    so the peel is the plain one, which never takes the largest face: each
+    face goes after every face behind it as seen from the largest, and so
+    the last of the path to go is the one nearest the largest."""
+    top = faces[-1]
+    if top in at_v:
+        return top
+    todo = [(top, -1)]  # (face, chord it was reached across)
+    for f, up in todo:  # grows while it is read
+        for e, g in dual[f]:
+            if g in at_v:
+                return g
+            if e != up:
+                todo.append((g, e))
 
 
 def blocking_set_biconnected(G, v, include=True):
@@ -189,27 +221,36 @@ def blocking_set_biconnected(G, v, include=True):
     the smallest interior vertex whenever the ear's chord is uncovered.
     """
     _require_biconnected_outerplane(G)
-    if not (0 <= v < G.n):
-        raise ValueError(f"vertex {v} out of range")
-    return _one_per_face(_host(G), G.inner_faces(), G.faces[G.outer_face], v, include)
+    _check_vertex(G, v)
+    H, faces = _host(G), G.inner_faces()
+    return frozenset(_one_per_face(H, faces, v, include, _faces_on(H, faces, v)))
 
 
 def _face_neighbours_of(cyc, x):
     i = cyc.index(x)
-    return cyc[i - 1], cyc[(i + 1) % len(cyc)]
+    return cyc[i - 1], cyc[i + 1 - len(cyc)]
+
+
+def _smaller_other(p, q, u, w):
+    """The smaller of p and q that is neither u nor w (one of them is not)."""
+    if p == u or p == w:
+        return q
+    if q == u or q == w:
+        return p
+    return p if p < q else q
 
 
 def _beside_b_vertex(H, f, B, e):
     """The smaller neighbour on face f of f's one B vertex that is not an
     end of edge e."""
-    (x,) = B.intersection(H.cycles[f])
-    u, w = H.graph.origin[2 * e], H.graph.origin[2 * e + 1]
-    return min(y for y in _face_neighbours_of(H.cycles[f], x) if y != u and y != w)
+    cyc = H.cycles[f]
+    (x,) = B.intersection(cyc)
+    return _smaller_other(*_face_neighbours_of(cyc, x), H.graph.origin[2 * e], H.graph.origin[2 * e + 1])
 
 
 def _evenize(H, faces, B1, ref, root_face, ab_edge=None):
-    """Add one vertex to an odd one-per-face blocking set so the blocking
-    graph becomes an even cycle.
+    """Add one vertex to an odd one-per-face blocking set B1, in place, so
+    the blocking graph becomes an even cycle; returns B1.
 
     ``ref`` is the vertex the case split protects (the included/excluded v,
     or the excluded endpoint a of the edge variant): the chosen vertex is
@@ -222,54 +263,42 @@ def _evenize(H, faces, B1, ref, root_face, ab_edge=None):
     if len(faces) == 1:
         # a polygon block: its outer cycle is its one face
         (u0,) = B1
-        w = min(x for x in _face_neighbours_of(cycles[faces[0]], u0) if x != ref)
-        return frozenset(B1 | {w})
+        B1.add(_smaller_other(*_face_neighbours_of(cycles[faces[0]], u0), ref, ref))
+        return B1
 
-    ears_list = sorted(f for f in faces if len(dual[f]) == 1)
-
-    # Case 1: an ear with four or more vertices
-    for f in ears_list:
+    # Case 1: the first ear with four or more vertices; failing that,
+    # Case 2: the first triangular ear with a chord end already in the set
+    third = None
+    for f in faces:  # ascending
+        if len(dual[f]) != 1 or (ab_edge is not None and f == root_face):
+            continue
         cyc = cycles[f]
-        if len(cyc) < 4:
-            continue
-        e, _g = dual[f][0]
-        if ab_edge is None:
-            if ref in cyc and not _has_end(origin, e, ref):
-                continue
-        elif f == root_face:
-            continue
-        return frozenset(B1 | {_beside_b_vertex(H, f, B1, e)})
-
-    # Case 2: a triangular ear with a chord endpoint already in the set
-    for f in ears_list:
-        cyc = cycles[f]
-        if len(cyc) != 3:
-            continue
-        e, _g = dual[f][0]
+        ((e, _g),) = dual[f]
         u, w = origin[2 * e], origin[2 * e + 1]
-        if u not in B1 and w not in B1:
-            continue
-        (t,) = tuple(x for x in cyc if x != u and x != w)
-        if ab_edge is None:
-            if t == ref:
+        if len(cyc) > 3:
+            if ab_edge is None and ref in cyc and ref != u and ref != w:
                 continue
-        elif f == root_face:
-            continue
-        return frozenset(B1 | {t})
+            B1.add(_beside_b_vertex(H, f, B1, e))
+            return B1
+        if third is None and (u in B1 or w in B1) and (ab_edge is not None or sum(cyc) - u - w != ref):
+            third = sum(cyc) - u - w
+    if third is not None:
+        B1.add(third)
+        return B1
 
     # Case 3: root the dual, take an internal face F whose children are all
     # deepest leaves, and pick inside the star around it
-    depth = {root_face: 0}
-    parent = {root_face: (None, None)}  # face -> (chord to its parent, parent)
-    order = [root_face]
-    for f in order:  # grows while it is read
-        for e, g in dual[f]:  # by chord id
-            if g not in depth:
-                depth[g] = depth[f] + 1
-                parent[g] = (e, f)
-                order.append(g)
-    h = depth[order[-1]]
-    F = min(parent[g][1] for g in order if depth[g] == h)
+    up = {root_face: None}  # face -> (chord to its parent, parent)
+    level = [root_face]
+    while level:  # one depth of the dual at a time, by chord id within a face
+        deepest = level
+        level = []
+        for f in deepest:
+            for e, g in dual[f]:
+                if g not in up:
+                    up[g] = (e, f)
+                    level.append(g)
+    F = min(up[g][1] for g in deepest)
 
     if F == root_face:
         if ab_edge is not None:
@@ -279,48 +308,52 @@ def _evenize(H, faces, B1, ref, root_face, ab_edge=None):
             chords_of_F = {c for c, _g in dual[F]}
             uw = min(
                 e for e in (d >> 1 for d in H.graph.faces[F])
-                if _has_end(origin, e, ref) and 1 + len(dual[F]) - (e in chords_of_F) >= 2
+                if ref in origin[2 * e : 2 * e + 2] and 1 + len(dual[F]) - (e in chords_of_F) >= 2
             )
     else:
-        uw = parent[F][0]
-    return frozenset(B1 | {_beside_b_vertex(H, F, B1, uw)})
+        uw = up[F][0]
+    B1.add(_beside_b_vertex(H, F, B1, uw))
+    return B1
 
 
-def _even_one_per_face(H, faces, seg, v, include):
+def _even_one_per_face(H, faces, v, include):
     """``blocking_set_even_biconnected`` on the block of H with inner faces
-    ``faces`` and outer-cycle darts ``seg``."""
-    B1 = _one_per_face(H, faces, seg, v, include)
+    ``faces``, ascending, as a set."""
+    cycles = H.cycles
+    at_v = [f for f in faces if v in cycles[f]]
+    B1 = _one_per_face(H, faces, v, include, at_v)
     if len(B1) % 2 == 0:
         return B1
-    root = min(f for f in faces if v in H.cycles[f])
-    return _evenize(H, faces, B1, v, root)
+    return _evenize(H, faces, B1, v, at_v[0])
 
 
 def blocking_set_even_biconnected(G, v, include=True):
     """Blocking set of a biconnected outerplane graph whose blocking graph
     is a single even cycle, with v included or excluded on request."""
     _require_biconnected_outerplane(G)
-    if not (0 <= v < G.n):
-        raise ValueError(f"vertex {v} out of range")
-    return _even_one_per_face(_host(G), G.inner_faces(), G.faces[G.outer_face], v, include)
+    _check_vertex(G, v)
+    return frozenset(_even_one_per_face(_host(G), G.inner_faces(), v, include))
 
 
 def blocking_set_even_biconnected_edge(G, a, b):
     """Even-cycle blocking set with a excluded and b included, for an edge
     ab on the outer face."""
     _require_biconnected_outerplane(G)
+    _check_vertex(G, a)
+    _check_vertex(G, b)
     origin = G.origin
     ab = [d for d in G.faces[G.outer_face] if {origin[d], origin[d ^ 1]} == {a, b}]
     if not ab:
         raise ClassMismatchError("ab must be an edge on the outer face")
-    return _even_one_per_face_edge(_host(G), G.inner_faces(), a, b, ab[0] >> 1, G.face_of[ab[0] ^ 1])
+    H = _host(G)
+    return frozenset(_even_one_per_face_edge(H, G.inner_faces(), a, b, ab[0] >> 1, G.face_of[ab[0] ^ 1]))
 
 
 def _even_one_per_face_edge(H, faces, a, b, ab_edge, root):
     """``blocking_set_even_biconnected_edge`` on the block of H with inner
-    faces ``faces``; ``root`` is the inner face on the outer edge
-    ``ab_edge``.  Nothing here reads the block's outer cycle."""
-    B1 = _one_per_face(H, faces, None, b, True)
+    faces ``faces``, ascending, as a set; ``root`` is the inner face on the
+    outer edge ``ab_edge``."""
+    B1 = _one_per_face(H, faces, b, True, _faces_on(H, faces, b))
     if len(B1) % 2 == 0:
         return B1
     return _evenize(H, faces, B1, a, root, ab_edge=ab_edge)
@@ -331,18 +364,18 @@ def _even_blocking_over_blocks(G):
     an even-cycle blocking set whose shared cut class is included exactly
     when an earlier block (or bridge-tree inflation) selected it."""
     H = _host(G)
+    origin = G.origin
     # bridge-connected vertices form one class, named by its union-find
-    # root; a vertex on no bridge is its own class.  A bridge is a block
-    # without an inner face, and its vertex tuple is its two ends.
+    # root; a vertex on no bridge is its own class
     cls = list(range(G.n))
-    bridge_ends = [verts for verts, faces, _seg in H.blocks if not faces]
+    bridge_ends = [(origin[2 * e], origin[2 * e + 1]) for e in H.bridges]
     find = embed._union_find(G.n, bridge_ends)
     for x in chain.from_iterable(bridge_ends):
         cls[x] = find(x)
-    big = [block for block in H.blocks if len(block[0]) >= 3]
+    big = H.blocks
     first = [-1] * G.n  # class -> the first block on it
     class_blocks = {}  # class on two or more blocks -> its blocks
-    for bid, (verts, _fs, _seg) in enumerate(big):
+    for bid, (verts, _fs) in enumerate(big):
         for c in map(cls.__getitem__, verts):
             if first[c] == -1:
                 first[c] = bid
@@ -359,8 +392,8 @@ def _even_blocking_over_blocks(G):
         selected[cls[a]] = 1  # a root block includes its first vertex
         queue = [(start, a)]
         for bid, a in queue:  # grows while it is read
-            verts, faces, seg = big[bid]
-            for x in _even_one_per_face(H, faces, seg, a, selected[cls[a]]):
+            verts, faces = big[bid]
+            for x in _even_one_per_face(H, faces, a, selected[cls[a]]):
                 selected[cls[x]] = 1
             for c in filter(class_blocks.__contains__, map(cls.__getitem__, verts)):
                 # a class is expanded once: its first expansion marks every
@@ -397,7 +430,7 @@ def blocking_set_good_size(G):
     """Blocking set of a biconnected outerplane graph whose size avoids the
     exceptional cycle lengths (so its blocking cycle is 3-colourable)."""
     _require_biconnected_outerplane(G)
-    return _good_size(_host(G), G.inner_faces())
+    return frozenset(_good_size(_host(G), G.inner_faces()))
 
 
 def _good_size(H, faces):
@@ -411,18 +444,18 @@ def _good_size(H, faces):
     cycles, dual, origin = H.cycles, H.dual, H.graph.origin
     if len(faces) == 1:
         d = min(H.graph.faces[faces[0]])
-        return frozenset((origin[d], origin[d ^ 1]))
+        return {origin[d], origin[d ^ 1]}
 
-    f = min(g for g in faces if len(dual[g]) == 1)
+    f = next(g for g in faces if len(dual[g]) == 1)
     ((chord, g),) = dual[f]
     a, b = sorted(origin[2 * chord : 2 * chord + 2], reverse=True)
     dual[g].remove((chord, f))  # H is built for this call: drop the ear in place
     rest = [h for h in faces if h != f]
-    B = set(_even_one_per_face_edge(H, rest, a, b, chord, g))
+    B = _even_one_per_face_edge(H, rest, a, b, chord, g)
     if len(B) in (10, 14):
         nb1, nb2 = _face_neighbours_of(cycles[f], b)
         B.add(nb1 if nb1 != a else nb2)
-    return frozenset(B)
+    return B
 
 
 # -- the blocking graph -------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import filterfalse
 
 from thueplane import blocking, embed, verify
 from thueplane.embed import ClassMismatchError
@@ -33,7 +34,7 @@ class VerificationBugError(RuntimeError):
     """A pipeline produced a colouring its own verifier rejects."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Colouring:
     colours: tuple  # vertex id -> colour in 1..palette_max
     palette_max: int
@@ -75,7 +76,7 @@ def colouring_from_json(doc):
     return Colouring(tuple(colours), palette_max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeelingLayering:
     layer: tuple  # vertex id -> layer index
 
@@ -148,7 +149,7 @@ def _colour_cactus_component(G, comp, comp_faces, lam, colours):
     """Colour one cactus component with at least one inner face, its inner
     faces ``comp_faces``, with its levels written into the per-vertex list
     ``lam``; returns the deepest-vertex set and ``lam`` (None on a cycle)."""
-    degs = {x: G.degree(x) for x in comp}
+    degs = dict(zip(comp, map(G.degree, comp)))
 
     if all(d == 2 for d in degs.values()):
         W = embed.outer_walk(G, G.comp_of[comp[0]])
@@ -165,10 +166,10 @@ def _colour_cactus_component(G, comp, comp_faces, lam, colours):
     H = set()
     for f in comp_faces:
         cyc = G.face_vertices(f)
-        deepest = max(cyc, key=lambda x: (lam[x], x))
-        others = [x for x in cyc if x != deepest]
-        if all(lam[x] < lam[deepest] for x in others) and degs[deepest] == 2:
-            H.add(deepest)
+        depth = list(map(lam.__getitem__, cyc))
+        deepest = max(zip(depth, cyc))  # (level, vertex): the deepest, largest id first
+        if depth.count(deepest[0]) == 1 and degs[deepest[1]] == 2:
+            H.add(deepest[1])
 
     if degs[root] != 1 and len(H) in EXCEPTIONAL_CYCLE_LENGTHS:
         fstar = min(
@@ -244,7 +245,7 @@ def _colour_outerplane_core(Gs, B):
         sub = _colour_cactus_core(bg.graph)
         for i, host in enumerate(bg.host_vertex):
             colours[host] = 4 + sub[i]
-    _colour_forest(Gs, [x for x in range(Gs.n) if x not in B], colours)
+    _colour_forest(Gs, list(filterfalse(B.__contains__, range(Gs.n))), colours)
     return colours
 
 
@@ -266,7 +267,7 @@ def colour_outerplane_single_block(G):
     take {1,2,3,4}.  ``simplify`` checks that G is outerplane."""
     Gs = embed.simplify(G)
     H = blocking._host(Gs)
-    faces = [fs for vs, fs, _seg in H.blocks if len(vs) >= 3]
+    faces = [fs for _vs, fs in H.blocks]
     if len(faces) > 1:
         raise ClassMismatchError("graph has more than one 2-connected component")
     B = blocking._good_size(H, faces[0]) if faces else frozenset()

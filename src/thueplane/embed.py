@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import gc
 import json
+from itertools import chain, islice
 from operator import itemgetter
 
 
@@ -74,13 +75,12 @@ class EmbeddedGraph:
         m = len(origin)
 
         # connected components (isolated vertices are their own), and the
-        # face-tracing map d -> rotation_next(twin(d)), in one sweep
+        # face-tracing map d -> rotation_next(twin(d)), in one sweep; the
+        # next vertex or dart not yet reached is found by a scan in C
         comp_of = [-1] * n
         comps = []
         face_next = [0] * m
-        for v0 in range(n):
-            if comp_of[v0] != -1:
-                continue
+        for v0 in _unreached(comp_of):
             cid = len(comps)
             members = [v0]
             comp_of[v0] = cid
@@ -102,9 +102,7 @@ class EmbeddedGraph:
         outer = [None] * len(comps)
         face_of = [-1] * m
         faces = []
-        for d0 in range(m):
-            if face_of[d0] != -1:
-                continue
+        for d0 in _unreached(face_of):
             fid = len(faces)
             c = comp_of[origin[d0]]
             if outer[c] is None:
@@ -330,24 +328,22 @@ def _require_simple_outerplane(G):
 
 
 def _blocks_and_bridges(G):
-    """Blocks of an outerplane multigraph, bridges included, read off its
-    outer walks.  The input is trusted to be outerplane.
+    """Blocks of an outerplane multigraph, and its bridges.  The input is
+    trusted to be outerplane.
 
     One sweep writes each face's vertex cycle, in C by ``itemgetter``; one
-    gives each face its (edge, face across) pairs, by edge id, for the
-    edges with inner faces on both sides: on a simple graph its chords, the
-    weak dual.  Each outer walk is pushed dart by dart.  When it reaches a
-    vertex already on the stack, the darts above it close: two twin darts
-    are a bridge walked out and back, any other segment the outer cycle of
-    one block, whose inner faces are those reached across those edges from
-    the twin of the segment's last dart.  A loop step closes nothing.
+    sweep over the edges finds the bridges, the edges with one face on both
+    sides, and gives each face its (edge, face across) pairs, by edge id,
+    for the edges with inner faces on both sides: on a simple graph its
+    chords, the weak dual.  The inner faces of a block are one component of
+    that dual, and its vertices are theirs; a component whose faces are
+    bounded by loops alone (one vertex) is no block.
 
-    Returns (blocks, cycles, dual), the last two by face id.  Each block is
-    (ascending vertex tuple, inner face ids, the darts of its outer cycle
-    in outer-walk order), sorted by the integer key of its two smallest
-    vertices, as two blocks share at most one.  A bridge is the block with
-    no inner face; its edge is ``seg[0] >> 1``.  The edges of any other
-    block are the non-loop edges of its inner faces.
+    Returns (blocks, bridges, cycles, dual), the last two by face id.  Each
+    block is (ascending vertex tuple, ascending inner face ids), sorted by
+    the integer key of its two smallest vertices, as two blocks share at
+    most one; its edges are the non-loop edges of its inner faces.  The
+    bridges are edge ids, ascending.
     """
     n, origin, face_of, faces = G.n, G.origin, G.face_of, G.faces
     seen = bytearray(len(faces))  # the outer faces, then those of each block found
@@ -355,43 +351,29 @@ def _blocks_and_bridges(G):
         seen[f] = 1
     cycles = [itemgetter(*w)(origin) if len(w) > 1 else (origin[w[0]],) for w in faces]
     dual = [[] for _ in faces]
+    bridges = []
     for e, f, g in zip(range(len(face_of) >> 1), face_of[::2], face_of[1::2]):
         if not (seen[f] or seen[g]):
             dual[f].append((e, g))
             dual[g].append((e, f))
-    at = [-1] * n  # stack height when the walk reached v, while v is open
+        elif f == g:
+            bridges.append(e)
     found = {}  # block key v0 * n + v1 -> block
-    for f in G.outer_faces:
-        walk, wv = faces[f], cycles[f]
-        at[wv[0]] = 0
-        stack = []  # darts walked and not yet closed
-        for d, u, w in zip(walk, wv, wv[1:] + wv[:1]):
-            if w == u:
-                continue
-            stack.append(d)
-            j = at[w]
-            if j == -1:
-                at[w] = len(stack)
-                continue
-            seg = tuple(stack[j:])
-            del stack[j:]
-            if seg[0] == d ^ 1:  # a bridge, walked out and back
-                at[u] = -1
-                found[u * n + w if u < w else w * n + u] = ((u, w) if u < w else (w, u), (), seg)
-                continue
-            ring = itemgetter(*seg)(origin)
-            for x in ring[1:]:
-                at[x] = -1
-            fs = [face_of[d ^ 1]]
-            seen[fs[0]] = 1
-            for g in fs:  # grows while it is read
-                for _e, h in dual[g]:
-                    if not seen[h]:
-                        seen[h] = 1
-                        fs.append(h)
-            verts = tuple(sorted(ring))
-            found[verts[0] * n + verts[1]] = (verts, tuple(fs), seg)
-    return [found[k] for k in sorted(found)], cycles, dual
+    f = seen.find(0)
+    while f != -1:
+        fs = [f]
+        seen[f] = 1
+        for g in fs:  # grows while it is read
+            for _e, h in dual[g]:
+                if not seen[h]:
+                    seen[h] = 1
+                    fs.append(h)
+        verts = sorted(set(chain.from_iterable(map(cycles.__getitem__, fs))))
+        if len(verts) > 1:
+            fs.sort()
+            found[verts[0] * n + verts[1]] = (tuple(verts), tuple(fs))
+        f = seen.find(0, f)
+    return [found[k] for k in sorted(found)], bridges, cycles, dual
 
 
 def is_biconnected(G):
@@ -412,6 +394,19 @@ def bridges(G):
     return [e for e in range(len(face_of) >> 1) if face_of[2 * e] == face_of[2 * e + 1]]
 
 
+def _unreached(level):
+    """The vertices whose ``level`` entry is -1 when the iteration reaches
+    them, ascending, each found by a scan in C: as ``_levels`` roots, a
+    tree from the smallest vertex of every component still unreached."""
+    x = -1
+    while True:
+        try:
+            x = level.index(-1, x + 1)
+        except ValueError:
+            return
+        yield x
+
+
 def _levels(G, roots, level):
     """The per-vertex list ``level`` with the breadth-first level of every
     vertex reached from ``roots`` written in, through the vertices whose
@@ -420,18 +415,15 @@ def _levels(G, roots, level):
     for x0 in roots:
         if level[x0] != -1:
             continue
-        level[x0] = k = 0
-        frontier = [x0]
-        while frontier:
-            k += 1
-            nxt = []
-            for x in frontier:
-                for d in rotations[x]:
-                    w = origin[d ^ 1]
-                    if level[w] == -1:
-                        level[w] = k
-                        nxt.append(w)
-            frontier = nxt
+        level[x0] = 0
+        queue = [x0]
+        for x in queue:  # grows while it is read
+            k = level[x] + 1
+            for d in rotations[x]:
+                w = origin[d ^ 1]
+                if level[w] == -1:
+                    level[w] = k
+                    queue.append(w)
     return level
 
 
@@ -463,8 +455,7 @@ def _mapped_rotations(G, vertices, dart_map, corners):
     the incoming one first."""
     m, rotations = len(G.origin), G.rotations
     before = [()] * m  # anchor dart -> the mapped darts inserted before it
-    for j, (a, b) in enumerate(corners):
-        out, inc = dart_map[m + 2 * j], dart_map[m + 2 * j + 1]
+    for (a, b), out, inc in zip(corners, islice(dart_map, m, None, 2), islice(dart_map, m + 1, None, 2)):
         if out != -1:
             before[a] += (out,)
         if inc != -1:

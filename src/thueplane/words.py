@@ -208,7 +208,7 @@ def _colour_forest(G, rest, colours):
     for x in rest:
         level[x] = -1
     if rest:
-        word = palindrome_free_nonrepetitive(max(embed._levels(G, sorted(rest), level)) + 1)
+        word = palindrome_free_nonrepetitive(max(embed._levels(G, embed._unreached(level), level)) + 1)
         for x in rest:
             colours[x] = 1 + word[level[x]]
 

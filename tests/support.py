@@ -143,15 +143,13 @@ def biconnected_components(G):
     graph."""
     if not is_outerplane(G):
         raise ClassMismatchError("biconnected components are read off outerplane graphs")
-    return [vs for vs, _fs, _seg in _blocks_and_bridges(G)[0] if len(vs) >= 3]
+    return [vs for vs, _fs in _blocks_and_bridges(G)[0] if len(vs) >= 3]
 
 
-def block_edges(G, faces, seg):
+def block_edges(G, faces):
     """Ascending edge ids of the block that ``embed._blocks_and_bridges``
-    returns as (vertices, ``faces``, ``seg``): the non-loop edges of its
-    inner faces, or, for a bridge (no face), the edge of its first dart."""
-    if not faces:
-        return (seg[0] >> 1,)
+    returns as (vertices, ``faces``): the non-loop edges of its inner
+    faces."""
     origin = G.origin
     return tuple(sorted({d >> 1 for f in faces for d in G.faces[f] if origin[d] != origin[d ^ 1]}))
 

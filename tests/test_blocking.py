@@ -1,9 +1,12 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 from thueplane import blocking, colour, embed, gen, verify
 from thueplane.blocking import (
+    BlockingGraph,
     blocking_graph,
     blocking_set_biconnected,
     blocking_set_even,
@@ -159,8 +162,8 @@ def test_walk_criterion_agrees_with_block_decomposition():
         S = [v for v in range(G.n) if rnd.random() < 0.8]
         graphs.append(induced_embedded_subgraph(G, S)[0])
         graphs += [
-            _restrict(G, vs, block_edges(G, fs, seg))[0]
-            for vs, fs, seg in embed._blocks_and_bridges(G)[0]
+            _restrict(G, vs, block_edges(G, fs))[0]
+            for vs, fs in embed._blocks_and_bridges(G)[0]
         ]
     biconnected = 0
     for G in graphs:
@@ -349,10 +352,10 @@ def test_even_rejects_multigraph(triangle):
 
 def _blocks_in_place(G):
     """The blocks of G on at least three vertices, each as the cores read
-    it in place: (vertices, edges, inner faces, outer-cycle darts)."""
+    it in place: (vertices, edges, inner faces)."""
     return [
-        (vs, block_edges(G, fs, seg), fs, seg)
-        for vs, fs, seg in embed._blocks_and_bridges(G)[0]
+        (vs, block_edges(G, fs), fs)
+        for vs, fs in embed._blocks_and_bridges(G)[0]
         if len(vs) >= 3
     ]
 
@@ -369,13 +372,13 @@ def test_block_cores_match_the_public_constructors_on_copies():
     checked = 0
     for G in corpus:
         H = blocking._host(G)
-        for verts, bedges, faces, seg in _blocks_in_place(G):
+        for verts, bedges, faces in _blocks_in_place(G):
             sub, local = _restrict(G, verts, bedges)
             back = {i: x for x, i in local.items()}
             for x in verts:
                 for include in (True, False):
                     want = {back[y] for y in blocking_set_even_biconnected(sub, local[x], include)}
-                    assert blocking._even_one_per_face(H, faces, seg, x, include) == want
+                    assert blocking._even_one_per_face(H, faces, x, include) == want
                     checked += 1
             for e in bedges:
                 f, g = G.face_of[2 * e], G.face_of[2 * e + 1]
@@ -392,19 +395,20 @@ def test_block_cores_match_the_public_constructors_on_copies():
 
 
 def test_excluding_a_cut_vertex_reads_its_neighbours_on_each_block():
-    # a flower centre lies on many blocks, and each block's outer-cycle
-    # darts give its two neighbours there, which exclusion forces instead
+    # a flower centre lies on many blocks, and its faces in each block give
+    # its two neighbours on that block's outer cycle, which exclusion forces
+    # instead
     G = gen.generate(gen.GenSpec("flower", 60, 1))
     H = blocking._host(G)
     blocks = _blocks_in_place(G)
     centre = max(range(G.n), key=lambda x: sum(x in b[0] for b in blocks))
     around = [b for b in blocks if centre in b[0]]
     assert len(around) >= 3
-    for verts, bedges, faces, seg in around:
+    for verts, bedges, faces in around:
         sub, local = _restrict(G, verts, bedges)
         back = {i: x for x, i in local.items()}
         want = {back[y] for y in blocking_set_even_biconnected(sub, local[centre], False)}
-        got = blocking._even_one_per_face(H, faces, seg, centre, False)
+        got = blocking._even_one_per_face(H, faces, centre, False)
         assert got == want and centre not in got
 
 
@@ -481,7 +485,7 @@ def test_good_size_in_place_matches_the_construction_on_copies():
     assert {2, 11} <= sizes  # two-vertex sets, and a size the 10/14 patch made
     checked = 0
     for G in single_block_with_trees(600):
-        ((verts, _bedges, faces, _seg),) = _blocks_in_place(G)
+        ((verts, _bedges, faces),) = _blocks_in_place(G)
         sub, _vmap = induced_embedded_subgraph(G, verts)
         want = frozenset(verts[x] for x in good_size_by_copies(sub))
         assert blocking._good_size(blocking._host(G), faces) == want
@@ -501,6 +505,80 @@ def test_blocking_graph_single_vertex_is_loop(triangle):
 def test_blocking_graph_rejects_invalid(triangle):
     with pytest.raises(ValueError):
         blocking_graph(triangle, {0, 1, 2})
+
+
+# -- vertex ids ------------------------------------------------------------------------
+
+# ids as ``embed.graph_from_json`` reads them are plain ints: a bool, a float
+# or a string is not one, even where it compares equal to a vertex id
+NOT_VERTEX_IDS = (1.5, 1.0, True, False, "1", None, -1, 8)
+
+
+def _eight_vertex_block():
+    G = gen.generate(gen.GenSpec("outerplane_biconnected", 8, 1))
+    assert G.n == 8
+    return G
+
+
+def test_biconnected_set_rejects_vertex_ids_that_are_not_ints():
+    G = _eight_vertex_block()
+    for v in NOT_VERTEX_IDS:
+        for include in (True, False):
+            with pytest.raises(ValueError):
+                blocking_set_biconnected(G, v, include)
+    assert all(type(x) is int for x in blocking_set_biconnected(G, 1))
+
+
+def test_even_biconnected_set_rejects_vertex_ids_that_are_not_ints():
+    G = _eight_vertex_block()
+    for v in NOT_VERTEX_IDS:
+        for include in (True, False):
+            with pytest.raises(ValueError):
+                blocking_set_even_biconnected(G, v, include)
+    assert all(type(x) is int for x in blocking_set_even_biconnected(G, 1))
+
+
+def test_even_edge_set_rejects_vertex_ids_that_are_not_ints():
+    G = _eight_vertex_block()
+    d = G.faces[G.outer_face][0]
+    a, b = G.origin[d], G.origin[d ^ 1]
+    for x in NOT_VERTEX_IDS:
+        for ends in ((x, b), (a, x)):
+            with pytest.raises(ValueError):
+                blocking_set_even_biconnected_edge(G, *ends)
+    # False and True equal 0 and 1 as set members, so the outer edge (0, 1)
+    # would match them
+    assert {a, b} == {0, 1}
+    with pytest.raises(ValueError):
+        blocking_set_even_biconnected_edge(G, bool(a), b)
+    assert all(type(x) is int for x in blocking_set_even_biconnected_edge(G, a, b))
+
+
+def test_validation_reports_vertex_ids_that_are_not_ints():
+    G = _eight_vertex_block()
+    B = blocking_set_biconnected(G, 1)
+    assert validate_blocking_set(G, B) == (True, [])
+    for x in NOT_VERTEX_IDS:
+        ok, violations = validate_blocking_set(G, {x, 3})
+        assert not ok and violations == [f"{x!r} is not a vertex id of the graph"]
+        with pytest.raises(ValueError):
+            blocking_graph(G, {x, 3})
+    # a bool among valid ids is still reported, not read as 0 or 1
+    assert not validate_blocking_set(G, set(B) - {1} | {True})[0]
+
+
+def test_blocking_graph_has_no_instance_dict_and_round_trips():
+    G = showcase_graph()
+    bg = blocking_graph(G, SHOWCASE_BLOCKING_SET)
+    assert not hasattr(bg, "__dict__")
+    with pytest.raises(AttributeError):
+        bg.host_vertex = ()
+    assert bg == BlockingGraph(bg.graph, bg.host_vertex)
+    assert hash(bg) == hash(BlockingGraph(bg.graph, bg.host_vertex))
+    # the graph compares by identity, so a copy is compared field by field
+    for copied in (pickle.loads(pickle.dumps(bg)), copy.deepcopy(bg)):
+        assert copied.host_vertex == bg.host_vertex
+        assert embed.graph_to_json(copied.graph) == embed.graph_to_json(bg.graph)
 
 
 def test_blocking_graph_is_bridgeless_cactus_on_corpus():

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -679,3 +682,22 @@ def test_cactus_core_colours_its_trees_in_one_forest_pass(monkeypatch):
     ]
     assert len(tree_vertices) == sum(3 + seed for seed in range(10))
     assert calls == [tree_vertices]
+
+
+def test_results_have_no_instance_dict_and_round_trip():
+    # slotted: a perfbench run keeps every colouring it makes, so its peak
+    # RSS follows their size
+    G = gen.generate(gen.GenSpec("outerplane", 40, 2))
+    results = [colour_outerplane(G), peeling_layering(G), colour.Colouring((1, 2, 1), 2)]
+    for r in results:
+        assert not hasattr(r, "__dict__")
+        with pytest.raises(AttributeError):  # frozen
+            setattr(r, dataclasses.fields(r)[0].name, None)
+        for copied in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+            assert copied == r and copied is not r
+            assert hash(copied) == hash(r)
+    c = results[0]
+    assert c == colour.Colouring(tuple(c.colours), c.palette_max)
+    assert c != colour.Colouring(tuple(c.colours), c.palette_max + 1)
+    assert hash(c) == hash((c.colours, c.palette_max))
+    assert results[1] == colour.PeelingLayering(results[1].layer)

@@ -191,7 +191,7 @@ def test_block_pass_reads_each_face_cycle_and_its_chords():
     graphs += [gen.generate(gen.GenSpec("outerplane", n, seed)) for n in (40, 300) for seed in range(6)]
     chords = 0
     for G in graphs:
-        _blocks, cycles, dual = embed._blocks_and_bridges(G)
+        _blocks, _bridges, cycles, dual = embed._blocks_and_bridges(G)
         origin, face_of, outer = G.origin, G.face_of, G.outer_faces
         assert cycles == [tuple(origin[d] for d in walk) for walk in G.faces]
         for f, walk in enumerate(G.faces):
@@ -237,23 +237,25 @@ def test_blocks_and_bridges_match_the_dfs_oracle():
     assert len(graphs) >= 3000
     multigraphs = 0
     for G in graphs:
-        found = embed._blocks_and_bridges(G)[0]
-        blocks = [(vs, support.block_edges(G, fs, seg)) for vs, fs, seg in found]
+        found, bridges, _cycles, _dual = embed._blocks_and_bridges(G)
         dfs_blocks, dfs_br = support.blocks_and_bridges_dfs(G)
-        assert blocks == sorted(dfs_blocks)
-        # the bridges are the blocks without a face, each its first dart's edge
-        assert sorted(seg[0] >> 1 for _vs, fs, seg in found if not fs) == dfs_br
+        assert bridges == dfs_br
+        # the oracle lists a bridge as the block of its one edge
+        ends = support.edge_pairs(G)
+        blocks = [(vs, support.block_edges(G, fs)) for vs, fs in found]
+        blocks += [(tuple(sorted(ends[e])), (e,)) for e in bridges]
+        assert sorted(blocks) == sorted(dfs_blocks)
+        assert [vs[:2] for vs, _fs in found] == sorted(vs[:2] for vs, _fs in found)
         # each inner face lies in one block, unless loops alone bound it
-        # (inside a loop drawn in an outer face); a block's outer-cycle
-        # darts are its edges, walk its vertices and lie on outer faces
-        inside = sorted(f for _vs, fs, _seg in found for f in fs)
+        # (inside a loop drawn in an outer face); a block's faces are
+        # ascending, and its vertices are those on its faces
+        inside = sorted(f for _vs, fs in found for f in fs)
         missed = set(G.inner_faces()).difference(inside)
         assert len(set(inside)) == len(inside)
         assert all(G.origin[d] == G.origin[d ^ 1] for f in missed for d in G.faces[f])
-        for (verts, _fs, seg), (_, es) in zip(found, blocks):
-            assert {d >> 1 for d in seg} <= set(es)
-            assert sorted(G.origin[d] for d in seg) == list(verts)
-            assert all(G.is_outer_face(G.face_of[d]) for d in seg)
+        for verts, fs in found:
+            assert list(fs) == sorted(fs) and fs
+            assert set(verts) == {G.origin[d] for f in fs for d in G.faces[f]}
         multigraphs += any(u == v for u, v in support.edge_pairs(G))
     assert multigraphs >= 1000
 

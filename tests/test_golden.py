@@ -151,8 +151,8 @@ def test_internal_builders_pass_the_boundary_check():
             continue
         Gs = embed.simplify(G)
         _passes_boundary(Gs)
-        for verts, faces, seg in embed._blocks_and_bridges(Gs)[0]:
-            _passes_boundary(_restrict(Gs, verts, block_edges(Gs, faces, seg))[0])
+        for verts, faces in embed._blocks_and_bridges(Gs)[0]:
+            _passes_boundary(_restrict(Gs, verts, block_edges(Gs, faces))[0])
         B = blocking.blocking_set_even(Gs)
         _passes_boundary(blocking.blocking_graph(Gs, B).graph)
         _passes_boundary(blocking._blocking_graph(Gs, B, simple=True).graph)

@@ -7,11 +7,13 @@ package; every import in the package and its tests is used by its
 module; only the functions listed here raise ``RuntimeError``, the
 package's signal of a bug in itself; and only the sites listed here call
 ``.index``, ``.count``, ``.remove`` or ``.insert`` or ``+=`` a tuple
-inside a loop."""
+inside a loop.  Every committed ``BENCH_*.json`` record parses and names
+what it measured and the machine."""
 
 import ast
 import builtins
 import importlib
+import json
 import pathlib
 import re
 
@@ -208,9 +210,14 @@ def test_only_the_listed_functions_raise_runtime_errors():
 #: list inside a loop shows in no line count; a new site belongs here only
 #: with its bound.
 LINEAR_IN_A_LOOP = {
+    # the face's level list, once per inner face: the faces' lengths together
+    "colour._colour_cactus_component: .count",
     # each dart anchors at most one added edge's outgoing dart, so the
     # tuple before a dart holds at most one dart when it grows
     "embed._mapped_rotations: += tuple",
+    # each scan starts past the last one's find, so together they read the
+    # list once
+    "embed._unreached: .index",
     # the generator only: a rotation of deg(x) darts, once per added edge,
     # and the new face, which the slice beside the tuple ``+=`` copies anyway
     "gen._gen_plane: .index",
@@ -251,3 +258,15 @@ def test_only_the_listed_sites_scan_or_copy_inside_a_loop():
                     elif isinstance(sub, ast.AugAssign) and isinstance(sub.op, ast.Add) and isinstance(sub.value, ast.Tuple):
                         found.add(f"{site}: += tuple")
     assert found == LINEAR_IN_A_LOOP
+
+
+def test_every_bench_record_parses_and_says_what_and_where():
+    # a speed-up commits its evidence as BENCH_<pr>.json: it must load, say
+    # what it measured and on which machine
+    records = sorted(README.parent.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        doc = json.loads(path.read_text())
+        assert isinstance(doc, dict), path.name
+        assert isinstance(doc.get("what"), str) and doc["what"], path.name
+        assert doc.get("machine"), path.name

@@ -12,12 +12,12 @@ need.
 All constructors require simple inputs; multigraphs are normalized with
 ``embed.simplify`` by the callers and colourings lift back.
 
-The constructions read each block in place: ``_host`` is the one block
-pass, which also gives the vertex cycle of every face and the weak dual by
-face id, and a block is its inner face ids plus its outer-cycle darts, as
-that pass returns them; size control drops an ear from the dual in place.  A
-public constructor checks its input class, then reads its own graph as
-one block with the unchecked cores the pipelines call on their blocks.
+The constructions read each block in place in ``_host``, the one block
+pass per graph.  Per block they read its faces on v, one top-down pass
+over its dual, and, for an odd set, its ears or one breadth-first pass;
+size control drops an ear from the dual in place.  A public constructor
+checks its input class and vertex ids, then reads its own graph as one
+block with the unchecked cores the pipelines call on their blocks.
 No construction checks what it builds: the tests check the lemmas'
 postconditions, and the pipelines' verifier certifies every colouring.
 """
@@ -44,7 +44,8 @@ class BlockingGraph:
 def validate_blocking_set(G, B):
     """Check the definition directly plus the derived observations.
     Returns (ok, list of violated-condition descriptions); a graph that is
-    not outerplane has the one violation "graph is not outerplane"."""
+    not outerplane has the one violation "graph is not outerplane", as has
+    a member that is not a vertex id (a plain int in range)."""
     if not embed.is_outerplane(G):
         return False, ["graph is not outerplane"]
     B = set(B)
@@ -112,10 +113,10 @@ def _require_biconnected_outerplane(G):
 
 
 class _Host(NamedTuple):
-    """A simple outerplane graph read face by face, built once per graph
-    from its one block pass.  A block is read in place through it: as its
-    inner face ids, ascending, which are host face ids.  The chords between
-    its faces span its weak dual, a tree."""
+    """A simple outerplane graph read face by face: its block pass, made
+    once per graph.  A block is read in place through it, as its inner face
+    ids, ascending; the chords between them span its weak dual, a tree.
+    Nothing is written per block but size control's dropped ear."""
 
     graph: embed.EmbeddedGraph
     blocks: list  # as ``embed._blocks_and_bridges`` returns them
@@ -130,16 +131,9 @@ def _host(G):
 
 
 def _check_vertex(G, v):
-    """ValueError unless v is a vertex id of G: a plain int, as
-    ``embed.graph_from_json`` reads ids, not a bool or float, in range."""
+    """ValueError unless v is a vertex id of G: a plain int in range, as ``graph_from_json`` reads ids."""
     if type(v) is not int or not 0 <= v < G.n:
         raise ValueError(f"{v!r} is not a vertex id of the graph")
-
-
-def _faces_on(H, faces, v):
-    """The faces among ``faces`` whose cycle holds v."""
-    cycles = H.cycles
-    return [f for f in faces if v in cycles[f]]
 
 
 def _off(cyc, u, w):
@@ -152,26 +146,18 @@ def _off(cyc, u, w):
 
 def _one_per_face(H, faces, v, include, at_v):
     """``blocking_set_biconnected`` on the block of H with inner faces
-    ``faces``, as a set; ``at_v`` lists those on v.  Exclusion takes v's
-    smaller neighbour on the block's outer cycle: v's neighbours on its
-    faces, less the ends of the chords between those faces, each of which
-    is found twice.
-
-    The peel takes the smallest-id valid leaf first, where a leaf is valid
-    when v is off it or on its live chord, so the face that survives holds
-    v.  The set is then read top-down from that face: a face whose chord to
-    its parent has neither end in the set adds its smallest vertex off that
-    chord.  Only the face nearest the root among those on a vertex can add
-    it, so the set depends on the root alone and not on the peel order."""
+    ``faces``, ascending, as a set; ``at_v`` lists those on v.  Exclusion
+    takes v's smaller neighbour on the block's outer cycle.  The set is read
+    top-down from the face the ear peeling leaves (``_root_face``): a face
+    whose chord to its parent has neither end in the set adds its smallest
+    vertex off it.  Only the face nearest the root among those on a vertex
+    can add it, so this reads the set the peels' replay in reverse does."""
     cycles, dual, origin = H.cycles, H.dual, H.graph.origin
     if not include:
-        if len(at_v) == 1:
-            v = min(_face_neighbours_of(cycles[at_v[0]], v))
-        else:
-            ends = set()
-            for f in at_v:
-                ends.symmetric_difference_update(_face_neighbours_of(cycles[f], v))
-            v = min(ends)
+        ends = set()
+        for f in at_v:  # v's neighbours on its faces; those on a chord come twice
+            ends.symmetric_difference_update(_face_neighbours_of(cycles[f], v))
+        v = min(ends)
         if len(faces) > 1:
             at_v = [f for f in faces if v in cycles[f]]
     if len(faces) == 1:
@@ -191,14 +177,10 @@ def _one_per_face(H, faces, v, include, at_v):
 
 def _root_face(dual, faces, at_v):
     """The face of ``at_v``, the faces on v, nearest in the weak dual on
-    ``faces`` to the largest of them, which ``faces`` lists last.
-
-    It is the face left when the valid leaves are peeled smallest id first,
-    a leaf being valid when v is off it or on its live chord.  Until one
-    face on v is left every leaf is valid, as the faces on v form a path,
-    so the peel is the plain one, which never takes the largest face: each
-    face goes after every face behind it as seen from the largest, and so
-    the last of the path to go is the one nearest the largest."""
+    ``faces`` to the largest face, ``faces[-1]``: the one left when leaves
+    off v or on v's chords are peeled smallest id first.  The faces on v
+    form a path, so until one is left every leaf is valid, and the plain
+    peel takes each face after those behind it, seen from the largest."""
     top = faces[-1]
     if top in at_v:
         return top
@@ -218,12 +200,14 @@ def blocking_set_biconnected(G, v, include=True):
 
     Implemented as ear peeling over the weak dual: repeatedly excise the
     smallest-id ear whose interior avoids v, then replay the peels adding
-    the smallest interior vertex whenever the ear's chord is uncovered.
+    the smallest interior vertex whenever the ear's chord is uncovered
+    (``_one_per_face``).  ValueError unless v is a vertex id: a plain int
+    in range.
     """
     _require_biconnected_outerplane(G)
     _check_vertex(G, v)
     H, faces = _host(G), G.inner_faces()
-    return frozenset(_one_per_face(H, faces, v, include, _faces_on(H, faces, v)))
+    return frozenset(_one_per_face(H, faces, v, include, [f for f in faces if v in H.cycles[f]]))
 
 
 def _face_neighbours_of(cyc, x):
@@ -233,11 +217,7 @@ def _face_neighbours_of(cyc, x):
 
 def _smaller_other(p, q, u, w):
     """The smaller of p and q that is neither u nor w (one of them is not)."""
-    if p == u or p == w:
-        return q
-    if q == u or q == w:
-        return p
-    return p if p < q else q
+    return q if p == u or p == w else p if q == u or q == w or p < q else q
 
 
 def _beside_b_vertex(H, f, B, e):
@@ -319,8 +299,7 @@ def _evenize(H, faces, B1, ref, root_face, ab_edge=None):
 def _even_one_per_face(H, faces, v, include):
     """``blocking_set_even_biconnected`` on the block of H with inner faces
     ``faces``, ascending, as a set."""
-    cycles = H.cycles
-    at_v = [f for f in faces if v in cycles[f]]
+    at_v = faces if len(faces) == 1 else [f for f in faces if v in H.cycles[f]]
     B1 = _one_per_face(H, faces, v, include, at_v)
     if len(B1) % 2 == 0:
         return B1
@@ -353,7 +332,7 @@ def _even_one_per_face_edge(H, faces, a, b, ab_edge, root):
     """``blocking_set_even_biconnected_edge`` on the block of H with inner
     faces ``faces``, ascending, as a set; ``root`` is the inner face on the
     outer edge ``ab_edge``."""
-    B1 = _one_per_face(H, faces, b, True, _faces_on(H, faces, b))
+    B1 = _one_per_face(H, faces, b, True, [f for f in faces if b in H.cycles[f]])
     if len(B1) % 2 == 0:
         return B1
     return _evenize(H, faces, B1, a, root, ab_edge=ab_edge)
@@ -362,7 +341,8 @@ def _even_one_per_face_edge(H, faces, a, b, ab_edge, root):
 def _even_blocking_over_blocks(G):
     """Process the block-cut forest once: every 2-connected component gets
     an even-cycle blocking set whose shared cut class is included exactly
-    when an earlier block (or bridge-tree inflation) selected it."""
+    when an earlier block (or bridge-tree inflation) selected it.  Per
+    block it builds only the core's set."""
     H = _host(G)
     origin = G.origin
     # bridge-connected vertices form one class, named by its union-find

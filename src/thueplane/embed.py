@@ -395,9 +395,8 @@ def bridges(G):
 
 
 def _unreached(level):
-    """The vertices whose ``level`` entry is -1 when the iteration reaches
-    them, ascending, each found by a scan in C: as ``_levels`` roots, a
-    tree from the smallest vertex of every component still unreached."""
+    """The indices whose ``level`` entry is -1 when the iteration reaches
+    them, ascending, each found by a scan in C."""
     x = -1
     while True:
         try:

@@ -25,7 +25,7 @@ postconditions, and the pipelines' verifier certifies every colouring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from typing import NamedTuple
 
 from thueplane import embed
@@ -55,7 +55,9 @@ def validate_blocking_set(G, B):
 
     violations = []
     origin = G.origin
-    for verts, faces in embed._blocks_and_bridges(G)[0]:
+    blocks, _block_of, _bridges, cycles, _dual = embed._blocks_and_bridges(G)
+    for faces in blocks:
+        verts = sorted(set(chain.from_iterable(map(cycles.__getitem__, faces))))
         if len(verts) < 3:
             continue
         rest = [x for x in verts if x not in B]
@@ -119,7 +121,8 @@ class _Host(NamedTuple):
     Nothing is written per block but size control's dropped ear."""
 
     graph: embed.EmbeddedGraph
-    blocks: list  # as ``embed._blocks_and_bridges`` returns them
+    blocks: list  # each block's inner face ids, as ``embed._blocks_and_bridges`` returns them
+    block_of: list  # face id -> its block's index, -2 on an outer face
     bridges: list  # edge ids, ascending
     cycles: list  # face id -> vertex cycle (tuple)
     dual: list  # face id -> (chord, face across it) pairs, by chord id
@@ -339,53 +342,41 @@ def _even_one_per_face_edge(H, faces, a, b, ab_edge, root):
 
 
 def _even_blocking_over_blocks(G):
-    """Process the block-cut forest once: every 2-connected component gets
-    an even-cycle blocking set whose shared cut class is included exactly
-    when an earlier block (or bridge-tree inflation) selected it.  Per
-    block it builds only the core's set."""
+    """Every 2-connected component gets an even-cycle blocking set that
+    includes its shared cut class exactly when an earlier block (or a
+    bridge) selected it, in one pass over each component's outer walk.
+
+    A component's root is its smallest vertex on a block, in that block.
+    The walk from the root's outer dart into a block meets each block first
+    at the vertex joining it to the blocks met before (the walk runs round
+    the block-cut tree), so that vertex is its entry, included when it is
+    selected already.  Bridge-connected vertices form one class: the walk
+    crosses a bridge out of a class after the class's first block has
+    decided it, so the far end takes the near end's state, and a later
+    block meets a class only at its entry.  Per block it builds only the
+    core's set."""
     H = _host(G)
-    origin = G.origin
-    # bridge-connected vertices form one class, named by its union-find
-    # root; a vertex on no bridge is its own class
-    cls = list(range(G.n))
-    bridge_ends = [(origin[2 * e], origin[2 * e + 1]) for e in H.bridges]
-    find = embed._union_find(G.n, bridge_ends)
-    for x in chain.from_iterable(bridge_ends):
-        cls[x] = find(x)
-    big = H.blocks
-    first = [-1] * G.n  # class -> the first block on it
-    class_blocks = {}  # class on two or more blocks -> its blocks
-    for bid, (verts, _fs) in enumerate(big):
-        for c in map(cls.__getitem__, verts):
-            if first[c] == -1:
-                first[c] = bid
-            else:
-                class_blocks.setdefault(c, [first[c]]).append(bid)
-
-    selected = bytearray(G.n)  # class -> 1 once selected
-    seen_block = bytearray(len(big))
-    for start in range(len(big)):
-        if seen_block[start]:
+    origin, face_of, block_of = G.origin, G.face_of, H.block_of
+    B = set()
+    done = bytearray(len(H.blocks))
+    for comp, f in zip(G.components, G._outer_by_comp):
+        starts = ((x, d) for x in comp for d in G.rotations[x] if face_of[d] == f and block_of[face_of[d ^ 1]] >= 0)
+        a, d0 = next(starts, (None, None))
+        if a is None:  # a tree: no block
             continue
-        seen_block[start] = 1
-        a = big[start][0][0]
-        selected[cls[a]] = 1  # a root block includes its first vertex
-        queue = [(start, a)]
-        for bid, a in queue:  # grows while it is read
-            verts, faces = big[bid]
-            for x in _even_one_per_face(H, faces, a, selected[cls[a]]):
-                selected[cls[x]] = 1
-            for c in filter(class_blocks.__contains__, map(cls.__getitem__, verts)):
-                # a class is expanded once: its first expansion marks every
-                # block of it seen, so a later scan would add nothing
-                for nb in class_blocks.pop(c):
-                    if not seen_block[nb]:
-                        seen_block[nb] = 1
-                        # its one vertex in class c: c unless c joins bridges
-                        nv = big[nb][0]
-                        queue.append((nb, c if c in nv else next(y for y in nv if cls[y] == c)))
-
-    return frozenset(compress(range(G.n), map(selected.__getitem__, cls)))
+        B.add(a)  # a root block includes its smallest vertex
+        walk = G.faces[f]
+        i = walk.index(d0)
+        for d in walk[i:] + walk[:i]:
+            b = block_of[face_of[d ^ 1]]
+            if b < 0:  # a bridge: its far end is in the near end's class
+                if origin[d] in B:
+                    B.add(origin[d ^ 1])
+            elif not done[b]:
+                done[b] = 1
+                a = origin[d]
+                B |= _even_one_per_face(H, H.blocks[b], a, a in B)
+    return frozenset(B)
 
 
 def blocking_set_even_bridgeless(G):

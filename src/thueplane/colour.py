@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import compress
 
 from thueplane import blocking, embed, verify
 from thueplane.embed import ClassMismatchError
@@ -117,7 +117,7 @@ def _auxiliary_runs(W, H):
     cycle word; otherwise each maximal run of links is a path, coloured by
     a ternary square-free word from its smaller end.  Every member has
     degree 2, so it occurs once on W."""
-    occ = [i for i, x in enumerate(W) if x in H]
+    occ = list(compress(range(len(W)), map(H.__contains__, W)))
     hs = [W[i] for i in occ]
     m = len(hs)
     link = []
@@ -145,21 +145,21 @@ def _auxiliary_runs(W, H):
     return runs
 
 
-def _colour_cactus_component(G, comp, comp_faces, lam, colours):
+def _colour_cactus_component(G, comp, comp_faces, lam, colours, deg):
     """Colour one cactus component with at least one inner face, its inner
     faces ``comp_faces``, with its levels written into the per-vertex list
-    ``lam``; returns the deepest-vertex set and ``lam`` (None on a cycle)."""
-    degs = dict(zip(comp, map(G.degree, comp)))
+    ``lam``; ``deg`` lists every vertex's degree.  Returns the
+    deepest-vertex set and ``lam`` (None on a cycle)."""
+    degs = list(map(deg.__getitem__, comp))
 
-    if all(d == 2 for d in degs.values()):
+    if degs.count(2) == len(comp):
         W = embed.outer_walk(G, G.comp_of[comp[0]])
         for x, c in zip(W, cycle_colouring(len(W))):
             colours[x] = c + 1
         return set(), None
 
-    # root: a degree-1 vertex if any, else a vertex of degree >= 3
-    deg1 = [x for x in comp if degs[x] == 1]
-    root = min(deg1) if deg1 else min(x for x in comp if degs[x] >= 3)
+    # root: the smallest degree-1 vertex if any, else of degree >= 3 (comp ascends)
+    root = comp[degs.index(1)] if 1 in degs else next(x for x, d in zip(comp, degs) if d >= 3)
 
     embed._levels(G, [root], lam)
 
@@ -168,13 +168,13 @@ def _colour_cactus_component(G, comp, comp_faces, lam, colours):
         cyc = G.face_vertices(f)
         depth = list(map(lam.__getitem__, cyc))
         deepest = max(zip(depth, cyc))  # (level, vertex): the deepest, largest id first
-        if depth.count(deepest[0]) == 1 and degs[deepest[1]] == 2:
+        if depth.count(deepest[0]) == 1 and deg[deepest[1]] == 2:
             H.add(deepest[1])
 
-    if degs[root] != 1 and len(H) in EXCEPTIONAL_CYCLE_LENGTHS:
+    if deg[root] != 1 and len(H) in EXCEPTIONAL_CYCLE_LENGTHS:
         fstar = min(
             f for f in comp_faces
-            if sum(1 for x in G.face_vertices(f) if degs[x] > 2) == 1
+            if sum(1 for x in G.face_vertices(f) if deg[x] > 2) == 1
         )
         cyc = G.face_vertices(fstar)
         b = max(cyc, key=lambda x: (lam[x], x))
@@ -185,33 +185,32 @@ def _colour_cactus_component(G, comp, comp_faces, lam, colours):
         if patch_count == 9:
             H.add(max(nb1, nb2))
 
-    if H:
-        for order, word in _auxiliary_runs(embed.outer_walk(G, G.comp_of[comp[0]]), H):
-            for i, x in enumerate(order):
-                colours[x] = word[i] + 1
-
     word = palindrome_free_nonrepetitive(max(map(lam.__getitem__, comp)) + 1)
-    for x in comp:
-        if x not in H:
-            colours[x] = 4 + word[lam[x]]
+    for x in comp:  # H's members are coloured again below
+        colours[x] = 4 + word[lam[x]]
+    if H:
+        for order, run in _auxiliary_runs(embed.outer_walk(G, G.comp_of[comp[0]]), H):
+            for i, x in enumerate(order):
+                colours[x] = run[i] + 1
     return H, lam
 
 
 def _colour_cactus_core(Gs):
     """Colour values over {1..7} for a simple even cactus; verification is
     the caller's job."""
-    colours = [None] * Gs.n
     faces = [[] for _ in Gs.components]  # inner faces per component, one scan
     for f in Gs.inner_faces():
         faces[Gs.comp_of[Gs.origin[Gs.faces[f][0]]]].append(f)
-    trees = []  # the components without an inner face, coloured in one pass
-    lam = [-1] * Gs.n  # one level list for every component
+    trees = [-2] * Gs.n  # -1 on the components without an inner face, coloured in one pass
+    for cid, comp in enumerate(Gs.components):
+        if not faces[cid]:
+            for x in comp:
+                trees[x] = -1
+    colours = _colour_forest(Gs, trees)
+    lam, deg = [-1] * Gs.n, list(map(len, Gs.rotations))  # one level list for every component
     for cid, comp in enumerate(Gs.components):
         if faces[cid]:
-            _colour_cactus_component(Gs, comp, faces[cid], lam, colours)
-        else:
-            trees += comp
-    _colour_forest(Gs, trees, colours)
+            _colour_cactus_component(Gs, comp, faces[cid], lam, colours, deg)
     return colours
 
 
@@ -239,13 +238,14 @@ def _colour_outerplane_core(Gs, B):
     blocking set B of it: B's blocking graph is cactus-coloured over
     {5..11} and the forest Gs - B over {1..4}; verification is the caller's
     job."""
-    colours = [None] * Gs.n
+    level = [-1] * Gs.n
+    for x in B:
+        level[x] = -2
+    colours = _colour_forest(Gs, level)
     if B:
         bg = blocking._blocking_graph(Gs, B, simple=True)
-        sub = _colour_cactus_core(bg.graph)
-        for i, host in enumerate(bg.host_vertex):
-            colours[host] = 4 + sub[i]
-    _colour_forest(Gs, list(filterfalse(B.__contains__, range(Gs.n))), colours)
+        for host, c in zip(bg.host_vertex, _colour_cactus_core(bg.graph)):
+            colours[host] = 4 + c
     return colours
 
 
@@ -267,10 +267,9 @@ def colour_outerplane_single_block(G):
     take {1,2,3,4}.  ``simplify`` checks that G is outerplane."""
     Gs = embed.simplify(G)
     H = blocking._host(Gs)
-    faces = [fs for _vs, fs in H.blocks]
-    if len(faces) > 1:
+    if len(H.blocks) > 1:
         raise ClassMismatchError("graph has more than one 2-connected component")
-    B = blocking._good_size(H, faces[0]) if faces else frozenset()
+    B = blocking._good_size(H, H.blocks[0]) if H.blocks else frozenset()
     return _checked(G, _colour_outerplane_core(Gs, B), 7)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import gc
 import json
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
 
 
@@ -162,9 +162,6 @@ class EmbeddedGraph:
 
     def inner_faces(self):
         return [f for f in range(len(self.faces)) if f not in self.outer_faces]
-
-    def degree(self, v):
-        return len(self.rotations[v])
 
     def canonical_outer_darts(self):
         return tuple(sorted(self.faces[f][0] for f in self.outer_faces))
@@ -331,49 +328,47 @@ def _blocks_and_bridges(G):
     """Blocks of an outerplane multigraph, and its bridges.  The input is
     trusted to be outerplane.
 
-    One sweep writes each face's vertex cycle, in C by ``itemgetter``; one
-    sweep over the edges finds the bridges, the edges with one face on both
-    sides, and gives each face its (edge, face across) pairs, by edge id,
-    for the edges with inner faces on both sides: on a simple graph its
+    One sweep writes each inner face's vertex cycle, in C by ``itemgetter``;
+    one sweep over the edges finds the bridges, the edges with one face on
+    both sides, and gives each face its (edge, face across) pairs, by edge
+    id, for the edges with inner faces on both sides: on a simple graph its
     chords, the weak dual.  The inner faces of a block are one component of
-    that dual, and its vertices are theirs; a component whose faces are
-    bounded by loops alone (one vertex) is no block.
+    that dual; on a multigraph a component bounded by loops alone has one
+    vertex.
 
-    Returns (blocks, bridges, cycles, dual), the last two by face id.  Each
-    block is (ascending vertex tuple, ascending inner face ids), sorted by
-    the integer key of its two smallest vertices, as two blocks share at
-    most one; its edges are the non-loop edges of its inner faces.  The
-    bridges are edge ids, ascending.
+    Returns (blocks, block_of, bridges, cycles, dual), the last two by face
+    id.  Each block is its inner face ids, ascending, and the blocks come in
+    the order of their smallest face; ``block_of`` maps a face to its
+    block's index, and an outer face to -2.  A block's vertices are those on
+    its faces and its edges the non-loop edges of its faces.  The bridges
+    are edge ids, ascending, and an outer face's cycle is empty.
     """
-    n, origin, face_of, faces = G.n, G.origin, G.face_of, G.faces
-    seen = bytearray(len(faces))  # the outer faces, then those of each block found
+    origin, face_of, faces = G.origin, G.face_of, G.faces
+    block_of = [-1] * len(faces)  # -2 on the outer faces, then each block's index
     for f in G.outer_faces:
-        seen[f] = 1
-    cycles = [itemgetter(*w)(origin) if len(w) > 1 else (origin[w[0]],) for w in faces]
+        block_of[f] = -2
+    cycles = [() if b == -2 else itemgetter(*w)(origin) if len(w) > 1 else (origin[w[0]],)
+              for w, b in zip(faces, block_of)]
     dual = [[] for _ in faces]
     bridges = []
     for e, f, g in zip(range(len(face_of) >> 1), face_of[::2], face_of[1::2]):
-        if not (seen[f] or seen[g]):
+        if block_of[f] + block_of[g] == -2:  # both inner
             dual[f].append((e, g))
             dual[g].append((e, f))
         elif f == g:
             bridges.append(e)
-    found = {}  # block key v0 * n + v1 -> block
-    f = seen.find(0)
-    while f != -1:
+    blocks = []
+    for f in _unreached(block_of):
+        bid = block_of[f] = len(blocks)
         fs = [f]
-        seen[f] = 1
         for g in fs:  # grows while it is read
             for _e, h in dual[g]:
-                if not seen[h]:
-                    seen[h] = 1
+                if block_of[h] == -1:
+                    block_of[h] = bid
                     fs.append(h)
-        verts = sorted(set(chain.from_iterable(map(cycles.__getitem__, fs))))
-        if len(verts) > 1:
-            fs.sort()
-            found[verts[0] * n + verts[1]] = (tuple(verts), tuple(fs))
-        f = seen.find(0, f)
-    return [found[k] for k in sorted(found)], bridges, cycles, dual
+        fs.sort()
+        blocks.append(tuple(fs))
+    return blocks, block_of, bridges, cycles, dual
 
 
 def is_biconnected(G):
@@ -427,23 +422,6 @@ def _levels(G, roots, level):
 
 
 # -- surgery -----------------------------------------------------------------
-
-
-def _union_find(n, pairs):
-    """``find`` of the union-find over 0..n-1 that joins every pair."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return find
 
 
 def _mapped_rotations(G, vertices, dart_map, corners):

@@ -197,20 +197,19 @@ def cycle_colouring(n):
 # -- tree colouring -----------------------------------------------------------
 
 
-def _colour_forest(G, rest, colours):
-    """Tree-colour every component of G[rest] (each must be a tree) over
-    {1..4}: breadth-first levels from the component's smallest vertex
-    (``embed._levels``), indexed into one palindrome-free nonrepetitive
-    word.  The word of a shallower tree is a prefix of the word made here
-    for the deepest level, so each component gets the colours
-    ``tree_colouring`` gives it alone."""
-    level = [-2] * G.n  # -2 keeps a vertex outside ``rest`` out of the search
-    for x in rest:
-        level[x] = -1
-    if rest:
-        word = palindrome_free_nonrepetitive(max(embed._levels(G, embed._unreached(level), level)) + 1)
-        for x in rest:
-            colours[x] = 1 + word[level[x]]
+def _colour_forest(G, level):
+    """Tree colours over {1..4}, a per-vertex list, of every component of G
+    over the vertices whose ``level`` entry is -1 (each must be a tree), and
+    None at those whose entry is -2: breadth-first levels from each
+    component's smallest vertex (``embed._levels``, written into ``level``)
+    indexed into one palindrome-free nonrepetitive word, in C.  The word of
+    a shallower tree is a prefix of the word made here for the deepest
+    level, so each component gets the colours ``tree_colouring`` gives it
+    alone."""
+    embed._levels(G, embed._unreached(level), level)
+    # a symbol to spare, so a graph with no forest vertex needs no case
+    word = palindrome_free_nonrepetitive(max(level, default=-1) + 2)
+    return list(map((*(1 + c for c in word), None, None).__getitem__, level))  # -2 reads a None
 
 
 def tree_colouring(T):
@@ -230,6 +229,4 @@ def tree_colouring(T):
         return ()
     if len(T.origin) != 2 * (T.n - 1) or len(T.components) != 1:
         raise ValueError("input is not a tree")
-    colours = [None] * T.n
-    _colour_forest(T, range(T.n), colours)
-    return tuple(colours)
+    return tuple(_colour_forest(T, [-1] * T.n))

@@ -34,7 +34,6 @@ from thueplane.embed import (
     _blocks_and_bridges,
     _chords,
     _require_simple_outerplane,
-    _union_find,
     is_outerplane,
 )
 from thueplane.gen import _Builder, _rng
@@ -54,7 +53,7 @@ def edge_pairs(G):
 
 def blocks_and_bridges_dfs(G):
     """Iterative Hopcroft-Tarjan block decomposition, the oracle for
-    ``embed._blocks_and_bridges`` (which reads blocks off the outer walks);
+    ``embed._blocks_and_bridges`` (which reads blocks off the weak dual);
     it takes any graph.
 
     Returns (blocks, bridges): blocks as (vertex tuple, edge tuple).  Parent
@@ -143,13 +142,22 @@ def biconnected_components(G):
     graph."""
     if not is_outerplane(G):
         raise ClassMismatchError("biconnected components are read off outerplane graphs")
-    return [vs for vs, _fs in _blocks_and_bridges(G)[0] if len(vs) >= 3]
+    return [vs for vs, _fs in blocks_with_vertices(G) if len(vs) >= 3]
+
+
+def blocks_with_vertices(G):
+    """The blocks ``embed._blocks_and_bridges`` reads, each as (its
+    vertices, ascending; its inner faces), in the order of their two
+    smallest vertices (two blocks share at most one).  A dual component
+    bounded by loops alone, on one vertex, is no block."""
+    blocks, _block_of, _bridges, cycles, _dual = _blocks_and_bridges(G)
+    found = [(tuple(sorted({x for f in fs for x in cycles[f]})), fs) for fs in blocks]
+    return sorted(b for b in found if len(b[0]) > 1)
 
 
 def block_edges(G, faces):
-    """Ascending edge ids of the block that ``embed._blocks_and_bridges``
-    returns as (vertices, ``faces``): the non-loop edges of its inner
-    faces."""
+    """Ascending edge ids of the block with inner faces ``faces``: the
+    non-loop edges of those faces."""
     origin = G.origin
     return tuple(sorted({d >> 1 for f in faces for d in G.faces[f] if origin[d] != origin[d ^ 1]}))
 
@@ -160,6 +168,23 @@ def dart_of(G, e, at):
         if G.origin[d] == at:
             return d
     raise EmbeddingError(f"vertex {at} is not an endpoint of edge {e}")
+
+
+def _union_find(n, pairs):
+    """``find`` of the union-find over 0..n-1 that joins every pair."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in pairs:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    return find
 
 
 def _dedup_outer(origin, rotations, outer_darts):

@@ -37,6 +37,7 @@ from support import (
     _restrict,
     biconnected_components,
     block_edges,
+    blocks_with_vertices,
     blocking_graph_from_json,
     blocking_graph_to_json,
     edge_pairs,
@@ -163,7 +164,7 @@ def test_walk_criterion_agrees_with_block_decomposition():
         graphs.append(induced_embedded_subgraph(G, S)[0])
         graphs += [
             _restrict(G, vs, block_edges(G, fs))[0]
-            for vs, fs in embed._blocks_and_bridges(G)[0]
+            for vs, fs in blocks_with_vertices(G)
         ]
     biconnected = 0
     for G in graphs:
@@ -355,7 +356,7 @@ def _blocks_in_place(G):
     it in place: (vertices, edges, inner faces)."""
     return [
         (vs, block_edges(G, fs), fs)
-        for vs, fs in embed._blocks_and_bridges(G)[0]
+        for vs, fs in blocks_with_vertices(G)
         if len(vs) >= 3
     ]
 

@@ -47,6 +47,10 @@ def _component_faces(G, cid):
     return [f for f in G.inner_faces() if G.comp_of[G.origin[G.faces[f][0]]] == cid]
 
 
+def _degrees(G):
+    return list(map(len, G.rotations))
+
+
 # -- even cacti ---------------------------------------------------------------
 
 
@@ -74,7 +78,7 @@ def test_flower_patch_engages():
     Gs = embed.simplify(G)
     colours = [None] * Gs.n
     faces = _component_faces(Gs, 0)
-    H, lam = colour._colour_cactus_component(Gs, Gs.components[0], faces, [-1] * Gs.n, colours)
+    H, lam = colour._colour_cactus_component(Gs, Gs.components[0], faces, [-1] * Gs.n, colours, _degrees(Gs))
     assert len(H) == 6  # five deepest vertices plus the patched neighbour
     c = colour_cactus_even(G)
     assert c.distinct_colours() <= 7
@@ -85,7 +89,7 @@ def test_flower_patch_nine():
     Gs = embed.simplify(G)
     colours = [None] * Gs.n
     faces = _component_faces(Gs, 0)
-    H, _ = colour._colour_cactus_component(Gs, Gs.components[0], faces, [-1] * Gs.n, colours)
+    H, _ = colour._colour_cactus_component(Gs, Gs.components[0], faces, [-1] * Gs.n, colours, _degrees(Gs))
     assert len(H) == 11
     assert colour_cactus_even(G).distinct_colours() <= 7
 
@@ -149,7 +153,7 @@ def test_monotone_level_runs_outside_deepest_set():
         for cid, comp in enumerate(Gs.components):
             colours = [None] * Gs.n
             faces = _component_faces(Gs, cid)
-            H, lam = colour._colour_cactus_component(Gs, comp, faces, [-1] * Gs.n, colours)
+            H, lam = colour._colour_cactus_component(Gs, comp, faces, [-1] * Gs.n, colours, _degrees(Gs))
             if not lam:
                 continue
             f = Gs.outer_face_of_component(cid)
@@ -670,15 +674,15 @@ def test_cactus_core_colours_its_trees_in_one_forest_pass(monkeypatch):
     real = colour._colour_forest
     calls = []
 
-    def counting(H, rest, colours):
-        calls.append(sorted(rest))
-        return real(H, rest, colours)
+    def counting(H, level):
+        calls.append([x for x, k in enumerate(level) if k == -1])
+        return real(H, level)
 
     monkeypatch.setattr(colour, "_colour_forest", counting)
     colour._colour_cactus_core(G)
     tree_vertices = [
         x for comp in G.components
-        if sum(map(G.degree, comp)) == 2 * (len(comp) - 1) for x in comp
+        if sum(len(G.rotations[x]) for x in comp) == 2 * (len(comp) - 1) for x in comp
     ]
     assert len(tree_vertices) == sum(3 + seed for seed in range(10))
     assert calls == [tree_vertices]

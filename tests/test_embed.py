@@ -185,15 +185,16 @@ def test_blocks_and_bridges_examples():
 
 
 def test_block_pass_reads_each_face_cycle_and_its_chords():
-    # the cycles and the dual the blocking constructions read in place,
-    # against a direct reading of the faces and of the face across each dart
+    # the cycles (none for an outer face) and the dual the blocking
+    # constructions read in place, against a direct reading of the faces
+    # and of the face across each dart
     graphs = [G for n in range(1, 10) for G in gen.enumerate_small("outerplane_biconnected", n)]
     graphs += [gen.generate(gen.GenSpec("outerplane", n, seed)) for n in (40, 300) for seed in range(6)]
     chords = 0
     for G in graphs:
-        _blocks, _bridges, cycles, dual = embed._blocks_and_bridges(G)
+        _blocks, _block_of, _bridges, cycles, dual = embed._blocks_and_bridges(G)
         origin, face_of, outer = G.origin, G.face_of, G.outer_faces
-        assert cycles == [tuple(origin[d] for d in walk) for walk in G.faces]
+        assert cycles == [() if f in outer else tuple(origin[d] for d in walk) for f, walk in enumerate(G.faces)]
         for f, walk in enumerate(G.faces):
             want = set() if f in outer else {(d >> 1, face_of[d ^ 1]) for d in walk if face_of[d ^ 1] not in outer}
             assert set(dual[f]) == want and len(dual[f]) == len(want)
@@ -237,25 +238,26 @@ def test_blocks_and_bridges_match_the_dfs_oracle():
     assert len(graphs) >= 3000
     multigraphs = 0
     for G in graphs:
-        found, bridges, _cycles, _dual = embed._blocks_and_bridges(G)
+        blocks, block_of, bridges, _cycles, _dual = embed._blocks_and_bridges(G)
+        found = support.blocks_with_vertices(G)
         dfs_blocks, dfs_br = support.blocks_and_bridges_dfs(G)
         assert bridges == dfs_br
         # the oracle lists a bridge as the block of its one edge
         ends = support.edge_pairs(G)
-        blocks = [(vs, support.block_edges(G, fs)) for vs, fs in found]
-        blocks += [(tuple(sorted(ends[e])), (e,)) for e in bridges]
-        assert sorted(blocks) == sorted(dfs_blocks)
-        assert [vs[:2] for vs, _fs in found] == sorted(vs[:2] for vs, _fs in found)
-        # each inner face lies in one block, unless loops alone bound it
-        # (inside a loop drawn in an outer face); a block's faces are
-        # ascending, and its vertices are those on its faces
-        inside = sorted(f for _vs, fs in found for f in fs)
-        missed = set(G.inner_faces()).difference(inside)
-        assert len(set(inside)) == len(inside)
-        assert all(G.origin[d] == G.origin[d ^ 1] for f in missed for d in G.faces[f])
-        for verts, fs in found:
-            assert list(fs) == sorted(fs) and fs
-            assert set(verts) == {G.origin[d] for f in fs for d in G.faces[f]}
+        listed = [(vs, support.block_edges(G, fs)) for vs, fs in found]
+        listed += [(tuple(sorted(ends[e])), (e,)) for e in bridges]
+        assert sorted(listed) == sorted(dfs_blocks)
+        # each inner face lies in one block, whose index ``block_of`` holds;
+        # a block's faces ascend and the blocks follow their smallest faces;
+        # a block on one vertex is bounded by loops alone (inside a loop
+        # drawn in an outer face)
+        assert sorted(f for fs in blocks for f in fs) == G.inner_faces()
+        assert [fs[0] for fs in blocks] == sorted(fs[0] for fs in blocks)
+        for i, fs in enumerate(blocks):
+            assert list(fs) == sorted(fs) and all(block_of[f] == i for f in fs)
+        assert all(block_of[f] == -2 for f in G.outer_faces)
+        kept = {fs for _vs, fs in found}
+        assert all(G.origin[d] == G.origin[d ^ 1] for fs in blocks if fs not in kept for f in fs for d in G.faces[f])
         multigraphs += any(u == v for u, v in support.edge_pairs(G))
     assert multigraphs >= 1000
 

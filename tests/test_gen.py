@@ -20,7 +20,7 @@ def test_spec_validation():
 
 def test_cycle_is_cycle():
     G = generate(GenSpec("cycle", 5))
-    assert G.n == 5 and all(G.degree(v) == 2 for v in range(5))
+    assert G.n == 5 and all(len(G.rotations[v]) == 2 for v in range(5))
 
 
 def class_failures(kind, n, G):
@@ -40,7 +40,7 @@ def class_failures(kind, n, G):
     if kind == "tree":
         ok = connected and len(G.origin) == 2 * (n - 1)
     elif kind == "cycle":
-        ok = connected and all(G.degree(v) == 2 for v in range(G.n))
+        ok = connected and all(len(G.rotations[v]) == 2 for v in range(G.n))
     elif kind == "cactus_even":
         ok = not chords(G) and all(len(G.faces[f]) % 2 == 0 for f in G.inner_faces())
     elif kind == "outerplane_biconnected":
@@ -191,7 +191,7 @@ def test_nested_rings_are_peeling_layers():
         assert list(layer) == sorted(layer)
         for _ids, ring in layer_graphs(G, layer):
             assert ring.n >= 3 and len(ring.components) == 1
-            assert all(ring.degree(v) == 2 for v in range(ring.n))
+            assert all(len(ring.rotations[v]) == 2 for v in range(ring.n))
 
 
 # SHA-256 over the ``gen`` plane output, one JSON line per graph, recorded

@@ -13,6 +13,7 @@ from conftest import decorate_multigraph, hexagon_with_inner_star
 from support import (
     _restrict,
     block_edges,
+    blocks_with_vertices,
     edge_pairs,
     induced_embedded_subgraph,
     layer_graphs,
@@ -151,7 +152,7 @@ def test_internal_builders_pass_the_boundary_check():
             continue
         Gs = embed.simplify(G)
         _passes_boundary(Gs)
-        for verts, faces in embed._blocks_and_bridges(Gs)[0]:
+        for verts, faces in blocks_with_vertices(Gs):
             _passes_boundary(_restrict(Gs, verts, block_edges(Gs, faces))[0])
         B = blocking.blocking_set_even(Gs)
         _passes_boundary(blocking.blocking_graph(Gs, B).graph)

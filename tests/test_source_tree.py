@@ -210,6 +210,8 @@ def test_only_the_listed_functions_raise_runtime_errors():
 #: list inside a loop shows in no line count; a new site belongs here only
 #: with its bound.
 LINEAR_IN_A_LOOP = {
+    # once per component, on its outer walk: the walks hold each outer dart once
+    "blocking._even_blocking_over_blocks: .index",
     # the face's level list, once per inner face: the faces' lengths together
     "colour._colour_cactus_component: .count",
     # each dart anchors at most one added edge's outgoing dart, so the

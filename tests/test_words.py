@@ -358,12 +358,14 @@ def test_forest_colouring_gives_each_tree_its_own_colouring():
     depths = {max(embed._levels(T, [0], [-1] * T.n)) for T in trees}
     assert len(depths) >= 5
     F = disjoint_union(*trees)
-    colours = [None] * F.n
-    words._colour_forest(F, range(F.n), colours)
+    colours = words._colour_forest(F, [-1] * F.n)
     v0 = 0
     for T in trees:
         assert tuple(colours[v0 : v0 + T.n]) == tree_colouring(T)
         v0 += T.n
+    # a vertex whose level entry is -2 is left out, and reads None
+    last = F.n - trees[-1].n
+    assert words._colour_forest(F, [-1] * last + [-2] * trees[-1].n) == colours[:last] + [None] * trees[-1].n
 
 
 CYCLE_COLOURING_DIGEST = "716eb734240b4cd4760b3902840e35df5d630da98d09cd70badf139f1bc4c0da"

@@ -13,9 +13,12 @@ All constructors require simple inputs; multigraphs are normalized with
 ``embed.simplify`` by the callers and colourings lift back.
 
 The constructions read each block in place in ``_host``, the one block
-pass per graph.  Per block they read its faces on v, one top-down pass
-over its dual, and, for an odd set, its ears or one breadth-first pass;
-size control drops an ear from the dual in place.  A public constructor
+pass per graph: per graph it builds the inner faces' vertex cycles, the
+weak dual, each face's block and the blocks' face lists, and the general
+construction walks each component's outer face once.  Per block they
+read its faces on v, one top-down pass over its dual, and, for an odd
+set, its ears or one breadth-first pass; size control drops an ear from
+the dual in place.  A public constructor
 checks its input class and vertex ids, then reads its own graph as one
 block with the unchecked cores the pipelines call on their blocks.
 No construction checks what it builds: the tests check the lemmas'
@@ -55,7 +58,7 @@ def validate_blocking_set(G, B):
 
     violations = []
     origin = G.origin
-    blocks, _block_of, _bridges, cycles, _dual = embed._blocks_and_bridges(G)
+    blocks, _block_of, cycles, _dual = embed._blocks_and_bridges(G)
     for faces in blocks:
         verts = sorted(set(chain.from_iterable(map(cycles.__getitem__, faces))))
         if len(verts) < 3:
@@ -116,15 +119,16 @@ def _require_biconnected_outerplane(G):
 
 class _Host(NamedTuple):
     """A simple outerplane graph read face by face: its block pass, made
-    once per graph.  A block is read in place through it, as its inner face
-    ids, ascending; the chords between them span its weak dual, a tree.
-    Nothing is written per block but size control's dropped ear."""
+    once per graph, holds per face its vertex cycle, its chords and its
+    block, and per block its inner face ids, ascending; the chords between
+    them span the block's weak dual, a tree.  A block is read in place
+    through it: nothing is built per block but the construction's set, and
+    nothing written but size control's dropped ear."""
 
     graph: embed.EmbeddedGraph
     blocks: list  # each block's inner face ids, as ``embed._blocks_and_bridges`` returns them
     block_of: list  # face id -> its block's index, -2 on an outer face
-    bridges: list  # edge ids, ascending
-    cycles: list  # face id -> vertex cycle (tuple)
+    cycles: list  # face id -> vertex cycle (tuple), empty on an outer face
     dual: list  # face id -> (chord, face across it) pairs, by chord id
 
 

@@ -325,23 +325,22 @@ def _require_simple_outerplane(G):
 
 
 def _blocks_and_bridges(G):
-    """Blocks of an outerplane multigraph, and its bridges.  The input is
-    trusted to be outerplane.
+    """Blocks of an outerplane multigraph; its bridges are ``bridges``.
+    The input is trusted to be outerplane.
 
     One sweep writes each inner face's vertex cycle, in C by ``itemgetter``;
-    one sweep over the edges finds the bridges, the edges with one face on
-    both sides, and gives each face its (edge, face across) pairs, by edge
-    id, for the edges with inner faces on both sides: on a simple graph its
-    chords, the weak dual.  The inner faces of a block are one component of
-    that dual; on a multigraph a component bounded by loops alone has one
-    vertex.
+    one sweep over the edges gives each face its (edge, face across) pairs,
+    by edge id, for the edges with inner faces on both sides: on a simple
+    graph its chords, the weak dual.  The inner faces of a block are one
+    component of that dual; on a multigraph a component bounded by loops
+    alone has one vertex.
 
-    Returns (blocks, block_of, bridges, cycles, dual), the last two by face
-    id.  Each block is its inner face ids, ascending, and the blocks come in
-    the order of their smallest face; ``block_of`` maps a face to its
-    block's index, and an outer face to -2.  A block's vertices are those on
-    its faces and its edges the non-loop edges of its faces.  The bridges
-    are edge ids, ascending, and an outer face's cycle is empty.
+    Returns (blocks, block_of, cycles, dual), the last two by face id.  Each
+    block is its inner face ids, ascending, and the blocks come in the order
+    of their smallest face; ``block_of`` maps a face to its block's index,
+    and an outer face to -2.  A block's vertices are those on its faces and
+    its edges the non-loop edges of its faces.  An outer face's cycle is
+    empty.
     """
     origin, face_of, faces = G.origin, G.face_of, G.faces
     block_of = [-1] * len(faces)  # -2 on the outer faces, then each block's index
@@ -350,13 +349,10 @@ def _blocks_and_bridges(G):
     cycles = [() if b == -2 else itemgetter(*w)(origin) if len(w) > 1 else (origin[w[0]],)
               for w, b in zip(faces, block_of)]
     dual = [[] for _ in faces]
-    bridges = []
     for e, f, g in zip(range(len(face_of) >> 1), face_of[::2], face_of[1::2]):
         if block_of[f] + block_of[g] == -2:  # both inner
             dual[f].append((e, g))
             dual[g].append((e, f))
-        elif f == g:
-            bridges.append(e)
     blocks = []
     for f in _unreached(block_of):
         bid = block_of[f] = len(blocks)
@@ -368,7 +364,7 @@ def _blocks_and_bridges(G):
                     fs.append(h)
         fs.sort()
         blocks.append(tuple(fs))
-    return blocks, block_of, bridges, cycles, dual
+    return blocks, block_of, cycles, dual
 
 
 def is_biconnected(G):

@@ -150,7 +150,7 @@ def blocks_with_vertices(G):
     vertices, ascending; its inner faces), in the order of their two
     smallest vertices (two blocks share at most one).  A dual component
     bounded by loops alone, on one vertex, is no block."""
-    blocks, _block_of, _bridges, cycles, _dual = _blocks_and_bridges(G)
+    blocks, _block_of, cycles, _dual = _blocks_and_bridges(G)
     found = [(tuple(sorted({x for f in fs for x in cycles[f]})), fs) for fs in blocks]
     return sorted(b for b in found if len(b[0]) > 1)
 

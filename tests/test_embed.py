@@ -192,7 +192,7 @@ def test_block_pass_reads_each_face_cycle_and_its_chords():
     graphs += [gen.generate(gen.GenSpec("outerplane", n, seed)) for n in (40, 300) for seed in range(6)]
     chords = 0
     for G in graphs:
-        _blocks, _block_of, _bridges, cycles, dual = embed._blocks_and_bridges(G)
+        _blocks, _block_of, cycles, dual = embed._blocks_and_bridges(G)
         origin, face_of, outer = G.origin, G.face_of, G.outer_faces
         assert cycles == [() if f in outer else tuple(origin[d] for d in walk) for f, walk in enumerate(G.faces)]
         for f, walk in enumerate(G.faces):
@@ -238,8 +238,8 @@ def test_blocks_and_bridges_match_the_dfs_oracle():
     assert len(graphs) >= 3000
     multigraphs = 0
     for G in graphs:
-        blocks, block_of, bridges, _cycles, _dual = embed._blocks_and_bridges(G)
-        found = support.blocks_with_vertices(G)
+        blocks, block_of, _cycles, _dual = embed._blocks_and_bridges(G)
+        found, bridges = support.blocks_with_vertices(G), embed.bridges(G)
         dfs_blocks, dfs_br = support.blocks_and_bridges_dfs(G)
         assert bridges == dfs_br
         # the oracle lists a bridge as the block of its one edge

@@ -364,9 +364,11 @@ def _even_blocking_over_blocks(G):
     B = set()
     done = bytearray(len(H.blocks))
     for comp, f in zip(G.components, G._outer_by_comp):
-        starts = ((x, d) for x in comp for d in G.rotations[x] if face_of[d] == f and block_of[face_of[d ^ 1]] >= 0)
+        # the outer darts that run along a block, from the smallest vertex
+        starts = ((x, d) for x in comp for d in G.rotations[x]
+                  if face_of[d] == f and block_of[face_of[d ^ 1]] >= 0)
         a, d0 = next(starts, (None, None))
-        if a is None:  # a tree: no block
+        if a is None:  # no block in this component
             continue
         B.add(a)  # a root block includes its smallest vertex
         walk = G.faces[f]

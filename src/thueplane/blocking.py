@@ -363,7 +363,8 @@ def _even_blocking_over_blocks(G):
     origin, face_of, block_of = G.origin, G.face_of, H.block_of
     B = set()
     done = bytearray(len(H.blocks))
-    for comp, f in zip(G.components, G._outer_by_comp):
+    for cid, comp in enumerate(G.components):
+        f = G.outer_face_of_component(cid)
         # the outer darts that run along a block, from the smallest vertex
         starts = ((x, d) for x in comp for d in G.rotations[x]
                   if face_of[d] == f and block_of[face_of[d ^ 1]] >= 0)
@@ -380,8 +381,8 @@ def _even_blocking_over_blocks(G):
                     B.add(origin[d ^ 1])
             elif not done[b]:
                 done[b] = 1
-                a = origin[d]
-                B |= _even_one_per_face(H, H.blocks[b], a, a in B)
+                v = origin[d]  # the block's entry
+                B |= _even_one_per_face(H, H.blocks[b], v, v in B)
     return frozenset(B)
 
 

@@ -325,8 +325,9 @@ def _require_simple_outerplane(G):
 
 
 def _blocks_and_bridges(G):
-    """Blocks of an outerplane multigraph; its bridges are ``bridges``.
-    The input is trusted to be outerplane.
+    """The blocks of an outerplane multigraph on inner faces; the bridges,
+    its other blocks, are what ``bridges`` finds.  The input is trusted to
+    be outerplane.
 
     One sweep writes each inner face's vertex cycle, in C by ``itemgetter``;
     one sweep over the edges gives each face its (edge, face across) pairs,

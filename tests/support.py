@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from thueplane import cli, colour, embed
 from thueplane.blocking import (
     BlockingGraph,
+    _even_one_per_face,
     _face_neighbours_of,
+    _host,
     _require_biconnected_outerplane,
     blocking_set_even_biconnected_edge,
 )
@@ -32,6 +34,7 @@ from thueplane.embed import (
     EmbeddedGraph,
     EmbeddingError,
     _blocks_and_bridges,
+    bridges,
     _chords,
     _require_simple_outerplane,
     is_outerplane,
@@ -853,6 +856,43 @@ def is_bridgeless_cactus(G):
         if G.face_of[d0] == G.face_of[d1]:
             return False  # bridge
     return True
+
+
+def even_blocking_by_block_queue(G):
+    """The even blocking set of the simple outerplane graph G as a queue
+    over the block-cut tree builds it, the reference for
+    ``blocking._even_blocking_over_blocks``, which meets the blocks round
+    the outer walks instead.  Bridge-connected vertices form one class.
+    The first block not yet met, in the order of ``blocks_with_vertices``,
+    includes its smallest vertex; a block queues every unmet block sharing
+    a class with it, which enters at its vertex in that class, included
+    when the class is selected, and a class is selected with any of its
+    vertices."""
+    H, origin = _host(G), G.origin
+    bridge_ends = [(origin[2 * e], origin[2 * e + 1]) for e in bridges(G)]
+    find = _union_find(G.n, bridge_ends)
+    cls = [find(x) for x in range(G.n)]
+    blocks = blocks_with_vertices(G)
+    of_class = {}
+    for bid, (verts, _faces) in enumerate(blocks):
+        for x in verts:
+            of_class.setdefault(cls[x], []).append(bid)
+    selected, met = set(), set()
+    for start in range(len(blocks)):
+        if start in met:
+            continue
+        met.add(start)
+        selected.add(cls[blocks[start][0][0]])
+        queue = [(start, blocks[start][0][0])]
+        for bid, v in queue:
+            verts, faces = blocks[bid]
+            selected.update(cls[x] for x in _even_one_per_face(H, faces, v, cls[v] in selected))
+            for x in verts:
+                for nb in of_class[cls[x]]:
+                    if nb not in met:
+                        met.add(nb)
+                        queue.append((nb, next(y for y in blocks[nb][0] if cls[y] == cls[x])))
+    return frozenset(x for x in range(G.n) if cls[x] in selected)
 
 
 def good_size_by_copies(G):

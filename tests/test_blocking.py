@@ -41,10 +41,12 @@ from support import (
     blocking_graph_from_json,
     blocking_graph_to_json,
     edge_pairs,
+    even_blocking_by_block_queue,
     good_size_by_copies,
     induced_embedded_subgraph,
     is_bridgeless_cactus,
     layer_graphs,
+    transform,
 )
 from test_peeling import plane_corpus
 
@@ -339,6 +341,20 @@ def test_even_corpus():
             assert is_bridgeless_cactus(bg.graph)
             for l in cycle_lengths_of(bg):
                 assert l % 2 == 0
+
+
+def test_walk_order_gives_the_block_queue_set():
+    # the construction meets the blocks round each component's outer walk,
+    # the reference queues them from the smallest block vertex: the same set
+    # on disjoint unions drawn under new names, mirrored or not, whose roots
+    # are rarely vertex 0 and whose bridge classes join blocks
+    rnd = random.Random(38)
+    kinds = ("outerplane", "outerplane_bridgeless", "flower", "cactus_even", "tree", "cycle")
+    for i in range(300):
+        parts = [gen.generate(gen.GenSpec(rnd.choice(kinds), rnd.randint(4, 40), rnd.randrange(10**6)))
+                 for _ in range(rnd.randint(1, 4))]
+        G = transform(disjoint_union(*parts), rnd, i % 2 == 1)[0]
+        assert blocking_set_even(G) == even_blocking_by_block_queue(G), i
 
 
 def test_even_rejects_multigraph(triangle):
